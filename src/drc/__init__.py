@@ -19,7 +19,6 @@ from .grid import (
     BinaryGrid,
     GridGeometry,
     OccupancyGrid,
-    cell_bounds_world,
     load_grid,
     make_frustum_geometry,
     make_uniform_grid,
@@ -29,7 +28,7 @@ from .grid import (
     unit_cube_geometry,
 )
 from .cameras import Camera, Ray, load_camera, perspective_camera, pixel_to_ray, project, save_camera
-from .traversal import PackedTraces, RayTrace, first_hit, trace, trace_batch
+from .traversal import PackedTraces, RayTrace, trace, trace_batch
 from .consistency import (
     EventCosts,
     RayBatch,

@@ -26,6 +26,7 @@ import os
 import sys
 
 from . import __version__
+from .consistency import RAY_KINDS
 from .errors import FormatError
 from .fitter import FitConfig, fit, write_loss_log
 from .fusion import carve_masks, fuse_depth, fused_to_occupancy_grid
@@ -53,8 +54,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
-
-RENDER_KINDS = ("mask", "depth", "depth_semantics", "color")
 
 
 class UsageError(ValueError):
@@ -91,14 +90,6 @@ def _geometry_from_args(args):
             raise UsageError("--aabb wants six numbers x0,y0,z0,x1,y1,z1")
         return uniform_geometry(dims, vals[:3], vals[3:])
     return unit_cube_geometry(dims)
-
-
-def _threads(args) -> int:
-    if getattr(args, "deterministic", False):
-        return 1
-    if getattr(args, "threads", 0):
-        return args.threads
-    return int(os.environ.get("DRC_THREADS", "1"))
 
 
 def write_manifest(out_dir, command: str, args, extra: dict | None = None) -> None:
@@ -161,11 +152,11 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _fit_config(args, threads: int) -> FitConfig:
+def _fit_config(args) -> FitConfig:
     return FitConfig(iterations=args.iters, step_size=args.step,
                      rays_per_iteration=args.rays, views_per_iteration=args.views_per_iter,
                      foreground_weight=args.fg_weight, seed=args.seed,
-                     label_weight=args.label_weight, threads=threads)
+                     label_weight=args.label_weight, threads=args.threads)
 
 
 def cmd_fit(args) -> int:
@@ -177,7 +168,7 @@ def cmd_fit(args) -> int:
     if args.kind and args.kind != kind:
         raise FormatError(f"bundles are {kind!r} but --kind asked for {args.kind!r}")
     geometry = _geometry_from_args(args)
-    config = _fit_config(args, _threads(args))
+    config = _fit_config(args)
     occ, aux, report = fit(observations, geometry, kind, config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "fitted.grid")
@@ -247,7 +238,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_repro(args) -> int:
     """Full desk-scale pipeline: shape -> render -> fit/fuse -> eval, for
     mask, depth and noisy-depth supervision on each test shape."""
-    threads = _threads(args)
+    config = FitConfig(iterations=args.iters, rays_per_iteration=args.rays,
+                       seed=args.seed, threads=args.threads)
     shapes = args.shapes.split(",")
     for name in shapes:
         if name not in SHAPE_NAMES:
@@ -265,8 +257,6 @@ def cmd_repro(args) -> int:
         noisy_obs = [add_depth_noise(o, args.noise, seed=args.seed * 1000 + i)
                      for i, o in enumerate(depth_obs)]
         geometry = gt.geometry
-        config = FitConfig(iterations=args.iters, rays_per_iteration=args.rays,
-                           seed=args.seed, threads=threads)
 
         row = {"shape": name}
         for tag, obs in (("mask_drc", mask_obs), ("depth_drc", depth_obs), ("noisy_drc", noisy_obs)):
@@ -307,6 +297,12 @@ def build_parser() -> _Parser:
     def common_out(p):
         p.add_argument("--out", required=True, help="output directory")
 
+    def add_threading_flags(p):
+        # both kept for existing scripts: fits always run on one thread and
+        # are always bitwise reproducible
+        p.add_argument("--threads", type=int, default=1, help="must be 1")
+        p.add_argument("--deterministic", action="store_true", help="no effect")
+
     p = sub.add_parser("shape", help="generate a procedural ground-truth shape")
     p.add_argument("--name", required=True, choices=SHAPE_NAMES)
     p.add_argument("--dims", default="32")
@@ -318,7 +314,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("render", help="render observation bundles of a shape grid")
     p.add_argument("--grid", required=True)
     p.add_argument("--views", type=int, default=5)
-    p.add_argument("--kind", default="depth", choices=RENDER_KINDS)
+    p.add_argument("--kind", default="depth", choices=RAY_KINDS)
     p.add_argument("--noise", type=float, default=0.0, help="max depth noise in meters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius", type=float, default=2.2)
@@ -330,7 +326,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="reconstruct a grid from observation bundles")
     p.add_argument("--obs", required=True, help="directory of observation bundles")
-    p.add_argument("--kind", default=None, choices=RENDER_KINDS)
+    p.add_argument("--kind", default=None, choices=RAY_KINDS)
     p.add_argument("--dims", default="32")
     p.add_argument("--aabb", default=None, help="x0,y0,z0,x1,y1,z1 grid box")
     p.add_argument("--frustum", default=None, help="z_min,z_max,hfov frustum geometry")
@@ -341,9 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fg-weight", type=float, default=5.0)
     p.add_argument("--label-weight", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0, help="0: use DRC_THREADS or 1")
-    p.add_argument("--deterministic", action="store_true",
-                   help="force sequential reduction paths")
+    add_threading_flags(p)
     common_out(p)
     p.set_defaults(func=cmd_fit)
 
@@ -362,7 +356,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
-    p.add_argument("--kind", default="depth", choices=RENDER_KINDS)
+    p.add_argument("--kind", default="depth", choices=RAY_KINDS)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
@@ -376,8 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rays", type=int, default=3000)
     p.add_argument("--noise", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=10)
-    p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true")
+    add_threading_flags(p)
     common_out(p)
     p.set_defaults(func=cmd_repro)
 

@@ -20,6 +20,13 @@ whose gradient is
 evaluated in O(N) with prefix products and a backward recurrence; no
 division by x is ever performed, so x_k in {0, 1} exactly is safe.
 
+The costs and this recurrence are written once, for R rays padded to L
+trace slots (``_event_costs``, ``_telescope``).  ``view_loss`` runs them on
+a traced view; the scalar API (``cost_*``, ``ray_loss*``) runs them with
+R = 1, so the gradient check tests the fitter's kernel.
+``event_probabilities`` and ``mask_loss_closed_form`` are independent
+direct formulas for tests.
+
 Escape conventions: depth events use a fixed escape depth (10 m at object
 scale; disparity-based costs use 1000 m so escape means near-zero
 disparity), semantic escape scores against the uniform class distribution,
@@ -69,10 +76,6 @@ class EventCosts:
     psi: np.ndarray
     dpsi_dp: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.psi) - 1
-
 
 def event_probabilities(x_r) -> np.ndarray:
     """Termination-event distribution of a ray, length N+1 (escape last)."""
@@ -89,12 +92,87 @@ def event_probabilities(x_r) -> np.ndarray:
     return p
 
 
+def _event_costs(kind: str, d_mid: np.ndarray, valid: np.ndarray, cells: np.ndarray,
+                 payload: np.ndarray | None = None, *, s=None, d=None, c=None,
+                 escape_depth: float | None = None, label_weight: float = 1.0):
+    """(R, L) cell-event costs, (R,) escape costs, optional (R, L, D) dpsi_dp.
+
+    ``d_mid`` are event depths, ``valid`` marks real slots, ``cells`` index
+    the payload table (P, D); ``s``, ``d``, ``c`` are as in RayBatch.
+    """
+    if kind == "mask":
+        psi = np.broadcast_to(s[:, None].astype(np.float64), d_mid.shape).copy()
+        return psi, 1.0 - s.astype(np.float64), None
+    if kind == "depth":
+        esc = OBJECT_ESCAPE_DEPTH if escape_depth is None else escape_depth
+        psi = np.abs(np.where(valid, d_mid, 1.0) - d[:, None])
+        return psi, np.abs(esc - d), None
+    if kind == "depth_semantics":
+        esc = SCENE_ESCAPE_DEPTH if escape_depth is None else escape_depth
+        k = payload.shape[1]
+        c = c.astype(np.int64)
+        pc = np.maximum(payload[cells, c[:, None]], LOG_PROB_FLOOR)
+        disparity = np.abs(1.0 / np.where(valid, d_mid, 1.0) - 1.0 / d[:, None])
+        psi = disparity - label_weight * np.log(pc)
+        psi_esc = np.abs(1.0 / esc - 1.0 / d) + label_weight * np.log(k)
+        dpsi_dp = np.zeros((*d_mid.shape, k))
+        rows = np.arange(d_mid.shape[0])[:, None]
+        cols = np.arange(d_mid.shape[1])[None, :]
+        dpsi_dp[rows, cols, c[:, None]] = -label_weight / pc
+        return psi, psi_esc, dpsi_dp
+    # color
+    diff = payload[cells] - c[:, None, :]
+    psi = 0.5 * np.sum(diff * diff, axis=2)
+    psi_esc = 0.5 * np.sum((ESCAPE_COLOR - c) ** 2, axis=1)
+    return psi, psi_esc, diff
+
+
+def _telescope(x: np.ndarray, valid: np.ndarray, psi: np.ndarray, psi_esc: np.ndarray, *,
+               backward: bool = True, events: bool = False):
+    """(R,) per-ray losses, then (R, L) d(loss)/dx if ``backward`` and (R, L)
+    cell-event probabilities if ``events`` (else None); both zero on padding.
+
+    ``x`` is emptiness, 1 on padding slots, which ``valid`` marks False.
+    """
+    cum = np.cumprod(x, axis=1)
+    pre = np.concatenate([np.ones((x.shape[0], 1)), cum[:, :-1]], axis=1)
+    # dpsi_i = psi_{i+1} - psi_i; the escape cost closes each ray and fills
+    # its padding, where dpsi is then zero
+    psi = np.where(valid, psi, psi_esc[:, None])
+    dpsi = np.concatenate([psi[:, 1:], psi_esc[:, None]], axis=1) - psi
+    per_ray = psi[:, 0] + (dpsi * cum).sum(axis=1)
+
+    grad = p_events = None
+    if backward:
+        # backward recurrence S_k = dpsi_k + x_{k+1} S_{k+1}; grad = pre * S
+        s = np.zeros_like(dpsi)
+        s[:, -1] = dpsi[:, -1]
+        for k in range(psi.shape[1] - 2, -1, -1):
+            s[:, k] = dpsi[:, k] + x[:, k + 1] * s[:, k + 1]
+        grad = np.where(valid, pre * s, 0.0)
+    if events:
+        p_events = np.where(valid, (1.0 - x) * pre, 0.0)
+    return per_ray, grad, p_events
+
+
+def _check_depth(d_r) -> None:
+    if not (np.isfinite(d_r) and d_r > 0.0):
+        raise ValueError(f"observed depth must be positive and finite, got {d_r}")
+
+
+def _one_ray_costs(kind: str, d_mid, payload=None, **obs) -> EventCosts:
+    """Event costs of one ray: ``_event_costs`` on a batch of one."""
+    d_mid = np.asarray(d_mid, dtype=np.float64)[None]
+    psi, psi_esc, dpsi_dp = _event_costs(kind, d_mid, np.ones(d_mid.shape, dtype=bool),
+                                         np.arange(d_mid.shape[1])[None], payload, **obs)
+    return EventCosts(np.concatenate([psi[0], psi_esc]), None if dpsi_dp is None else dpsi_dp[0])
+
+
 def cost_depth(trace, d_r: float, escape_depth: float = OBJECT_ESCAPE_DEPTH) -> EventCosts:
     """Absolute depth error per event: |d_i - d_r|, escape at escape_depth."""
-    if d_r <= 0.0:
-        raise ValueError(f"observed depth must be positive, got {d_r}")
-    d = _as_depths(trace)
-    return EventCosts(np.concatenate([np.abs(d - d_r), [abs(escape_depth - d_r)]]))
+    _check_depth(d_r)
+    return _one_ray_costs("depth", _as_depths(trace), d=np.array([d_r], dtype=np.float64),
+                          escape_depth=escape_depth)
 
 
 def cost_mask(trace, s_r: int) -> EventCosts:
@@ -105,10 +183,7 @@ def cost_mask(trace, s_r: int) -> EventCosts:
     """
     if s_r not in (0, 1):
         raise ValueError(f"s_r must be 0 or 1, got {s_r!r}")
-    n = _as_length(trace)
-    psi = np.full(n + 1, float(s_r))
-    psi[-1] = 1.0 - s_r
-    return EventCosts(psi)
+    return _one_ray_costs("mask", np.zeros(_as_length(trace)), s=np.array([s_r]))
 
 
 def cost_semantic(trace, p_r, d_r: float, c_r: int,
@@ -121,8 +196,7 @@ def cost_semantic(trace, p_r, d_r: float, c_r: int,
     the K classes.  Probabilities are floored at 1e-8 inside the log so
     costs and gradients stay finite.
     """
-    if d_r <= 0.0:
-        raise ValueError(f"observed depth must be positive, got {d_r}")
+    _check_depth(d_r)
     d = _as_depths(trace)
     p = np.asarray(p_r, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != d.size:
@@ -134,13 +208,9 @@ def cost_semantic(trace, p_r, d_r: float, c_r: int,
     # components, so this is intentionally weaker than the AuxGrid invariant
     if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-4):
         raise ValueError("p_r rows must be probability simplices")
-    pc = np.maximum(p[:, int(c_r)], LOG_PROB_FLOOR)
-    psi = np.empty(d.size + 1)
-    psi[:-1] = np.abs(1.0 / d - 1.0 / d_r) - label_weight * np.log(pc)
-    psi[-1] = abs(1.0 / escape_depth - 1.0 / d_r) + label_weight * np.log(k)
-    dpsi = np.zeros_like(p)
-    dpsi[:, int(c_r)] = -label_weight / pc
-    return EventCosts(psi, dpsi)
+    return _one_ray_costs("depth_semantics", d, p, d=np.array([d_r], dtype=np.float64),
+                          c=np.array([int(c_r)]), escape_depth=escape_depth,
+                          label_weight=label_weight)
 
 
 def cost_color(trace, p_r, c_r) -> EventCosts:
@@ -150,25 +220,25 @@ def cost_color(trace, p_r, c_r) -> EventCosts:
     c = np.asarray(c_r, dtype=np.float64)
     if p.shape != (n, 3) or c.shape != (3,):
         raise ValueError("p_r must be (N, 3) colors and c_r a single RGB triple")
-    diff = p - c
-    psi = np.empty(n + 1)
-    psi[:-1] = 0.5 * np.sum(diff * diff, axis=1)
-    psi[-1] = 0.5 * np.sum((ESCAPE_COLOR - c) ** 2)
-    return EventCosts(psi, diff.copy())
+    return _one_ray_costs("color", np.zeros(n), p, c=c[None])
 
 
-def _check_lengths(x: np.ndarray, psi: np.ndarray) -> None:
+def _one_ray(x_r, costs, *, backward: bool = True, events: bool = False):
+    """``_telescope`` on one ray, padded by one slot so N = 0 needs no special case."""
+    x = np.asarray(x_r, dtype=np.float64)
+    psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
     if psi.ndim != 1 or psi.size != x.size + 1:
         raise ValueError(f"psi must have length N+1 = {x.size + 1}, got {psi.size}")
+    valid = np.arange(x.size + 1) < x.size
+    per_ray, grad, p_events = _telescope(np.concatenate([x, [1.0]])[None], valid[None],
+                                         psi[None], psi[-1:], backward=backward, events=events)
+    return (float(per_ray[0]), None if grad is None else grad[0, :-1],
+            None if p_events is None else p_events[0, :-1])
 
 
 def ray_loss(x_r, costs) -> float:
     """Expected event cost of one ray (the telescoped form)."""
-    x = np.asarray(x_r, dtype=np.float64)
-    psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
-    _check_lengths(x, psi)
-    cum = np.cumprod(x)
-    return float(psi[0] + np.diff(psi) @ cum)
+    return _one_ray(x_r, costs, backward=False)[0]
 
 
 def ray_loss_grad_x(x_r, costs) -> np.ndarray:
@@ -177,19 +247,7 @@ def ray_loss_grad_x(x_r, costs) -> np.ndarray:
     Uses prefix products pre_k = prod_{j<k} x_j and the backward
     recurrence S_k = dpsi_k + x_{k+1} S_{k+1}, giving grad_k = pre_k * S_k.
     """
-    x = np.asarray(x_r, dtype=np.float64)
-    psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
-    _check_lengths(x, psi)
-    n = x.size
-    if n == 0:
-        return np.zeros(0)
-    dpsi = np.diff(psi)
-    s = np.empty(n)
-    s[-1] = dpsi[-1]
-    for k in range(n - 2, -1, -1):
-        s[k] = dpsi[k] + x[k + 1] * s[k + 1]
-    pre = np.concatenate([[1.0], np.cumprod(x[:-1])])
-    return pre * s
+    return _one_ray(x_r, costs)[1]
 
 
 def ray_loss_grad_p(x_r, costs: EventCosts) -> np.ndarray:
@@ -200,8 +258,10 @@ def ray_loss_grad_p(x_r, costs: EventCosts) -> np.ndarray:
     """
     if not isinstance(costs, EventCosts) or costs.dpsi_dp is None:
         raise ValueError("costs must carry dpsi_dp (semantic or color event costs)")
-    p_events = event_probabilities(x_r)[:-1]
-    return p_events[:, None] * costs.dpsi_dp
+    x = np.asarray(x_r, dtype=np.float64)
+    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        raise ValueError("emptiness probabilities must lie in [0, 1]")
+    return _one_ray(x, costs, backward=False, events=True)[2][:, None] * costs.dpsi_dp
 
 
 def mask_loss_closed_form(x_r, s_r: int) -> float:
@@ -288,42 +348,18 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     valid = packed.valid
     cells = np.maximum(packed.cells, 0)
     x = np.where(valid, occ.flat[cells], 1.0)
-    n = packed.n
-    rows = np.arange(packed.n_rays)
-    last = np.maximum(n - 1, 0)
-
-    cum = np.cumprod(x, axis=1)
-    pre = np.concatenate([np.ones((packed.n_rays, 1)), cum[:, :-1]], axis=1)
-    prod_all = np.where(n > 0, cum[rows, last], 1.0)
-
-    psi, psi_esc, dpsi_dp = _batched_costs(rays, packed, aux, valid,
-                                           escape_depth=escape_depth,
-                                           label_weight=label_weight)
-
-    # dpsi_i = psi_{i+1} - psi_i, with the escape cost closing each ray
-    dpsi = np.zeros_like(psi)
-    dpsi[:, :-1] = psi[:, 1:] - psi[:, :-1]
-    dpsi[rows, last] = psi_esc - psi[rows, last]
-    dpsi[~valid] = 0.0
-
-    psi_first = np.where(n > 0, psi[:, 0], psi_esc)
-    per_ray = psi_first + np.sum(dpsi * cum, axis=1)
+    psi, psi_esc, dpsi_dp = _event_costs(rays.kind, packed.d, valid, cells,
+                                         None if aux is None else aux.flat,
+                                         s=rays.s, d=rays.d, c=rays.c,
+                                         escape_depth=escape_depth, label_weight=label_weight)
+    per_ray, grad, p_events = _telescope(x, valid, psi, psi_esc, events=dpsi_dp is not None)
     loss = float(rays.weights @ per_ray)
 
-    # backward recurrence S_k = dpsi_k + x_{k+1} S_{k+1}; grad = pre * S
-    s = np.zeros_like(dpsi)
-    width = psi.shape[1]
-    s[:, -1] = dpsi[:, -1]
-    for k in range(width - 2, -1, -1):
-        s[:, k] = dpsi[:, k] + x[:, k + 1] * s[:, k + 1]
-    grad = np.where(valid, pre * s * rays.weights[:, None], 0.0)
-
     grad_x = np.zeros(geom.ncells)
-    np.add.at(grad_x, cells[valid], grad[valid])
+    np.add.at(grad_x, cells[valid], (grad * rays.weights[:, None])[valid])
 
     grad_p = None
     if dpsi_dp is not None:
-        p_events = np.where(valid, (1.0 - x) * pre, 0.0)
         contrib = p_events[:, :, None] * dpsi_dp * rays.weights[:, None, None]
         grad_p = np.zeros((geom.ncells, dpsi_dp.shape[2]))
         np.add.at(grad_p, cells[valid], contrib[valid])
@@ -331,36 +367,3 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
 
     return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)
 
-
-def _batched_costs(rays: RayBatch, packed: PackedTraces, aux: AuxGrid | None,
-                   valid: np.ndarray, *, escape_depth: float | None,
-                   label_weight: float):
-    """(R, L) cell-event costs, (R,) escape costs, optional (R, L, D) dpsi_dp."""
-    d_mid = packed.d
-    cells = np.maximum(packed.cells, 0)
-    if rays.kind == "mask":
-        psi = np.broadcast_to(rays.s[:, None].astype(np.float64), d_mid.shape).copy()
-        return psi, 1.0 - rays.s.astype(np.float64), None
-    if rays.kind == "depth":
-        esc = OBJECT_ESCAPE_DEPTH if escape_depth is None else escape_depth
-        psi = np.abs(np.where(valid, d_mid, 1.0) - rays.d[:, None])
-        return psi, np.abs(esc - rays.d), None
-    if rays.kind == "depth_semantics":
-        esc = SCENE_ESCAPE_DEPTH if escape_depth is None else escape_depth
-        k = aux.nchannels
-        c = rays.c.astype(np.int64)
-        pc = np.maximum(aux.flat[cells, c[:, None]], LOG_PROB_FLOOR)
-        disparity = np.abs(1.0 / np.where(valid, d_mid, 1.0) - 1.0 / rays.d[:, None])
-        psi = disparity - label_weight * np.log(pc)
-        psi_esc = np.abs(1.0 / esc - 1.0 / rays.d) + label_weight * np.log(k)
-        dpsi_dp = np.zeros((*d_mid.shape, k))
-        rows = np.arange(d_mid.shape[0])[:, None]
-        cols = np.arange(d_mid.shape[1])[None, :]
-        dpsi_dp[rows, cols, c[:, None]] = -label_weight / pc
-        return psi, psi_esc, dpsi_dp
-    # color
-    pcol = aux.flat[cells]
-    diff = pcol - rays.c[:, None, :]
-    psi = 0.5 * np.sum(diff * diff, axis=2)
-    psi_esc = 0.5 * np.sum((ESCAPE_COLOR - rays.c) ** 2, axis=1)
-    return psi, psi_esc, diff

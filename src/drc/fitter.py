@@ -16,7 +16,6 @@ identical loss traces and final grids.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,7 @@ class FitConfig:
     epsilon: float = 1e-8
     label_weight: float = 1.0
     full_images: bool = False  # use every pixel of every chosen view
-    threads: int = 1
+    threads: int = 1  # kept for existing callers; views are evaluated in turn
     color_schedule: str = "carve-then-paint"  # or "joint"
     aux_init_logit: float = -2.0  # color payload init; semantics stay uniform
 
@@ -86,6 +85,8 @@ class FitConfig:
             raise ValueError("views_per_iteration must be >= 1")
         if self.foreground_weight <= 0.0:
             raise ValueError("foreground_weight must be positive")
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1 (views are evaluated in turn), got {self.threads}")
         if self.color_schedule not in ("carve-then-paint", "joint"):
             raise ValueError(f"unknown color_schedule {self.color_schedule!r}")
 
@@ -95,8 +96,6 @@ class FitReport:
     losses: np.ndarray  # per-iteration weighted ray-loss sums
     rays_per_loss: np.ndarray  # rays behind each entry, for per-ray means
     wall_time_s: float
-    occupancy: OccupancyGrid | None = None
-    aux: AuxGrid | None = None
 
 
 class Adam:
@@ -149,6 +148,16 @@ def _check_observations(observations, kind: str) -> None:
             raise ValueError(f"observations disagree on class count: {sorted(ks)}")
 
 
+def _squash(geometry: GridGeometry, logits_x, logits_p, aux_kind):
+    """The grids the logits stand for: (OccupancyGrid, AuxGrid or None)."""
+    occ = OccupancyGrid(geometry, sigmoid(logits_x))
+    if aux_kind == "color":
+        return occ, AuxGrid(geometry, "color", sigmoid(logits_p))
+    if aux_kind == "semantics":
+        return occ, AuxGrid(geometry, "semantics", softmax(logits_p))
+    return occ, None
+
+
 def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         config: FitConfig = FitConfig()):
     """Optimize a grid against the observations.
@@ -186,69 +195,48 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
 
     losses = np.zeros(config.iterations)
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        for it in range(config.iterations):
-            if take == n_views:
-                chosen = list(range(n_views))
+    for it in range(config.iterations):
+        if take == n_views:
+            chosen = list(range(n_views))
+        else:
+            rng = np.random.default_rng([config.seed, it, _VIEW_CHOICE_STREAM])
+            chosen = sorted(rng.choice(n_views, size=take, replace=False))
+        occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
+
+        per_view = max(1, config.rays_per_iteration // take)
+        loss = 0.0
+        grad_x = np.zeros(geometry.shape)
+        grad_p = np.zeros_like(logits_p) if logits_p is not None else None
+        count = 0
+        for view_idx in chosen:  # fixed view order: deterministic reduction
+            obs = observations[view_idx]
+            if config.full_images:
+                rays = full_image_rays(obs, config.foreground_weight)
             else:
-                rng = np.random.default_rng([config.seed, it, _VIEW_CHOICE_STREAM])
-                chosen = sorted(rng.choice(n_views, size=take, replace=False))
-            occ = OccupancyGrid(geometry, sigmoid(logits_x))
-            aux = None
+                rays = sample_rays(obs, per_view, config.foreground_weight,
+                                   config.seed, it, stream=view_idx)
+            res = view_loss(occ, rays, aux, label_weight=config.label_weight)
+            loss += res.loss
+            grad_x += res.grad_x
+            if grad_p is not None:
+                grad_p += res.grad_p
+            count += rays.n_rays
+        losses[it] = loss
+        ray_counts[it] = count
+
+        if not blocked or it < paint_from:
+            x = occ.x
+            opt_x.update(logits_x, grad_x * x * (1.0 - x))
+        if logits_p is not None and (not blocked or it >= paint_from):
+            p = aux.payload
             if aux_kind == "color":
-                aux = AuxGrid(geometry, "color", sigmoid(logits_p))
-            elif aux_kind == "semantics":
-                aux = AuxGrid(geometry, "semantics", softmax(logits_p))
+                opt_p.update(logits_p, grad_p * p * (1.0 - p))
+            else:
+                inner = np.sum(grad_p * p, axis=-1, keepdims=True)
+                opt_p.update(logits_p, p * (grad_p - inner))
 
-            per_view = max(1, config.rays_per_iteration // take)
-
-            def eval_view(view_idx):
-                obs = observations[view_idx]
-                if config.full_images:
-                    rays = full_image_rays(obs, config.foreground_weight)
-                else:
-                    rays = sample_rays(obs, per_view, config.foreground_weight,
-                                       config.seed, it, stream=view_idx)
-                res = view_loss(occ, rays, aux, label_weight=config.label_weight)
-                return res, rays.n_rays
-
-            results = list(pool.map(eval_view, chosen)) if pool else [eval_view(v) for v in chosen]
-
-            loss = 0.0
-            grad_x = np.zeros(geometry.shape)
-            grad_p = np.zeros_like(logits_p) if logits_p is not None else None
-            count = 0
-            for res, n_rays in results:  # fixed view order: deterministic reduction
-                loss += res.loss
-                grad_x += res.grad_x
-                if grad_p is not None:
-                    grad_p += res.grad_p
-                count += n_rays
-            losses[it] = loss
-            ray_counts[it] = count
-
-            if not blocked or it < paint_from:
-                x = occ.x
-                opt_x.update(logits_x, grad_x * x * (1.0 - x))
-            if logits_p is not None and (not blocked or it >= paint_from):
-                p = aux.payload
-                if aux_kind == "color":
-                    opt_p.update(logits_p, grad_p * p * (1.0 - p))
-                else:
-                    inner = np.sum(grad_p * p, axis=-1, keepdims=True)
-                    opt_p.update(logits_p, p * (grad_p - inner))
-    finally:
-        if pool:
-            pool.shutdown()
-
-    occ = OccupancyGrid(geometry, sigmoid(logits_x))
-    aux = None
-    if aux_kind == "color":
-        aux = AuxGrid(geometry, "color", sigmoid(logits_p))
-    elif aux_kind == "semantics":
-        aux = AuxGrid(geometry, "semantics", softmax(logits_p))
-    report = FitReport(losses, ray_counts, time.perf_counter() - t_start, occ, aux)
+    occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
+    report = FitReport(losses, ray_counts, time.perf_counter() - t_start)
     return occ, aux, report
 
 

@@ -37,17 +37,6 @@ SIMPLEX_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class Plane:
-    """World-space plane n . p = d, normal pointing out of the cell."""
-
-    normal: np.ndarray
-    offset: float
-
-    def signed_distance(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.normal - self.offset
-
-
-@dataclass(frozen=True, eq=False)
 class GridGeometry:
     """Geometry of a voxel grid; immutable.
 
@@ -197,47 +186,6 @@ def make_frustum_geometry(dims, z_min: float, z_max: float, hfov_deg: float) -> 
     alpha2 = float(np.log(z_max / z_min) / nz)
     f = float(np.tan(np.radians(hfov_deg) / 2.0) / (nx / 2.0))
     return GridGeometry(kind="frustum", dims=dims, alpha1=alpha1, alpha2=alpha2, f=f)
-
-
-def cell_bounds_world(geometry: GridGeometry, index: int) -> tuple[Plane, ...]:
-    """Six bounding planes of a cell, normals pointing outward.
-
-    Order: (-x, +x, -y, +y, -z, +z) in grid-axis sense.  Uniform cells are
-    bounded by axis-aligned planes; frustum cells by two z = const planes
-    and four planes through the origin.
-    """
-    if not (0 <= index < geometry.ncells):
-        raise ValueError(f"cell index {index} out of range [0, {geometry.ncells})")
-    ix, iy, iz = (int(v) for v in geometry.unravel(index))
-    nx, ny, _ = geometry.dims
-    planes = []
-    if geometry.kind == "uniform":
-        h = geometry.cell_size
-        lo = geometry.aabb_min + np.array([ix, iy, iz]) * h
-        hi = lo + h
-        for axis in range(3):
-            n = np.zeros(3)
-            n[axis] = -1.0
-            planes.append(Plane(n, -lo[axis]))
-            planes.append(Plane(-n, hi[axis]))
-        return tuple(planes)
-    # Frustum: lateral boundaries are planes through the origin.  Grid
-    # coordinate gx = c corresponds to {p : p_x - f*(c - nx/2)*p_z = 0}.
-    for c, axis, lower in ((ix, 0, True), (ix + 1, 0, False), (iy, 1, True),
-                           (iy + 1, 1, False), (iz, None, True), (iz + 1, None, False)):
-        sign = -1.0 if lower else 1.0
-        if axis is None:
-            z = geometry.alpha1 * np.exp(geometry.alpha2 * c)
-            planes.append(Plane(sign * np.array([0.0, 0.0, 1.0]), sign * z))
-        else:
-            half = nx / 2.0 if axis == 0 else ny / 2.0
-            n = np.zeros(3)
-            n[axis] = 1.0
-            n[2] = -geometry.f * (c - half)
-            n /= np.linalg.norm(n)
-            # interior lies on the +g side of the lower plane, -g side of upper
-            planes.append(Plane(sign * n, 0.0))
-    return tuple(planes)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

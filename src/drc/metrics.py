@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consistency import (
+    RAY_KINDS,
     EventCosts,
     cost_color,
     cost_depth,
@@ -32,7 +33,6 @@ THRESHOLDS = np.round(np.arange(101) / 100.0, 2)
 
 GRADCHECK_REL_TOL = 1e-5
 GRADCHECK_ABS_FLOOR = 1e-8
-COST_KINDS = ("mask", "depth", "depth_semantics", "color")
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ def run_gradcheck(kind: str, trials: int, seed: int, h: float = 1e-6,
     ``grad_*_fn`` exist so tests can verify that a wrong gradient is
     actually caught.
     """
-    if kind not in COST_KINDS:
-        raise ValueError(f"kind must be one of {COST_KINDS}, got {kind!r}")
+    if kind not in RAY_KINDS:
+        raise ValueError(f"kind must be one of {RAY_KINDS}, got {kind!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -69,8 +69,8 @@ class Observation:
                 raise ValueError(f"{name} has shape {arr.shape}, camera implies {want}")
         if self.mask is not None and not np.all((self.mask == 0) | (self.mask == 1)):
             raise ValueError("mask pixels must be 0 or 1")
-        if self.depth is not None and np.any(self.depth <= 0.0):
-            raise ValueError("depth must be positive everywhere")
+        if self.depth is not None and not np.all(np.isfinite(self.depth) & (self.depth > 0.0)):
+            raise ValueError("depth must be positive and finite everywhere")
         if self.classid is not None:
             if self.n_classes < 2:
                 raise ValueError("depth_semantics observation needs n_classes >= 2")
@@ -318,18 +318,21 @@ def load_observation_bundle(directory) -> Observation:
         img, maxval = images.read_pgm(os.path.join(directory, "mask.pgm"))
         if maxval != 1:
             raise FormatError(f"{directory}: mask.pgm must have maxval 1")
-        return Observation(kind, camera, mask=img)
-    if kind == "depth":
-        depth = images.read_pfm(os.path.join(directory, "depth.pfm")).astype(np.float64)
-        return Observation(kind, camera, depth=depth)
+        channels = {"mask": img}
+    elif kind == "color":
+        rgb = images.read_ppm(os.path.join(directory, "color.ppm")).astype(np.float64) / 255.0
+        channels = {"rgb": rgb}
+    else:
+        channels = {"depth": images.read_pfm(os.path.join(directory, "depth.pfm")).astype(np.float64)}
     if kind == "depth_semantics":
         if len(tokens) != 2:
             raise FormatError(f"{kind_path}: depth_semantics manifest needs a class count")
-        depth = images.read_pfm(os.path.join(directory, "depth.pfm")).astype(np.float64)
-        labels, _ = images.read_pgm(os.path.join(directory, "labels.pgm"))
-        return Observation(kind, camera, depth=depth, classid=labels, n_classes=int(tokens[1]))
-    rgb = images.read_ppm(os.path.join(directory, "color.ppm")).astype(np.float64) / 255.0
-    return Observation(kind, camera, rgb=rgb)
+        channels["classid"], _ = images.read_pgm(os.path.join(directory, "labels.pgm"))
+        channels["n_classes"] = int(tokens[1])
+    try:
+        return Observation(kind, camera, **channels)
+    except ValueError as exc:
+        raise FormatError(f"{directory}: {exc}") from exc
 
 
 def list_observation_bundles(directory) -> list[str]:

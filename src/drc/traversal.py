@@ -258,21 +258,8 @@ def _trace_frustum(geom: GridGeometry, o: np.ndarray, d: np.ndarray) -> RayTrace
     return RayTrace(geom, cells, bounds[:-1].copy(), bounds[1:].copy())
 
 
-def first_hit(bgrid: BinaryGrid, tr: RayTrace):
-    """First traversed cell with occ = True, as (cell index, depth d); None if
-    the ray escapes."""
-    if not same_geometry(bgrid.geometry, tr.geometry):
-        raise ValueError("binary grid and trace were built on different geometries")
-    occ = bgrid.flat[tr.cells]
-    hits = np.nonzero(occ)[0]
-    if hits.size == 0:
-        return None
-    i = hits[0]
-    return int(tr.cells[i]), float(tr.d[i])
-
-
 def first_hit_batch(bgrid: BinaryGrid, packed: PackedTraces):
-    """Vectorized first_hit.
+    """First traversed cell with occ = True, for every packed ray.
 
     Returns (hit mask (R,), cell index (R,), depth (R,)); cell/depth are
     -1/0 where the ray escapes.

@@ -2,10 +2,16 @@
 
 These deliberately avoid the production code paths they check: traversal
 is validated by dense point sampling, gradients by the quadratic-time
-transcription of the gradient sum.
+transcription of the gradient sum, the batched first-hit search by a
+one-ray version, and cell geometry by explicit bounding planes.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from drc.consistency import OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH
+from drc.grid import same_geometry
 
 
 def min_cell_extent(geom):
@@ -68,6 +74,24 @@ def naive_grad_x(x, psi):
     return grad
 
 
+def reference_psi(kind, d, obs, payload=None):
+    """Event costs (N+1,) of one ray written out from their definitions, one
+    event at a time.  ``d`` are the N event depths; ``obs`` is s (mask),
+    d_r (depth), (d_r, c_r) (depth_semantics) or an RGB triple (color);
+    ``payload`` is the (N, D) array of per-cell class distributions or colors."""
+    n = len(d)
+    if kind == "mask":
+        return np.array([float(obs)] * n + [1.0 - obs])
+    if kind == "depth":
+        return np.array([abs(d[i] - obs) for i in range(n)] + [abs(OBJECT_ESCAPE_DEPTH - obs)])
+    if kind == "depth_semantics":
+        d_r, c_r = obs
+        cells = [abs(1.0 / d[i] - 1.0 / d_r) - np.log(max(payload[i][c_r], 1e-8)) for i in range(n)]
+        return np.array(cells + [abs(1.0 / SCENE_ESCAPE_DEPTH - 1.0 / d_r) + np.log(payload.shape[1])])
+    cells = [0.5 * sum((payload[i][j] - obs[j]) ** 2 for j in range(3)) for i in range(n)]
+    return np.array(cells + [0.5 * sum((1.0 - obs[j]) ** 2 for j in range(3))])
+
+
 def surface_cells(occ):
     """Occupied cells with at least one empty 6-neighbor."""
     padded = np.pad(occ, 1)
@@ -86,3 +110,68 @@ def shape_scale(bgrid):
                         (iy.max() - iy.min() + 1) * h[1],
                         (iz.max() - iz.min() + 1) * h[2]])
     return float(extents.max())
+
+
+@dataclass(frozen=True, eq=False)
+class Plane:
+    """World-space plane n . p = d, normal pointing out of the cell."""
+
+    normal: np.ndarray
+    offset: float
+
+    def signed_distance(self, points):
+        return np.asarray(points, dtype=np.float64) @ self.normal - self.offset
+
+
+def cell_bounds_world(geometry, index):
+    """Six bounding planes of a cell, normals pointing outward.
+
+    Order: (-x, +x, -y, +y, -z, +z) in grid-axis sense.  Uniform cells are
+    bounded by axis-aligned planes; frustum cells by two z = const planes
+    and four planes through the origin.
+    """
+    if not (0 <= index < geometry.ncells):
+        raise ValueError(f"cell index {index} out of range [0, {geometry.ncells})")
+    ix, iy, iz = (int(v) for v in geometry.unravel(index))
+    nx, ny, _ = geometry.dims
+    planes = []
+    if geometry.kind == "uniform":
+        h = geometry.cell_size
+        lo = geometry.aabb_min + np.array([ix, iy, iz]) * h
+        hi = lo + h
+        for axis in range(3):
+            n = np.zeros(3)
+            n[axis] = -1.0
+            planes.append(Plane(n, -lo[axis]))
+            planes.append(Plane(-n, hi[axis]))
+        return tuple(planes)
+    # Frustum: lateral boundaries are planes through the origin.  Grid
+    # coordinate gx = c corresponds to {p : p_x - f*(c - nx/2)*p_z = 0}.
+    for c, axis, lower in ((ix, 0, True), (ix + 1, 0, False), (iy, 1, True),
+                           (iy + 1, 1, False), (iz, None, True), (iz + 1, None, False)):
+        sign = -1.0 if lower else 1.0
+        if axis is None:
+            z = geometry.alpha1 * np.exp(geometry.alpha2 * c)
+            planes.append(Plane(sign * np.array([0.0, 0.0, 1.0]), sign * z))
+        else:
+            half = nx / 2.0 if axis == 0 else ny / 2.0
+            n = np.zeros(3)
+            n[axis] = 1.0
+            n[2] = -geometry.f * (c - half)
+            n /= np.linalg.norm(n)
+            # interior lies on the +g side of the lower plane, -g side of upper
+            planes.append(Plane(sign * n, 0.0))
+    return tuple(planes)
+
+
+def first_hit(bgrid, tr):
+    """First traversed cell with occ = True, as (cell index, depth d); None if
+    the ray escapes."""
+    if not same_geometry(bgrid.geometry, tr.geometry):
+        raise ValueError("binary grid and trace were built on different geometries")
+    occ = bgrid.flat[tr.cells]
+    hits = np.nonzero(occ)[0]
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    return int(tr.cells[i]), float(tr.d[i])

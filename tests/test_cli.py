@@ -67,6 +67,25 @@ class TestExitCodes:
         assert run("fit", "--obs", str(tmp_path / "nope"), "--dims", "8",
                    "--out", str(tmp_path / "out")) == 2
 
+    def test_nan_depth_bundle_is_data_error(self, pipeline, tmp_path):
+        import shutil
+        from drc.images import read_pfm, write_pfm
+        shutil.copytree(pipeline / "obs", tmp_path / "obs")
+        path = tmp_path / "obs" / "view_001" / "depth.pfm"
+        depth = read_pfm(path)
+        depth[2, 3] = np.nan
+        write_pfm(path, depth)
+        assert run("fit", "--obs", str(tmp_path / "obs"), "--dims", "16", "--iters", "2",
+                   "--out", str(tmp_path / "fit")) == 2
+        assert not (tmp_path / "fit").exists()
+
+    def test_threads_other_than_one_is_usage_error(self, pipeline, tmp_path):
+        for command in (["fit", "--obs", str(pipeline / "obs"), "--dims", "16"],
+                        ["repro", "--shapes", "sphere", "--dims", "16"]):
+            assert run(*command, "--iters", "1", "--threads", "2",
+                       "--out", str(tmp_path / command[0])) == 1
+            assert not (tmp_path / command[0]).exists()
+
     def test_mask_input_to_fuse_is_data_error(self, pipeline, tmp_path):
         assert run("render", "--grid", str(pipeline / "gt" / "shape.grid"), "--views", "1",
                    "--kind", "mask", "--size", "16", "--out", str(tmp_path / "masks")) == 0

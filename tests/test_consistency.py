@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drc.cameras import Ray
 from drc.consistency import (
+    RAY_KINDS,
     RayBatch,
     cost_color,
     cost_depth,
@@ -16,11 +19,11 @@ from drc.consistency import (
     view_loss,
 )
 from drc.grid import AuxGrid, OccupancyGrid, unit_cube_geometry
-from drc.metrics import brute_force_ray_loss
+from drc.metrics import brute_force_ray_loss, central_difference
 from drc.traversal import trace
 
 
-from oracles import naive_grad_x
+from oracles import naive_grad_x, reference_psi
 
 
 def random_costs(rng, n, kind):
@@ -70,6 +73,14 @@ class TestEventCosts:
     def test_depth_empty_trace(self):
         costs = cost_depth(np.zeros(0), 4.0)
         assert costs.psi.tolist() == [6.0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_depth_observation_must_be_positive_and_finite(self, bad):
+        d = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            cost_depth(d, bad)
+        with pytest.raises(ValueError, match="finite"):
+            cost_semantic(d, np.full((2, 4), 0.25), bad, 0)
 
     def test_depth_exact_match_is_free(self):
         costs = cost_depth(np.array([0.7, 1.3, 2.9]), 1.3)
@@ -300,11 +311,11 @@ class TestViewLoss:
         rays = RayBatch("depth", o[None], d[None], np.array([w]), d=np.array([1.9]))
         res = view_loss(occ, rays)
         tr = trace(geom, Ray(o, d))
-        costs = cost_depth(tr, 1.9)
+        psi = reference_psi("depth", tr.d, 1.9)
         x_r = occ.flat[tr.cells]
-        assert res.loss == pytest.approx(w * ray_loss(x_r, costs), abs=1e-12)
+        assert res.loss == pytest.approx(w * brute_force_ray_loss(x_r, psi), abs=1e-12)
         assert np.allclose(res.grad_x.reshape(-1)[tr.cells],
-                           w * ray_loss_grad_x(x_r, costs), atol=1e-12)
+                           w * naive_grad_x(x_r, psi), atol=1e-12)
 
     def test_aux_required_for_color(self):
         rng, geom, occ = self._setup(9)
@@ -323,11 +334,15 @@ class TestViewLoss:
                         d=np.array([2.2]), c=np.array([2]))
         res = view_loss(occ, rays, aux)
         tr = trace(geom, Ray(o, d))
-        costs = cost_semantic(tr, aux.flat[tr.cells], 2.2, 2)
         x_r = occ.flat[tr.cells]
-        assert res.loss == pytest.approx(ray_loss(x_r, costs), abs=1e-12)
+
+        def loss_of(p_r):
+            return brute_force_ray_loss(x_r, reference_psi("depth_semantics", tr.d, (2.2, 2), p_r))
+
+        p_r = aux.flat[tr.cells]
+        assert res.loss == pytest.approx(loss_of(p_r), abs=1e-12)
         assert np.allclose(res.grad_p.reshape(-1, 4)[tr.cells],
-                           ray_loss_grad_p(x_r, costs), atol=1e-12)
+                           central_difference(loss_of, p_r), rtol=1e-6, atol=1e-8)
 
     def test_empty_ray_set_rejected(self):
         _, _, occ = self._setup()
@@ -335,3 +350,87 @@ class TestViewLoss:
                         s=np.zeros(0))
         with pytest.raises(ValueError, match="empty"):
             view_loss(occ, rays)
+
+
+# ---------------------------------------------------------------------------
+# view_loss, the kernel fit runs, against oracles that share none of its code
+# ---------------------------------------------------------------------------
+
+_unit = st.floats(0.02, 0.98)
+
+
+@st.composite
+def view_cases(draw):
+    """A small uniform grid with random emptiness and payloads, and a few
+    weighted rays of one kind; some rays miss the grid."""
+    kind = draw(st.sampled_from(RAY_KINDS))
+    dims = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    geom = unit_cube_geometry(dims)
+    x = np.array(draw(st.lists(_unit, min_size=geom.ncells, max_size=geom.ncells)))
+    occ = OccupancyGrid(geom, x.reshape(geom.shape))
+    aux = None
+    if kind in ("depth_semantics", "color"):
+        width = 3
+        rows = np.array(draw(st.lists(st.lists(_unit, min_size=width, max_size=width),
+                                      min_size=geom.ncells, max_size=geom.ncells)))
+        if kind == "depth_semantics":
+            rows /= rows.sum(axis=1, keepdims=True)
+        aux = AuxGrid(geom, "semantics" if kind == "depth_semantics" else "color",
+                      rows.reshape(*geom.shape, width))
+    n_rays = draw(st.integers(1, 4))
+    origins, directions, obs = [], [], []
+    for _ in range(n_rays):
+        target = np.array(draw(st.tuples(*[st.floats(-0.7, 0.7)] * 3)))
+        direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        norm = np.linalg.norm(direction)
+        direction = direction / norm if norm > 0.1 else np.array([0.0, 0.0, 1.0])
+        origins.append(target - 2.0 * direction)
+        directions.append(direction)
+        if kind == "mask":
+            obs.append(draw(st.integers(0, 1)))
+        elif kind == "depth":
+            obs.append(draw(st.floats(0.1, 5.0)))
+        elif kind == "depth_semantics":
+            obs.append((draw(st.floats(0.1, 5.0)), draw(st.integers(0, 2))))
+        else:
+            obs.append(np.array(draw(st.tuples(_unit, _unit, _unit))))
+    weights = np.array(draw(st.lists(st.floats(0.5, 5.0), min_size=n_rays, max_size=n_rays)))
+    if kind == "mask":
+        fields = {"s": np.array(obs, dtype=np.float64)}
+    elif kind == "depth_semantics":
+        fields = {"d": np.array([o[0] for o in obs]), "c": np.array([o[1] for o in obs])}
+    else:
+        fields = {"d" if kind == "depth" else "c": np.array(obs)}
+    rays = RayBatch(kind, np.array(origins), np.array(directions), weights, **fields)
+    return occ, aux, rays, obs
+
+
+@settings(max_examples=60, deadline=None)
+@given(view_cases())
+def test_view_loss_matches_independent_oracles(case):
+    """Loss against the exhaustive expectation, grad_x against the O(N^2)
+    gradient sum, grad_p against central differences of the exhaustive
+    expectation, with costs written out from their definitions."""
+    occ, aux, rays, obs = case
+    geom = occ.geometry
+    res = view_loss(occ, rays, aux)
+    loss = 0.0
+    grad_x = np.zeros(geom.ncells)
+    grad_p = None if aux is None else np.zeros((geom.ncells, aux.nchannels))
+    for r in range(rays.n_rays):
+        tr = trace(geom, Ray(rays.origins[r], rays.directions[r]))
+        x_r = occ.flat[tr.cells]
+        w = rays.weights[r]
+        p_r = None if aux is None else aux.flat[tr.cells]
+        psi = reference_psi(rays.kind, tr.d, obs[r], p_r)
+        loss += w * brute_force_ray_loss(x_r, psi)
+        grad_x[tr.cells] += w * naive_grad_x(x_r, psi)
+        if aux is not None and tr.n:
+            grad_p[tr.cells] += w * central_difference(
+                lambda p: brute_force_ray_loss(x_r, reference_psi(rays.kind, tr.d, obs[r], p)), p_r)
+    assert res.loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
+    assert np.allclose(res.grad_x.reshape(-1), grad_x, rtol=1e-10, atol=1e-12)
+    if aux is None:
+        assert res.grad_p is None
+    else:
+        assert np.allclose(res.grad_p.reshape(-1, aux.nchannels), grad_p, rtol=1e-6, atol=1e-8)

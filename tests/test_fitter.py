@@ -103,11 +103,11 @@ class TestFit:
         _, _, rb = fit(obs, gt.geometry, "depth", cfg)
         assert np.array_equal(ra.losses, rb.losses)
 
-    def test_threaded_fit_matches_sequential(self, depth_views):
-        gt, obs = depth_views
-        _, _, ra = fit(obs, gt.geometry, "depth", FitConfig(iterations=4, seed=3, threads=1))
-        _, _, rb = fit(obs, gt.geometry, "depth", FitConfig(iterations=4, seed=3, threads=3))
-        assert np.array_equal(ra.losses, rb.losses)
+    def test_threads_other_than_one_rejected(self):
+        assert FitConfig(threads=1).threads == 1
+        for threads in (0, 2, 3):
+            with pytest.raises(ValueError, match="threads"):
+                FitConfig(threads=threads)
 
     def test_logit_chain_rule_against_finite_differences(self):
         gt, _ = make_test_shape("sphere", (16, 16, 16))

@@ -6,7 +6,6 @@ from drc.grid import (
     AuxGrid,
     BinaryGrid,
     OccupancyGrid,
-    cell_bounds_world,
     load_grid,
     make_frustum_geometry,
     make_uniform_grid,
@@ -15,6 +14,8 @@ from drc.grid import (
     uniform_geometry,
     unit_cube_geometry,
 )
+
+from oracles import cell_bounds_world
 
 
 class TestConstruction:

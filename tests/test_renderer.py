@@ -4,7 +4,9 @@ import pytest
 from drc.consistency import OBJECT_ESCAPE_DEPTH
 from drc.errors import FormatError
 from drc.grid import AuxGrid, BinaryGrid, unit_cube_geometry
+from drc.images import write_pfm
 from drc.renderer import (
+    Observation,
     add_depth_noise,
     chair_cavity_mask,
     full_image_rays,
@@ -70,6 +72,14 @@ class TestRender:
         assert obs.n_classes == 4
         fg = obs.foreground()
         assert np.all(obs.classid[fg] < 3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_depth_must_be_positive_and_finite(self, bad):
+        obs = render(solid_cube(), front_camera(9, 9), "depth")
+        depth = obs.depth.copy()
+        depth[4, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Observation("depth", obs.camera, depth=depth)
 
     def test_color_needs_aux(self):
         with pytest.raises(ValueError, match="aux"):
@@ -228,6 +238,17 @@ class TestBundles:
         save_observation_bundle(tmp_path / "v", render(gt, cam, "mask"))
         (tmp_path / "v" / "kind.txt").write_text("hologram\n")
         with pytest.raises(FormatError, match="kind"):
+            load_observation_bundle(tmp_path / "v")
+
+
+    def test_nan_depth_rejected_as_format_error(self, tmp_path):
+        gt, _ = make_test_shape("sphere", (16, 16, 16))
+        obs = render(gt, sample_view_ring(1, seed=0, width=16, height=16)[0], "depth")
+        save_observation_bundle(tmp_path / "v", obs)
+        depth = obs.depth.copy()
+        depth[3, 5] = np.nan
+        write_pfm(tmp_path / "v" / "depth.pfm", depth)
+        with pytest.raises(FormatError, match="finite"):
             load_observation_bundle(tmp_path / "v")
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from drc.cameras import Ray
 from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry
-from drc.traversal import first_hit, first_hit_batch, trace, trace_batch
+from drc.traversal import first_hit_batch, trace, trace_batch
 from drc.consistency import event_probabilities
 
 
-from oracles import dense_sample_cells
+from oracles import dense_sample_cells, first_hit
 
 
 def unit(v):
