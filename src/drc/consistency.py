@@ -22,7 +22,8 @@ division by x is ever performed, so x_k in {0, 1} exactly is safe.
 
 The costs and this recurrence are written once, for R rays padded to L
 trace slots (``_event_costs``, ``_telescope``).  ``view_loss`` runs them on
-a traced view; the scalar API (``cost_*``, ``ray_loss*``) runs them with
+the rays of a view that enter the grid (a ray that misses has the escape
+event alone); the scalar API (``cost_*``, ``ray_loss*``) runs them with
 R = 1, so the gradient check tests the fitter's kernel.
 ``event_probabilities`` and ``mask_loss_closed_form`` are independent
 direct formulas for tests.
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AuxGrid, OccupancyGrid, same_geometry
-from .traversal import PackedTraces, RayTrace, trace_batch
+from .grid import AuxGrid, GridGeometry, OccupancyGrid, same_geometry
+from .traversal import RayTrace, TraceTable, trace_batch
 
 OBJECT_ESCAPE_DEPTH = 10.0
 SCENE_ESCAPE_DEPTH = 1000.0
@@ -48,6 +49,9 @@ LOG_PROB_FLOOR = 1e-8
 ESCAPE_COLOR = np.array([1.0, 1.0, 1.0])
 
 RAY_KINDS = ("mask", "depth", "depth_semantics", "color")
+# rays traced per trace_batch call while building a TraceTable; bounds the
+# padded (rays, nx+ny+nz) arrays held at once
+TABLE_CHUNK = 4096
 
 
 def _as_depths(trace) -> np.ndarray:
@@ -283,7 +287,8 @@ class RayBatch:
 
     Per kind: ``s`` (0 foreground / 1 background) for mask; ``d`` for depth
     and depth_semantics; ``c`` is an int class id per ray (depth_semantics)
-    or an (R, 3) RGB array (color).
+    or an (R, 3) RGB array (color).  ``pixels``, for rays through the
+    pixel centers of one image, holds each ray's row-major pixel index.
     """
 
     kind: str
@@ -293,6 +298,7 @@ class RayBatch:
     s: np.ndarray | None = None
     d: np.ndarray | None = None
     c: np.ndarray | None = None
+    pixels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in RAY_KINDS:
@@ -308,10 +314,17 @@ class RayBatch:
         for field in need[self.kind]:
             if getattr(self, field) is None:
                 raise ValueError(f"{self.kind} rays need per-ray field {field!r}")
+        if self.pixels is not None and self.pixels.shape != (r,):
+            raise ValueError("pixels must be (R,)")
 
     @property
     def n_rays(self) -> int:
         return self.origins.shape[0]
+
+    def observed(self, which) -> dict:
+        """The observation fields (s, d, c) of rays ``which``."""
+        return {k: None if v is None else v[which]
+                for k, v in (("s", self.s), ("d", self.d), ("c", self.c))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,15 +334,26 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
+def trace_table(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> TraceTable:
+    """Traces of every ray, traced TABLE_CHUNK rays at a time (one chunk if
+    there are no rays)."""
+    return TraceTable.from_packed(
+        trace_batch(geometry, origins[i:i + TABLE_CHUNK], directions[i:i + TABLE_CHUNK])
+        for i in range(0, max(len(origins), 1), TABLE_CHUNK))
+
+
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
               escape_depth: float | None = None, label_weight: float = 1.0,
-              packed: PackedTraces | None = None) -> ViewLossResult:
+              traces: TraceTable | None = None) -> ViewLossResult:
     """Weighted sum of per-ray losses plus gradients scattered onto the grid.
 
     Rays are evaluated in batch but accumulated in a fixed order, so the
-    result is deterministic.  ``packed`` lets callers reuse traces when
-    evaluating several fields on identical rays.  Cells no ray touches get
-    zero gradient.
+    result is deterministic.  ``traces`` (one per ray, in order) lets callers
+    reuse traces, such as rows of a view's table (``trace_table``); by default
+    the rays are traced here.  Cells no ray touches get zero gradient.
+
+    Only rays that enter the grid run through the telescoped kernel.  A miss
+    has one event, escape: its loss is the escape cost and its gradient zero.
     """
     if rays.n_rays == 0:
         raise ValueError("ray set is empty")
@@ -340,30 +364,40 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         if not same_geometry(aux.geometry, occ.geometry):
             raise ValueError("aux grid geometry does not match the occupancy grid")
     geom = occ.geometry
-    if packed is None:
-        packed = trace_batch(geom, rays.origins, rays.directions)
-    elif not same_geometry(packed.geometry, geom):
-        raise ValueError("packed traces were built on a different geometry")
+    if traces is None:
+        traces = trace_table(geom, rays.origins, rays.directions)
+    elif not same_geometry(traces.geometry, geom):
+        raise ValueError("traces were built on a different geometry")
+    elif traces.n.shape != (rays.n_rays,):
+        raise ValueError(f"need one trace per ray, got {traces.n.shape[0]} for {rays.n_rays} rays")
+    payload = None if aux is None else aux.flat
+    costs = {"escape_depth": escape_depth, "label_weight": label_weight}
 
-    valid = packed.valid
-    cells = np.maximum(packed.cells, 0)
+    hit = np.flatnonzero(traces.n)
+    miss = np.flatnonzero(traces.n == 0)
+    per_ray = np.empty(rays.n_rays)
+    # a miss is a batch with no cell slots: its loss is the escape cost
+    no_slots = np.zeros((miss.size, 0))
+    per_ray[miss] = _event_costs(rays.kind, no_slots, no_slots.astype(bool),
+                                 no_slots.astype(np.int64), payload,
+                                 **rays.observed(miss), **costs)[1]
+
+    cells, d_mid, valid = traces.take(hit).padded()
     x = np.where(valid, occ.flat[cells], 1.0)
-    psi, psi_esc, dpsi_dp = _event_costs(rays.kind, packed.d, valid, cells,
-                                         None if aux is None else aux.flat,
-                                         s=rays.s, d=rays.d, c=rays.c,
-                                         escape_depth=escape_depth, label_weight=label_weight)
-    per_ray, grad, p_events = _telescope(x, valid, psi, psi_esc, events=dpsi_dp is not None)
+    psi, psi_esc, dpsi_dp = _event_costs(rays.kind, d_mid, valid, cells, payload,
+                                         **rays.observed(hit), **costs)
+    per_ray[hit], grad, p_events = _telescope(x, valid, psi, psi_esc, events=dpsi_dp is not None)
     loss = float(rays.weights @ per_ray)
 
+    weights = rays.weights[hit]
     grad_x = np.zeros(geom.ncells)
-    np.add.at(grad_x, cells[valid], (grad * rays.weights[:, None])[valid])
+    np.add.at(grad_x, cells[valid], (grad * weights[:, None])[valid])
 
     grad_p = None
     if dpsi_dp is not None:
-        contrib = p_events[:, :, None] * dpsi_dp * rays.weights[:, None, None]
+        contrib = p_events[:, :, None] * dpsi_dp * weights[:, None, None]
         grad_p = np.zeros((geom.ncells, dpsi_dp.shape[2]))
         np.add.at(grad_p, cells[valid], contrib[valid])
         grad_p = grad_p.reshape(*geom.shape, dpsi_dp.shape[2])
 
     return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)
-

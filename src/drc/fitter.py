@@ -6,11 +6,14 @@ probabilities are held as unconstrained logits squashed through a sigmoid
 x stays in the open interval and the gradient endpoints never degenerate.
 Updates use Adam with per-parameter moments.
 
-Every iteration samples a subset of views and a budget of rays (uniform
-pixels with replacement, foreground rays weighted up), computes the view
-loss and its analytic gradients, chain-rules through the squashing map
-and applies the update.  Everything is seeded: identical configs produce
-identical loss traces and final grids.
+Cameras and geometry stay fixed during a fit, so each view's pixel rays
+are traced once, into a table (``trace_table``), the first time the view
+is used.  Every iteration samples a subset of views and a budget of rays
+(uniform pixels with replacement, foreground rays weighted up), looks up
+their traces in the table, computes the view loss and its analytic
+gradients, chain-rules through the squashing map and applies the update.
+Everything is seeded: identical configs produce identical loss traces and
+final grids.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import RayBatch, view_loss
+from .consistency import RayBatch, trace_table, view_loss
 from .grid import AuxGrid, GridGeometry, OccupancyGrid
 from .renderer import Observation, full_image_rays, rays_from_pixels
 
@@ -193,6 +196,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
     blocked = kind == "color" and config.color_schedule == "carve-then-paint"
     paint_from = config.iterations // 2 if blocked else 0
 
+    tables = [None] * n_views  # per view: the traces of all its pixels
     losses = np.zeros(config.iterations)
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
     for it in range(config.iterations):
@@ -210,12 +214,16 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         count = 0
         for view_idx in chosen:  # fixed view order: deterministic reduction
             obs = observations[view_idx]
+            if tables[view_idx] is None:
+                every = full_image_rays(obs)
+                tables[view_idx] = trace_table(geometry, every.origins, every.directions)
             if config.full_images:
                 rays = full_image_rays(obs, config.foreground_weight)
             else:
                 rays = sample_rays(obs, per_view, config.foreground_weight,
                                    config.seed, it, stream=view_idx)
-            res = view_loss(occ, rays, aux, label_weight=config.label_weight)
+            res = view_loss(occ, rays, aux, label_weight=config.label_weight,
+                            traces=tables[view_idx].take(rays.pixels))
             loss += res.loss
             grad_x += res.grad_x
             if grad_p is not None:

@@ -188,6 +188,11 @@ def make_frustum_geometry(dims, z_min: float, z_max: float, hfov_deg: float) -> 
     return GridGeometry(kind="frustum", dims=dims, alpha1=alpha1, alpha2=alpha2, f=f)
 
 
+def _in_unit_interval(values: np.ndarray) -> bool:
+    """Every value finite and in [0, 1]; NaN fails, unlike ``x < 0 | x > 1``."""
+    return bool(np.all((values >= 0.0) & (values <= 1.0)))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -209,8 +214,8 @@ class OccupancyGrid:
         x = np.asarray(self.x, dtype=np.float64)
         if x.shape != self.geometry.shape:
             raise ValueError(f"x has shape {x.shape}, geometry needs {self.geometry.shape}")
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("x (emptiness probabilities) must lie in [0, 1]")
+        if not _in_unit_interval(x):
+            raise ValueError("x (emptiness probabilities) must be finite and lie in [0, 1]")
         object.__setattr__(self, "x", _freeze(x))
 
     @property
@@ -244,13 +249,13 @@ class AuxGrid:
         if self.kind == "color":
             if p.shape[3] != 3:
                 raise ValueError(f"color payload must have 3 channels, got {p.shape[3]}")
-            if np.any(p < 0.0) or np.any(p > 1.0):
-                raise ValueError("color payload must lie in [0, 1] componentwise")
+            if not _in_unit_interval(p):
+                raise ValueError("color payload must be finite and lie in [0, 1] componentwise")
         else:
             if p.shape[3] < 2:
                 raise ValueError("semantic payload needs at least 2 classes")
-            if np.any(p < 0.0):
-                raise ValueError("semantic payload must be nonnegative")
+            if not np.all(p >= 0.0):
+                raise ValueError("semantic payload must be nonnegative (and not NaN)")
             if np.any(np.abs(p.sum(axis=3) - 1.0) > SIMPLEX_ATOL):
                 raise ValueError(f"semantic payload rows must sum to 1 within {SIMPLEX_ATOL}")
         object.__setattr__(self, "payload", _freeze(p))
@@ -413,13 +418,16 @@ def load_grid(path):
         else:
             raw = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8")
             arr = raw.reshape(geometry.shape)
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise FormatError("occupancy field out of [0, 1]")
+            if not _in_unit_interval(arr):
+                raise FormatError("occupancy field not finite in [0, 1]")
             grid = OccupancyGrid(geometry, arr)
         aux = None
         if aux_channels:
             raw = np.frombuffer(_read_exact(fh, 8 * n * aux_channels), dtype="<f8")
-            aux = AuxGrid(geometry, aux_kind, raw.reshape(*geometry.shape, aux_channels))
+            try:
+                aux = AuxGrid(geometry, aux_kind, raw.reshape(*geometry.shape, aux_channels))
+            except ValueError as exc:
+                raise FormatError(str(exc)) from exc
     return grid, aux, annotations
 
 

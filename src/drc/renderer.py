@@ -328,7 +328,10 @@ def load_observation_bundle(directory) -> Observation:
         if len(tokens) != 2:
             raise FormatError(f"{kind_path}: depth_semantics manifest needs a class count")
         channels["classid"], _ = images.read_pgm(os.path.join(directory, "labels.pgm"))
-        channels["n_classes"] = int(tokens[1])
+        try:
+            channels["n_classes"] = int(tokens[1])
+        except ValueError as exc:
+            raise FormatError(f"{kind_path}: bad class count {tokens[1]!r}") from exc
     try:
         return Observation(kind, camera, **channels)
     except ValueError as exc:
@@ -372,7 +375,7 @@ def rays_from_pixels(obs: Observation, us, vs, foreground_weight: float = 1.0) -
         c = obs.classid[vs, us].astype(np.int64)
     else:
         c = obs.rgb[vs, us]
-    return RayBatch(obs.kind, origins, dirs, weights, s=s, d=d, c=c)
+    return RayBatch(obs.kind, origins, dirs, weights, s=s, d=d, c=c, pixels=vs * obs.camera.width + us)
 
 
 def full_image_rays(obs: Observation, foreground_weight: float = 1.0) -> RayBatch:

@@ -79,6 +79,16 @@ class TestExitCodes:
                    "--out", str(tmp_path / "fit")) == 2
         assert not (tmp_path / "fit").exists()
 
+    def test_malformed_class_count_is_data_error(self, tmp_path):
+        assert run("shape", "--name", "sphere", "--dims", "16", "--aux", "semantics",
+                   "--out", str(tmp_path / "semgt")) == 0
+        assert run("render", "--grid", str(tmp_path / "semgt" / "shape.grid"), "--views", "1",
+                   "--kind", "depth_semantics", "--size", "8", "--out", str(tmp_path / "obs")) == 0
+        (tmp_path / "obs" / "view_000" / "kind.txt").write_text("depth_semantics four\n")
+        assert run("fit", "--obs", str(tmp_path / "obs"), "--dims", "16", "--iters", "1",
+                   "--out", str(tmp_path / "fit")) == 2
+        assert not (tmp_path / "fit").exists()
+
     def test_threads_other_than_one_is_usage_error(self, pipeline, tmp_path):
         for command in (["fit", "--obs", str(pipeline / "obs"), "--dims", "16"],
                         ["repro", "--shapes", "sphere", "--dims", "16"]):

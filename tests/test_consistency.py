@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drc.cameras import Ray
+from drc import consistency
+from drc.cameras import perspective_camera, pixel_rays
 from drc.consistency import (
     RAY_KINDS,
     RayBatch,
@@ -16,11 +18,12 @@ from drc.consistency import (
     ray_loss,
     ray_loss_grad_p,
     ray_loss_grad_x,
+    trace_table,
     view_loss,
 )
-from drc.grid import AuxGrid, OccupancyGrid, unit_cube_geometry
+from drc.grid import AuxGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
 from drc.metrics import brute_force_ray_loss, central_difference
-from drc.traversal import trace
+from drc.traversal import trace, trace_batch
 
 
 from oracles import naive_grad_x, reference_psi
@@ -350,6 +353,93 @@ class TestViewLoss:
                         s=np.zeros(0))
         with pytest.raises(ValueError, match="empty"):
             view_loss(occ, rays)
+
+
+def _rays_through(targets, directions):
+    directions = np.asarray(directions, dtype=np.float64)
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return np.asarray(targets, dtype=np.float64) - 2.0 * directions, directions
+
+
+@pytest.mark.parametrize("kind", RAY_KINDS)
+@pytest.mark.parametrize("batch", ["all_miss", "no_miss"])
+def test_miss_split_matches_brute_force(kind, batch):
+    """Rays that miss take the escape cost alone and add no gradient; rays
+    that hit match the exhaustive expectation, with or without misses."""
+    rng = np.random.default_rng(RAY_KINDS.index(kind))
+    geom = unit_cube_geometry((3, 3, 3))
+    occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
+    aux = None
+    if kind in ("depth_semantics", "color"):
+        rows = rng.uniform(0.05, 0.95, (geom.ncells, 3))
+        if kind == "depth_semantics":
+            rows /= rows.sum(axis=1, keepdims=True)
+        aux = AuxGrid(geom, "semantics" if kind == "depth_semantics" else "color",
+                      rows.reshape(*geom.shape, 3))
+    n = 5
+    if batch == "no_miss":
+        origins, directions = _rays_through(rng.uniform(-0.4, 0.4, (n, 3)), rng.normal(size=(n, 3)))
+    else:  # parallel to the box, offset beside it
+        origins, directions = _rays_through(rng.uniform(0.6, 1.0, (n, 3)), np.tile([1.0, 0.0, 0.0], (n, 1)))
+    depth, label = rng.uniform(0.5, 3.0, n), rng.integers(0, 3, n)
+    if kind == "mask":
+        obs = [0, 1, 0, 1, 1]
+        fields = {"s": np.array(obs, dtype=np.float64)}
+    elif kind == "depth":
+        obs, fields = depth, {"d": depth}
+    elif kind == "depth_semantics":
+        obs, fields = list(zip(depth, label)), {"d": depth, "c": label}
+    else:
+        obs = rng.uniform(0.0, 1.0, (n, 3))
+        fields = {"c": obs}
+    weights = rng.uniform(0.5, 3.0, n)
+    res = view_loss(occ, RayBatch(kind, origins, directions, weights, **fields), aux)
+
+    loss = 0.0
+    grad_x = np.zeros(geom.ncells)
+    for r in range(n):
+        tr = trace(geom, Ray(origins[r], directions[r]))
+        assert (tr.n == 0) == (batch == "all_miss")
+        psi = reference_psi(kind, tr.d, obs[r], None if aux is None else aux.flat[tr.cells])
+        loss += weights[r] * brute_force_ray_loss(occ.flat[tr.cells], psi)
+        grad_x[tr.cells] += weights[r] * naive_grad_x(occ.flat[tr.cells], psi)
+    assert res.loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
+    assert np.allclose(res.grad_x.reshape(-1), grad_x, rtol=1e-10, atol=1e-12)
+    if batch == "all_miss":
+        assert not res.grad_x.any()
+        assert res.grad_p is None or not res.grad_p.any()
+
+
+class TestTraceTable:
+    """The table fit reads traces from must hold exactly what trace_batch
+    returns for the same rays."""
+
+    CASES = {
+        # a camera outside a small cube, wide enough that many rays miss
+        "uniform": (unit_cube_geometry((5, 4, 6)),
+                    perspective_camera((0.4, 0.9, 1.8), (0.0, 0.0, 0.0), 70.0, 24, 20)),
+        # a camera before the near plane, wider than the frustum
+        "frustum": (make_frustum_geometry((6, 5, 7), 0.4, 20.0, 50.0),
+                    perspective_camera((0.05, -0.02, 0.1), (0.3, 0.2, 10.0), 75.0, 24, 20)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gathered_rows_equal_traced_rows(self, case, monkeypatch):
+        geom, cam = self.CASES[case]
+        monkeypatch.setattr(consistency, "TABLE_CHUNK", 100)  # several chunks
+        vs, us = np.divmod(np.arange(cam.height * cam.width), cam.width)
+        table = trace_table(geom, *pixel_rays(cam, us + 0.5, vs + 0.5))
+        pixels = np.random.default_rng(1).integers(0, us.size, 300)
+        packed = trace_batch(geom, *pixel_rays(cam, us[pixels] + 0.5, vs[pixels] + 0.5))
+        rows = table.take(pixels)
+        cells, d, valid = rows.padded()
+
+        assert 0 < np.count_nonzero(packed.n) < pixels.size
+        assert np.array_equal(rows.n, packed.n)
+        assert np.array_equal(valid.sum(axis=1), packed.n)
+        assert np.array_equal(cells[valid], packed.cells[packed.valid])
+        assert d[valid].tobytes() == packed.d[packed.valid].tobytes()
+        assert valid.shape[1] % 8 == 0 and valid.shape[1] - 8 < packed.n.max()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from drc.consistency import view_loss
 from drc.fitter import Adam, FitConfig, fit, sample_rays, sigmoid, softmax, write_loss_log
-from drc.grid import OccupancyGrid, unit_cube_geometry
+from drc.cameras import perspective_camera
+from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
 from drc.renderer import full_image_rays, make_test_shape, render, sample_view_ring
 
 
@@ -186,6 +187,42 @@ class TestFit:
         occ, fit_aux, _ = fit(obs, gt.geometry, "depth_semantics", FitConfig(iterations=3))
         assert fit_aux.kind == "semantics"
         assert np.allclose(fit_aux.payload.sum(axis=3), 1.0, atol=1e-9)
+
+
+def _frustum_scene():
+    """Random boxes of three classes on a small frustum, seen from its apex."""
+    geom = make_frustum_geometry((8, 6, 8), 0.5, 8.0, 60.0)
+    rng = np.random.default_rng(12)
+    occupied = rng.uniform(size=geom.shape) < 0.15
+    payload = np.eye(3)[rng.integers(0, 3, geom.ncells)].reshape(*geom.shape, 3)
+    bgrid = BinaryGrid(geom, occupied)
+    aux = AuxGrid(geom, "semantics", payload)
+    cams = [perspective_camera((x, 0.0, 0.1), (0.0, 0.2, 5.0), 70.0, 16, 12) for x in (-0.05, 0.05)]
+    return geom, [render(bgrid, cam, "depth_semantics", aux) for cam in cams]
+
+
+@pytest.mark.parametrize("kind", ["depth", "depth_semantics"])
+def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
+    """fit reads traces from per-view tables; its first loss must equal, bit
+    for bit, view_loss tracing the same sampled rays itself."""
+    if kind == "depth":
+        gt, observations = depth_views
+        geom = gt.geometry
+    else:
+        geom, observations = _frustum_scene()
+    config = FitConfig(iterations=1, rays_per_iteration=400, seed=9)
+    _, _, report = fit(observations, geom, kind, config)
+
+    occ = OccupancyGrid(geom, sigmoid(np.zeros(geom.shape)))
+    aux = None
+    if kind == "depth_semantics":
+        aux = AuxGrid(geom, "semantics", softmax(np.zeros((*geom.shape, 3))))
+    per_view = config.rays_per_iteration // len(observations)
+    expected = 0.0
+    for v, obs in enumerate(observations):
+        rays = sample_rays(obs, per_view, config.foreground_weight, config.seed, 0, stream=v)
+        expected += view_loss(occ, rays, aux).loss
+    assert report.losses[0] == expected
 
 
 class TestLossLog:

@@ -48,6 +48,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             OccupancyGrid(geom, field)
 
+    def test_nan_x_rejected(self):
+        geom = unit_cube_geometry((2, 2, 2))
+        field = np.full(geom.shape, 0.5)
+        field[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            OccupancyGrid(geom, field)
+
     def test_storage_order_x_fastest(self):
         geom = unit_cube_geometry((3, 4, 5))
         field = np.zeros(geom.shape)
@@ -203,3 +210,23 @@ class TestGridFiles:
         (tmp_path / "bad.grid").write_bytes(bytes(data))
         with pytest.raises(FormatError, match=r"\[0, 1\]"):
             load_grid(tmp_path / "bad.grid")
+
+    def test_nan_field_rejected(self, tmp_path):
+        geom = unit_cube_geometry((2, 2, 2))
+        save_grid(tmp_path / "g.grid", OccupancyGrid(geom, np.full(geom.shape, 0.5)))
+        data = bytearray((tmp_path / "g.grid").read_bytes())
+        cell = data.index(b"\n") + 1 + 8 * 5
+        data[cell:cell + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        (tmp_path / "nan.grid").write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="finite"):
+            load_grid(tmp_path / "nan.grid")
+
+    def test_nan_color_payload_rejected(self, tmp_path):
+        geom = unit_cube_geometry((2, 2, 2))
+        save_grid(tmp_path / "g.grid", OccupancyGrid(geom, np.full(geom.shape, 0.5)),
+                  AuxGrid(geom, "color", np.full((*geom.shape, 3), 0.5)))
+        data = bytearray((tmp_path / "g.grid").read_bytes())
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        (tmp_path / "nan.grid").write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="finite"):
+            load_grid(tmp_path / "nan.grid")

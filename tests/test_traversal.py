@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from drc.cameras import Ray
 from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry
+from drc import traversal
 from drc.traversal import first_hit_batch, trace, trace_batch
 from drc.consistency import event_probabilities
 
@@ -110,6 +113,33 @@ class TestInvariants:
             assert row.cells.tolist() == tr.cells.tolist()
             assert np.array_equal(row.t_enter, tr.t_enter)
             assert np.array_equal(row.t_exit, tr.t_exit)
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("origin, direction", [((0.1, -2.0, 0.05), (0.0, 1.0, 2.2e-309)),
+                                                   ((0.1, -2.0, -1.3), (-2.2e-309, 0.8, 0.6))])
+    def test_subnormal_direction_component(self, origin, direction):
+        # 1/d overflows for such components; the trace must stay exact and quiet
+        geom = UNIFORM_GEOMS[1]
+        ray = Ray(origin, direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tr = trace(geom, ray)
+        assert tr.n > 0
+        assert tr.cells.tolist() == dense_sample_cells(geom, ray).tolist()
+
+    def test_frustum_chunks_do_not_change_rows(self, monkeypatch):
+        geom = FRUSTUM_GEOMS[1]
+        rng = np.random.default_rng(4)
+        rays = [random_ray(rng, spread=0.5) for _ in range(40)]
+        o = np.stack([r.origin for r in rays])
+        d = np.stack([r.direction for r in rays])
+        whole = trace_batch(geom, o, d)
+        monkeypatch.setattr(traversal, "FRUSTUM_CHUNK", 3)
+        chunked = trace_batch(geom, o, d)
+        assert 0 < np.count_nonzero(whole.n) < len(rays)
+        for name in ("n", "cells", "t_enter", "t_exit"):
+            assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
 
 
 class TestFirstHit:
