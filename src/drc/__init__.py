@@ -28,7 +28,7 @@ from .grid import (
     unit_cube_geometry,
 )
 from .cameras import Camera, Ray, load_camera, perspective_camera, pixel_to_ray, project, save_camera
-from .traversal import PackedTraces, RayTrace, TraceTable, trace, trace_batch
+from .traversal import RayTrace, TraceTable, trace, trace_batch
 from .consistency import (
     EventCosts,
     RayBatch,
@@ -42,6 +42,5 @@ from .consistency import (
     ray_loss,
     ray_loss_grad_p,
     ray_loss_grad_x,
-    trace_table,
     view_loss,
 )

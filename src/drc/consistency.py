@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AuxGrid, GridGeometry, OccupancyGrid, same_geometry
+from .grid import AuxGrid, OccupancyGrid, same_geometry
 from .traversal import RayTrace, TraceTable, trace_batch
 
 OBJECT_ESCAPE_DEPTH = 10.0
@@ -49,9 +49,6 @@ LOG_PROB_FLOOR = 1e-8
 ESCAPE_COLOR = np.array([1.0, 1.0, 1.0])
 
 RAY_KINDS = ("mask", "depth", "depth_semantics", "color")
-# rays traced per trace_batch call while building a TraceTable; bounds the
-# padded (rays, nx+ny+nz) arrays held at once
-TABLE_CHUNK = 4096
 
 
 def _as_depths(trace) -> np.ndarray:
@@ -334,14 +331,6 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
-def trace_table(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> TraceTable:
-    """Traces of every ray, traced TABLE_CHUNK rays at a time (one chunk if
-    there are no rays)."""
-    return TraceTable.from_packed(
-        trace_batch(geometry, origins[i:i + TABLE_CHUNK], directions[i:i + TABLE_CHUNK])
-        for i in range(0, max(len(origins), 1), TABLE_CHUNK))
-
-
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
               escape_depth: float | None = None, label_weight: float = 1.0,
               traces: TraceTable | None = None) -> ViewLossResult:
@@ -349,7 +338,7 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
 
     Rays are evaluated in batch but accumulated in a fixed order, so the
     result is deterministic.  ``traces`` (one per ray, in order) lets callers
-    reuse traces, such as rows of a view's table (``trace_table``); by default
+    reuse traces, such as rows of a view's ``trace_batch`` table; by default
     the rays are traced here.  Cells no ray touches get zero gradient.
 
     Only rays that enter the grid run through the telescoped kernel.  A miss
@@ -365,7 +354,7 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
             raise ValueError("aux grid geometry does not match the occupancy grid")
     geom = occ.geometry
     if traces is None:
-        traces = trace_table(geom, rays.origins, rays.directions)
+        traces = trace_batch(geom, rays.origins, rays.directions)
     elif not same_geometry(traces.geometry, geom):
         raise ValueError("traces were built on a different geometry")
     elif traces.n.shape != (rays.n_rays,):

@@ -7,7 +7,7 @@ x stays in the open interval and the gradient endpoints never degenerate.
 Updates use Adam with per-parameter moments.
 
 Cameras and geometry stay fixed during a fit, so each view's pixel rays
-are traced once, into a table (``trace_table``), the first time the view
+are traced once, into a table (``trace_batch``), the first time the view
 is used.  Every iteration samples a subset of views and a budget of rays
 (uniform pixels with replacement, foreground rays weighted up), looks up
 their traces in the table, computes the view loss and its analytic
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import RayBatch, trace_table, view_loss
+from .consistency import RayBatch, view_loss
 from .grid import AuxGrid, GridGeometry, OccupancyGrid
 from .renderer import Observation, full_image_rays, rays_from_pixels
+from .traversal import trace_batch
 
 DEFAULT_RAYS_PER_ITERATION = 3000
 DEFAULT_FOREGROUND_WEIGHT = 5.0
@@ -216,7 +217,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
             obs = observations[view_idx]
             if tables[view_idx] is None:
                 every = full_image_rays(obs)
-                tables[view_idx] = trace_table(geometry, every.origins, every.directions)
+                tables[view_idx] = trace_batch(geometry, every.origins, every.directions)
             if config.full_images:
                 rays = full_image_rays(obs, config.foreground_weight)
             else:

@@ -15,8 +15,6 @@ pixel reads the escape sentinel count as escapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import BinaryGrid, GridGeometry, OccupancyGrid
@@ -25,25 +23,8 @@ from .cameras import image_grid_rays
 from .traversal import trace_batch
 
 
-@dataclass(frozen=True, eq=False)
-class FusionGrid:
-    """Per-cell (empty, occupied) ray counts."""
-
-    geometry: GridGeometry
-    empty_count: np.ndarray
-    occupied_count: np.ndarray
-
-    def soft_occupancy(self) -> tuple[np.ndarray, np.ndarray]:
-        """(soft occupancy, validity); soft = occ/(occ+empty) where any
-        count exists, 0 elsewhere (marked invalid)."""
-        total = self.empty_count + self.occupied_count
-        valid = total > 0
-        soft = np.zeros(self.geometry.shape)
-        soft[valid] = self.occupied_count[valid] / total[valid]
-        return soft, valid
-
-
-def accumulate_depth_counts(observations: list[Observation], geometry: GridGeometry) -> FusionGrid:
+def accumulate_depth_counts(observations: list[Observation], geometry: GridGeometry):
+    """Per-cell (empty, occupied) ray counts, int64 arrays of the grid's shape."""
     for obs in observations:
         if obs.kind != "depth":
             raise ValueError(f"depth fusion needs depth observations, got {obs.kind!r}")
@@ -51,28 +32,34 @@ def accumulate_depth_counts(observations: list[Observation], geometry: GridGeome
     occupied = np.zeros(geometry.ncells, dtype=np.int64)
     for obs in observations:
         origins, dirs = image_grid_rays(obs.camera)
-        packed = trace_batch(geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
-        valid = packed.valid
-        cells = np.maximum(packed.cells, 0)
+        table = trace_batch(geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
+        ray = table.cell_rays()
         d_r = obs.depth.reshape(-1)
         fg = obs.foreground().reshape(-1)
 
         # index of the cell containing the (clamped) hit point
-        passed = np.sum((packed.t_exit < d_r[:, None]) & valid, axis=1)
-        hit_idx = np.minimum(passed, np.maximum(packed.n - 1, 0))
-        hit_rays = fg & (packed.n > 0)
-        rows = np.nonzero(hit_rays)[0]
-        np.add.at(occupied, cells[rows, hit_idx[rows]], 1)
+        passed = np.bincount(ray[table.t_exit < d_r[ray]], minlength=table.n_rays)
+        hit_idx = np.minimum(passed, np.maximum(table.n - 1, 0))
+        hit_rays = fg & (table.n > 0)
+        occupied += np.bincount(table.cells[table.start[hit_rays] + hit_idx[hit_rays]],
+                                minlength=geometry.ncells)
 
-        cols = np.arange(packed.max_len)
-        empty_mask = valid & np.where(hit_rays[:, None], cols < hit_idx[:, None], ~fg[:, None])
-        np.add.at(empty, cells[empty_mask], 1)
-    return FusionGrid(geometry, empty.reshape(geometry.shape), occupied.reshape(geometry.shape))
+        k = np.arange(table.cells.size) - table.start[ray]  # position along the ray
+        empty_entry = np.where(hit_rays[ray], k < hit_idx[ray], ~fg[ray])
+        empty += np.bincount(table.cells[empty_entry], minlength=geometry.ncells)
+    return empty.reshape(geometry.shape), occupied.reshape(geometry.shape)
 
 
 def fuse_depth(observations: list[Observation], geometry: GridGeometry):
-    """(soft occupancy field, validity mask) from per-voxel ray counts."""
-    return accumulate_depth_counts(observations, geometry).soft_occupancy()
+    """(soft occupancy field, validity mask) from per-voxel ray counts:
+    soft = occupied/(occupied+empty) where any count exists, 0 elsewhere
+    (marked invalid)."""
+    empty, occupied = accumulate_depth_counts(observations, geometry)
+    total = empty + occupied
+    valid = total > 0
+    soft = np.zeros(geometry.shape)
+    soft[valid] = occupied[valid] / total[valid]
+    return soft, valid
 
 
 def fused_to_occupancy_grid(soft: np.ndarray, valid: np.ndarray,
@@ -96,7 +83,7 @@ def carve_masks(observations: list[Observation], geometry: GridGeometry) -> Bina
         background = obs.mask.reshape(-1) == 0
         if not background.any():
             continue
-        packed = trace_batch(geometry, origins.reshape(-1, 3)[background],
-                             dirs.reshape(-1, 3)[background])
-        carved[packed.cells[packed.valid]] = True
+        table = trace_batch(geometry, origins.reshape(-1, 3)[background],
+                            dirs.reshape(-1, 3)[background])
+        carved[table.cells] = True
     return BinaryGrid(geometry, ~carved.reshape(geometry.shape))

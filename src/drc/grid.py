@@ -326,9 +326,9 @@ def _geom_from_params(dims, params: list[str]) -> GridGeometry:
     if len(vals) == 6:
         return uniform_geometry(dims, vals[:3], vals[3:])
     if len(vals) == 3:
-        nx, ny, nz = dims
-        if vals[0] <= 0 or vals[1] <= 0 or vals[2] <= 0:
-            raise FormatError(f"frustum parameters must be positive, got {vals}")
+        nx, ny, nz = _check_dims(dims)
+        if not all(0.0 < v < np.inf for v in vals):
+            raise FormatError(f"frustum parameters must be positive and finite, got {vals}")
         return GridGeometry(kind="frustum", dims=(nx, ny, nz), alpha1=vals[0], alpha2=vals[1], f=vals[2])
     raise FormatError(f"expected 6 (uniform) or 3 (frustum) geometry parameters, got {len(vals)}")
 
@@ -401,7 +401,7 @@ def load_grid(path):
             aux_kind = None
         elif aux_tag == "color":
             aux_channels, aux_kind = 3, "color"
-        elif aux_tag.startswith("sem:"):
+        elif aux_tag.startswith("sem:") and aux_tag[4:].isdecimal():
             aux_channels, aux_kind = int(aux_tag[4:]), "semantics"
         else:
             raise FormatError(f"unknown aux tag {aux_tag!r}")
@@ -422,12 +422,14 @@ def load_grid(path):
                 raise FormatError("occupancy field not finite in [0, 1]")
             grid = OccupancyGrid(geometry, arr)
         aux = None
-        if aux_channels:
+        if aux_kind is not None:
             raw = np.frombuffer(_read_exact(fh, 8 * n * aux_channels), dtype="<f8")
             try:
                 aux = AuxGrid(geometry, aux_kind, raw.reshape(*geometry.shape, aux_channels))
             except ValueError as exc:
                 raise FormatError(str(exc)) from exc
+        if fh.read(1):
+            raise FormatError("grid file has bytes after its body")
     return grid, aux, annotations
 
 

@@ -115,4 +115,6 @@ def read_pfm(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated PFM body")
     dtype = "<f4" if scale < 0 else ">f4"
     img = np.frombuffer(buf, dtype=dtype).reshape(h, w)
+    if not np.all(np.isfinite(img)):
+        raise FormatError(f"{path}: PFM holds NaN or infinite values")
     return np.flipud(img).astype(np.float32)

@@ -104,8 +104,8 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
             raise ValueError(f"{kind} render needs an aux grid of kind {want!r}")
     origins, dirs = image_grid_rays(camera)
     hw = origins.shape[:2]
-    packed = trace_batch(bgrid.geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
-    hit, cell, depth = first_hit_batch(bgrid, packed)
+    table = trace_batch(bgrid.geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
+    hit, cell, depth = first_hit_batch(bgrid, table)
     hit = hit.reshape(hw)
     cell = cell.reshape(hw)
     depth = depth.reshape(hw)

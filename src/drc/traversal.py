@@ -15,8 +15,13 @@ When a ray hits a cell edge or corner exactly, the crossing parameter is
 perturbed by +1e-12 so each boundary crossing advances exactly one axis
 (deterministic, and keeps consecutive cells face-adjacent).
 
-``trace_batch`` returns traces padded to a common length (``PackedTraces``);
-``TraceTable`` holds them unpadded, for rays traced once and read many times.
+``trace_batch`` returns the traces of many rays as one unpadded
+``TraceTable``: per ray a start, a length and an entry depth, per traversed
+cell its index and exit depth.  Consecutive cells of a ray share their
+boundary, so each cell's entry depth is the exit depth before it.
+``TraceTable.padded`` lays gathered rows out in (rays, slots) arrays for
+the loss, ``TraceTable.row`` gives one ray's ``RayTrace``, and ``trace`` is
+``trace_batch`` on one ray.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ from .cameras import Ray
 from .grid import BinaryGrid, GridGeometry, same_geometry
 
 TIE_EPS = 1e-12
-# rays per pass of the frustum kernel, which holds a few (rays, nx+ny+nz) arrays
+# rays per pass of trace_batch on uniform grids; bounds the per-step arrays
+# the kernel holds before it writes the pass's table
+TABLE_CHUNK = 4096
+# rays per pass on frustum grids, whose kernel holds a few (rays, nx+ny+nz)
+# arrays; the uniform kernel runs 20-30% slower in passes this short
 FRUSTUM_CHUNK = 1024
 
 
@@ -57,90 +66,70 @@ class RayTrace:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedTraces:
-    """Batch of traces in padded (n_rays, max_len) arrays.
-
-    cells is -1 past each ray's length; t arrays are 0 there.  Row i
-    restricted to its first n[i] entries equals trace() for that ray.
-    """
-
-    geometry: GridGeometry
-    cells: np.ndarray
-    t_enter: np.ndarray
-    t_exit: np.ndarray
-    n: np.ndarray
-
-    @property
-    def n_rays(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def max_len(self) -> int:
-        return self.cells.shape[1]
-
-    @property
-    def d(self) -> np.ndarray:
-        return 0.5 * (self.t_enter + self.t_exit)
-
-    @property
-    def valid(self) -> np.ndarray:
-        """(n_rays, max_len) mask of real entries."""
-        return np.arange(self.max_len) < self.n[:, None]
-
-    def row(self, i: int) -> RayTrace:
-        k = self.n[i]
-        return RayTrace(self.geometry, self.cells[i, :k].copy(),
-                        self.t_enter[i, :k].copy(), self.t_exit[i, :k].copy())
-
-
-@dataclass(frozen=True, eq=False)
 class TraceTable:
-    """Traces of many rays, unpadded: ray i's cells and event depths are
-    ``cells[start[i]:start[i] + n[i]]`` and ``d[...]`` of the same span.
+    """Traces of many rays, unpadded.  Ray i crosses the cells
+    ``cells[start[i]:start[i] + n[i]]``, leaving them at ``t_exit`` of the
+    same span; it enters its first cell at ``t0[i]`` and every later cell
+    where it left the one before.
 
     A miss (n = 0) stores nothing, so a table costs 12 bytes per traversed
-    cell (int32 cell, float64 depth) plus 16 per ray.
+    cell (int32 cell, float64 exit depth) plus 24 per ray.  ``trace_batch``
+    stores the rays' cells in ray order; ``take`` shares that storage.
     """
 
     geometry: GridGeometry
     start: np.ndarray
     n: np.ndarray
+    t0: np.ndarray
     cells: np.ndarray
-    d: np.ndarray
+    t_exit: np.ndarray
 
-    @staticmethod
-    def from_packed(parts) -> "TraceTable":
-        """One table of the rays of ``parts``, an iterable of PackedTraces
-        that is read once, so a generator never holds more than one part."""
-        ns, cells, ds = [], [], []
-        for p in parts:
-            valid = p.valid
-            ns.append(p.n)
-            cells.append(p.cells[valid].astype(np.int32))
-            ds.append(0.5 * (p.t_enter[valid] + p.t_exit[valid]))
-        n = np.concatenate(ns)
-        return TraceTable(p.geometry, np.cumsum(n) - n, n, np.concatenate(cells), np.concatenate(ds))
+    @property
+    def n_rays(self) -> int:
+        return self.n.shape[0]
+
+    @property
+    def max_len(self) -> int:
+        """Length of the longest trace."""
+        return int(self.n.max(initial=0))
 
     def take(self, index) -> "TraceTable":
         """The traces of rays ``index``, in that order; storage is shared."""
-        return TraceTable(self.geometry, self.start[index], self.n[index], self.cells, self.d)
+        return TraceTable(self.geometry, self.start[index], self.n[index], self.t0[index],
+                          self.cells, self.t_exit)
+
+    def row(self, i: int) -> RayTrace:
+        span = slice(self.start[i], self.start[i] + self.n[i])
+        t_exit = self.t_exit[span].copy()
+        t_enter = np.concatenate([self.t0[i:i + 1], t_exit[:-1]])[:t_exit.size]
+        return RayTrace(self.geometry, self.cells[span].copy(), t_enter, t_exit)
+
+    def cell_rays(self) -> np.ndarray:
+        """The ray of every entry of ``cells``, for a table that holds its
+        rays' cells in ray order and nothing else, as ``trace_batch`` returns."""
+        if not np.array_equal(self.start, np.cumsum(self.n) - self.n):
+            raise ValueError("table does not store its rays in order (a take() of another table?)")
+        return np.repeat(np.arange(self.n_rays), self.n)
 
     def padded(self):
         """(cells, d, valid), each (n_rays, W): every ray's trace left-aligned
-        in W slots, W = max(n) rounded up to a multiple of 8, at least 8.
-        Padding is cell 0 at depth 0, and ``valid`` is False there.
+        in W slots, W = max_len rounded up to a multiple of 8, at least 8.
+        d is the event depth per cell, 0.5 * (t_enter + t_exit).  Padding is
+        cell 0 at depth 0, and ``valid`` is False there.
 
         numpy sums a row of 8 to 128 values in eight interleaved partial
         sums, so padding a row with zeros to any multiple of 8 up to 128
         leaves the rounding of its sum unchanged: a ray's loss does not
         depend on the rays batched with it.
         """
-        width = max(8, -(-int(self.n.max(initial=0)) // 8) * 8)
+        width = max(8, -(-self.max_len // 8) * 8)
         valid = np.arange(width) < self.n[:, None]
         at = np.where(valid, self.start[:, None] + np.arange(width), 0)
         if not self.cells.size:  # every ray missed
             return at, np.zeros(at.shape), valid
-        return np.where(valid, self.cells[at], 0), np.where(valid, self.d[at], 0.0), valid
+        t_exit = self.t_exit[at]
+        t_enter = np.concatenate([self.t0[:, None], t_exit[:, :-1]], axis=1)
+        return np.where(valid, self.cells[at], 0), np.where(valid, 0.5 * (t_enter + t_exit), 0.0), valid
 
 
 def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:
@@ -152,23 +141,27 @@ def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:
     return trace_batch(geometry, ray.origin[None, :], ray.direction[None, :]).row(0)
 
 
-def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> PackedTraces:
-    """Vectorized trace for many rays at once."""
-    origins = np.asarray(origins, dtype=np.float64)
-    directions = np.asarray(directions, dtype=np.float64)
+def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> TraceTable:
+    """The traces of many rays, in one table built pass by pass: TABLE_CHUNK
+    rays per pass on uniform grids, FRUSTUM_CHUNK on frustum grids."""
+    o = np.asarray(origins, dtype=np.float64)
+    d = np.asarray(directions, dtype=np.float64)
     if geometry.kind == "uniform":
-        return _trace_batch_uniform(geometry, origins, directions)
-    return _trace_batch_frustum(geometry, origins, directions)
+        kernel, chunk = _trace_uniform, TABLE_CHUNK
+    else:
+        kernel, chunk = _trace_frustum, FRUSTUM_CHUNK
+    passes = [kernel(geometry, o[i:i + chunk], d[i:i + chunk]) for i in range(0, max(len(o), 1), chunk)]
+    n, t0, cells, t_exit = (np.concatenate(part) for part in zip(*passes))
+    return TraceTable(geometry, np.cumsum(n) - n, n, t0, cells, t_exit)
 
 
-def _trace_batch_uniform(geom: GridGeometry, o: np.ndarray, d: np.ndarray) -> PackedTraces:
+def _trace_uniform(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
+    """(n, t0, cells, t_exit) of rays (o, d), the fields of a TraceTable."""
     nx, ny, nz = geom.dims
     dims = np.array([nx, ny, nz])
     lo = geom.aabb_min
     hi = geom.aabb_max
     h = geom.cell_size
-    n_rays = o.shape[0]
-    max_len = nx + ny + nz + 3
 
     # clip against the box; d == 0 axes contribute (-inf, inf) if inside the slab
     # components below ~1e-308 overflow to +-inf, which is the right limit
@@ -182,26 +175,23 @@ def _trace_batch_uniform(geom: GridGeometry, o: np.ndarray, d: np.ndarray) -> Pa
     t0 = np.maximum(tmin_ax.max(axis=1), 0.0)
     t1 = tmax_ax.min(axis=1)
     alive = t0 < t1
+    t0 = np.where(alive, t0, 0.0)
 
-    start = o + np.where(alive, t0, 0.0)[:, None] * d
-    cell3 = np.clip(np.floor((start - lo) / h).astype(np.int64), 0, dims - 1)
+    cell3 = np.clip(np.floor((o + t0[:, None] * d - lo) / h).astype(np.int64), 0, dims - 1)
     step = np.sign(d).astype(np.int64)
     next_bound = lo + (cell3 + (step > 0)) * h
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_max = np.where(zero, np.inf, (next_bound - o) / d)
         t_delta = np.where(zero, np.inf, h / np.abs(d))
 
-    cells = np.full((n_rays, max_len), -1, dtype=np.int64)
-    t_in = np.zeros((n_rays, max_len))
-    t_out = np.zeros((n_rays, max_len))
-    n = np.zeros(n_rays, dtype=np.int64)
-
-    # step only the rays still inside the grid; each of them has filled
-    # exactly one slot per step so far, so step k writes slot k
+    # step only the rays still inside the grid; each of them has visited
+    # exactly one cell per step so far, so step k visits cell k of its trace
+    n = np.zeros(o.shape[0], dtype=np.int64)
+    visits = []  # per step: (rays, cell, exit depth)
     act = np.flatnonzero(alive)
     cell3, step, t_max, t_delta = cell3[act], step[act], t_max[act], t_delta[act]
     t_cur, t1 = t0[act], t1[act]
-    for k in range(max_len):
+    for k in range(nx + ny + nz + 3):
         if not act.size:
             break
         rows = np.arange(act.size)
@@ -212,9 +202,7 @@ def _trace_batch_uniform(geom: GridGeometry, o: np.ndarray, d: np.ndarray) -> Pa
         t_adv = np.where(exiting, t1, np.maximum(t_next, t_cur + TIE_EPS))
         fill = ~exiting | (t1 > t_cur)
         at = act[fill]
-        cells[at, k] = geom.linear_index(cell3[fill, 0], cell3[fill, 1], cell3[fill, 2])
-        t_in[at, k] = t_cur[fill]
-        t_out[at, k] = t_adv[fill]
+        visits.append((at, geom.linear_index(cell3[fill, 0], cell3[fill, 1], cell3[fill, 2]), t_adv[fill]))
         n[at] = k + 1
 
         cell3[rows, axis] += step[rows, axis]
@@ -225,7 +213,13 @@ def _trace_batch_uniform(geom: GridGeometry, o: np.ndarray, d: np.ndarray) -> Pa
         act, cell3, step, t_max, t_delta = act[keep], cell3[keep], step[keep], t_max[keep], t_delta[keep]
         t_cur, t1 = t_adv[keep], t1[keep]
 
-    return PackedTraces(geom, cells, t_in, t_out, n)
+    start = np.cumsum(n) - n
+    cells = np.empty(n.sum(), dtype=np.int32)
+    t_exit = np.empty(n.sum())
+    for k, (at, cell, t) in enumerate(visits):
+        cells[start[at] + k] = cell
+        t_exit[start[at] + k] = t
+    return n, t0, cells, t_exit
 
 
 def _frustum_halfspaces(geom: GridGeometry) -> list[tuple[np.ndarray, float]]:
@@ -245,23 +239,8 @@ def _frustum_halfspaces(geom: GridGeometry) -> list[tuple[np.ndarray, float]]:
     ]
 
 
-def _trace_batch_frustum(geom: GridGeometry, o: np.ndarray, d: np.ndarray) -> PackedTraces:
-    nx, ny, nz = geom.dims
-    n_rays = o.shape[0]
-    # K interior planes give at most K + 1 segments between the hull's t0, t1
-    max_len = nx + ny + nz - 2
-    cells = np.full((n_rays, max_len), -1, dtype=np.int64)
-    t_in = np.zeros((n_rays, max_len))
-    t_out = np.zeros((n_rays, max_len))
-    n = np.zeros(n_rays, dtype=np.int64)
-    for lo in range(0, n_rays, FRUSTUM_CHUNK):
-        part = slice(lo, lo + FRUSTUM_CHUNK)
-        _trace_frustum_chunk(geom, o[part], d[part], cells[part], t_in[part], t_out[part], n[part])
-    return PackedTraces(geom, cells, t_in, t_out, n)
-
-
-def _trace_frustum_chunk(geom, o, d, cells, t_in, t_out, n) -> None:
-    """Trace rays (o, d) into the given output rows."""
+def _trace_frustum(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
+    """(n, t0, cells, t_exit) of rays (o, d), the fields of a TraceTable."""
     nx, ny, nz = geom.dims
     m = o.shape[0]
     t0 = np.zeros(m)
@@ -279,8 +258,10 @@ def _trace_frustum_chunk(geom, o, d, cells, t_in, t_out, n) -> None:
             t1 = np.where((ad > 0.0) & (t < t1), t, t1)
             t0 = np.where((ad < 0.0) & (t > t0), t, t0)
     rows = np.flatnonzero(alive & (t0 < t1))
+    n = np.zeros(m, dtype=np.int64)
+    t_start = np.zeros(m)
     if rows.size == 0:
-        return
+        return n, t_start, np.empty(0, dtype=np.int32), np.empty(0)
     o, d, t0, t1 = o[rows], d[rows], t0[rows, None], t1[rows, None]
 
     # interior planes only (k = 1..n-1): the k = 0 and k = n planes bound
@@ -305,34 +286,37 @@ def _trace_frustum_chunk(geom, o, d, cells, t_in, t_out, n) -> None:
     seg = np.count_nonzero(ts < np.inf, axis=1) - 1
     width = seg.max()
     valid = np.arange(width) < seg[:, None]
-    enter = np.where(valid, ts[:, :width], 0.0)
-    exit_ = np.where(valid, ts[:, 1:width + 1], 0.0)
+    exit_ = ts[:, 1:width + 1]
 
     # padding takes the first midpoint so that every point maps into the grid
-    mids = 0.5 * (enter + exit_)
+    mids = 0.5 * (ts[:, :width] + exit_)
     mids = np.where(valid, mids, mids[:, :1])
     g = geom.world_to_grid(o[:, None, :] + mids[:, :, None] * d[:, None, :])
     # midpoints lie inside the convex hull; clip absorbs boundary roundoff
     ijk = np.clip(np.floor(g).astype(np.int64), 0, np.array([nx, ny, nz]) - 1)
-    cells[rows, :width] = np.where(valid, geom.linear_index(ijk[..., 0], ijk[..., 1], ijk[..., 2]), -1)
-    t_in[rows, :width] = enter
-    t_out[rows, :width] = exit_
+    cells = geom.linear_index(ijk[..., 0], ijk[..., 1], ijk[..., 2])
     n[rows] = seg
+    t_start[rows] = ts[:, 0]
+    return n, t_start, cells[valid].astype(np.int32), exit_[valid]
 
 
-def first_hit_batch(bgrid: BinaryGrid, packed: PackedTraces):
-    """First traversed cell with occ = True, for every packed ray.
+def first_hit_batch(bgrid: BinaryGrid, table: TraceTable):
+    """First traversed cell with occ = True, for every ray of the table.
 
     Returns (hit mask (R,), cell index (R,), depth (R,)); cell/depth are
     -1/0 where the ray escapes.
     """
-    if not same_geometry(bgrid.geometry, packed.geometry):
+    if not same_geometry(bgrid.geometry, table.geometry):
         raise ValueError("binary grid and traces were built on different geometries")
-    occ = np.where(packed.cells >= 0, bgrid.flat[np.maximum(packed.cells, 0)], False)
-    occ &= packed.valid
-    hit = occ.any(axis=1)
-    first = np.argmax(occ, axis=1)
-    rows = np.arange(packed.n_rays)
-    cell = np.where(hit, packed.cells[rows, first], -1)
-    depth = np.where(hit, packed.d[rows, first], 0.0)
+    ray = table.cell_rays()
+    pos = np.flatnonzero(bgrid.flat[table.cells])
+    first = pos[np.diff(ray[pos], prepend=-1) != 0]  # each ray's first occupied entry
+    rays = ray[first]
+    t_enter = np.where(first == table.start[rays], table.t0[rays], table.t_exit[first - 1])
+    hit = np.zeros(table.n_rays, dtype=bool)
+    cell = np.full(table.n_rays, -1, dtype=np.int64)
+    depth = np.zeros(table.n_rays)
+    hit[rays] = True
+    cell[rays] = table.cells[first]
+    depth[rays] = 0.5 * (t_enter + table.t_exit[first])
     return hit, cell, depth

@@ -89,6 +89,15 @@ class TestExitCodes:
                    "--out", str(tmp_path / "fit")) == 2
         assert not (tmp_path / "fit").exists()
 
+    def test_malformed_semantic_aux_tag_is_data_error(self, pipeline, tmp_path):
+        data = (pipeline / "gt" / "shape.grid").read_bytes()
+        header, body = data.split(b"\n", 1)
+        tokens = header.split(b" ")
+        tokens[-1] = b"sem:x"  # the aux tag; the shape grid has no annotations
+        (tmp_path / "bad.grid").write_bytes(b" ".join(tokens) + b"\n" + body)
+        assert run("eval", "--pred", str(pipeline / "fit" / "fitted.grid"),
+                   "--gt", str(tmp_path / "bad.grid")) == 2
+
     def test_threads_other_than_one_is_usage_error(self, pipeline, tmp_path):
         for command in (["fit", "--obs", str(pipeline / "obs"), "--dims", "16"],
                         ["repro", "--shapes", "sphere", "--dims", "16"]):

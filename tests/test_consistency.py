@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drc.cameras import Ray
-from drc import consistency
+from drc import traversal
 from drc.cameras import perspective_camera, pixel_rays
 from drc.consistency import (
     RAY_KINDS,
@@ -18,7 +18,6 @@ from drc.consistency import (
     ray_loss,
     ray_loss_grad_p,
     ray_loss_grad_x,
-    trace_table,
     view_loss,
 )
 from drc.grid import AuxGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
@@ -411,8 +410,8 @@ def test_miss_split_matches_brute_force(kind, batch):
 
 
 class TestTraceTable:
-    """The table fit reads traces from must hold exactly what trace_batch
-    returns for the same rays."""
+    """The rows fit gathers from a view's table must hold exactly what
+    trace_batch returns for the same rays alone."""
 
     CASES = {
         # a camera outside a small cube, wide enough that many rays miss
@@ -426,20 +425,25 @@ class TestTraceTable:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_gathered_rows_equal_traced_rows(self, case, monkeypatch):
         geom, cam = self.CASES[case]
-        monkeypatch.setattr(consistency, "TABLE_CHUNK", 100)  # several chunks
         vs, us = np.divmod(np.arange(cam.height * cam.width), cam.width)
-        table = trace_table(geom, *pixel_rays(cam, us + 0.5, vs + 0.5))
         pixels = np.random.default_rng(1).integers(0, us.size, 300)
-        packed = trace_batch(geom, *pixel_rays(cam, us[pixels] + 0.5, vs[pixels] + 0.5))
+        alone = trace_batch(geom, *pixel_rays(cam, us[pixels] + 0.5, vs[pixels] + 0.5))
+        # the view's table is built in several passes
+        monkeypatch.setattr(traversal, "TABLE_CHUNK", 100)
+        monkeypatch.setattr(traversal, "FRUSTUM_CHUNK", 100)
+        table = trace_batch(geom, *pixel_rays(cam, us + 0.5, vs + 0.5))
         rows = table.take(pixels)
         cells, d, valid = rows.padded()
 
-        assert 0 < np.count_nonzero(packed.n) < pixels.size
-        assert np.array_equal(rows.n, packed.n)
-        assert np.array_equal(valid.sum(axis=1), packed.n)
-        assert np.array_equal(cells[valid], packed.cells[packed.valid])
-        assert d[valid].tobytes() == packed.d[packed.valid].tobytes()
-        assert valid.shape[1] % 8 == 0 and valid.shape[1] - 8 < packed.n.max()
+        assert 0 < np.count_nonzero(alone.n) < pixels.size
+        assert np.array_equal(rows.n, alone.n)
+        assert np.array_equal(valid.sum(axis=1), alone.n)
+        assert np.array_equal(cells[valid], alone.cells)
+        want_d = [alone.row(i).d for i in range(alone.n_rays)]
+        assert d[valid].tobytes() == np.concatenate(want_d).tobytes()
+        for gathered, traced in zip((cells, d, valid), alone.padded()):
+            assert gathered.tobytes() == traced.tobytes()
+        assert valid.shape[1] % 8 == 0 and valid.shape[1] - 8 < alone.max_len
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@ class TestFuseDepth:
         geom = self.geom()
         hit_v1 = one_pixel_depth(1.0 + 1.5)   # terminates in cell 1
         through = one_pixel_depth(1.0 + 3.5)  # passes cell 1, terminates in cell 3
-        fg = accumulate_depth_counts([hit_v1, through], geom)
-        soft, valid = fg.soft_occupancy()
+        empty, occupied = accumulate_depth_counts([hit_v1, through], geom)
+        soft, valid = fuse_depth([hit_v1, through], geom)
         flat = soft.reshape(-1)
         assert flat[1] == pytest.approx(0.5, abs=0)  # one hit, one pass
-        assert fg.occupied_count.reshape(-1).tolist() == [0, 1, 0, 1]
+        assert occupied.reshape(-1).tolist() == [0, 1, 0, 1]
+        assert empty.reshape(-1).tolist() == [2, 1, 1, 0]
 
     def test_no_observations_all_invalid(self):
         soft, valid = fuse_depth([], self.geom())
@@ -44,16 +45,16 @@ class TestFuseDepth:
     def test_escape_ray_marks_whole_trace_empty(self):
         geom = self.geom()
         obs = one_pixel_depth(10.0)  # background sentinel
-        fg = accumulate_depth_counts([obs], geom)
-        assert fg.empty_count.reshape(-1).tolist() == [1, 1, 1, 1]
-        assert fg.occupied_count.sum() == 0
+        empty, occupied = accumulate_depth_counts([obs], geom)
+        assert empty.reshape(-1).tolist() == [1, 1, 1, 1]
+        assert occupied.sum() == 0
 
     def test_overshooting_depth_clamps_to_last_cell(self):
         geom = self.geom()
         obs = one_pixel_depth(1.0 + 4.7)  # past the far face but not escape depth
-        fg = accumulate_depth_counts([obs], geom)
-        assert fg.occupied_count.reshape(-1).tolist() == [0, 0, 0, 1]
-        assert fg.empty_count.reshape(-1).tolist() == [1, 1, 1, 0]
+        empty, occupied = accumulate_depth_counts([obs], geom)
+        assert occupied.reshape(-1).tolist() == [0, 0, 0, 1]
+        assert empty.reshape(-1).tolist() == [1, 1, 1, 0]
 
     def test_mask_observation_rejected(self):
         gt, _ = make_test_shape("sphere", (16, 16, 16))
@@ -65,10 +66,10 @@ class TestFuseDepth:
         gt, _ = make_test_shape("sphere", (16, 16, 16))
         cams = sample_view_ring(5, seed=3, width=48, height=48)
         obs = [render(gt, c, "depth") for c in cams]
-        fg = accumulate_depth_counts(obs, gt.geometry)
-        soft, valid = fg.soft_occupancy()
-        hits = fg.occupied_count > 0
-        passed = (fg.empty_count > 0) & ~hits
+        empty, occupied = accumulate_depth_counts(obs, gt.geometry)
+        soft, valid = fuse_depth(obs, gt.geometry)
+        hits = occupied > 0
+        passed = (empty > 0) & ~hits
         assert np.all(soft[hits] == 1.0)  # no contradictory votes without noise
         assert np.all(soft[passed] == 0.0)
         assert np.all(gt.occ[hits])  # hit cells are real surface cells
@@ -78,10 +79,10 @@ class TestFuseDepth:
         gt, _ = make_test_shape("sphere", (16, 16, 16))
         cams = sample_view_ring(5, seed=3, width=48, height=48)
         obs = [render(gt, c, "depth") for c in cams]
-        fg = accumulate_depth_counts(obs, gt.geometry)
-        soft, valid = fg.soft_occupancy()
+        _, occupied = accumulate_depth_counts(obs, gt.geometry)
+        soft, valid = fuse_depth(obs, gt.geometry)
         pred = fused_to_occupancy_grid(soft, valid, gt.geometry)
-        coverage = (fg.occupied_count > 0).sum() / gt.occ.sum()
+        coverage = (occupied > 0).sum() / gt.occ.sum()
         assert best_threshold(pred, gt).best_iou >= coverage - 1e-12
 
     def test_invalid_cells_score_as_empty(self):
@@ -98,7 +99,7 @@ class TestCarveMasks:
         hull = carve_masks([], geom)
         assert hull.occ.all()
 
-    def test_all_background_view_carves_every_traversed_cell(self):
+    def test_all_background_view_carves_every_traversed_cell(self, monkeypatch):
         gt, _ = make_test_shape("sphere", (16, 16, 16))
         geom = gt.geometry
         empty = type(gt)(geom, np.zeros(geom.shape, dtype=bool))
@@ -107,10 +108,11 @@ class TestCarveMasks:
         hull = carve_masks([obs], geom)
         # every cell inside the camera frustum is crossed by some background ray
         from drc.renderer import full_image_rays
-        from drc.traversal import trace_batch
+        from drc import traversal
         rays = full_image_rays(obs)
-        packed = trace_batch(geom, rays.origins, rays.directions)
-        touched = np.unique(packed.cells[packed.valid])
+        monkeypatch.setattr(traversal, "TABLE_CHUNK", 500)  # several passes
+        table = traversal.trace_batch(geom, rays.origins, rays.directions)
+        touched = np.unique(table.cells)
         assert not hull.flat[touched].any()
 
     def test_hull_contains_the_shape(self):

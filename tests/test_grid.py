@@ -230,3 +230,28 @@ class TestGridFiles:
         (tmp_path / "nan.grid").write_bytes(bytes(data))
         with pytest.raises(FormatError, match="finite"):
             load_grid(tmp_path / "nan.grid")
+
+    def test_frustum_zero_dims_rejected(self, tmp_path):
+        (tmp_path / "z.grid").write_bytes(b"DRC-GRID v1 bin 0 4 4 0.5 0.1 0.2 none\n")
+        with pytest.raises(FormatError, match="dims"):
+            load_grid(tmp_path / "z.grid")
+
+    def test_nan_frustum_parameter_rejected(self, tmp_path):
+        (tmp_path / "n.grid").write_bytes(b"DRC-GRID v1 bin 1 1 1 nan 0.1 0.2 none\n\x01")
+        with pytest.raises(FormatError, match="frustum parameters"):
+            load_grid(tmp_path / "n.grid")
+
+    @pytest.mark.parametrize("tag", ["sem:x", "sem:0", "sem:"])
+    def test_malformed_semantic_tag_rejected(self, tmp_path, tag):
+        header = f"DRC-GRID v1 bin 1 1 1 0 0 0 1 1 1 {tag}\n".encode()
+        (tmp_path / "s.grid").write_bytes(header + b"\x01")
+        with pytest.raises(FormatError):
+            load_grid(tmp_path / "s.grid")
+
+    def test_bytes_after_body_rejected(self, tmp_path):
+        geom = unit_cube_geometry((2, 2, 2))
+        save_grid(tmp_path / "g.grid", OccupancyGrid(geom, np.full(geom.shape, 0.5)))
+        data = (tmp_path / "g.grid").read_bytes()
+        (tmp_path / "long.grid").write_bytes(data + b"\x00")
+        with pytest.raises(FormatError, match="after its body"):
+            load_grid(tmp_path / "long.grid")

@@ -91,3 +91,9 @@ class TestPFM:
         (tmp_path / "x.pfm").write_bytes(b"PF\n1 1\n-1.0\n" + b"\x00" * 12)
         with pytest.raises(FormatError, match="3-channel"):
             read_pfm(tmp_path / "x.pfm")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        (tmp_path / "d.pfm").write_bytes(b"Pf\n2 1\n-1.0\n" + np.array([1.0, bad], dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            read_pfm(tmp_path / "d.pfm")

@@ -101,18 +101,25 @@ class TestInvariants:
             oracle = dense_sample_cells(geom, ray)
             assert tr.cells.tolist() == oracle.tolist()
 
-    def test_batch_matches_scalar(self, geom):
+    def test_batch_matches_scalar(self, geom, monkeypatch):
         rng = np.random.default_rng(11)
         rays = [random_ray(rng) for _ in range(40)]
-        packed = trace_batch(geom,
-                             np.stack([r.origin for r in rays]),
-                             np.stack([r.direction for r in rays]))
+        # several passes per table
+        monkeypatch.setattr(traversal, "TABLE_CHUNK", 7)
+        monkeypatch.setattr(traversal, "FRUSTUM_CHUNK", 7)
+        table = trace_batch(geom,
+                            np.stack([r.origin for r in rays]),
+                            np.stack([r.direction for r in rays]))
+        cells, d, valid = table.padded()
+        assert 0 < np.count_nonzero(table.n) < len(rays)
         for i, ray in enumerate(rays):
             tr = trace(geom, ray)
-            row = packed.row(i)
-            assert row.cells.tolist() == tr.cells.tolist()
-            assert np.array_equal(row.t_enter, tr.t_enter)
-            assert np.array_equal(row.t_exit, tr.t_exit)
+            row = table.row(i)
+            assert row.cells.tobytes() == tr.cells.tobytes()
+            assert row.t_enter.tobytes() == tr.t_enter.tobytes()
+            assert row.t_exit.tobytes() == tr.t_exit.tobytes()
+            assert cells[i, valid[i]].tobytes() == tr.cells.tobytes()
+            assert d[i, valid[i]].tobytes() == tr.d.tobytes()
 
 
 class TestBatchKernels:
@@ -138,8 +145,12 @@ class TestBatchKernels:
         monkeypatch.setattr(traversal, "FRUSTUM_CHUNK", 3)
         chunked = trace_batch(geom, o, d)
         assert 0 < np.count_nonzero(whole.n) < len(rays)
-        for name in ("n", "cells", "t_enter", "t_exit"):
+        for name in ("start", "n", "t0", "cells", "t_exit"):
             assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
+        for a, b in zip(whole.padded(), chunked.padded()):
+            assert a.tobytes() == b.tobytes()
+        for i in range(len(rays)):
+            assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
 
 
 class TestFirstHit:
@@ -199,14 +210,15 @@ class TestFirstHit:
             else:
                 assert tr.cells[np.argmax(p)] == hit[0]
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scalar(self, monkeypatch):
         rng = np.random.default_rng(9)
         geom = uniform_geometry((5, 5, 5), (-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
         bg = BinaryGrid(geom, rng.uniform(size=geom.shape) < 0.25)
         rays = [random_ray(rng) for _ in range(50)]
-        packed = trace_batch(geom, np.stack([r.origin for r in rays]),
-                             np.stack([r.direction for r in rays]))
-        hit, cell, depth = first_hit_batch(bg, packed)
+        monkeypatch.setattr(traversal, "TABLE_CHUNK", 9)  # several passes
+        table = trace_batch(geom, np.stack([r.origin for r in rays]),
+                            np.stack([r.direction for r in rays]))
+        hit, cell, depth = first_hit_batch(bg, table)
         for i, ray in enumerate(rays):
             expect = first_hit(bg, trace(geom, ray))
             if expect is None:
@@ -214,3 +226,12 @@ class TestFirstHit:
             else:
                 assert hit[i] and cell[i] == expect[0]
                 assert depth[i] == pytest.approx(expect[1], abs=0)
+
+    def test_gathered_table_rejected(self):
+        # first hits read the flat arrays, which a take() does not reorder
+        geom = self.geom()
+        bg = BinaryGrid(geom, np.ones(geom.shape, dtype=bool))
+        ray = self.ray()
+        table = trace_batch(geom, np.stack([ray.origin] * 2), np.stack([ray.direction] * 2))
+        with pytest.raises(ValueError, match="in order"):
+            first_hit_batch(bg, table.take([1]))
