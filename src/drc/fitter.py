@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import consistency
 from .consistency import RayBatch, view_loss
 from .grid import AuxGrid, GridGeometry, OccupancyGrid
 from .renderer import Observation, full_image_rays, rays_from_pixels
-from .traversal import trace_batch
 
 DEFAULT_RAYS_PER_ITERATION = 3000
 DEFAULT_FOREGROUND_WEIGHT = 5.0
@@ -217,7 +217,8 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
             obs = observations[view_idx]
             if tables[view_idx] is None:
                 every = full_image_rays(obs)
-                tables[view_idx] = trace_batch(geometry, every.origins, every.directions)
+                # the name view_loss traces through, so patching consistency.trace_batch sees every trace
+                tables[view_idx] = consistency.trace_batch(geometry, every.origins, every.directions)
             if config.full_images:
                 rays = full_image_rays(obs, config.foreground_weight)
             else:

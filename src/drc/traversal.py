@@ -98,16 +98,21 @@ class TraceTable:
         return TraceTable(self.geometry, self.start[index], self.n[index], self.t0[index],
                           self.cells, self.t_exit)
 
+    def _t_enter(self, at: np.ndarray, rays) -> np.ndarray:
+        """Entry depths of the cells at flat positions ``at`` of rays
+        ``rays`` (broadcast against ``at``): the ray's t0 at its first cell,
+        else the exit depth of the cell before."""
+        before = np.take(self.t_exit, at - 1, mode="clip")  # -1 only at a first cell or padding
+        return np.where(at == self.start[rays], self.t0[rays], before)
+
     def row(self, i: int) -> RayTrace:
-        span = slice(self.start[i], self.start[i] + self.n[i])
-        t_exit = self.t_exit[span].copy()
-        t_enter = np.concatenate([self.t0[i:i + 1], t_exit[:-1]])[:t_exit.size]
-        return RayTrace(self.geometry, self.cells[span].copy(), t_enter, t_exit)
+        at = np.arange(self.start[i], self.start[i] + self.n[i])
+        return RayTrace(self.geometry, self.cells[at], self._t_enter(at, i), self.t_exit[at])
 
     def cell_rays(self) -> np.ndarray:
         """The ray of every entry of ``cells``, for a table that holds its
         rays' cells in ray order and nothing else, as ``trace_batch`` returns."""
-        if not np.array_equal(self.start, np.cumsum(self.n) - self.n):
+        if self.cells.size != self.n.sum() or not np.array_equal(self.start, np.cumsum(self.n) - self.n):
             raise ValueError("table does not store its rays in order (a take() of another table?)")
         return np.repeat(np.arange(self.n_rays), self.n)
 
@@ -127,9 +132,8 @@ class TraceTable:
         at = np.where(valid, self.start[:, None] + np.arange(width), 0)
         if not self.cells.size:  # every ray missed
             return at, np.zeros(at.shape), valid
-        t_exit = self.t_exit[at]
-        t_enter = np.concatenate([self.t0[:, None], t_exit[:, :-1]], axis=1)
-        return np.where(valid, self.cells[at], 0), np.where(valid, 0.5 * (t_enter + t_exit), 0.0), valid
+        d = 0.5 * (self._t_enter(at, np.arange(self.n_rays)[:, None]) + self.t_exit[at])
+        return np.where(valid, self.cells[at], 0), np.where(valid, d, 0.0), valid
 
 
 def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:
@@ -312,11 +316,10 @@ def first_hit_batch(bgrid: BinaryGrid, table: TraceTable):
     pos = np.flatnonzero(bgrid.flat[table.cells])
     first = pos[np.diff(ray[pos], prepend=-1) != 0]  # each ray's first occupied entry
     rays = ray[first]
-    t_enter = np.where(first == table.start[rays], table.t0[rays], table.t_exit[first - 1])
     hit = np.zeros(table.n_rays, dtype=bool)
     cell = np.full(table.n_rays, -1, dtype=np.int64)
     depth = np.zeros(table.n_rays)
     hit[rays] = True
     cell[rays] = table.cells[first]
-    depth[rays] = 0.5 * (t_enter + table.t_exit[first])
+    depth[rays] = 0.5 * (table._t_enter(first, rays) + table.t_exit[first])
     return hit, cell, depth

@@ -235,3 +235,5 @@ class TestFirstHit:
         table = trace_batch(geom, np.stack([ray.origin] * 2), np.stack([ray.direction] * 2))
         with pytest.raises(ValueError, match="in order"):
             first_hit_batch(bg, table.take([1]))
+        with pytest.raises(ValueError, match="in order"):  # a prefix keeps start in order
+            first_hit_batch(bg, table.take([0]))
