@@ -42,6 +42,7 @@ from .metrics import best_threshold, run_gradcheck
 from .renderer import (
     SHAPE_NAMES,
     add_depth_noise,
+    image_traces,
     list_observation_bundles,
     load_observation_bundle,
     make_test_shape,
@@ -252,27 +253,30 @@ def cmd_repro(args) -> int:
         os.makedirs(shape_dir, exist_ok=True)
         save_grid(os.path.join(shape_dir, "gt.grid"), gt, aux)
         cams = sample_view_ring(args.views, seed=args.seed, width=args.size, height=args.size)
-        depth_obs = [render(gt, c, "depth") for c in cams]
-        mask_obs = [render(gt, c, "mask") for c in cams]
+        geometry = gt.geometry
+        # every render, fit, fusion and carve below reads these: one trace per camera
+        traces = [image_traces(geometry, c) for c in cams]
+        depth_obs = [render(gt, c, "depth", traces=t) for c, t in zip(cams, traces)]
+        mask_obs = [render(gt, c, "mask", traces=t) for c, t in zip(cams, traces)]
         noisy_obs = [add_depth_noise(o, args.noise, seed=args.seed * 1000 + i)
                      for i, o in enumerate(depth_obs)]
-        geometry = gt.geometry
 
         row = {"shape": name}
         for tag, obs in (("mask_drc", mask_obs), ("depth_drc", depth_obs), ("noisy_drc", noisy_obs)):
             kind = "mask" if tag == "mask_drc" else "depth"
-            occ, _, report = fit(obs, geometry, kind, config)
+            occ, _, report = fit(obs, geometry, kind, config, traces=traces)
             save_grid(os.path.join(shape_dir, f"{tag}.grid"), occ)
             write_loss_log(os.path.join(shape_dir, f"{tag}_loss.tsv"), report, kind)
             row[tag] = best_threshold(occ, gt).best_iou
         for tag, obs in (("depth_fusion", depth_obs), ("noisy_fusion", noisy_obs)):
-            fused = fused_to_occupancy_grid(*fuse_depth(obs, geometry), geometry)
+            fused = fused_to_occupancy_grid(*fuse_depth(obs, geometry, traces=traces), geometry)
             save_grid(os.path.join(shape_dir, f"{tag}.grid"), fused,
                       annotations={"xform": "one-minus-soft-occupancy"})
             row[tag] = best_threshold(fused, gt).best_iou
-        hull = carve_masks(mask_obs, geometry)
+        hull = carve_masks(mask_obs, geometry, traces=traces)
         save_grid(os.path.join(shape_dir, "mask_hull.grid"), hull)
         table.append(row)
+        del traces  # free this shape's traces before the next shape's are built
 
     columns = ("shape", "mask_drc", "depth_fusion", "depth_drc", "noisy_fusion", "noisy_drc")
     lines = ["\t".join(columns)]

@@ -7,26 +7,28 @@ x stays in the open interval and the gradient endpoints never degenerate.
 Updates use Adam with per-parameter moments.
 
 Cameras and geometry stay fixed during a fit, so each view's pixel rays
-are traced once, into a table (``trace_batch``), the first time the view
-is used.  Every iteration samples a subset of views and a budget of rays
-(uniform pixels with replacement, foreground rays weighted up), looks up
-their traces in the table, computes the view loss and its analytic
-gradients, chain-rules through the squashing map and applies the update.
+are traced once, into a table (``image_traces``), the first time the view
+is used, unless the caller passes the views' tables as ``traces=``.  Every
+iteration samples a subset of views and a budget of rays (uniform pixels
+with replacement, foreground rays weighted up), looks up their traces in
+the table, computes the view loss and its analytic gradients, chain-rules
+through the squashing map and applies the update; a loss or gradient that
+is not finite stops the fit with ``ValueError``.
 Everything is seeded: identical configs produce identical loss traces and
 final grids.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import consistency
 from .consistency import RayBatch, view_loss
 from .grid import AuxGrid, GridGeometry, OccupancyGrid
-from .renderer import Observation, full_image_rays, rays_from_pixels
+from .renderer import Observation, full_image_rays, image_traces, rays_from_pixels, view_traces
 
 DEFAULT_RAYS_PER_ITERATION = 3000
 DEFAULT_FOREGROUND_WEIGHT = 5.0
@@ -81,14 +83,16 @@ class FitConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.rays_per_iteration < 1:
             raise ValueError("rays_per_iteration must be >= 1")
         if self.views_per_iteration is not None and self.views_per_iteration < 1:
             raise ValueError("views_per_iteration must be >= 1")
-        if self.foreground_weight <= 0.0:
-            raise ValueError("foreground_weight must be positive")
+        if not (math.isfinite(self.foreground_weight) and self.foreground_weight > 0.0):
+            raise ValueError(f"foreground_weight must be positive and finite, got {self.foreground_weight}")
+        if not math.isfinite(self.label_weight):
+            raise ValueError(f"label_weight must be finite, got {self.label_weight}")
         if self.threads != 1:
             raise ValueError(f"threads must be 1 (views are evaluated in turn), got {self.threads}")
         if self.color_schedule not in ("carve-then-paint", "joint"):
@@ -163,14 +167,17 @@ def _squash(geometry: GridGeometry, logits_x, logits_p, aux_kind):
 
 
 def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
-        config: FitConfig = FitConfig()):
+        config: FitConfig = FitConfig(), *, traces=None):
     """Optimize a grid against the observations.
 
     Returns (OccupancyGrid, AuxGrid or None, FitReport).  With zero
     iterations the maximal-entropy initialization (x = 0.5, gray / uniform
-    payloads) comes back unchanged.
+    payloads) comes back unchanged.  ``traces``, if given, holds each
+    observation's ``image_traces`` table on ``geometry``.  Raises
+    ValueError at the first iteration whose loss or gradient is not finite.
     """
     _check_observations(observations, kind)
+    tables = view_traces(observations, geometry, traces)  # per view: the traces of all its pixels
     t_start = time.perf_counter()
 
     logits_x = np.zeros(geometry.shape)
@@ -197,7 +204,6 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
     blocked = kind == "color" and config.color_schedule == "carve-then-paint"
     paint_from = config.iterations // 2 if blocked else 0
 
-    tables = [None] * n_views  # per view: the traces of all its pixels
     losses = np.zeros(config.iterations)
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
     for it in range(config.iterations):
@@ -216,9 +222,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         for view_idx in chosen:  # fixed view order: deterministic reduction
             obs = observations[view_idx]
             if tables[view_idx] is None:
-                every = full_image_rays(obs)
-                # the name view_loss traces through, so patching consistency.trace_batch sees every trace
-                tables[view_idx] = consistency.trace_batch(geometry, every.origins, every.directions)
+                tables[view_idx] = image_traces(geometry, obs.camera)
             if config.full_images:
                 rays = full_image_rays(obs, config.foreground_weight)
             else:
@@ -231,6 +235,9 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
             if grad_p is not None:
                 grad_p += res.grad_p
             count += rays.n_rays
+        if not (math.isfinite(loss) and np.isfinite(grad_x).all()
+                and (grad_p is None or np.isfinite(grad_p).all())):
+            raise ValueError(f"fit iteration {it}: loss or gradient is not finite (loss {loss})")
         losses[it] = loss
         ray_counts[it] = count
 

@@ -11,6 +11,10 @@ depth noise.
 Noisy hit points are clamped into the ray's traversed interval (a noisy
 depth just past the far side still votes for the last cell); rays whose
 pixel reads the escape sentinel count as escapes.
+
+Fusion and carving read one ``image_traces`` table per view: they build
+it themselves, or take the tables of ``traces=`` (one per observation), so
+a caller that also renders or fits from the same cameras traces them once.
 """
 
 from __future__ import annotations
@@ -18,43 +22,59 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import BinaryGrid, GridGeometry, OccupancyGrid
-from .renderer import Observation
-from .cameras import image_grid_rays
-from .traversal import trace_batch
+from .renderer import Observation, image_traces, view_traces
+from .traversal import trace_batch  # noqa: F401  (perfbench patches fusion.trace_batch)
 
 
-def accumulate_depth_counts(observations: list[Observation], geometry: GridGeometry):
-    """Per-cell (empty, occupied) ray counts, int64 arrays of the grid's shape."""
+def accumulate_depth_counts(observations: list[Observation], geometry: GridGeometry, *,
+                            traces=None):
+    """Per-cell (empty, occupied) ray counts, int64 arrays of the grid's shape.
+
+    ``traces``, if given, holds each observation's ``image_traces`` table.
+    """
     for obs in observations:
         if obs.kind != "depth":
             raise ValueError(f"depth fusion needs depth observations, got {obs.kind!r}")
     empty = np.zeros(geometry.ncells, dtype=np.int64)
     occupied = np.zeros(geometry.ncells, dtype=np.int64)
-    for obs in observations:
-        origins, dirs = image_grid_rays(obs.camera)
-        table = trace_batch(geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
-        ray = table.cell_rays()
-        d_r = obs.depth.reshape(-1)
-        fg = obs.foreground().reshape(-1)
-
-        # index of the cell containing the (clamped) hit point
-        passed = np.bincount(ray[table.t_exit < d_r[ray]], minlength=table.n_rays)
-        hit_idx = np.minimum(passed, np.maximum(table.n - 1, 0))
-        hit_rays = fg & (table.n > 0)
-        occupied += np.bincount(table.cells[table.start[hit_rays] + hit_idx[hit_rays]],
-                                minlength=geometry.ncells)
-
-        k = np.arange(table.cells.size) - table.start[ray]  # position along the ray
-        empty_entry = np.where(hit_rays[ray], k < hit_idx[ray], ~fg[ray])
-        empty += np.bincount(table.cells[empty_entry], minlength=geometry.ncells)
+    for obs, table in zip(observations, view_traces(observations, geometry, traces)):
+        if table is None:
+            table = image_traces(geometry, obs.camera)
+        view_empty, view_occupied = _depth_votes(obs, table)
+        empty += view_empty
+        occupied += view_occupied
     return empty.reshape(geometry.shape), occupied.reshape(geometry.shape)
 
 
-def fuse_depth(observations: list[Observation], geometry: GridGeometry):
+def _depth_votes(obs: Observation, table):
+    """Per-cell (empty, occupied) counts of one view.  Per-ray values are
+    spread over the table's entries with ``np.repeat``, so at most one
+    8-byte per-entry array lives at a time, and all of them are freed
+    before the next view's are made."""
+    ncells = table.geometry.ncells
+    d_r = obs.depth.reshape(-1)
+    fg = obs.foreground().reshape(-1)
+
+    # index of the cell containing the (clamped) hit point
+    passed_entry = table.t_exit < np.repeat(d_r, table.n)
+    passed = np.bincount(table.cell_rays()[passed_entry], minlength=table.n_rays)
+    hit_idx = np.minimum(passed, np.maximum(table.n - 1, 0))
+    hit_rays = fg & (table.n > 0)
+    occupied = np.bincount(table.cells[table.start[hit_rays] + hit_idx[hit_rays]], minlength=ncells)
+
+    # a hit ray votes empty for the cells before its hit, an escape for its
+    # whole trace: the first n_empty entries of each ray, compared in int32
+    n_empty = np.where(fg, hit_idx, table.n)
+    end = (table.start + n_empty).astype(np.int32)
+    empty_entry = np.arange(table.cells.size, dtype=np.int32) < np.repeat(end, table.n)
+    return np.bincount(table.cells[empty_entry], minlength=ncells), occupied
+
+
+def fuse_depth(observations: list[Observation], geometry: GridGeometry, *, traces=None):
     """(soft occupancy field, validity mask) from per-voxel ray counts:
     soft = occupied/(occupied+empty) where any count exists, 0 elsewhere
     (marked invalid)."""
-    empty, occupied = accumulate_depth_counts(observations, geometry)
+    empty, occupied = accumulate_depth_counts(observations, geometry, traces=traces)
     total = empty + occupied
     valid = total > 0
     soft = np.zeros(geometry.shape)
@@ -72,18 +92,21 @@ def fused_to_occupancy_grid(soft: np.ndarray, valid: np.ndarray,
     return OccupancyGrid(geometry, np.where(valid, 1.0 - soft, 1.0))
 
 
-def carve_masks(observations: list[Observation], geometry: GridGeometry) -> BinaryGrid:
-    """Visual hull: a cell stays occupied unless a background ray crosses it."""
+def carve_masks(observations: list[Observation], geometry: GridGeometry, *,
+                traces=None) -> BinaryGrid:
+    """Visual hull: a cell stays occupied unless a background ray crosses it.
+
+    ``traces``, if given, holds each observation's ``image_traces`` table.
+    """
     for obs in observations:
         if obs.kind != "mask":
             raise ValueError(f"mask carving needs mask observations, got {obs.kind!r}")
     carved = np.zeros(geometry.ncells, dtype=bool)
-    for obs in observations:
-        origins, dirs = image_grid_rays(obs.camera)
+    for obs, table in zip(observations, view_traces(observations, geometry, traces)):
         background = obs.mask.reshape(-1) == 0
         if not background.any():
             continue
-        table = trace_batch(geometry, origins.reshape(-1, 3)[background],
-                            dirs.reshape(-1, 3)[background])
-        carved[table.cells] = True
+        if table is None:
+            table = image_traces(geometry, obs.camera)
+        carved[table.cells[background[table.cell_rays()]]] = True
     return BinaryGrid(geometry, ~carved.reshape(geometry.shape))

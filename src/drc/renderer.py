@@ -26,8 +26,8 @@ from .consistency import (
     RayBatch,
 )
 from .errors import FormatError
-from .grid import AuxGrid, BinaryGrid, unit_cube_geometry
-from .traversal import first_hit_batch, trace_batch
+from .grid import AuxGrid, BinaryGrid, GridGeometry, same_geometry, unit_cube_geometry
+from .traversal import TraceTable, first_hit_batch, trace_batch
 
 DEFAULT_ELEVATION_RANGE = (-20.0, 30.0)
 DEFAULT_VIEW_RADIUS = 2.2
@@ -94,17 +94,57 @@ class Observation:
         return np.any(self.rgb != ESCAPE_COLOR, axis=2)
 
 
-def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = None) -> Observation:
-    """Render one observation of a hard shape by first-hit ray casting."""
+def image_traces(geometry: GridGeometry, camera: Camera) -> TraceTable:
+    """The traces of every pixel ray of the camera's image, row-major.
+
+    ``render``, ``fit``, ``fuse_depth`` and ``carve_masks`` each read such a
+    table per camera; a caller that runs several of them on one camera
+    builds it once and passes it as ``traces=``.
+    """
+    origins, dirs = image_grid_rays(camera)
+    return trace_batch(geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
+
+
+def _checked_image_traces(table: TraceTable, geometry: GridGeometry, camera: Camera) -> TraceTable:
+    if not same_geometry(table.geometry, geometry):
+        raise ValueError("trace table was built on a different geometry")
+    if table.n_rays != camera.width * camera.height:
+        raise ValueError(f"trace table holds {table.n_rays} rays, "
+                         f"the {camera.width}x{camera.height} image has {camera.width * camera.height} pixels")
+    return table
+
+
+def view_traces(observations: list[Observation], geometry: GridGeometry, traces=None) -> list:
+    """Per observation, its table from a ``traces=`` list, checked to hold
+    every pixel of its image on ``geometry``.  Without ``traces`` every
+    entry is None, and the caller builds the table with ``image_traces``
+    when it first needs it."""
+    if traces is None:
+        return [None] * len(observations)
+    if len(traces) != len(observations):
+        raise ValueError(f"need one trace table per observation, got {len(traces)} "
+                         f"for {len(observations)} observations")
+    return [_checked_image_traces(t, geometry, obs.camera) for t, obs in zip(traces, observations)]
+
+
+def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = None, *,
+           traces: TraceTable | None = None) -> Observation:
+    """Render one observation of a hard shape by first-hit ray casting.
+
+    ``traces`` is the camera's ``image_traces`` table on the grid's
+    geometry, if the caller has it already.
+    """
     if kind not in RAY_KINDS:
         raise ValueError(f"render kind must be one of {RAY_KINDS}, got {kind!r}")
     if kind in ("depth_semantics", "color"):
         want = "semantics" if kind == "depth_semantics" else "color"
         if aux is None or aux.kind != want:
             raise ValueError(f"{kind} render needs an aux grid of kind {want!r}")
-    origins, dirs = image_grid_rays(camera)
-    hw = origins.shape[:2]
-    table = trace_batch(bgrid.geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
+    hw = (camera.height, camera.width)
+    if traces is None:
+        table = image_traces(bgrid.geometry, camera)
+    else:
+        table = _checked_image_traces(traces, bgrid.geometry, camera)
     hit, cell, depth = first_hit_batch(bgrid, table)
     hit = hit.reshape(hw)
     cell = cell.reshape(hw)

@@ -111,10 +111,12 @@ class TraceTable:
 
     def cell_rays(self) -> np.ndarray:
         """The ray of every entry of ``cells``, for a table that holds its
-        rays' cells in ray order and nothing else, as ``trace_batch`` returns."""
+        rays' cells in ray order and nothing else, as ``trace_batch`` returns.
+        int32, as ``cells`` is: per-entry index arrays built from it are
+        as large as the table."""
         if self.cells.size != self.n.sum() or not np.array_equal(self.start, np.cumsum(self.n) - self.n):
             raise ValueError("table does not store its rays in order (a take() of another table?)")
-        return np.repeat(np.arange(self.n_rays), self.n)
+        return np.repeat(np.arange(self.n_rays, dtype=np.int32), self.n)
 
     def padded(self):
         """(cells, d, valid), each (n_rays, W): every ray's trace left-aligned

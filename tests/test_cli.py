@@ -105,6 +105,11 @@ class TestExitCodes:
                        "--out", str(tmp_path / command[0])) == 1
             assert not (tmp_path / command[0]).exists()
 
+    def test_non_finite_fit_weight_is_usage_error(self, pipeline, tmp_path):
+        assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "2",
+                   "--fg-weight", "nan", "--out", str(tmp_path / "fit")) == 1
+        assert not (tmp_path / "fit").exists()
+
     def test_mask_input_to_fuse_is_data_error(self, pipeline, tmp_path):
         assert run("render", "--grid", str(pipeline / "gt" / "shape.grid"), "--views", "1",
                    "--kind", "mask", "--size", "16", "--out", str(tmp_path / "masks")) == 0
@@ -183,3 +188,23 @@ class TestRenderKinds:
                    "--rays", "200", "--out", str(tmp_path / "semfit")) == 0
         grid, aux, _ = load_grid(tmp_path / "semfit" / "fitted.grid")
         assert aux is not None and aux.kind == "semantics"
+
+
+def test_repro_traces_each_camera_once(monkeypatch, tmp_path):
+    """Both renders, three fits, two fusions and the carve of a shape share
+    one trace table per camera."""
+    from drc import consistency, fusion, renderer
+
+    calls = []
+
+    def counting(trace_batch):
+        def call(geometry, origins, directions):
+            calls.append(len(origins))
+            return trace_batch(geometry, origins, directions)
+        return call
+
+    for module in (renderer, fusion, consistency):
+        monkeypatch.setattr(module, "trace_batch", counting(module.trace_batch))
+    assert run("repro", "--shapes", "sphere", "--views", "2", "--size", "16", "--iters", "1",
+               "--out", str(tmp_path / "repro")) == 0
+    assert calls == [256, 256]

@@ -110,6 +110,18 @@ class TestFit:
             with pytest.raises(ValueError, match="threads"):
                 FitConfig(threads=threads)
 
+    @pytest.mark.parametrize("field", ["step_size", "foreground_weight", "label_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            FitConfig(**{field: value})
+
+    def test_non_finite_loss_stops_the_fit(self, depth_views):
+        gt, obs = depth_views
+        # finite config, but weights this large overflow the weighted loss sum
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="iteration 0"):
+            fit(obs, gt.geometry, "depth", FitConfig(iterations=3, foreground_weight=1e308))
+
     def test_logit_chain_rule_against_finite_differences(self):
         gt, _ = make_test_shape("sphere", (16, 16, 16))
         cams = sample_view_ring(2, seed=5, width=12, height=12)

@@ -6,6 +6,7 @@ from drc.fusion import accumulate_depth_counts, carve_masks, fuse_depth, fused_t
 from drc.grid import uniform_geometry
 from drc.metrics import best_threshold
 from drc.renderer import Observation, make_test_shape, render, sample_view_ring
+from drc.traversal import trace_batch
 
 
 def one_pixel_depth(depth_value, origin=(-1.0, 0.5, 0.5)):
@@ -55,6 +56,24 @@ class TestFuseDepth:
         empty, occupied = accumulate_depth_counts([obs], geom)
         assert occupied.reshape(-1).tolist() == [0, 0, 0, 1]
         assert empty.reshape(-1).tolist() == [1, 1, 1, 0]
+
+    def test_mixed_votes_in_one_view(self):
+        # the split vote, escape and overshoot cases above as four parallel
+        # rays of one image, so most of them start mid-table
+        rot = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+        cam = Camera("orthographic", 4, 1, (0.1, 0.1, 2.0, 0.5), rot, -rot @ np.array([-1.0, 0.5, 0.5]))
+        obs = Observation("depth", cam, depth=np.array([[1.0 + 1.5, 1.0 + 3.5, 10.0, 1.0 + 4.7]]))
+        empty, occupied = accumulate_depth_counts([obs], self.geom())
+        assert occupied.reshape(-1).tolist() == [0, 1, 0, 2]
+        assert empty.reshape(-1).tolist() == [4, 3, 3, 1]
+
+    def test_cell_rays_are_int32(self):
+        # the empty-vote mask compares an int32 position against per-entry
+        # bounds gathered through cell_rays; both stay 4 bytes per entry
+        geom = self.geom()
+        table = trace_batch(geom, np.array([[-1.0, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]]))
+        assert table.cell_rays().dtype == np.int32
+        assert table.cell_rays().tolist() == [0, 0, 0, 0]
 
     def test_mask_observation_rejected(self):
         gt, _ = make_test_shape("sphere", (16, 16, 16))
