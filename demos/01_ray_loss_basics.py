@@ -4,6 +4,9 @@ Walks through the core quantities on a 3-cell path so every number can be
 checked by hand.  Remember: x is the probability a cell is EMPTY.
 """
 
+import os
+import sys
+
 import numpy as np
 
 from drc import (
@@ -44,8 +47,10 @@ print("\nmask costs psi:", m.psi)
 print("expected cost:", ray_loss(x_r, m))
 print("closed form |prod(x) - s|:", mask_loss_closed_form(x_r, 0))
 
-# the loss is exactly the brute-force expectation over hard configurations
-from drc.metrics import brute_force_ray_loss
+# the loss is exactly the brute-force expectation over hard configurations;
+# the enumeration lives with the test suite's other oracles
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from oracles import brute_force_ray_loss  # noqa: E402
 
 print("\nbrute-force check (enumerates all 2^3 hard occupancy patterns):",
       brute_force_ray_loss(x_r, costs))

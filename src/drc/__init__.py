@@ -27,7 +27,7 @@ from .grid import (
     uniform_geometry,
     unit_cube_geometry,
 )
-from .cameras import Camera, Ray, load_camera, perspective_camera, pixel_to_ray, project, save_camera
+from .cameras import Camera, Ray, load_camera, perspective_camera, project, save_camera
 from .traversal import RayTrace, TraceTable, trace, trace_batch
 from .consistency import (
     EventCosts,

@@ -91,20 +91,15 @@ class Camera:
         return np.asarray(p_world, dtype=np.float64) @ self.rotation.T + self.translation
 
 
-def pixel_to_ray(camera: Camera, u: float, v: float) -> Ray:
-    """World-frame ray for pixel coordinate (u, v).
+def pixel_rays(camera: Camera, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """World-frame rays for pixel coordinates: u, v arrays -> (origins, unit
+    directions).
 
     Perspective rays leave the camera center in the direction
     ((u-u0)/f_u, (v-v0)/f_v, 1) expressed in the camera frame; orthographic
     rays all share the camera z-axis and originate on the image plane,
     offset by (s_u*(u-u0), s_v*(v-v0)).  Out-of-image pixels are allowed.
     """
-    origins, directions = pixel_rays(camera, np.asarray([u]), np.asarray([v]))
-    return Ray(origins[0], directions[0])
-
-
-def pixel_rays(camera: Camera, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pixel_to_ray: u, v arrays -> (origins, unit directions)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     a, b, u0, v0 = camera.intrinsics

@@ -34,6 +34,7 @@ from .grid import (
     BinaryGrid,
     load_grid,
     make_frustum_geometry,
+    same_geometry,
     save_grid,
     uniform_geometry,
     unit_cube_geometry,
@@ -246,16 +247,19 @@ def cmd_repro(args) -> int:
         if name not in SHAPE_NAMES:
             raise UsageError(f"unknown shape {name!r} in --shapes")
     os.makedirs(args.out, exist_ok=True)
+    cams = sample_view_ring(args.views, seed=args.seed, width=args.size, height=args.size)
+    traces = None
     table = []
     for name in shapes:
         gt, aux = make_test_shape(name, _parse_dims(args.dims))
         shape_dir = os.path.join(args.out, name)
         os.makedirs(shape_dir, exist_ok=True)
         save_grid(os.path.join(shape_dir, "gt.grid"), gt, aux)
-        cams = sample_view_ring(args.views, seed=args.seed, width=args.size, height=args.size)
         geometry = gt.geometry
-        # every render, fit, fusion and carve below reads these: one trace per camera
-        traces = [image_traces(geometry, c) for c in cams]
+        # every render, fit, fusion and carve below reads these: one trace per
+        # camera, shared by all shapes on the same geometry
+        if traces is None or not same_geometry(traces[0].geometry, geometry):
+            traces = [image_traces(geometry, c) for c in cams]
         depth_obs = [render(gt, c, "depth", traces=t) for c, t in zip(cams, traces)]
         mask_obs = [render(gt, c, "mask", traces=t) for c, t in zip(cams, traces)]
         noisy_obs = [add_depth_noise(o, args.noise, seed=args.seed * 1000 + i)
@@ -276,7 +280,6 @@ def cmd_repro(args) -> int:
         hull = carve_masks(mask_obs, geometry, traces=traces)
         save_grid(os.path.join(shape_dir, "mask_hull.grid"), hull)
         table.append(row)
-        del traces  # free this shape's traces before the next shape's are built
 
     columns = ("shape", "mask_drc", "depth_fusion", "depth_drc", "noisy_fusion", "noisy_drc")
     lines = ["\t".join(columns)]

@@ -28,6 +28,13 @@ R = 1, so the gradient check tests the fitter's kernel.
 ``event_probabilities`` and ``mask_loss_closed_form`` are independent
 direct formulas for tests.
 
+A payload gradient is p(z = i) * dpsi_i/dp_i per cell.  A semantic cost
+depends on the observed class c alone, so the kernel keeps the (R, L)
+derivative -label_weight / p_i(c) and ``view_loss`` scatters it with one
+flat ``bincount`` over cell * K + c; a color cost keeps its (R, L, 3)
+residual, one ``bincount`` per channel.  ``EventCosts.dpsi_dp``, from the
+scalar API, holds the full (N, D) derivative, zero off the observed class.
+
 Escape conventions: depth events use a fixed escape depth (10 m at object
 scale; disparity-based costs use 1000 m so escape means near-zero
 disparity), semantic escape scores against the uniform class distribution,
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import AuxGrid, OccupancyGrid, same_geometry
-from .traversal import RayTrace, TraceTable, trace_batch
+from .traversal import RayTrace, TraceTable, trace_batch  # noqa: F401  (perfbench patches consistency.trace_batch)
 
 OBJECT_ESCAPE_DEPTH = 10.0
 SCENE_ESCAPE_DEPTH = 1000.0
@@ -71,7 +78,8 @@ class EventCosts:
 
     psi[-1] is the escape event.  dpsi_dp, when present, holds the
     derivative of psi[i] w.r.t. the i-th cell's aux payload, shape (N, D)
-    (the escape event has no per-cell payload).
+    (the escape event has no per-cell payload); for semantic costs it is
+    zero except at the observed class.
     """
 
     psi: np.ndarray
@@ -96,7 +104,9 @@ def event_probabilities(x_r) -> np.ndarray:
 def _event_costs(kind: str, d_mid: np.ndarray, valid: np.ndarray, cells: np.ndarray,
                  payload: np.ndarray | None = None, *, s=None, d=None, c=None,
                  escape_depth: float | None = None, label_weight: float = 1.0):
-    """(R, L) cell-event costs, (R,) escape costs, optional (R, L, D) dpsi_dp.
+    """(R, L) cell-event costs, (R,) escape costs, then the payload
+    derivative or None: (R, L) d psi / d p(c) at the observed class c for
+    depth_semantics, the (R, L, 3) d psi / d p for color.
 
     ``d_mid`` are event depths, ``valid`` marks real slots, ``cells`` index
     the payload table (P, D); ``s``, ``d``, ``c`` are as in RayBatch.
@@ -110,17 +120,11 @@ def _event_costs(kind: str, d_mid: np.ndarray, valid: np.ndarray, cells: np.ndar
         return psi, np.abs(esc - d), None
     if kind == "depth_semantics":
         esc = SCENE_ESCAPE_DEPTH if escape_depth is None else escape_depth
-        k = payload.shape[1]
-        c = c.astype(np.int64)
         pc = np.maximum(payload[cells, c[:, None]], LOG_PROB_FLOOR)
         disparity = np.abs(1.0 / np.where(valid, d_mid, 1.0) - 1.0 / d[:, None])
         psi = disparity - label_weight * np.log(pc)
-        psi_esc = np.abs(1.0 / esc - 1.0 / d) + label_weight * np.log(k)
-        dpsi_dp = np.zeros((*d_mid.shape, k))
-        rows = np.arange(d_mid.shape[0])[:, None]
-        cols = np.arange(d_mid.shape[1])[None, :]
-        dpsi_dp[rows, cols, c[:, None]] = -label_weight / pc
-        return psi, psi_esc, dpsi_dp
+        psi_esc = np.abs(1.0 / esc - 1.0 / d) + label_weight * np.log(payload.shape[1])
+        return psi, psi_esc, -label_weight / pc
     # color
     diff = payload[cells] - c[:, None, :]
     psi = 0.5 * np.sum(diff * diff, axis=2)
@@ -162,11 +166,17 @@ def _check_depth(d_r) -> None:
 
 
 def _one_ray_costs(kind: str, d_mid, payload=None, **obs) -> EventCosts:
-    """Event costs of one ray: ``_event_costs`` on a batch of one."""
+    """Event costs of one ray: ``_event_costs`` on a batch of one, its
+    semantic derivative spread to the (N, K) ``dpsi_dp``."""
     d_mid = np.asarray(d_mid, dtype=np.float64)[None]
-    psi, psi_esc, dpsi_dp = _event_costs(kind, d_mid, np.ones(d_mid.shape, dtype=bool),
-                                         np.arange(d_mid.shape[1])[None], payload, **obs)
-    return EventCosts(np.concatenate([psi[0], psi_esc]), None if dpsi_dp is None else dpsi_dp[0])
+    psi, psi_esc, dpsi = _event_costs(kind, d_mid, np.ones(d_mid.shape, dtype=bool),
+                                      np.arange(d_mid.shape[1])[None], payload, **obs)
+    if kind == "depth_semantics":
+        dpsi_dp = np.zeros(payload.shape)
+        dpsi_dp[:, obs["c"][0]] = dpsi[0]
+    else:
+        dpsi_dp = None if dpsi is None else dpsi[0]
+    return EventCosts(np.concatenate([psi[0], psi_esc]), dpsi_dp)
 
 
 def cost_depth(trace, d_r: float, escape_depth: float = OBJECT_ESCAPE_DEPTH) -> EventCosts:
@@ -280,7 +290,8 @@ def mask_loss_closed_form(x_r, s_r: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RayBatch:
-    """A set of rays with per-ray observations and loss weights.
+    """A set of rays with per-ray observations and loss weights; the rays
+    themselves are the rows of a ``TraceTable`` passed with the batch.
 
     Per kind: ``s`` (0 foreground / 1 background) for mask; ``d`` for depth
     and depth_semantics; ``c`` is an int class id per ray (depth_semantics)
@@ -289,8 +300,6 @@ class RayBatch:
     """
 
     kind: str
-    origins: np.ndarray
-    directions: np.ndarray
     weights: np.ndarray
     s: np.ndarray | None = None
     d: np.ndarray | None = None
@@ -300,10 +309,7 @@ class RayBatch:
     def __post_init__(self):
         if self.kind not in RAY_KINDS:
             raise ValueError(f"ray kind must be one of {RAY_KINDS}, got {self.kind!r}")
-        r = self.origins.shape[0]
-        if self.directions.shape != (r, 3) or self.origins.shape != (r, 3):
-            raise ValueError("origins and directions must be (R, 3)")
-        if self.weights.shape != (r,):
+        if self.weights.ndim != 1:
             raise ValueError("weights must be (R,)")
         if np.any(self.weights <= 0.0):
             raise ValueError("ray weights must be positive")
@@ -311,12 +317,12 @@ class RayBatch:
         for field in need[self.kind]:
             if getattr(self, field) is None:
                 raise ValueError(f"{self.kind} rays need per-ray field {field!r}")
-        if self.pixels is not None and self.pixels.shape != (r,):
+        if self.pixels is not None and self.pixels.shape != self.weights.shape:
             raise ValueError("pixels must be (R,)")
 
     @property
     def n_rays(self) -> int:
-        return self.origins.shape[0]
+        return self.weights.shape[0]
 
     def observed(self, which) -> dict:
         """The observation fields (s, d, c) of rays ``which``."""
@@ -333,13 +339,13 @@ class ViewLossResult:
 
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
               escape_depth: float | None = None, label_weight: float = 1.0,
-              traces: TraceTable | None = None) -> ViewLossResult:
+              traces: TraceTable) -> ViewLossResult:
     """Weighted sum of per-ray losses plus gradients scattered onto the grid.
 
-    Rays are evaluated in batch but accumulated in a fixed order, so the
-    result is deterministic.  ``traces`` (one per ray, in order) lets callers
-    reuse traces, such as rows of a view's ``trace_batch`` table; by default
-    the rays are traced here.  Cells no ray touches get zero gradient.
+    ``traces`` holds one trace per ray, in order: rows of a view's
+    ``image_traces`` table, or ``trace_batch`` over the rays.  Rays are
+    evaluated in batch but accumulated in a fixed order, so the result is
+    deterministic.  Cells no ray touches get zero gradient.
 
     Only rays that enter the grid run through the telescoped kernel.  A miss
     has one event, escape: its loss is the escape cost and its gradient zero.
@@ -353,11 +359,9 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         if not same_geometry(aux.geometry, occ.geometry):
             raise ValueError("aux grid geometry does not match the occupancy grid")
     geom = occ.geometry
-    if traces is None:
-        traces = trace_batch(geom, rays.origins, rays.directions)
-    elif not same_geometry(traces.geometry, geom):
+    if not same_geometry(traces.geometry, geom):
         raise ValueError("traces were built on a different geometry")
-    elif traces.n.shape != (rays.n_rays,):
+    if traces.n.shape != (rays.n_rays,):
         raise ValueError(f"need one trace per ray, got {traces.n.shape[0]} for {rays.n_rays} rays")
     payload = None if aux is None else aux.flat
     costs = {"escape_depth": escape_depth, "label_weight": label_weight}
@@ -373,20 +377,27 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
 
     cells, d_mid, valid = traces.take(hit).padded()
     x = np.where(valid, occ.flat[cells], 1.0)
-    psi, psi_esc, dpsi_dp = _event_costs(rays.kind, d_mid, valid, cells, payload,
-                                         **rays.observed(hit), **costs)
-    per_ray[hit], grad, p_events = _telescope(x, valid, psi, psi_esc, events=dpsi_dp is not None)
+    observed = rays.observed(hit)
+    psi, psi_esc, dpsi = _event_costs(rays.kind, d_mid, valid, cells, payload, **observed, **costs)
+    per_ray[hit], grad, p_events = _telescope(x, valid, psi, psi_esc, events=dpsi is not None)
     loss = float(rays.weights @ per_ray)
 
     weights = rays.weights[hit]
+    at = cells[valid]
     grad_x = np.zeros(geom.ncells)
-    np.add.at(grad_x, cells[valid], (grad * weights[:, None])[valid])
+    np.add.at(grad_x, at, (grad * weights[:, None])[valid])
 
+    # bincount, like add.at, adds in input order, so both scatters are deterministic
     grad_p = None
-    if dpsi_dp is not None:
-        contrib = p_events[:, :, None] * dpsi_dp * weights[:, None, None]
-        grad_p = np.zeros((geom.ncells, dpsi_dp.shape[2]))
-        np.add.at(grad_p, cells[valid], contrib[valid])
-        grad_p = grad_p.reshape(*geom.shape, dpsi_dp.shape[2])
+    if rays.kind == "depth_semantics":
+        # dpsi is non-zero at the observed class only: one flat bin per (cell, class)
+        k = aux.nchannels
+        bins = (cells * np.int64(k) + observed["c"][:, None])[valid]
+        contrib = (p_events * dpsi * weights[:, None])[valid]
+        grad_p = np.bincount(bins, weights=contrib, minlength=geom.ncells * k).reshape(*geom.shape, k)
+    elif rays.kind == "color":
+        contrib = (p_events[:, :, None] * dpsi * weights[:, None, None])[valid]
+        grad_p = np.stack([np.bincount(at, weights=contrib[:, j], minlength=geom.ncells)
+                           for j in range(contrib.shape[1])], axis=-1).reshape(*geom.shape, -1)
 
     return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)

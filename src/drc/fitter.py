@@ -44,10 +44,19 @@ def sigmoid(z):
     return out
 
 
-def softmax(z, axis=-1):
-    m = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(m)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(z):
+    """Softmax over the last axis.  The max and the sum run over the K
+    last-axis slices in turn, because numpy reduces a short last axis far
+    slower than it combines whole slices; for K < 8 numpy's sum adds in the
+    same order, so the result is the same to the bit."""
+    m = z[..., 0]
+    for k in range(1, z.shape[-1]):
+        m = np.maximum(m, z[..., k])
+    e = np.exp(z - m[..., None])
+    total = e[..., 0].copy()
+    for k in range(1, z.shape[-1]):
+        total += e[..., k]
+    return e / total[..., None]
 
 
 @dataclass

@@ -5,9 +5,8 @@ threshold, swept over 0.00..1.00 in steps of 0.01 (ties go to the lower
 threshold).  Binarization is on occupancy = 1 - x, i.e. a cell counts as
 predicted-occupied iff (1 - x) >= threshold.
 
-The oracles here deliberately avoid the fast paths they check:
-brute_force_ray_loss enumerates all 2^N hard occupancy configurations,
-and the gradcheck helpers use central finite differences.
+The gradcheck helpers check the analytic gradients against central finite
+differences, which share no code with them.
 """
 
 from __future__ import annotations
@@ -42,16 +41,6 @@ class IoUResult:
     curve: tuple  # ((threshold, iou), ...)
 
 
-def iou_at(pred: OccupancyGrid, gt: BinaryGrid, threshold: float) -> float:
-    """IoU of {occupancy >= threshold} against the hard ground truth."""
-    if not same_geometry(pred.geometry, gt.geometry):
-        raise ValueError("prediction and ground truth live on different geometries")
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    pred_occ = (1.0 - pred.flat) >= threshold
-    return _iou(pred_occ, gt.flat)
-
-
 def _iou(pred_occ: np.ndarray, gt_occ: np.ndarray) -> float:
     union = np.count_nonzero(pred_occ | gt_occ)
     if union == 0:
@@ -69,31 +58,6 @@ def best_threshold(pred: OccupancyGrid, gt: BinaryGrid) -> IoUResult:
     best = int(np.argmax(ious))  # ties break toward the lower threshold
     curve = tuple((float(t), float(i)) for t, i in zip(THRESHOLDS, ious))
     return IoUResult(float(ious[best]), float(THRESHOLDS[best]), curve)
-
-
-def brute_force_ray_loss(x_r, costs) -> float:
-    """Exhaustive expectation over all 2^N hard occupancy configurations.
-
-    Each configuration b (b_j = 1 means cell j is empty) has probability
-    prod_j (x_j if b_j else 1-x_j) and costs psi(first non-empty cell), or
-    psi(escape) when every cell is empty.  Independent oracle for
-    ray_loss; N is capped at 20.
-    """
-    x = np.asarray(x_r, dtype=np.float64)
-    psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
-    n = x.size
-    if n > 20:
-        raise ValueError(f"brute force is limited to N <= 20 cells, got {n}")
-    if psi.size != n + 1:
-        raise ValueError(f"psi must have length N+1 = {n + 1}, got {psi.size}")
-    if n == 0:
-        return float(psi[0])
-    empty = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    probs = np.prod(np.where(empty, x, 1.0 - x), axis=1)
-    any_occ = ~empty.all(axis=1)
-    first_occ = np.argmax(~empty, axis=1)
-    event = np.where(any_occ, first_occ, n)
-    return float(probs @ psi[event])
 
 
 # ---------------------------------------------------------------------------

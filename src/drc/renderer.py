@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import images
-from .cameras import Camera, image_grid_rays, load_camera, perspective_camera, pixel_rays, save_camera
+from .cameras import Camera, image_grid_rays, load_camera, perspective_camera, save_camera
+from .cameras import pixel_rays  # noqa: F401  (perfbench patches renderer.pixel_rays)
 from .consistency import (
     ESCAPE_COLOR,
     OBJECT_ESCAPE_DEPTH,
@@ -396,13 +397,14 @@ def list_observation_bundles(directory) -> list[str]:
 
 
 def rays_from_pixels(obs: Observation, us, vs, foreground_weight: float = 1.0) -> RayBatch:
-    """RayBatch for integer pixel indices (us, vs); rays pass pixel centers.
+    """RayBatch for integer pixel indices (us, vs); its rays pass the pixel
+    centers, and their traces are the ``pixels`` rows of the camera's
+    ``image_traces`` table.
 
     Foreground pixels get ``foreground_weight``, background pixels 1.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
-    origins, dirs = pixel_rays(obs.camera, us + 0.5, vs + 0.5)
     fg = obs.foreground()[vs, us]
     weights = np.where(fg, float(foreground_weight), 1.0)
     s = d = c = None
@@ -415,7 +417,7 @@ def rays_from_pixels(obs: Observation, us, vs, foreground_weight: float = 1.0) -
         c = obs.classid[vs, us].astype(np.int64)
     else:
         c = obs.rgb[vs, us]
-    return RayBatch(obs.kind, origins, dirs, weights, s=s, d=d, c=c, pixels=vs * obs.camera.width + us)
+    return RayBatch(obs.kind, weights, s=s, d=d, c=c, pixels=vs * obs.camera.width + us)
 
 
 def full_image_rays(obs: Observation, foreground_weight: float = 1.0) -> RayBatch:

@@ -1,17 +1,81 @@
 """Independent reference implementations used by the test suite only.
 
 These deliberately avoid the production code paths they check: traversal
-is validated by dense point sampling, gradients by the quadratic-time
-transcription of the gradient sum, the batched first-hit search by a
-one-ray version, and cell geometry by explicit bounding planes.
+is validated by dense point sampling, losses by enumerating every hard
+occupancy configuration, gradients by the quadratic-time transcription of
+the gradient sum, the batched first-hit search by a one-ray version, and
+cell geometry by explicit bounding planes.  The dense payload scatter and
+the two-reduction softmax are the formulas the fitter used before its
+flat ``bincount`` and slice-wise softmax, kept to check those bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from drc.consistency import OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH
+from drc.cameras import Ray, pixel_rays
+from drc.consistency import OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH, EventCosts
 from drc.grid import same_geometry
+
+
+def brute_force_ray_loss(x_r, costs) -> float:
+    """Exhaustive expectation over all 2^N hard occupancy configurations.
+
+    Each configuration b (b_j = 1 means cell j is empty) has probability
+    prod_j (x_j if b_j else 1-x_j) and costs psi(first non-empty cell), or
+    psi(escape) when every cell is empty.  Independent oracle for
+    ray_loss; N is capped at 20.
+    """
+    x = np.asarray(x_r, dtype=np.float64)
+    psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
+    n = x.size
+    if n > 20:
+        raise ValueError(f"brute force is limited to N <= 20 cells, got {n}")
+    if psi.size != n + 1:
+        raise ValueError(f"psi must have length N+1 = {n + 1}, got {psi.size}")
+    if n == 0:
+        return float(psi[0])
+    empty = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    probs = np.prod(np.where(empty, x, 1.0 - x), axis=1)
+    any_occ = ~empty.all(axis=1)
+    first_occ = np.argmax(~empty, axis=1)
+    event = np.where(any_occ, first_occ, n)
+    return float(probs @ psi[event])
+
+
+def iou_at(pred, gt, threshold: float) -> float:
+    """IoU of {occupancy >= threshold} against the hard ground truth."""
+    if not same_geometry(pred.geometry, gt.geometry):
+        raise ValueError("prediction and ground truth live on different geometries")
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    pred_occ = (1.0 - pred.flat) >= threshold
+    union = np.count_nonzero(pred_occ | gt.flat)
+    if union == 0:
+        return 1.0
+    return np.count_nonzero(pred_occ & gt.flat) / union
+
+
+def pixel_to_ray(camera, u: float, v: float) -> Ray:
+    """The world-frame ray of one pixel coordinate (u, v)."""
+    origins, directions = pixel_rays(camera, np.asarray([u]), np.asarray([v]))
+    return Ray(origins[0], directions[0])
+
+
+def dense_payload_scatter(cells, valid, p_events, dpsi_dp, weights, ncells):
+    """(ncells, D) payload gradient by ``np.add.at`` of the dense (R, L, D)
+    products p_event * dpsi_dp * weight over the valid slots."""
+    contrib = p_events[:, :, None] * dpsi_dp * weights[:, None, None]
+    grad_p = np.zeros((ncells, dpsi_dp.shape[2]))
+    np.add.at(grad_p, cells[valid], contrib[valid])
+    return grad_p
+
+
+def two_reduction_softmax(z):
+    """Softmax over the last axis with one max and one sum reduction."""
+    m = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(m)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def min_cell_extent(geom):

@@ -31,17 +31,18 @@ from drc.consistency import (
 from drc.fitter import FitConfig, fit
 from drc.fusion import fuse_depth, fused_to_occupancy_grid
 from drc.grid import make_frustum_geometry, uniform_geometry
-from drc.metrics import best_threshold, brute_force_ray_loss, run_gradcheck
+from drc.metrics import best_threshold, run_gradcheck
 from drc.renderer import (
     add_depth_noise,
     chair_cavity_mask,
     full_image_rays,
+    image_traces,
     make_test_shape,
     render,
     sample_view_ring,
 )
 from drc.traversal import trace
-from oracles import dense_sample_cells, shape_scale, surface_cells
+from oracles import brute_force_ray_loss, dense_sample_cells, shape_scale, surface_cells
 
 VIEW_SEED = 10
 FIT_SEED = 7
@@ -91,29 +92,34 @@ class ShapeFits:
     fit_seconds: dict = field(default_factory=dict)
     depth_fit: object = None
     mask_fit: object = None
+    traces: list = field(default_factory=list)  # one image_traces table per 128 px camera
 
 
 def _build_shape(name):
+    """Each camera set is traced once; its renders, fits and fusion share the tables."""
     gt, aux = make_test_shape(name, DIMS)
     cfg = FitConfig(iterations=500, seed=FIT_SEED)
+    geom = gt.geometry
 
     cams = sample_view_ring(5, seed=VIEW_SEED, width=RES_FIT, height=RES_FIT)
-    depth_obs = [render(gt, c, "depth") for c in cams]
-    mask_obs = [render(gt, c, "mask") for c in cams]
-    depth_fit, _, drep = fit(depth_obs, gt.geometry, "depth", cfg)
-    mask_fit, _, mrep = fit(mask_obs, gt.geometry, "mask", cfg)
+    traces = [image_traces(geom, c) for c in cams]
+    depth_obs = [render(gt, c, "depth", traces=t) for c, t in zip(cams, traces)]
+    mask_obs = [render(gt, c, "mask", traces=t) for c, t in zip(cams, traces)]
+    depth_fit, _, drep = fit(depth_obs, geom, "depth", cfg, traces=traces)
+    mask_fit, _, mrep = fit(mask_obs, geom, "mask", cfg, traces=traces)
 
     cams_hi = sample_view_ring(5, seed=VIEW_SEED, width=RES_NOISE, height=RES_NOISE)
-    depth_hi = [render(gt, c, "depth") for c in cams_hi]
+    traces_hi = [image_traces(geom, c) for c in cams_hi]
+    depth_hi = [render(gt, c, "depth", traces=t) for c, t in zip(cams_hi, traces_hi)]
     amplitude = 0.2 * shape_scale(gt)
     noisy_obs = [add_depth_noise(o, amplitude, seed=VIEW_SEED * 100 + i)
                  for i, o in enumerate(depth_hi)]
-    clean_fit, _, crep = fit(depth_hi, gt.geometry, "depth", cfg)
-    noisy_fit, _, nrep = fit(noisy_obs, gt.geometry, "depth", cfg)
-    noisy_fused = fused_to_occupancy_grid(*fuse_depth(noisy_obs, gt.geometry), gt.geometry)
+    clean_fit, _, crep = fit(depth_hi, geom, "depth", cfg, traces=traces_hi)
+    noisy_fit, _, nrep = fit(noisy_obs, geom, "depth", cfg, traces=traces_hi)
+    noisy_fused = fused_to_occupancy_grid(*fuse_depth(noisy_obs, geom, traces=traces_hi), geom)
 
     return ShapeFits(
-        gt=gt, aux=aux, depth_obs=depth_obs, mask_obs=mask_obs,
+        gt=gt, aux=aux, depth_obs=depth_obs, mask_obs=mask_obs, traces=traces,
         depth_iou=best_threshold(depth_fit, gt).best_iou,
         mask_iou=best_threshold(mask_fit, gt).best_iou,
         clean256_iou=best_threshold(clean_fit, gt).best_iou,
@@ -216,7 +222,8 @@ def test_06_render_loss_closure(fits):
     for shape in fits.values():
         x_hard = shape.gt.as_occupancy_grid()
         for obs_set in (shape.depth_obs, shape.mask_obs):
-            total = sum(view_loss(x_hard, full_image_rays(o)).loss for o in obs_set)
+            total = sum(view_loss(x_hard, full_image_rays(o), traces=t).loss
+                        for o, t in zip(obs_set, shape.traces))
             worst = max(worst, abs(total))
     report(6, "render-loss-closure", worst < 1e-9,
            f"max |view_loss(GT vs own noiseless renders)| = {worst:.2e}")
@@ -264,7 +271,8 @@ def test_10_view_count_monotonicity(fits):
         if k == 5:
             ious.append(shape.depth_iou)
             continue
-        fitted, _, _ = fit(shape.depth_obs[:k], shape.gt.geometry, "depth", cfg)
+        fitted, _, _ = fit(shape.depth_obs[:k], shape.gt.geometry, "depth", cfg,
+                           traces=shape.traces[:k])
         ious.append(best_threshold(fitted, shape.gt).best_iou)
     ok = ious[1] >= ious[0] - 0.02 and ious[2] >= ious[1] - 0.02
     report(10, "view-count-monotonicity", ok,

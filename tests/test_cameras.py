@@ -8,11 +8,11 @@ from drc.cameras import (
     look_at_extrinsics,
     perspective_camera,
     pixel_rays,
-    pixel_to_ray,
     project,
     save_camera,
 )
 from drc.errors import FormatError
+from oracles import pixel_to_ray
 
 
 def identity_perspective(f=1.0, size=8):

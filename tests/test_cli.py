@@ -191,8 +191,8 @@ class TestRenderKinds:
 
 
 def test_repro_traces_each_camera_once(monkeypatch, tmp_path):
-    """Both renders, three fits, two fusions and the carve of a shape share
-    one trace table per camera."""
+    """Both renders, three fits, two fusions and the carve of every shape
+    share one trace table per camera."""
     from drc import consistency, fusion, renderer
 
     calls = []
@@ -207,4 +207,8 @@ def test_repro_traces_each_camera_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "trace_batch", counting(module.trace_batch))
     assert run("repro", "--shapes", "sphere", "--views", "2", "--size", "16", "--iters", "1",
                "--out", str(tmp_path / "repro")) == 0
+    assert calls == [256, 256]
+    calls.clear()
+    assert run("repro", "--shapes", "sphere,chair_like", "--views", "2", "--size", "16",
+               "--iters", "1", "--out", str(tmp_path / "repro2")) == 0
     assert calls == [256, 256]

@@ -9,6 +9,8 @@ from drc.cameras import perspective_camera, pixel_rays
 from drc.consistency import (
     RAY_KINDS,
     RayBatch,
+    _event_costs,
+    _telescope,
     cost_color,
     cost_depth,
     cost_mask,
@@ -21,11 +23,11 @@ from drc.consistency import (
     view_loss,
 )
 from drc.grid import AuxGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
-from drc.metrics import brute_force_ray_loss, central_difference
+from drc.metrics import central_difference
 from drc.traversal import trace, trace_batch
 
 
-from oracles import naive_grad_x, reference_psi
+from oracles import brute_force_ray_loss, dense_payload_scatter, naive_grad_x, reference_psi
 
 
 def random_costs(rng, n, kind):
@@ -273,11 +275,10 @@ class TestViewLoss:
         rng, geom, occ = self._setup()
         o = np.array([[-2.0, 0.1, 0.05]])
         d = np.array([[1.0, 0.0, 0.0]])
-        one = RayBatch("depth", o, d, np.ones(1), d=np.array([2.1]))
-        two = RayBatch("depth", np.repeat(o, 2, 0), np.repeat(d, 2, 0),
-                       np.ones(2), d=np.array([2.1, 2.1]))
-        r1 = view_loss(occ, one)
-        r2 = view_loss(occ, two)
+        one = RayBatch("depth", np.ones(1), d=np.array([2.1]))
+        two = RayBatch("depth", np.ones(2), d=np.array([2.1, 2.1]))
+        r1 = view_loss(occ, one, traces=trace_batch(geom, o, d))
+        r2 = view_loss(occ, two, traces=trace_batch(geom, np.repeat(o, 2, 0), np.repeat(d, 2, 0)))
         assert r2.loss == pytest.approx(2.0 * r1.loss, abs=0)
         assert np.array_equal(r2.grad_x, 2.0 * r1.grad_x)
 
@@ -288,8 +289,8 @@ class TestViewLoss:
         occ = OccupancyGrid(geom, np.ones(geom.shape))
         o = np.array([[-2.0, 0.0, 0.0], [-2.0, 0.1, 0.1]])
         d = np.tile([1.0, 0.0, 0.0], (2, 1))
-        rays = RayBatch("mask", o, d, np.ones(2), s=np.array([1.0, 1.0]))
-        res = view_loss(occ, rays)
+        rays = RayBatch("mask", np.ones(2), s=np.array([1.0, 1.0]))
+        res = view_loss(occ, rays, traces=trace_batch(geom, o, d))
         assert res.loss == 0.0
         assert np.all(res.grad_x <= 0.0)
 
@@ -297,8 +298,8 @@ class TestViewLoss:
         rng, geom, occ = self._setup(7)
         o = np.array([[-2.0, 0.05, 0.05]])
         d = np.array([[1.0, 0.0, 0.0]])
-        rays = RayBatch("mask", o, d, np.ones(1), s=np.array([0.0]))
-        res = view_loss(occ, rays)
+        rays = RayBatch("mask", np.ones(1), s=np.array([0.0]))
+        res = view_loss(occ, rays, traces=trace_batch(geom, o, d))
         touched = trace(geom, Ray(o[0], d[0])).cells
         grad = res.grad_x.reshape(-1)
         untouched = np.setdiff1d(np.arange(geom.ncells), touched)
@@ -310,8 +311,8 @@ class TestViewLoss:
         o = np.array([-2.0, 0.12, -0.07])
         d = np.array([1.0, 0.0, 0.0])
         w = 1.7
-        rays = RayBatch("depth", o[None], d[None], np.array([w]), d=np.array([1.9]))
-        res = view_loss(occ, rays)
+        rays = RayBatch("depth", np.array([w]), d=np.array([1.9]))
+        res = view_loss(occ, rays, traces=trace_batch(geom, o[None], d[None]))
         tr = trace(geom, Ray(o, d))
         psi = reference_psi("depth", tr.d, 1.9)
         x_r = occ.flat[tr.cells]
@@ -321,10 +322,10 @@ class TestViewLoss:
 
     def test_aux_required_for_color(self):
         rng, geom, occ = self._setup(9)
-        rays = RayBatch("color", np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]),
-                        np.ones(1), c=np.array([[1.0, 0.0, 0.0]]))
+        rays = RayBatch("color", np.ones(1), c=np.array([[1.0, 0.0, 0.0]]))
+        traces = trace_batch(geom, np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(ValueError, match="aux"):
-            view_loss(occ, rays)
+            view_loss(occ, rays, traces=traces)
 
     def test_semantic_composition_with_aux(self):
         rng, geom, occ = self._setup(10)
@@ -332,9 +333,8 @@ class TestViewLoss:
         aux = AuxGrid(geom, "semantics", p)
         o = np.array([-2.0, 0.2, 0.2])
         d = np.array([1.0, 0.0, 0.0])
-        rays = RayBatch("depth_semantics", o[None], d[None], np.array([1.0]),
-                        d=np.array([2.2]), c=np.array([2]))
-        res = view_loss(occ, rays, aux)
+        rays = RayBatch("depth_semantics", np.array([1.0]), d=np.array([2.2]), c=np.array([2]))
+        res = view_loss(occ, rays, aux, traces=trace_batch(geom, o[None], d[None]))
         tr = trace(geom, Ray(o, d))
         x_r = occ.flat[tr.cells]
 
@@ -347,11 +347,60 @@ class TestViewLoss:
                            central_difference(loss_of, p_r), rtol=1e-6, atol=1e-8)
 
     def test_empty_ray_set_rejected(self):
-        _, _, occ = self._setup()
-        rays = RayBatch("mask", np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0),
-                        s=np.zeros(0))
+        _, geom, occ = self._setup()
+        rays = RayBatch("mask", np.zeros(0), s=np.zeros(0))
         with pytest.raises(ValueError, match="empty"):
-            view_loss(occ, rays)
+            view_loss(occ, rays, traces=trace_batch(geom, np.zeros((0, 3)), np.zeros((0, 3))))
+
+    def test_traces_are_required(self):
+        _, _, occ = self._setup()
+        with pytest.raises(TypeError, match="traces"):
+            view_loss(occ, RayBatch("mask", np.ones(1), s=np.array([0.0])))
+
+
+@pytest.mark.parametrize("kind", ["depth_semantics", "color"])
+@pytest.mark.parametrize("label_weight", [0.0, 1.0])
+def test_payload_scatter_is_bitwise_the_dense_scatter(kind, label_weight):
+    """grad_p equals, bit for bit, np.add.at of the dense (R, L, D) products
+    p_event * dpsi_dp * weight, on a batch with misses and with many rays
+    through the same cells."""
+    rng = np.random.default_rng(int(label_weight) + 2 * (kind == "color"))
+    geom = unit_cube_geometry((3, 4, 3))
+    occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
+    k = 4 if kind == "depth_semantics" else 3
+    rows = rng.uniform(0.05, 0.95, (geom.ncells, k))
+    if kind == "depth_semantics":
+        rows /= rows.sum(axis=1, keepdims=True)
+    aux = AuxGrid(geom, "semantics" if kind == "depth_semantics" else "color",
+                  rows.reshape(*geom.shape, k))
+    n = 40
+    origins, directions = _rays_through(rng.uniform(-0.4, 0.4, (n, 3)), rng.normal(size=(n, 3)))
+    origins[:5], directions[:5] = _rays_through(rng.uniform(0.6, 1.0, (5, 3)), np.tile([1.0, 0.0, 0.0], (5, 1)))
+    origins[30:], directions[30:] = origins[20:30], directions[20:30]  # the same rays again
+    if kind == "depth_semantics":
+        rays = RayBatch(kind, rng.uniform(0.5, 3.0, n), d=rng.uniform(0.5, 3.0, n), c=rng.integers(0, k, n))
+    else:
+        rays = RayBatch(kind, rng.uniform(0.5, 3.0, n), c=rng.uniform(0.0, 1.0, (n, 3)))
+    traces = trace_batch(geom, origins, directions)
+    res = view_loss(occ, rays, aux, label_weight=label_weight, traces=traces)
+
+    hit = np.flatnonzero(traces.n)
+    cells, d_mid, valid = traces.take(hit).padded()
+    assert hit.size < n and np.bincount(cells[valid]).max() > 3
+    x = np.where(valid, occ.flat[cells], 1.0)
+    observed = rays.observed(hit)
+    psi, psi_esc, dpsi = _event_costs(kind, d_mid, valid, cells, aux.flat, **observed,
+                                      label_weight=label_weight)
+    _, _, p_events = _telescope(x, valid, psi, psi_esc, backward=False, events=True)
+    if kind == "depth_semantics":  # the dense derivative: zero off the observed class
+        dense = np.zeros((*dpsi.shape, k))
+        dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), observed["c"][:, None]] = dpsi
+    else:
+        dense = dpsi
+    want = dense_payload_scatter(cells, valid, p_events, dense, rays.weights[hit], geom.ncells)
+    assert res.grad_p.shape == (*geom.shape, k)
+    assert res.grad_p.tobytes() == want.tobytes()
+    assert res.grad_p.any() == (kind == "color" or label_weight != 0.0)
 
 
 def _rays_through(targets, directions):
@@ -392,7 +441,8 @@ def test_miss_split_matches_brute_force(kind, batch):
         obs = rng.uniform(0.0, 1.0, (n, 3))
         fields = {"c": obs}
     weights = rng.uniform(0.5, 3.0, n)
-    res = view_loss(occ, RayBatch(kind, origins, directions, weights, **fields), aux)
+    res = view_loss(occ, RayBatch(kind, weights, **fields), aux,
+                    traces=trace_batch(geom, origins, directions))
 
     loss = 0.0
     grad_x = np.zeros(geom.ncells)
@@ -495,8 +545,8 @@ def view_cases(draw):
         fields = {"d": np.array([o[0] for o in obs]), "c": np.array([o[1] for o in obs])}
     else:
         fields = {"d" if kind == "depth" else "c": np.array(obs)}
-    rays = RayBatch(kind, np.array(origins), np.array(directions), weights, **fields)
-    return occ, aux, rays, obs
+    rays = RayBatch(kind, weights, **fields)
+    return occ, aux, rays, obs, np.array(origins), np.array(directions)
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,14 +555,14 @@ def test_view_loss_matches_independent_oracles(case):
     """Loss against the exhaustive expectation, grad_x against the O(N^2)
     gradient sum, grad_p against central differences of the exhaustive
     expectation, with costs written out from their definitions."""
-    occ, aux, rays, obs = case
+    occ, aux, rays, obs, origins, directions = case
     geom = occ.geometry
-    res = view_loss(occ, rays, aux)
+    res = view_loss(occ, rays, aux, traces=trace_batch(geom, origins, directions))
     loss = 0.0
     grad_x = np.zeros(geom.ncells)
     grad_p = None if aux is None else np.zeros((geom.ncells, aux.nchannels))
     for r in range(rays.n_rays):
-        tr = trace(geom, Ray(rays.origins[r], rays.directions[r]))
+        tr = trace(geom, Ray(origins[r], directions[r]))
         x_r = occ.flat[tr.cells]
         w = rays.weights[r]
         p_r = None if aux is None else aux.flat[tr.cells]

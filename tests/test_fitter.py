@@ -3,9 +3,11 @@ import pytest
 
 from drc.consistency import view_loss
 from drc.fitter import Adam, FitConfig, fit, sample_rays, sigmoid, softmax, write_loss_log
-from drc.cameras import perspective_camera
+from drc.cameras import perspective_camera, pixel_rays
 from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
-from drc.renderer import full_image_rays, make_test_shape, render, sample_view_ring
+from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
+from drc.traversal import trace_batch
+from oracles import two_reduction_softmax
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +42,7 @@ class TestSampleRays:
         a = sample_rays(obs[0], 50, 5.0, seed=3, iteration=7)
         b = sample_rays(obs[0], 50, 5.0, seed=3, iteration=7)
         c = sample_rays(obs[0], 50, 5.0, seed=3, iteration=8)
-        assert np.array_equal(a.origins, b.origins)
+        assert np.array_equal(a.pixels, b.pixels)
         assert np.array_equal(a.d, b.d)
         assert not np.array_equal(a.d, c.d)
 
@@ -63,6 +65,18 @@ class TestSquashing:
         p = softmax(z)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p >= 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_softmax_is_bitwise_the_two_reduction_formula(self, k):
+        rng = np.random.default_rng(k)
+        z = rng.normal(0, 20, size=(4, 5, 6, k))
+        z[0, 0] = 700.0
+        z[0, 1] = -700.0
+        z[0, 2, :, 0] = 700.0  # one logit of 700 beside ordinary ones
+        z[0, 3, :, -1] = -700.0
+        z[1] = rng.integers(-2, 3, size=(5, 6, k))  # small integers: tied maxima
+        z[2, :, :, :] = z[2, :, :, :1]  # every logit of a row tied
+        assert softmax(z).tobytes() == two_reduction_softmax(z).tobytes()
 
 
 class TestAdam:
@@ -130,14 +144,16 @@ class TestFit:
         rng = np.random.default_rng(8)
         logits = rng.normal(0, 1, geom.shape)
 
+        tables = [image_traces(geom, o.camera) for o in obs]
+
         def total_loss(lg):
             occ = OccupancyGrid(geom, sigmoid(lg))
-            return sum(view_loss(occ, full_image_rays(o)).loss for o in obs)
+            return sum(view_loss(occ, full_image_rays(o), traces=t).loss for o, t in zip(obs, tables))
 
         occ = OccupancyGrid(geom, sigmoid(logits))
         grad = np.zeros(geom.shape)
-        for o in obs:
-            grad += view_loss(occ, full_image_rays(o)).grad_x
+        for o, t in zip(obs, tables):
+            grad += view_loss(occ, full_image_rays(o), traces=t).grad_x
         analytic = grad * occ.x * (1.0 - occ.x)
 
         h = 1e-5
@@ -216,7 +232,7 @@ def _frustum_scene():
 @pytest.mark.parametrize("kind", ["depth", "depth_semantics"])
 def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
     """fit reads traces from per-view tables; its first loss must equal, bit
-    for bit, view_loss tracing the same sampled rays itself."""
+    for bit, view_loss on the same sampled pixels' rays traced alone."""
     if kind == "depth":
         gt, observations = depth_views
         geom = gt.geometry
@@ -233,7 +249,9 @@ def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
     expected = 0.0
     for v, obs in enumerate(observations):
         rays = sample_rays(obs, per_view, config.foreground_weight, config.seed, 0, stream=v)
-        expected += view_loss(occ, rays, aux).loss
+        vs, us = np.divmod(rays.pixels, obs.camera.width)
+        traces = trace_batch(geom, *pixel_rays(obs.camera, us + 0.5, vs + 0.5))
+        expected += view_loss(occ, rays, aux, traces=traces).loss
     assert report.losses[0] == expected
 
 

@@ -126,11 +126,11 @@ class TestCarveMasks:
         obs = render(empty, cam, "mask")
         hull = carve_masks([obs], geom)
         # every cell inside the camera frustum is crossed by some background ray
-        from drc.renderer import full_image_rays
+        from drc.cameras import pixel_rays
         from drc import traversal
-        rays = full_image_rays(obs)
+        vs, us = np.divmod(np.arange(cam.height * cam.width), cam.width)
         monkeypatch.setattr(traversal, "TABLE_CHUNK", 500)  # several passes
-        table = traversal.trace_batch(geom, rays.origins, rays.directions)
+        table = traversal.trace_batch(geom, *pixel_rays(cam, us + 0.5, vs + 0.5))
         touched = np.unique(table.cells)
         assert not hull.flat[touched].any()
 

@@ -4,10 +4,11 @@ table must give byte-identical results to letting the function build it."""
 import numpy as np
 import pytest
 
+from drc.cameras import pixel_rays
 from drc.fitter import FitConfig, fit
 from drc.fusion import accumulate_depth_counts, carve_masks, fuse_depth
 from drc.grid import unit_cube_geometry
-from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
+from drc.renderer import image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
 
 KINDS = ("mask", "depth", "depth_semantics", "color")
@@ -37,8 +38,8 @@ def assert_same_arrays(a, b):
 def test_image_traces_are_the_full_image_rays_traced(scene):
     gt, _, cams, tables = scene
     for cam, table in zip(cams, tables):
-        rays = full_image_rays(render(gt, cam, "mask"))
-        alone = trace_batch(gt.geometry, rays.origins, rays.directions)
+        vs, us = np.divmod(np.arange(cam.height * cam.width), cam.width)
+        alone = trace_batch(gt.geometry, *pixel_rays(cam, us + 0.5, vs + 0.5))
         assert table.n_rays == cam.width * cam.height
         assert_same_arrays([table.start, table.n, table.t0, table.cells, table.t_exit],
                            [alone.start, alone.n, alone.t0, alone.cells, alone.t_exit])
