@@ -1,7 +1,8 @@
 """Independent reference implementations used by the test suite only.
 
 These deliberately avoid the production code paths they check: traversal
-is validated by dense point sampling, losses by enumerating every hard
+is validated by clipping each ray against every cell's six faces (and
+that clip by dense point sampling), losses by enumerating every hard
 occupancy configuration, gradients by the quadratic-time transcription of
 the gradient sum, the batched first-hit search by a one-ray version, and
 cell geometry by explicit bounding planes.  The dense payload scatter and
@@ -120,6 +121,33 @@ def dense_sample_cells(geom, ray, step_factor=1e-4, chunk=1_000_000):
     if not pieces:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate(pieces)
+
+
+def cell_faces(geom):
+    """Every cell as a convex polyhedron {p : a . p <= b}: (a, b) of shapes
+    (ncells, 6, 3) and (ncells, 6), the six ``cell_bounds_world`` planes of
+    each cell."""
+    planes = [cell_bounds_world(geom, i) for i in range(geom.ncells)]
+    return (np.array([[p.normal for p in cell] for cell in planes]),
+            np.array([[p.offset for p in cell] for cell in planes]))
+
+
+def clip_cells(geom, ray, faces=None):
+    """(cells, t_enter, t_exit) of every cell the ray's half-line t >= 0
+    crosses over a positive length, ordered by entry depth: the ray is
+    clipped against each cell's faces (``cell_faces``) independently."""
+    a, b = cell_faces(geom) if faces is None else faces
+    ad = a @ ray.direction
+    slack = b - a @ ray.origin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = slack / ad
+    t_in = np.maximum(np.where(ad < 0.0, t, -np.inf).max(axis=1), 0.0)
+    t_out = np.where(ad > 0.0, t, np.inf).min(axis=1)
+    # a face parallel to the ray excludes the cell or constrains nothing
+    outside = ((ad == 0.0) & (slack < 0.0)).any(axis=1)
+    cells = np.flatnonzero(~outside & (t_in < t_out))
+    cells = cells[np.argsort(t_in[cells], kind="stable")]
+    return cells, t_in[cells], t_out[cells]
 
 
 def naive_grad_x(x, psi):

@@ -42,7 +42,8 @@ from drc.renderer import (
     sample_view_ring,
 )
 from drc.traversal import trace
-from oracles import brute_force_ray_loss, dense_sample_cells, shape_scale, surface_cells
+from oracles import (brute_force_ray_loss, cell_faces, clip_cells, dense_sample_cells, shape_scale,
+                     surface_cells)
 
 VIEW_SEED = 10
 FIT_SEED = 7
@@ -200,21 +201,30 @@ def test_05_traversal_oracle():
         make_frustum_geometry((7, 7, 5), 0.4, 25.0, 45.0),
     ]
     rng = np.random.default_rng(500)
-    checked = 0
-    worst_chord = 0.0
+    checked = hits = sampled = 0
+    worst_chord = worst_depth = 0.0
     for geom in geoms:
-        for _ in range(250):
+        faces = cell_faces(geom)
+        for i in range(250):
             ray = random_ray(rng)
             tr = trace(geom, ray)
-            oracle = dense_sample_cells(geom, ray)
-            assert tr.cells.tolist() == oracle.tolist(), \
+            cells, t_enter, t_exit = clip_cells(geom, ray, faces)
+            assert tr.cells.tolist() == cells.tolist(), \
                 f"sequence mismatch on {geom.kind} grid"
+            if i < 5:  # the clip oracle itself, against dense sampling
+                assert dense_sample_cells(geom, ray).tolist() == cells.tolist()
+                sampled += 1
             if tr.n:
+                worst_depth = max(worst_depth, np.abs(tr.t_enter - t_enter).max(),
+                                  np.abs(tr.t_exit - t_exit).max())
                 chord = tr.t_exit[-1] - tr.t_enter[0]
                 worst_chord = max(worst_chord, abs(np.sum(tr.t_exit - tr.t_enter) - chord))
+                hits += 1
             checked += 1
-    report(5, "traversal-oracle", checked == 1000 and worst_chord < 1e-9,
-           f"{checked} rays matched dense sampling; chord error <= {worst_chord:.2e}")
+    report(5, "traversal-oracle", checked == 1000 and worst_depth <= 1e-12 and worst_chord < 1e-9,
+           f"{checked} rays ({hits} hits) matched the cell-clip oracle, depths within "
+           f"{worst_depth:.2e}; {sampled} of them also matched dense sampling; "
+           f"chord error <= {worst_chord:.2e}")
 
 
 def test_06_render_loss_closure(fits):

@@ -10,7 +10,7 @@ from drc.traversal import first_hit_batch, trace, trace_batch
 from drc.consistency import event_probabilities
 
 
-from oracles import dense_sample_cells, first_hit
+from oracles import cell_faces, clip_cells, dense_sample_cells, first_hit
 
 
 def unit(v):
@@ -95,11 +95,16 @@ class TestInvariants:
 
     def test_dense_sampling_oracle(self, geom):
         rng = np.random.default_rng(3)
-        for _ in range(25):
+        faces = cell_faces(geom)
+        for i in range(25):
             ray = random_ray(rng)
             tr = trace(geom, ray)
-            oracle = dense_sample_cells(geom, ray)
-            assert tr.cells.tolist() == oracle.tolist()
+            cells, t_enter, t_exit = clip_cells(geom, ray, faces)
+            assert tr.cells.tolist() == cells.tolist()
+            assert np.abs(tr.t_enter - t_enter).max(initial=0.0) <= 1e-12
+            assert np.abs(tr.t_exit - t_exit).max(initial=0.0) <= 1e-12
+            if i < 4:  # the clip oracle itself, against dense sampling
+                assert dense_sample_cells(geom, ray).tolist() == cells.tolist()
 
     def test_batch_matches_scalar(self, geom, monkeypatch):
         rng = np.random.default_rng(11)
