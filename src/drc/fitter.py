@@ -128,12 +128,21 @@ class Adam:
         self.t = 0
 
     def update(self, param: np.ndarray, grad: np.ndarray) -> None:
+        """In place, operation for operation as m = beta1 m + (1 - beta1) grad,
+        v = beta2 v + (1 - beta2) grad grad and
+        param -= step m_hat / (sqrt(v_hat) + eps): bitwise that formula."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        param -= self.step * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        den = self.v / (1.0 - self.beta2**self.t)  # sqrt(v_hat) + eps
+        np.sqrt(den, out=den)
+        den += self.eps
+        delta = self.m / (1.0 - self.beta1**self.t)  # step * m_hat / den
+        delta *= self.step
+        delta /= den
+        param -= delta
 
 
 def sample_rays(obs: Observation, n: int, foreground_weight: float, seed: int,

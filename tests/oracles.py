@@ -5,9 +5,10 @@ is validated by clipping each ray against every cell's six faces (and
 that clip by dense point sampling), losses by enumerating every hard
 occupancy configuration, gradients by the quadratic-time transcription of
 the gradient sum, the batched first-hit search by a one-ray version, and
-cell geometry by explicit bounding planes.  The dense payload scatter and
-the two-reduction softmax are the formulas the fitter used before its
-flat ``bincount`` and slice-wise softmax, kept to check those bit for bit.
+cell geometry by explicit bounding planes.  The dense payload scatter, the
+two-reduction softmax and ``ReferenceAdam`` are the formulas the fitter
+used before its flat ``bincount``, slice-wise softmax and in-place Adam
+update, kept to check those bit for bit.
 """
 
 from dataclasses import dataclass
@@ -77,6 +78,25 @@ def two_reduction_softmax(z):
     m = z - z.max(axis=-1, keepdims=True)
     e = np.exp(m)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+class ReferenceAdam:
+    """Adam as the fitter wrote it before its in-place update: every step
+    builds new moment and update arrays."""
+
+    def __init__(self, shape, step, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.step, self.beta1, self.beta2, self.eps = step, beta1, beta2, eps
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.t = 0
+
+    def update(self, param, grad):
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        param -= self.step * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def min_cell_extent(geom):

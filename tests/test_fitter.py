@@ -7,7 +7,7 @@ from drc.cameras import perspective_camera, pixel_rays
 from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
 from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
-from oracles import two_reduction_softmax
+from oracles import ReferenceAdam, two_reduction_softmax
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,21 @@ class TestAdam:
             opt.update(param, np.ones(1))
         assert opt.t == 10
         assert param[0] == pytest.approx(-1.0 * 0.1 * 10, rel=0.05)
+
+
+    @pytest.mark.parametrize("shape, step", [((32, 32, 32, 4), 0.05), ((5, 7), 0.3)])
+    def test_update_is_bitwise_the_reference_formula(self, shape, step):
+        rng = np.random.default_rng(12)
+        opt, ref = Adam(shape, step), ReferenceAdam(shape, step)
+        param = rng.normal(size=shape)
+        expect = param.copy()
+        for _ in range(12):
+            # magnitudes from 1e-8 to 1e2, both signs, some exact zeros
+            grad = rng.choice([-1.0, 0.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 2, size=shape)
+            opt.update(param, grad)
+            ref.update(expect, grad)
+            assert param.tobytes() == expect.tobytes()
+        assert opt.m.tobytes() == ref.m.tobytes() and opt.v.tobytes() == ref.v.tobytes()
 
 
 class TestFit:
