@@ -1,19 +1,24 @@
 """Exact ordered ray-grid intersection.
 
-Uniform grids are traversed by incremental axis-crossing stepping (track
-the next boundary crossing per axis, always advance the nearest one).
-Frustum grids are traversed by computing the ray's crossings with the
-three boundary-plane families (z = const planes plus two families of
-planes through the origin) and sorting them; the frustum hull is convex,
-so the in-grid segments are contiguous.
+Both grid kinds share one kernel.  A hull clip gives the depths (t0, t1)
+inside the grid's convex hull (the box's slabs, the frustum's six
+half-spaces); a crossing function gives the ray's depth at every interior
+cell boundary plane (axis planes; depth planes and planes through the
+apex) and the change of the linear cell index there, the plane's stride
+signed by the ray's rate across it.  The kernel sorts the crossings inside
+(t0, t1) once per ray, counts the first cell from the planes the ray has
+passed at t0, and steps from there.  The hull is convex, so the in-grid
+segments are contiguous.
 
 Per-cell event depths d_i are the segment midpoints (t_enter + t_exit)/2:
 rendered depth and the depth event cost share this convention, so a hard
 shape is an exact minimizer of its own depth loss.
 
-When a ray hits a cell edge or corner exactly, the crossing parameter is
-perturbed by +1e-12 so each boundary crossing advances exactly one axis
-(deterministic, and keeps consecutive cells face-adjacent).
+A ray through a cell edge or corner crosses two or three planes at one
+depth.  The zero-length segments between them are dropped and the cell
+after the last of them kept, so consecutive cells differ in exactly the
+axes crossed there.  A ray lying on a plane belongs to the cell above it,
+as floor() of its grid coordinate would say.
 
 ``trace_batch`` returns the traces of many rays as one unpadded
 ``TraceTable``: per ray a start, a length and an entry depth, per traversed
@@ -33,13 +38,10 @@ import numpy as np
 from .cameras import Ray
 from .grid import BinaryGrid, GridGeometry, same_geometry
 
-TIE_EPS = 1e-12
-# rays per pass of trace_batch on uniform grids; bounds the per-step arrays
-# the kernel holds before it writes the pass's table
-TABLE_CHUNK = 4096
-# rays per pass on frustum grids, whose kernel holds a few (rays, nx+ny+nz)
-# arrays; the uniform kernel runs 20-30% slower in passes this short
-FRUSTUM_CHUNK = 1024
+# rays per pass of trace_batch; bounds the (rays, planes) crossing arrays
+# the kernel holds before it writes the pass's table.  4096 measured 13%
+# slower and raised the peak memory of a 32^3 depth fit by 9-12 MB.
+TABLE_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +150,63 @@ def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:
 
 
 def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> TraceTable:
-    """The traces of many rays, in one table built pass by pass: TABLE_CHUNK
-    rays per pass on uniform grids, FRUSTUM_CHUNK on frustum grids."""
+    """The traces of many rays, in one table.  The rays that meet the grid
+    are traced TABLE_CHUNK at a time."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
     if geometry.kind == "uniform":
-        kernel, chunk = _trace_uniform, TABLE_CHUNK
+        hull, crossings = _box_hull, _axis_crossings
     else:
-        kernel, chunk = _trace_frustum, FRUSTUM_CHUNK
-    passes = [kernel(geometry, o[i:i + chunk], d[i:i + chunk]) for i in range(0, max(len(o), 1), chunk)]
-    n, t0, cells, t_exit = (np.concatenate(part) for part in zip(*passes))
-    return TraceTable(geometry, np.cumsum(n) - n, n, t0, cells, t_exit)
+        hull, crossings = _frustum_hull, _frustum_crossings
+    t0, t1, alive = hull(geometry, o, d)
+    rows = np.flatnonzero(alive)
+    n = np.zeros(len(o), dtype=np.int64)
+    cells, t_exit = [np.empty(0, dtype=np.int32)], [np.empty(0)]
+    for i in range(0, rows.size, TABLE_CHUNK):
+        r = rows[i:i + TABLE_CHUNK]
+        n[r], c, t = _trace_rays(geometry, o[r], d[r], t0[r, None], t1[r, None], crossings)
+        cells.append(c)
+        t_exit.append(t)
+    return TraceTable(geometry, np.cumsum(n) - n, n, np.where(alive, t0, 0.0),
+                      np.concatenate(cells), np.concatenate(t_exit))
 
 
-def _trace_uniform(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(n, t0, cells, t_exit) of rays (o, d), the fields of a TraceTable."""
-    nx, ny, nz = geom.dims
-    dims = np.array([nx, ny, nz])
-    lo = geom.aabb_min
-    hi = geom.aabb_max
-    h = geom.cell_size
+def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t1: np.ndarray,
+                crossings):
+    """(n, cells, t_exit) of rays (o, d) that lie inside the grid's convex
+    hull over (t0, t1), t0 < t1, both (R, 1); ``crossings`` is the grid
+    kind's crossing function."""
+    ts, step, stride = crossings(geom, o, d)
+    after = ts > t0
+    inside = after & (ts < t1)  # NaN and +-inf from parallel planes fail
+    crossed = np.count_nonzero(inside, axis=1)
+    width = crossed.max() + 1  # segments of the longest trace
+    # at t0 the ray is above plane k if it crossed it upward by then or
+    # crosses it downward later (parallel: NaN or -inf, on or above it).
+    # Counted from the crossing depths, no cell leaves the grid however they round.
+    entry = (after == (step < 0.0)).astype(np.float64) @ stride
+    np.copyto(ts, np.inf, where=~inside)
+    flat = np.argsort(ts, axis=1)[:, :width - 1] + (np.arange(len(o)) * ts.shape[1])[:, None]
+    cross = ts.ravel()[flat]
+    step = step.ravel()[flat]
+    del ts, after, inside  # the (R, P) arrays go before the (R, width) ones come
 
-    # clip against the box; d == 0 axes contribute (-inf, inf) if inside the slab
+    # segment j runs from crossing j-1 (t0 for j = 0) to crossing j (t1
+    # after the last); past the last, both depths are padding, inf and t1
+    t_enter = np.concatenate([t0, cross], axis=1)
+    t_exit = np.minimum(np.concatenate([cross, t1], axis=1), t1)
+    cells = np.empty(t_exit.shape)  # integers, exact in float64
+    cells[:, 0] = entry
+    np.cumsum(step, axis=1, out=cells[:, 1:])
+    cells[:, 1:] += cells[:, :1]
+    keep = t_exit > t_enter  # drops the zero-length segments of edge and corner crossings
+    return np.count_nonzero(keep, axis=1), cells[keep].astype(np.int32), t_exit[keep]
+
+
+def _box_hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
+    """(t0, t1, alive): each ray's depths inside the grid's box, by slabs."""
+    lo, hi = geom.aabb_min, geom.aabb_max
+    # d == 0 axes contribute (-inf, inf) if inside the slab
     # components below ~1e-308 overflow to +-inf, which is the right limit
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ta = (lo - o) / d
@@ -180,52 +217,21 @@ def _trace_uniform(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
     tmax_ax = np.where(zero, np.where(slab_in, np.inf, -np.inf), np.maximum(ta, tb))
     t0 = np.maximum(tmin_ax.max(axis=1), 0.0)
     t1 = tmax_ax.min(axis=1)
-    alive = t0 < t1
-    t0 = np.where(alive, t0, 0.0)
+    return t0, t1, t0 < t1
 
-    cell3 = np.clip(np.floor((o + t0[:, None] * d - lo) / h).astype(np.int64), 0, dims - 1)
-    step = np.sign(d).astype(np.int64)
-    next_bound = lo + (cell3 + (step > 0)) * h
+
+def _axis_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
+    """(depths, steps, strides) of the rays' crossings with the interior
+    planes lo + k h of each axis: (R, P), (R, P) and (P,)."""
+    nx, ny, _ = geom.dims
+    lo, h = geom.aabb_min, geom.cell_size
+    counts = np.array(geom.dims) - 1
+    d = d + 0.0  # -0.0 -> +0.0: a parallel plane's depth is -inf or NaN iff the ray is on or above it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t_max = np.where(zero, np.inf, (next_bound - o) / d)
-        t_delta = np.where(zero, np.inf, h / np.abs(d))
-
-    # step only the rays still inside the grid; each of them has visited
-    # exactly one cell per step so far, so step k visits cell k of its trace
-    n = np.zeros(o.shape[0], dtype=np.int64)
-    visits = []  # per step: (rays, cell, exit depth)
-    act = np.flatnonzero(alive)
-    cell3, step, t_max, t_delta = cell3[act], step[act], t_max[act], t_delta[act]
-    t_cur, t1 = t0[act], t1[act]
-    for k in range(nx + ny + nz + 3):
-        if not act.size:
-            break
-        rows = np.arange(act.size)
-        axis = np.argmin(t_max, axis=1)  # ties resolve to the lowest axis
-        t_next = t_max[rows, axis]
-        exiting = t_next >= t1
-        # corner ties would give a zero-length visit; push the crossing out
-        t_adv = np.where(exiting, t1, np.maximum(t_next, t_cur + TIE_EPS))
-        fill = ~exiting | (t1 > t_cur)
-        at = act[fill]
-        visits.append((at, geom.linear_index(cell3[fill, 0], cell3[fill, 1], cell3[fill, 2]), t_adv[fill]))
-        n[at] = k + 1
-
-        cell3[rows, axis] += step[rows, axis]
-        t_max[rows, axis] += t_delta[rows, axis]
-        inside = (cell3[rows, axis] >= 0) & (cell3[rows, axis] < dims[axis])
-        # the bounds test is a numerical guard; the exit test normally fires first
-        keep = ~exiting & inside
-        act, cell3, step, t_max, t_delta = act[keep], cell3[keep], step[keep], t_max[keep], t_delta[keep]
-        t_cur, t1 = t_adv[keep], t1[keep]
-
-    start = np.cumsum(n) - n
-    cells = np.empty(n.sum(), dtype=np.int32)
-    t_exit = np.empty(n.sum())
-    for k, (at, cell, t) in enumerate(visits):
-        cells[start[at] + k] = cell
-        t_exit[start[at] + k] = t
-    return n, t0, cells, t_exit
+        ts = np.concatenate([(lo[a] + np.arange(1, n) * h[a] - o[:, a:a + 1]) / d[:, a:a + 1]
+                             for a, n in enumerate(geom.dims)], axis=1)
+    stride = np.array([1.0, nx, nx * ny])
+    return ts, np.repeat(np.sign(d) * stride, counts, axis=1), np.repeat(stride, counts)
 
 
 def _frustum_halfspaces(geom: GridGeometry) -> list[tuple[np.ndarray, float]]:
@@ -245,9 +251,8 @@ def _frustum_halfspaces(geom: GridGeometry) -> list[tuple[np.ndarray, float]]:
     ]
 
 
-def _trace_frustum(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(n, t0, cells, t_exit) of rays (o, d), the fields of a TraceTable."""
-    nx, ny, nz = geom.dims
+def _frustum_hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
+    """(t0, t1, alive): each ray's depths inside the frustum's hull."""
     m = o.shape[0]
     t0 = np.zeros(m)
     t1 = np.full(m, np.inf)
@@ -263,47 +268,29 @@ def _trace_frustum(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
             # replace only on strict improvement, so t0 = 0 keeps its sign
             t1 = np.where((ad > 0.0) & (t < t1), t, t1)
             t0 = np.where((ad < 0.0) & (t > t0), t, t0)
-    rows = np.flatnonzero(alive & (t0 < t1))
-    n = np.zeros(m, dtype=np.int64)
-    t_start = np.zeros(m)
-    if rows.size == 0:
-        return n, t_start, np.empty(0, dtype=np.int32), np.empty(0)
-    o, d, t0, t1 = o[rows], d[rows], t0[rows, None], t1[rows, None]
+    return t0, t1, alive & (t0 < t1)
 
-    # interior planes only (k = 1..n-1): the k = 0 and k = n planes bound
-    # the hull, so inside [t0, t1] they are touched exactly at t0 or t1
+
+def _frustum_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
+    """(depths, steps, strides) of the rays' crossings with the interior
+    depth planes z = z_k and the planes x = c_k z, y = c_k z through the
+    origin: (R, P), (R, P) and (P,).  A step's sign is that of the ray's
+    rate across the plane, dz or d_x - c_k dz."""
+    nx, ny, nz = geom.dims
     ox, oy, oz = o[:, :1], o[:, 1:2], o[:, 2:]
     dx, dy, dz = d[:, :1], d[:, 1:2], d[:, 2:]
     zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, nz))
     cxs = geom.f * (np.arange(1, nx) - nx / 2.0)
     cys = geom.f * (np.arange(1, ny) - ny / 2.0)
+    rate = np.concatenate([np.broadcast_to(dz, (len(o), nz - 1)), dx - cxs * dz, dy - cys * dz], axis=1)
+    rate += 0.0  # -0.0 -> +0.0, as in _axis_crossings
+    ts = np.concatenate([zs - oz, cxs * oz - ox, cys * oz - oy], axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ts = np.concatenate([t0, (zs - oz) / dz, (cxs * oz - ox) / (dx - cxs * dz),
-                             (cys * oz - oy) / (dy - cys * dz), t1], axis=1)
-    inside = np.isfinite(ts) & (ts > t0) & (ts < t1)
-    inside[:, [0, -1]] = True
-    ts = np.where(inside, ts, np.inf)
-    ts.sort(axis=1)
-    # a ray through a cell edge crosses two planes at one t: keep one
-    dup = (ts[:, 1:] == ts[:, :-1]) & (ts[:, 1:] < np.inf)
-    if dup.any():
-        ts[:, 1:][dup] = np.inf
-        ts.sort(axis=1)
-    seg = np.count_nonzero(ts < np.inf, axis=1) - 1
-    width = seg.max()
-    valid = np.arange(width) < seg[:, None]
-    exit_ = ts[:, 1:width + 1]
-
-    # padding takes the first midpoint so that every point maps into the grid
-    mids = 0.5 * (ts[:, :width] + exit_)
-    mids = np.where(valid, mids, mids[:, :1])
-    g = geom.world_to_grid(o[:, None, :] + mids[:, :, None] * d[:, None, :])
-    # midpoints lie inside the convex hull; clip absorbs boundary roundoff
-    ijk = np.clip(np.floor(g).astype(np.int64), 0, np.array([nx, ny, nz]) - 1)
-    cells = geom.linear_index(ijk[..., 0], ijk[..., 1], ijk[..., 2])
-    n[rows] = seg
-    t_start[rows] = ts[:, 0]
-    return n, t_start, cells[valid].astype(np.int32), exit_[valid]
+        ts /= rate
+    stride = np.repeat(np.array([nx * ny, 1.0, nx]), [nz - 1, nx - 1, ny - 1])
+    step = np.sign(rate, out=rate)
+    step *= stride
+    return ts, step, stride
 
 
 def first_hit_batch(bgrid: BinaryGrid, table: TraceTable):

@@ -159,7 +159,7 @@ def clip_cells(geom, ray, faces=None):
     a, b = cell_faces(geom) if faces is None else faces
     ad = a @ ray.direction
     slack = b - a @ ray.origin
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = slack / ad
     t_in = np.maximum(np.where(ad < 0.0, t, -np.inf).max(axis=1), 0.0)
     t_out = np.where(ad > 0.0, t, np.inf).min(axis=1)

@@ -480,7 +480,6 @@ class TestTraceTable:
         alone = trace_batch(geom, *pixel_rays(cam, us[pixels] + 0.5, vs[pixels] + 0.5))
         # the view's table is built in several passes
         monkeypatch.setattr(traversal, "TABLE_CHUNK", 100)
-        monkeypatch.setattr(traversal, "FRUSTUM_CHUNK", 100)
         table = trace_batch(geom, *pixel_rays(cam, us + 0.5, vs + 0.5))
         rows = table.take(pixels)
         cells, d, valid = rows.padded()

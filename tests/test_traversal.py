@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drc.cameras import Ray
-from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry
+from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry, unit_cube_geometry
 from drc import traversal
 from drc.traversal import first_hit_batch, trace, trace_batch
 from drc.consistency import event_probabilities
@@ -21,6 +21,16 @@ def unit(v):
 def random_ray(rng, spread=2.0):
     origin = rng.uniform(-spread, spread, 3)
     return Ray(origin, unit(rng.normal(size=3)))
+
+
+def assert_matches_clip_oracle(geom, ray, tr, faces=None):
+    """The trace's cells exactly, and its depths within 1e-12; returns the
+    oracle's cells."""
+    cells, t_enter, t_exit = clip_cells(geom, ray, faces)
+    assert tr.cells.tolist() == cells.tolist()
+    assert np.abs(tr.t_enter - t_enter).max(initial=0.0) <= 1e-12
+    assert np.abs(tr.t_exit - t_exit).max(initial=0.0) <= 1e-12
+    return cells
 
 
 UNIFORM_GEOMS = [
@@ -98,11 +108,7 @@ class TestInvariants:
         faces = cell_faces(geom)
         for i in range(25):
             ray = random_ray(rng)
-            tr = trace(geom, ray)
-            cells, t_enter, t_exit = clip_cells(geom, ray, faces)
-            assert tr.cells.tolist() == cells.tolist()
-            assert np.abs(tr.t_enter - t_enter).max(initial=0.0) <= 1e-12
-            assert np.abs(tr.t_exit - t_exit).max(initial=0.0) <= 1e-12
+            cells = assert_matches_clip_oracle(geom, ray, trace(geom, ray), faces)
             if i < 4:  # the clip oracle itself, against dense sampling
                 assert dense_sample_cells(geom, ray).tolist() == cells.tolist()
 
@@ -111,7 +117,6 @@ class TestInvariants:
         rays = [random_ray(rng) for _ in range(40)]
         # several passes per table
         monkeypatch.setattr(traversal, "TABLE_CHUNK", 7)
-        monkeypatch.setattr(traversal, "FRUSTUM_CHUNK", 7)
         table = trace_batch(geom,
                             np.stack([r.origin for r in rays]),
                             np.stack([r.direction for r in rays]))
@@ -139,23 +144,130 @@ class TestBatchKernels:
             tr = trace(geom, ray)
         assert tr.n > 0
         assert tr.cells.tolist() == dense_sample_cells(geom, ray).tolist()
+        assert_matches_clip_oracle(geom, ray, tr)
 
-    def test_frustum_chunks_do_not_change_rows(self, monkeypatch):
+    @pytest.mark.parametrize("origin, direction", [((-0.3, 0.05, 1.0), (0.6, 0.8, 2.2e-309)),
+                                                   ((0.05, 0.1, 0.3), (2.2e-309, 0.28, 0.96))])
+    def test_frustum_subnormal_direction_component(self, origin, direction):
+        # a depth-plane crossing (dz) or a lateral one (dx, across x = 0) overflows
         geom = FRUSTUM_GEOMS[1]
-        rng = np.random.default_rng(4)
-        rays = [random_ray(rng, spread=0.5) for _ in range(40)]
-        o = np.stack([r.origin for r in rays])
-        d = np.stack([r.direction for r in rays])
-        whole = trace_batch(geom, o, d)
-        monkeypatch.setattr(traversal, "FRUSTUM_CHUNK", 3)
-        chunked = trace_batch(geom, o, d)
-        assert 0 < np.count_nonzero(whole.n) < len(rays)
-        for name in ("start", "n", "t0", "cells", "t_exit"):
-            assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
-        for a, b in zip(whole.padded(), chunked.padded()):
-            assert a.tobytes() == b.tobytes()
-        for i in range(len(rays)):
-            assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
+        ray = Ray(origin, direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tr = trace(geom, ray)
+        assert tr.n > 1
+        assert tr.cells.tolist() == dense_sample_cells(geom, ray).tolist()
+        assert_matches_clip_oracle(geom, ray, tr)
+
+    def test_chunks_do_not_change_rows(self, monkeypatch):
+        for geom, spread in ((UNIFORM_GEOMS[1], 2.0), (FRUSTUM_GEOMS[1], 0.5)):
+            rng = np.random.default_rng(4)
+            rays = [random_ray(rng, spread) for _ in range(40)]
+            o = np.stack([r.origin for r in rays])
+            d = np.stack([r.direction for r in rays])
+            monkeypatch.undo()
+            whole = trace_batch(geom, o, d)
+            monkeypatch.setattr(traversal, "TABLE_CHUNK", 3)
+            chunked = trace_batch(geom, o, d)
+            assert 0 < np.count_nonzero(whole.n) < len(rays)
+            for name in ("start", "n", "t0", "cells", "t_exit"):
+                assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
+            for a, b in zip(whole.padded(), chunked.padded()):
+                assert a.tobytes() == b.tobytes()
+            for i in range(len(rays)):
+                assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
+
+
+class TestEdgeCrossings:
+    """Rays through exact cell edges and corners cross two or three planes
+    at one depth, and rays lying on a plane never cross it."""
+
+    CUBE = uniform_geometry((4, 4, 4), (0, 0, 0), (1, 1, 1))
+    FRUSTUM = make_frustum_geometry((4, 4, 4), 0.5, 8.0, 60.0)
+
+    def check_steps(self, geom, tr, crossed_axes):
+        """No zero-length cell, and consecutive cells differ in exactly the
+        axes crossed there."""
+        assert tr.n > 1
+        assert np.all(tr.t_exit > tr.t_enter)
+        assert np.all(np.diff(tr.t_exit) > 0.0)
+        assert tr.t_enter[1:].tobytes() == tr.t_exit[:-1].tobytes()
+        ijk = np.stack(geom.unravel(tr.cells), axis=1)
+        moved = [tuple(np.flatnonzero(step)) for step in np.diff(ijk, axis=0)]
+        assert all(np.abs(step).max() == 1 for step in np.diff(ijk, axis=0))
+        assert moved == crossed_axes
+
+    def test_uniform_edge(self):
+        # x = y along the ray: every x plane is crossed with a y plane
+        ray = Ray((-0.5, -0.5, 0.3), unit((1.0, 1.0, 0.0)))
+        tr = trace(self.CUBE, ray)
+        assert tr.cells.tolist() == [self.CUBE.linear_index(k, k, 1) for k in range(4)]
+        self.check_steps(self.CUBE, tr, [(0, 1)] * 3)
+        assert_matches_clip_oracle(self.CUBE, ray, tr)
+
+    def test_uniform_corner(self):
+        ray = Ray((-0.5, -0.5, -0.5), unit((1.0, 1.0, 1.0)))
+        tr = trace(self.CUBE, ray)
+        assert tr.cells.tolist() == [self.CUBE.linear_index(k, k, k) for k in range(4)]
+        self.check_steps(self.CUBE, tr, [(0, 1, 2)] * 3)
+        assert_matches_clip_oracle(self.CUBE, ray, tr)
+
+    def test_frustum_edge(self):
+        # nx = ny and x = y along the ray: the planes x = c z and y = c z are
+        # crossed at one depth; the depth planes are crossed alone
+        ray = Ray((-0.5, -0.5, 1.0), unit((0.6, 0.6, 0.3)))
+        tr = trace(self.FRUSTUM, ray)
+        ix, iy, _ = self.FRUSTUM.unravel(tr.cells)
+        assert np.array_equal(ix, iy) and len(set(ix.tolist())) > 2
+        crossed = [(0, 1) if a != b else (2,) for a, b in zip(ix[:-1], ix[1:])]
+        self.check_steps(self.FRUSTUM, tr, crossed)
+        assert_matches_clip_oracle(self.FRUSTUM, ray, tr)
+
+    def test_frustum_corner(self):
+        # through the point (0, 0, z_1) where the planes x = 0, y = 0 and the
+        # first interior depth plane meet; z_1 - 0.5 is exact, so every
+        # crossing depth there is 0.5 / d_x
+        z1 = self.FRUSTUM.alpha1 * np.exp(self.FRUSTUM.alpha2 * np.arange(1, 4))[0]
+        ray = Ray((-0.5, -0.5, z1 - 0.5), unit((1.0, 1.0, 1.0)))
+        tr = trace(self.FRUSTUM, ray)
+        at = np.searchsorted(tr.t_exit, 0.5 / ray.direction[0])
+        assert tr.t_exit[at] == 0.5 / ray.direction[0]
+        assert tr.cells[at:at + 2].tolist() == [self.FRUSTUM.linear_index(1, 1, 0),
+                                                self.FRUSTUM.linear_index(2, 2, 1)]
+        assert np.all(tr.t_exit > tr.t_enter)
+        assert_matches_clip_oracle(self.FRUSTUM, ray, tr)
+
+    def test_entry_cell_agrees_with_crossing_depths(self):
+        # z(t0) = -7e-46 rounds to the plane z = 0 in grid coordinates, but
+        # the ray crosses that plane only at t = 2 > t0 = 1.5: a cell taken
+        # from floor() at the entry would step past the grid's last z layer
+        geom = unit_cube_geometry((2, 3, 2))
+        ray = Ray((0.1, -2.0, -2.8e-45), (0.0, 1.0, 1.4e-45))
+        tr = trace(geom, ray)
+        assert tr.cells.max() < geom.ncells
+        assert_matches_clip_oracle(geom, ray, tr)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("kind", ["uniform", "frustum"])
+    def test_ray_on_interior_plane(self, kind, zero):
+        # on y = 0.25 in the cube; on the depth plane z = z_1 in the frustum,
+        # parallel to every x plane too.  The ray stays in the cells above the
+        # plane it lies on, and the planes it runs parallel to are counted on
+        # the right side of it, whichever sign its zero components have.
+        if kind == "uniform":
+            geom, origin, direction, axis = self.CUBE, (-1.0, 0.25, 0.3), (1.0, zero, 0.0), 1
+        else:
+            geom = self.FRUSTUM
+            z1 = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, 4))[0]
+            origin, direction, axis = (0.1, -1.0, z1), (zero, 1.0, zero), 2
+        tr = trace(geom, Ray(origin, direction))
+        above = np.array(origin)
+        above[axis] += 1e-9
+        cells, t_enter, t_exit = clip_cells(geom, Ray(above, direction))
+        assert tr.n > 1 and tr.cells.tolist() == cells.tolist()
+        assert np.allclose(tr.t_enter, t_enter, rtol=0, atol=1e-7)
+        assert np.allclose(tr.t_exit, t_exit, rtol=0, atol=1e-7)
+        assert np.all(geom.unravel(tr.cells)[axis] == 1)
 
 
 class TestFirstHit:
