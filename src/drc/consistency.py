@@ -20,20 +20,34 @@ whose gradient is
 evaluated in O(N) with prefix products and a backward recurrence; no
 division by x is ever performed, so x_k in {0, 1} exactly is safe.
 
-The costs and this recurrence are written once, for R rays padded to L
-trace slots (``_event_costs``, ``_telescope``).  ``view_loss`` runs them on
-the rays of a view that enter the grid (a ray that misses has the escape
-event alone); the scalar API (``cost_*``, ``ray_loss*``) runs them with
-R = 1, so the gradient check tests the fitter's kernel.
+The costs and this recurrence are written once (``_event_costs``,
+``_telescope``).  The costs work on one flat array of cells.  The
+recurrence works on a length-sorted, slot-major layout with no padding:
+the rays are sorted by decreasing trace length, so slot k holds the k-th
+cell of a prefix of m_k rays, and slot k's run follows slot k-1's.  The
+prefix products and the backward recurrence are one loop over slots, on
+contiguous runs.  Each ray's sum over its cells goes into eight partial
+sums, slot k into sum k mod 8, combined ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)).
+That is the order numpy's row sum uses for 8 to 128 values, so the loss
+is bitwise what a (rays, slots) layout padded to a multiple of 8 gave, and
+past 128 cells a ray's loss still does not depend on the rays beside it.
+
+``view_loss`` runs the kernel on the rays that enter the grid (a ray that
+misses has the escape event alone), about LOSS_CHUNK cells per pass, over
+one table or a list of them (``fit`` passes every chosen view's table).
+It scatters each table's gradients in that table's ray order, so one call
+over k tables gives the bits of k calls summed in order.  The scalar API
+(``cost_*``, ``ray_loss*``) runs the same kernel on one ray, so the
+gradient check tests the fitter's kernel, sum order included.
 ``event_probabilities`` and ``mask_loss_closed_form`` are independent
 direct formulas for tests.
 
 A payload gradient is p(z = i) * dpsi_i/dp_i per cell.  A semantic cost
-depends on the observed class c alone, so the kernel keeps the (R, L)
-derivative -label_weight / p_i(c) and ``view_loss`` scatters it with one
-flat ``bincount`` over cell * K + c; a color cost keeps its (R, L, 3)
-residual, one ``bincount`` per channel.  ``EventCosts.dpsi_dp``, from the
-scalar API, holds the full (N, D) derivative, zero off the observed class.
+depends on the observed class c alone, so the kernel keeps one derivative
+-label_weight / p_i(c) per cell, and ``view_loss`` adds it into the flat
+payload at cell * K + c.  A color cost keeps its (E, 3) residual, added at
+cell * 3 + channel.  ``EventCosts.dpsi_dp``, from the scalar API, holds
+the full (N, D) derivative, zero off the observed class.
 
 Escape conventions: depth events use a fixed escape depth (10 m at object
 scale; disparity-based costs use 1000 m so escape means near-zero
@@ -56,6 +70,12 @@ LOG_PROB_FLOOR = 1e-8
 ESCAPE_COLOR = np.array([1.0, 1.0, 1.0])
 
 RAY_KINDS = ("mask", "depth", "depth_semantics", "color")
+
+# cells per pass of view_loss's kernel; bounds the per-cell arrays a pass
+# holds.  Of 16k to 64k, 40k measured fastest on both benchmark fits: one
+# pass of a 32^3 depth fit's ~36k cells per iteration, and passes of ~37k
+# cells in the semantic scene fit (112k), where 64k-cell passes ran ~15% slower.
+LOSS_CHUNK = 40 * 1024
 
 
 def _as_depths(trace) -> np.ndarray:
@@ -101,62 +121,81 @@ def event_probabilities(x_r) -> np.ndarray:
     return p
 
 
-def _event_costs(kind: str, d_mid: np.ndarray, valid: np.ndarray, cells: np.ndarray,
+def _event_costs(kind: str, d_mid: np.ndarray, cells: np.ndarray, ray: np.ndarray,
                  payload: np.ndarray | None = None, *, s=None, d=None, c=None,
                  escape_depth: float | None = None, label_weight: float = 1.0):
-    """(R, L) cell-event costs, (R,) escape costs, then the payload
-    derivative or None: (R, L) d psi / d p(c) at the observed class c for
-    depth_semantics, the (R, L, 3) d psi / d p for color.
+    """(E,) cell-event costs and (R,) escape costs, then for payload kinds
+    the flat index into the payload table (P, D) of each non-zero
+    derivative d psi / d p and that derivative, else None and None: (E,) at
+    the observed class c for depth_semantics, (E, 3) for color.
 
-    ``d_mid`` are event depths, ``valid`` marks real slots, ``cells`` index
-    the payload table (P, D); ``s``, ``d``, ``c`` are as in RayBatch.
+    Entry e is cell ``cells[e]``, a row of the payload table, at event
+    depth ``d_mid[e]`` on ray ``ray[e]``; ``s``, ``d``, ``c`` are the R rays'
+    observations, as in RayBatch.
     """
     if kind == "mask":
-        psi = np.broadcast_to(s[:, None].astype(np.float64), d_mid.shape).copy()
-        return psi, 1.0 - s.astype(np.float64), None
+        s = s.astype(np.float64)
+        return s[ray], 1.0 - s, None, None
     if kind == "depth":
         esc = OBJECT_ESCAPE_DEPTH if escape_depth is None else escape_depth
-        psi = np.abs(np.where(valid, d_mid, 1.0) - d[:, None])
-        return psi, np.abs(esc - d), None
+        return np.abs(d_mid - d[ray]), np.abs(esc - d), None, None
+    k = np.int64(payload.shape[1])
     if kind == "depth_semantics":
         esc = SCENE_ESCAPE_DEPTH if escape_depth is None else escape_depth
-        pc = np.maximum(payload[cells, c[:, None]], LOG_PROB_FLOOR)
-        disparity = np.abs(1.0 / np.where(valid, d_mid, 1.0) - 1.0 / d[:, None])
+        at = cells * k + c[ray]
+        pc = np.maximum(payload.ravel()[at], LOG_PROB_FLOOR)
+        disparity = np.abs(1.0 / d_mid - (1.0 / d)[ray])
         psi = disparity - label_weight * np.log(pc)
         psi_esc = np.abs(1.0 / esc - 1.0 / d) + label_weight * np.log(payload.shape[1])
-        return psi, psi_esc, -label_weight / pc
+        return psi, psi_esc, at, -label_weight / pc
     # color
-    diff = payload[cells] - c[:, None, :]
-    psi = 0.5 * np.sum(diff * diff, axis=2)
+    diff = payload[cells] - c[ray]
+    psi = 0.5 * np.sum(diff * diff, axis=1)
     psi_esc = 0.5 * np.sum((ESCAPE_COLOR - c) ** 2, axis=1)
-    return psi, psi_esc, diff
+    return psi, psi_esc, cells[:, None] * k + np.arange(k), diff
 
 
-def _telescope(x: np.ndarray, valid: np.ndarray, psi: np.ndarray, psi_esc: np.ndarray, *,
+def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, *,
                backward: bool = True, events: bool = False):
-    """(R,) per-ray losses, then (R, L) d(loss)/dx if ``backward`` and (R, L)
-    cell-event probabilities if ``events`` (else None); both zero on padding.
+    """(R,) per-ray losses psi_1 + sum_k dpsi_k prod_{j<=k} x_j, then (E,)
+    d(loss)/dx if ``backward`` and (E,) cell-event probabilities if
+    ``events`` (else None).  The gradient is computed in ``dpsi``.
 
-    ``x`` is emptiness, 1 on padding slots, which ``valid`` marks False.
+    The R rays are sorted by decreasing length and their E cells laid out
+    slot-major: slot k holds the k-th cell of rays 0..m[k]-1, so ``m`` is
+    non-increasing and sums to E, and slot k's run of entries follows slot
+    k-1's.  ``x`` and ``dpsi`` are per cell, dpsi_k = psi_{k+1} - psi_k with
+    the escape cost after a ray's last cell; ``psi_first`` is per ray, psi_1
+    or, for a ray of no cells, the escape cost.
     """
-    cum = np.cumprod(x, axis=1)
-    pre = np.concatenate([np.ones((x.shape[0], 1)), cum[:, :-1]], axis=1)
-    # dpsi_i = psi_{i+1} - psi_i; the escape cost closes each ray and fills
-    # its padding, where dpsi is then zero
-    psi = np.where(valid, psi, psi_esc[:, None])
-    dpsi = np.concatenate([psi[:, 1:], psi_esc[:, None]], axis=1) - psi
-    per_ray = psi[:, 0] + (dpsi * cum).sum(axis=1)
+    off = [0, *np.cumsum(m, dtype=np.int64).tolist()]
+    pre = np.empty_like(x)  # prod_{j<k} x_j
+    pre[:off[1] if m else 0] = 1.0
+    for k in range(len(m) - 1):
+        a, b, more = off[k], off[k + 1], m[k + 1]
+        np.multiply(pre[a:a + more], x[a:a + more], out=pre[b:b + more])
+    # each ray's sum in eight partial sums, slot k into sum k mod 8, combined
+    # pairwise: numpy's order for a row of 8 to 128 values, here at any length
+    terms = pre * x  # prod_{j<=k} x_j, as cumprod rounds it
+    terms *= dpsi
+    acc = np.zeros((8, psi_first.shape[0]))
+    for k in range(len(m)):
+        acc[k % 8, :m[k]] += terms[off[k]:off[k + 1]]
+    del terms
+    per_ray = psi_first + (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                           + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
 
     grad = p_events = None
+    if events:
+        p_events = 1.0 - x
+        p_events *= pre
     if backward:
         # backward recurrence S_k = dpsi_k + x_{k+1} S_{k+1}; grad = pre * S
-        s = np.zeros_like(dpsi)
-        s[:, -1] = dpsi[:, -1]
-        for k in range(psi.shape[1] - 2, -1, -1):
-            s[:, k] = dpsi[:, k] + x[:, k + 1] * s[:, k + 1]
-        grad = np.where(valid, pre * s, 0.0)
-    if events:
-        p_events = np.where(valid, (1.0 - x) * pre, 0.0)
+        grad = dpsi
+        for k in range(len(m) - 2, -1, -1):
+            a, b, more = off[k], off[k + 1], m[k + 1]
+            grad[a:a + more] += x[b:b + more] * grad[b:b + more]
+        grad *= pre
     return per_ray, grad, p_events
 
 
@@ -167,16 +206,16 @@ def _check_depth(d_r) -> None:
 
 def _one_ray_costs(kind: str, d_mid, payload=None, **obs) -> EventCosts:
     """Event costs of one ray: ``_event_costs`` on a batch of one, its
-    semantic derivative spread to the (N, K) ``dpsi_dp``."""
-    d_mid = np.asarray(d_mid, dtype=np.float64)[None]
-    psi, psi_esc, dpsi = _event_costs(kind, d_mid, np.ones(d_mid.shape, dtype=bool),
-                                      np.arange(d_mid.shape[1])[None], payload, **obs)
-    if kind == "depth_semantics":
+    payload derivative spread to the (N, D) ``dpsi_dp``."""
+    d_mid = np.asarray(d_mid, dtype=np.float64)
+    n = d_mid.shape[0]
+    psi, psi_esc, at, dpsi = _event_costs(kind, d_mid, np.arange(n), np.zeros(n, dtype=np.int64),
+                                          payload, **obs)
+    dpsi_dp = None
+    if at is not None:
         dpsi_dp = np.zeros(payload.shape)
-        dpsi_dp[:, obs["c"][0]] = dpsi[0]
-    else:
-        dpsi_dp = None if dpsi is None else dpsi[0]
-    return EventCosts(np.concatenate([psi[0], psi_esc]), dpsi_dp)
+        dpsi_dp.ravel()[at] = dpsi
+    return EventCosts(np.concatenate([psi, psi_esc]), dpsi_dp)
 
 
 def cost_depth(trace, d_r: float, escape_depth: float = OBJECT_ESCAPE_DEPTH) -> EventCosts:
@@ -235,16 +274,14 @@ def cost_color(trace, p_r, c_r) -> EventCosts:
 
 
 def _one_ray(x_r, costs, *, backward: bool = True, events: bool = False):
-    """``_telescope`` on one ray, padded by one slot so N = 0 needs no special case."""
+    """``_telescope`` on one ray: its N cells are N slots of one entry."""
     x = np.asarray(x_r, dtype=np.float64)
     psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
     if psi.ndim != 1 or psi.size != x.size + 1:
         raise ValueError(f"psi must have length N+1 = {x.size + 1}, got {psi.size}")
-    valid = np.arange(x.size + 1) < x.size
-    per_ray, grad, p_events = _telescope(np.concatenate([x, [1.0]])[None], valid[None],
-                                         psi[None], psi[-1:], backward=backward, events=events)
-    return (float(per_ray[0]), None if grad is None else grad[0, :-1],
-            None if p_events is None else p_events[0, :-1])
+    per_ray, grad, p_events = _telescope(x, np.diff(psi), psi[:1], [1] * x.size,
+                                         backward=backward, events=events)
+    return float(per_ray[0]), grad, p_events
 
 
 def ray_loss(x_r, costs) -> float:
@@ -324,6 +361,17 @@ class RayBatch:
     def n_rays(self) -> int:
         return self.weights.shape[0]
 
+    @classmethod
+    def concatenate(cls, batches) -> "RayBatch":
+        """The rays of ``batches``, all of one kind, in order.  Pixel indices
+        belong to each batch's own image, so the result has none."""
+        kinds = {b.kind for b in batches}
+        if len(kinds) != 1:
+            raise ValueError(f"batches must share one ray kind, got {sorted(kinds)}")
+        fields = {k: None if getattr(batches[0], k) is None else np.concatenate([getattr(b, k) for b in batches])
+                  for k in ("s", "d", "c")}
+        return cls(kinds.pop(), np.concatenate([b.weights for b in batches]), **fields)
+
     def observed(self, which) -> dict:
         """The observation fields (s, d, c) of rays ``which``."""
         return {k: None if v is None else v[which]
@@ -337,19 +385,78 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
+def _hit_loss(x: np.ndarray, payload, kind: str, parts: list, weights: np.ndarray,
+              observed: dict, costs: dict):
+    """The kernel on the rays of the tables ``parts``, in order, every one
+    of which enters the grid.  Returns the per-ray losses and, per cell in
+    the tables' ray order, the cell, the weighted d(loss)/dx, then for
+    payload kinds the flat payload index and the weighted payload gradient
+    there ((E,) at the observed class, or (E, 3)), else None and None.
+    A pass's per-cell arrays set a fit's peak memory, so each is dropped
+    as soon as it has been used."""
+    n = np.concatenate([t.n for t in parts])
+    entries = [t.entries() for t in parts]
+    cells = np.concatenate([e[0] for e in entries])
+    d_mid = np.concatenate([e[1] for e in entries])
+    del entries
+    first = np.cumsum(n) - n  # each ray's first cell
+    psi, psi_esc, at_p, dpsi_dp = _event_costs(kind, d_mid, cells, np.repeat(np.arange(n.size), n),
+                                               payload, **observed, **costs)
+    del d_mid
+    psi_first = psi[first]
+    dpsi = np.empty_like(psi)  # psi_{k+1} - psi_k, escape after the last cell
+    dpsi[:-1] = psi[1:]
+    dpsi[first + n - 1] = psi_esc
+    dpsi -= psi
+    del psi
+    # the slot-major layout: rays by decreasing length, slot k after slot
+    # k-1; ``back`` is the cell at each place in it, ``at`` each cell's place
+    order = np.argsort(-n, kind="stable")
+    m = n.size - np.cumsum(np.bincount(n))[:-1]  # per slot k, the rays longer than k
+    slot_start = np.concatenate([[0], np.cumsum(m)[:-1]])
+    back = np.arange(cells.size) - np.repeat(slot_start, m)
+    back = first[order][back]
+    back += np.repeat(np.arange(m.size), m)
+    x_sorted, dpsi = x[cells[back]], dpsi[back]
+    del back
+    per_ray, grad, p_events = _telescope(x_sorted, dpsi, psi_first[order], m.tolist(),
+                                         events=dpsi_dp is not None)
+    del x_sorted, dpsi
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n.size)
+    at = slot_start[np.arange(cells.size) - np.repeat(first, n)]
+    at += np.repeat(rank, n)
+    w = np.repeat(weights, n)
+    grad = grad[at]
+    grad *= w
+    if dpsi_dp is None:
+        return per_ray[rank], cells, grad, None, None
+    p_events = p_events[at]
+    del at
+    if kind == "color":
+        p_events, w = p_events[:, None], w[:, None]
+    dpsi_dp = p_events * dpsi_dp
+    dpsi_dp *= w
+    return per_ray[rank], cells, grad, at_p, dpsi_dp
+
+
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
               escape_depth: float | None = None, label_weight: float = 1.0,
-              traces: TraceTable) -> ViewLossResult:
+              traces) -> ViewLossResult:
     """Weighted sum of per-ray losses plus gradients scattered onto the grid.
 
-    ``traces`` holds one trace per ray, in order: rows of a view's
-    ``image_traces`` table, or ``trace_batch`` over the rays.  Rays are
-    evaluated in batch but accumulated in a fixed order, so the result is
-    deterministic.  Cells no ray touches get zero gradient.
+    ``traces`` holds one trace per ray, in order: a ``TraceTable`` (rows of
+    a view's ``image_traces`` table, or ``trace_batch`` over the rays) or a
+    list of tables whose rows, in list order, are the rays.  Loss and
+    gradients are reduced table by table in list order, each table's rays
+    in order, so the result is deterministic and, to the bit, the in-order
+    sum of one call per table.  Cells no ray touches get zero gradient.
 
-    Only rays that enter the grid run through the telescoped kernel.  A miss
-    has one event, escape: its loss is the escape cost and its gradient zero.
+    Only rays that enter the grid run through the telescoped kernel, in
+    passes of about LOSS_CHUNK cells that may span tables.  A miss has one
+    event, escape: its loss is the escape cost and its gradient zero.
     """
+    tables = [traces] if isinstance(traces, TraceTable) else list(traces)
     if rays.n_rays == 0:
         raise ValueError("ray set is empty")
     if rays.kind in ("depth_semantics", "color"):
@@ -359,45 +466,66 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         if not same_geometry(aux.geometry, occ.geometry):
             raise ValueError("aux grid geometry does not match the occupancy grid")
     geom = occ.geometry
-    if not same_geometry(traces.geometry, geom):
+    if not all(same_geometry(t.geometry, geom) for t in tables):
         raise ValueError("traces were built on a different geometry")
-    if traces.n.shape != (rays.n_rays,):
-        raise ValueError(f"need one trace per ray, got {traces.n.shape[0]} for {rays.n_rays} rays")
+    n = np.concatenate([t.n for t in tables])
+    if n.shape != (rays.n_rays,):
+        raise ValueError(f"need one trace per ray, got {n.shape[0]} for {rays.n_rays} rays")
     payload = None if aux is None else aux.flat
     costs = {"escape_depth": escape_depth, "label_weight": label_weight}
 
-    hit = np.flatnonzero(traces.n)
-    miss = np.flatnonzero(traces.n == 0)
     per_ray = np.empty(rays.n_rays)
-    # a miss is a batch with no cell slots: its loss is the escape cost
-    no_slots = np.zeros((miss.size, 0))
-    per_ray[miss] = _event_costs(rays.kind, no_slots, no_slots.astype(bool),
-                                 no_slots.astype(np.int64), payload,
+    miss = np.flatnonzero(n == 0)
+    none = np.zeros(0, dtype=np.int64)
+    per_ray[miss] = _event_costs(rays.kind, np.zeros(0), none, none, payload,
                                  **rays.observed(miss), **costs)[1]
 
-    cells, d_mid, valid = traces.take(hit).padded()
-    x = np.where(valid, occ.flat[cells], 1.0)
-    observed = rays.observed(hit)
-    psi, psi_esc, dpsi = _event_costs(rays.kind, d_mid, valid, cells, payload, **observed, **costs)
-    per_ray[hit], grad, p_events = _telescope(x, valid, psi, psi_esc, events=dpsi is not None)
-    loss = float(rays.weights @ per_ray)
-
-    weights = rays.weights[hit]
-    at = cells[valid]
+    # each table's gradients are summed in its rays' order (ufunc.at adds in
+    # input order), the first table's straight into the totals, each later
+    # one's in buffers of its own that are then added, as one call per table
+    # would add up
     grad_x = np.zeros(geom.ncells)
-    np.add.at(grad_x, at, (grad * weights[:, None])[valid])
+    grad_p = None if payload is None else np.zeros(payload.size)
+    totals = [g for g in (grad_x, grad_p) if g is not None]
+    sums = totals
+    first = np.cumsum([0] + [t.n_rays for t in tables])
+    hit = np.flatnonzero(n)
+    table_of = np.searchsorted(first, hit, side="right") - 1
+    current = table_of[0] if hit.size else -1
+    # passes of whole rays, a new one after every LOSS_CHUNK cells
+    ends = np.cumsum(n[hit])
+    stops = np.searchsorted(ends, np.arange(LOSS_CHUNK, ends[-1] if hit.size else 0, LOSS_CHUNK))
+    for i, j in zip([0, *stops.tolist()], [*stops.tolist(), hit.size]):
+        if i == j:  # two stops meet past a ray of more than LOSS_CHUNK cells
+            continue
+        rows, row_table = hit[i:j], table_of[i:j]
+        cut = [0, *(np.flatnonzero(np.diff(row_table)) + 1).tolist(), rows.size]
+        runs = [(row_table[a], tables[row_table[a]].take(rows[a:b] - first[row_table[a]]))
+                for a, b in zip(cut[:-1], cut[1:])]
+        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, [r for _, r in runs],
+                                                       rays.weights[rows], rays.observed(rows), costs)
+        end = 0
+        for t, r in runs:
+            start, end = end, end + int(r.n.sum())
+            if t != current:
+                if sums is totals:
+                    sums = [np.zeros_like(g) for g in totals]
+                else:
+                    for total, part in zip(totals, sums):
+                        total += part
+                        part.fill(0.0)
+                current = t
+            np.add.at(sums[0], cells[start:end], gx[start:end])
+            if gp is not None:
+                np.add.at(sums[1], at_p[start:end], gp[start:end])
+        del cells, gx, at_p, gp
+    if sums is not totals:
+        for total, part in zip(totals, sums):
+            total += part
+    loss = 0.0
+    for a, b in zip(first[:-1], first[1:]):
+        loss += float(rays.weights[a:b] @ per_ray[a:b])
 
-    # bincount, like add.at, adds in input order, so both scatters are deterministic
-    grad_p = None
-    if rays.kind == "depth_semantics":
-        # dpsi is non-zero at the observed class only: one flat bin per (cell, class)
-        k = aux.nchannels
-        bins = (cells * np.int64(k) + observed["c"][:, None])[valid]
-        contrib = (p_events * dpsi * weights[:, None])[valid]
-        grad_p = np.bincount(bins, weights=contrib, minlength=geom.ncells * k).reshape(*geom.shape, k)
-    elif rays.kind == "color":
-        contrib = (p_events[:, :, None] * dpsi * weights[:, None, None])[valid]
-        grad_p = np.stack([np.bincount(at, weights=contrib[:, j], minlength=geom.ncells)
-                           for j in range(contrib.shape[1])], axis=-1).reshape(*geom.shape, -1)
-
+    if grad_p is not None:
+        grad_p = grad_p.reshape(*geom.shape, aux.nchannels)
     return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)

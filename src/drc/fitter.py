@@ -11,8 +11,9 @@ are traced once, into a table (``image_traces``), the first time the view
 is used, unless the caller passes the views' tables as ``traces=``.  Every
 iteration samples a subset of views and a budget of rays (uniform pixels
 with replacement, foreground rays weighted up), looks up their traces in
-the table, computes the view loss and its analytic gradients, chain-rules
-through the squashing map and applies the update; a loss or gradient that
+the tables, computes the loss of all of them and its analytic gradients in
+one ``view_loss`` call, chain-rules through the squashing map and applies
+the update; a loss or gradient that
 is not finite stops the fit with ``ValueError``.
 Everything is seeded: identical configs produce identical loss traces and
 final grids.
@@ -36,12 +37,10 @@ _VIEW_CHOICE_STREAM = 1 << 20
 
 
 def sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below, so exp
+    never overflows; both branches from one exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(z):
@@ -57,6 +56,16 @@ def softmax(z):
     for k in range(1, z.shape[-1]):
         total += e[..., k]
     return e / total[..., None]
+
+
+def _last_axis_dot(a, b):
+    """sum_k a[..., k] * b[..., k], one last-axis slice at a time, as
+    ``softmax`` sums; for K < 8 numpy's ``np.sum(a * b, axis=-1)`` adds in
+    the same order, so the result is the same to the bit."""
+    total = np.zeros(a.shape[:-1])
+    for k in range(a.shape[-1]):
+        total += a[..., k] * b[..., k]
+    return total
 
 
 @dataclass
@@ -85,7 +94,7 @@ class FitConfig:
     epsilon: float = 1e-8
     label_weight: float = 1.0
     full_images: bool = False  # use every pixel of every chosen view
-    threads: int = 1  # kept for existing callers; views are evaluated in turn
+    threads: int = 1  # kept for existing callers; a fit runs on one thread
     color_schedule: str = "carve-then-paint"  # or "joint"
     aux_init_logit: float = -2.0  # color payload init; semantics stay uniform
 
@@ -103,7 +112,7 @@ class FitConfig:
         if not math.isfinite(self.label_weight):
             raise ValueError(f"label_weight must be finite, got {self.label_weight}")
         if self.threads != 1:
-            raise ValueError(f"threads must be 1 (views are evaluated in turn), got {self.threads}")
+            raise ValueError(f"threads must be 1 (a fit runs on one thread), got {self.threads}")
         if self.color_schedule not in ("carve-then-paint", "joint"):
             raise ValueError(f"unknown color_schedule {self.color_schedule!r}")
 
@@ -233,10 +242,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
 
         per_view = max(1, config.rays_per_iteration // take)
-        loss = 0.0
-        grad_x = np.zeros(geometry.shape)
-        grad_p = np.zeros_like(logits_p) if logits_p is not None else None
-        count = 0
+        batches, view_rows = [], []
         for view_idx in chosen:  # fixed view order: deterministic reduction
             obs = observations[view_idx]
             if tables[view_idx] is None:
@@ -246,13 +252,12 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
             else:
                 rays = sample_rays(obs, per_view, config.foreground_weight,
                                    config.seed, it, stream=view_idx)
-            res = view_loss(occ, rays, aux, label_weight=config.label_weight,
-                            traces=tables[view_idx].take(rays.pixels))
-            loss += res.loss
-            grad_x += res.grad_x
-            if grad_p is not None:
-                grad_p += res.grad_p
-            count += rays.n_rays
+            batches.append(rays)
+            view_rows.append(tables[view_idx].take(rays.pixels))
+        # one kernel call for every chosen view, reduced view by view
+        rays = RayBatch.concatenate(batches)
+        res = view_loss(occ, rays, aux, label_weight=config.label_weight, traces=view_rows)
+        loss, grad_x, grad_p, count = res.loss, res.grad_x, res.grad_p, rays.n_rays
         if not (math.isfinite(loss) and np.isfinite(grad_x).all()
                 and (grad_p is None or np.isfinite(grad_p).all())):
             raise ValueError(f"fit iteration {it}: loss or gradient is not finite (loss {loss})")
@@ -267,8 +272,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
             if aux_kind == "color":
                 opt_p.update(logits_p, grad_p * p * (1.0 - p))
             else:
-                inner = np.sum(grad_p * p, axis=-1, keepdims=True)
-                opt_p.update(logits_p, p * (grad_p - inner))
+                opt_p.update(logits_p, p * (grad_p - _last_axis_dot(grad_p, p)[..., None]))
 
     occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
     report = FitReport(losses, ray_counts, time.perf_counter() - t_start)

@@ -24,9 +24,9 @@ as floor() of its grid coordinate would say.
 ``TraceTable``: per ray a start, a length and an entry depth, per traversed
 cell its index and exit depth.  Consecutive cells of a ray share their
 boundary, so each cell's entry depth is the exit depth before it.
-``TraceTable.padded`` lays gathered rows out in (rays, slots) arrays for
-the loss, ``TraceTable.row`` gives one ray's ``RayTrace``, and ``trace`` is
-``trace_batch`` on one ray.
+``TraceTable.entries`` gives every cell of gathered rows and its event
+depth, flat and ray by ray, for the loss; ``TraceTable.row`` gives one
+ray's ``RayTrace``, and ``trace`` is ``trace_batch`` on one ray.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class TraceTable:
         """Entry depths of the cells at flat positions ``at`` of rays
         ``rays`` (broadcast against ``at``): the ray's t0 at its first cell,
         else the exit depth of the cell before."""
-        before = np.take(self.t_exit, at - 1, mode="clip")  # -1 only at a first cell or padding
+        before = np.take(self.t_exit, at - 1, mode="clip")  # -1 only at a first cell
         return np.where(at == self.start[rays], self.t0[rays], before)
 
     def row(self, i: int) -> RayTrace:
@@ -120,24 +120,15 @@ class TraceTable:
             raise ValueError("table does not store its rays in order (a take() of another table?)")
         return np.repeat(np.arange(self.n_rays, dtype=np.int32), self.n)
 
-    def padded(self):
-        """(cells, d, valid), each (n_rays, W): every ray's trace left-aligned
-        in W slots, W = max_len rounded up to a multiple of 8, at least 8.
-        d is the event depth per cell, 0.5 * (t_enter + t_exit).  Padding is
-        cell 0 at depth 0, and ``valid`` is False there.
-
-        numpy sums a row of 8 to 128 values in eight interleaved partial
-        sums, so padding a row with zeros to any multiple of 8 up to 128
-        leaves the rounding of its sum unchanged: a ray's loss does not
-        depend on the rays batched with it.
-        """
-        width = max(8, -(-self.max_len // 8) * 8)
-        valid = np.arange(width) < self.n[:, None]
-        at = np.where(valid, self.start[:, None] + np.arange(width), 0)
-        if not self.cells.size:  # every ray missed
-            return at, np.zeros(at.shape), valid
-        d = 0.5 * (self._t_enter(at, np.arange(self.n_rays)[:, None]) + self.t_exit[at])
-        return np.where(valid, self.cells[at], 0), np.where(valid, d, 0.0), valid
+    def entries(self):
+        """(cells, d) of every traversed cell, ray by ray and along each ray:
+        the cell and its event depth 0.5 * (t_enter + t_exit)."""
+        first = np.cumsum(self.n) - self.n  # each ray's first cell in the result
+        at = np.arange(self.n.sum()) + np.repeat(self.start - first, self.n)
+        t_enter = self.t_exit[at - 1]  # -1 only at a first cell, set next
+        hit = self.n > 0
+        t_enter[first[hit]] = self.t0[hit]
+        return self.cells[at], 0.5 * (t_enter + self.t_exit[at])
 
 
 def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:

@@ -6,9 +6,11 @@ that clip by dense point sampling), losses by enumerating every hard
 occupancy configuration, gradients by the quadratic-time transcription of
 the gradient sum, the batched first-hit search by a one-ray version, and
 cell geometry by explicit bounding planes.  The dense payload scatter, the
-two-reduction softmax and ``ReferenceAdam`` are the formulas the fitter
-used before its flat ``bincount``, slice-wise softmax and in-place Adam
-update, kept to check those bit for bit.
+two-reduction softmax, the two-branch sigmoid, ``ReferenceAdam`` and the
+padded loss kernel (``padded``, ``padded_view_loss``) are the formulas the
+fitter used before its flat payload scatter, slice-wise softmax, one-exp
+sigmoid, in-place Adam update and length-sorted loss kernel, kept to
+check those bit for bit.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from drc.cameras import Ray, pixel_rays
-from drc.consistency import OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH, EventCosts
+from drc.consistency import (ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
+                             EventCosts, ViewLossResult)
 from drc.grid import same_geometry
 
 
@@ -71,6 +74,17 @@ def dense_payload_scatter(cells, valid, p_events, dpsi_dp, weights, ncells):
     grad_p = np.zeros((ncells, dpsi_dp.shape[2]))
     np.add.at(grad_p, cells[valid], contrib[valid])
     return grad_p
+
+
+def two_branch_sigmoid(z):
+    """1 / (1 + exp(-z)) on z >= 0 and exp(z) / (1 + exp(z)) elsewhere, each
+    branch on its own boolean-mask gather."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def two_reduction_softmax(z):
@@ -287,3 +301,113 @@ def first_hit(bgrid, tr):
         return None
     i = hits[0]
     return int(tr.cells[i]), float(tr.d[i])
+
+
+# ---------------------------------------------------------------------------
+# The padded loss kernel: every ray's trace left-aligned in (rays, slots)
+# arrays, one view per call
+# ---------------------------------------------------------------------------
+
+
+def padded(table):
+    """(cells, d, valid), each (n_rays, W): every ray's trace left-aligned
+    in W slots, W = max_len rounded up to a multiple of 8, at least 8.  d is
+    the event depth per cell, 0.5 * (t_enter + t_exit).  Padding is cell 0
+    at depth 0, and ``valid`` is False there.
+
+    numpy sums a row of 8 to 128 values in eight interleaved partial sums,
+    so padding a row with zeros to any multiple of 8 up to 128 leaves the
+    rounding of its sum unchanged.  Past 128 values numpy splits the row at
+    a point that depends on its width, so a ray's loss then depends on the
+    longest trace batched with it.
+    """
+    width = max(8, -(-table.max_len // 8) * 8)
+    valid = np.arange(width) < table.n[:, None]
+    at = np.where(valid, table.start[:, None] + np.arange(width), 0)
+    if not table.cells.size:  # every ray missed
+        return at, np.zeros(at.shape), valid
+    d = 0.5 * (table._t_enter(at, np.arange(table.n_rays)[:, None]) + table.t_exit[at])
+    return np.where(valid, table.cells[at], 0), np.where(valid, d, 0.0), valid
+
+
+def padded_event_costs(kind, d_mid, valid, cells, payload=None, *, s=None, d=None, c=None,
+                       escape_depth=None, label_weight=1.0):
+    """(R, L) cell-event costs, (R,) escape costs, then the payload
+    derivative or None: (R, L) d psi / d p(c) at the observed class c for
+    depth_semantics, the (R, L, 3) d psi / d p for color."""
+    if kind == "mask":
+        psi = np.broadcast_to(s[:, None].astype(np.float64), d_mid.shape).copy()
+        return psi, 1.0 - s.astype(np.float64), None
+    if kind == "depth":
+        esc = OBJECT_ESCAPE_DEPTH if escape_depth is None else escape_depth
+        psi = np.abs(np.where(valid, d_mid, 1.0) - d[:, None])
+        return psi, np.abs(esc - d), None
+    if kind == "depth_semantics":
+        esc = SCENE_ESCAPE_DEPTH if escape_depth is None else escape_depth
+        pc = np.maximum(payload[cells, c[:, None]], LOG_PROB_FLOOR)
+        disparity = np.abs(1.0 / np.where(valid, d_mid, 1.0) - 1.0 / d[:, None])
+        psi = disparity - label_weight * np.log(pc)
+        psi_esc = np.abs(1.0 / esc - 1.0 / d) + label_weight * np.log(payload.shape[1])
+        return psi, psi_esc, -label_weight / pc
+    diff = payload[cells] - c[:, None, :]
+    psi = 0.5 * np.sum(diff * diff, axis=2)
+    psi_esc = 0.5 * np.sum((ESCAPE_COLOR - c) ** 2, axis=1)
+    return psi, psi_esc, diff
+
+
+def padded_telescope(x, valid, psi, psi_esc, *, backward=True, events=False):
+    """(R,) per-ray losses, then (R, L) d(loss)/dx if ``backward`` and (R, L)
+    cell-event probabilities if ``events`` (else None); both zero on padding.
+    ``x`` is emptiness, 1 on padding slots."""
+    cum = np.cumprod(x, axis=1)
+    pre = np.concatenate([np.ones((x.shape[0], 1)), cum[:, :-1]], axis=1)
+    psi = np.where(valid, psi, psi_esc[:, None])
+    dpsi = np.concatenate([psi[:, 1:], psi_esc[:, None]], axis=1) - psi
+    per_ray = psi[:, 0] + (dpsi * cum).sum(axis=1)
+    grad = p_events = None
+    if backward:
+        s = np.zeros_like(dpsi)
+        s[:, -1] = dpsi[:, -1]
+        for k in range(psi.shape[1] - 2, -1, -1):
+            s[:, k] = dpsi[:, k] + x[:, k + 1] * s[:, k + 1]
+        grad = np.where(valid, pre * s, 0.0)
+    if events:
+        p_events = np.where(valid, (1.0 - x) * pre, 0.0)
+    return per_ray, grad, p_events
+
+
+def padded_view_loss(occ, rays, aux=None, *, escape_depth=None, label_weight=1.0, traces):
+    """``view_loss`` on one table through the padded kernel, as the fitter
+    ran it once per view."""
+    geom = occ.geometry
+    payload = None if aux is None else aux.flat
+    costs = {"escape_depth": escape_depth, "label_weight": label_weight}
+    hit = np.flatnonzero(traces.n)
+    miss = np.flatnonzero(traces.n == 0)
+    per_ray = np.empty(rays.n_rays)
+    no_slots = np.zeros((miss.size, 0))
+    per_ray[miss] = padded_event_costs(rays.kind, no_slots, no_slots.astype(bool),
+                                       no_slots.astype(np.int64), payload,
+                                       **rays.observed(miss), **costs)[1]
+    cells, d_mid, valid = padded(traces.take(hit))
+    x = np.where(valid, occ.flat[cells], 1.0)
+    observed = rays.observed(hit)
+    psi, psi_esc, dpsi = padded_event_costs(rays.kind, d_mid, valid, cells, payload, **observed, **costs)
+    per_ray[hit], grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
+    loss = float(rays.weights @ per_ray)
+
+    weights = rays.weights[hit]
+    at = cells[valid]
+    grad_x = np.zeros(geom.ncells)
+    np.add.at(grad_x, at, (grad * weights[:, None])[valid])
+    grad_p = None
+    if rays.kind == "depth_semantics":
+        k = aux.nchannels
+        bins = (cells * np.int64(k) + observed["c"][:, None])[valid]
+        contrib = (p_events * dpsi * weights[:, None])[valid]
+        grad_p = np.bincount(bins, weights=contrib, minlength=geom.ncells * k).reshape(*geom.shape, k)
+    elif rays.kind == "color":
+        contrib = (p_events[:, :, None] * dpsi * weights[:, None, None])[valid]
+        grad_p = np.stack([np.bincount(at, weights=contrib[:, j], minlength=geom.ncells)
+                           for j in range(contrib.shape[1])], axis=-1).reshape(*geom.shape, -1)
+    return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from drc.cameras import Ray
 from drc import traversal
 from drc.cameras import perspective_camera, pixel_rays
+from drc import consistency
 from drc.consistency import (
     RAY_KINDS,
     RayBatch,
-    _event_costs,
-    _telescope,
+    _hit_loss,
     cost_color,
     cost_depth,
     cost_mask,
@@ -27,7 +27,8 @@ from drc.metrics import central_difference
 from drc.traversal import trace, trace_batch
 
 
-from oracles import brute_force_ray_loss, dense_payload_scatter, naive_grad_x, reference_psi
+from oracles import (brute_force_ray_loss, dense_payload_scatter, naive_grad_x, padded,
+                     padded_event_costs, padded_telescope, padded_view_loss, reference_psi)
 
 
 def random_costs(rng, n, kind):
@@ -385,13 +386,13 @@ def test_payload_scatter_is_bitwise_the_dense_scatter(kind, label_weight):
     res = view_loss(occ, rays, aux, label_weight=label_weight, traces=traces)
 
     hit = np.flatnonzero(traces.n)
-    cells, d_mid, valid = traces.take(hit).padded()
+    cells, d_mid, valid = padded(traces.take(hit))
     assert hit.size < n and np.bincount(cells[valid]).max() > 3
     x = np.where(valid, occ.flat[cells], 1.0)
     observed = rays.observed(hit)
-    psi, psi_esc, dpsi = _event_costs(kind, d_mid, valid, cells, aux.flat, **observed,
-                                      label_weight=label_weight)
-    _, _, p_events = _telescope(x, valid, psi, psi_esc, backward=False, events=True)
+    psi, psi_esc, dpsi = padded_event_costs(kind, d_mid, valid, cells, aux.flat, **observed,
+                                            label_weight=label_weight)
+    _, _, p_events = padded_telescope(x, valid, psi, psi_esc, backward=False, events=True)
     if kind == "depth_semantics":  # the dense derivative: zero off the observed class
         dense = np.zeros((*dpsi.shape, k))
         dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), observed["c"][:, None]] = dpsi
@@ -482,17 +483,172 @@ class TestTraceTable:
         monkeypatch.setattr(traversal, "TABLE_CHUNK", 100)
         table = trace_batch(geom, *pixel_rays(cam, us + 0.5, vs + 0.5))
         rows = table.take(pixels)
-        cells, d, valid = rows.padded()
+        cells, d = rows.entries()
 
         assert 0 < np.count_nonzero(alone.n) < pixels.size
         assert np.array_equal(rows.n, alone.n)
+        assert cells.tobytes() == alone.cells.tobytes()
+        want_d = [alone.row(i).d for i in range(alone.n_rays)]
+        assert d.tobytes() == np.concatenate(want_d).tobytes()
+        assert [a.tobytes() for a in alone.entries()] == [cells.tobytes(), d.tobytes()]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_padded_oracle_rows_equal_traced_rows(self, case, monkeypatch):
+        """The padded layout of the oracle kernel holds the same cells and
+        depths, left-aligned in a multiple of 8 slots."""
+        geom, cam = self.CASES[case]
+        vs, us = np.divmod(np.arange(cam.height * cam.width), cam.width)
+        pixels = np.random.default_rng(1).integers(0, us.size, 300)
+        alone = trace_batch(geom, *pixel_rays(cam, us[pixels] + 0.5, vs[pixels] + 0.5))
+        monkeypatch.setattr(traversal, "TABLE_CHUNK", 100)
+        rows = trace_batch(geom, *pixel_rays(cam, us + 0.5, vs + 0.5)).take(pixels)
+        cells, d, valid = padded(rows)
         assert np.array_equal(valid.sum(axis=1), alone.n)
         assert np.array_equal(cells[valid], alone.cells)
-        want_d = [alone.row(i).d for i in range(alone.n_rays)]
-        assert d[valid].tobytes() == np.concatenate(want_d).tobytes()
-        for gathered, traced in zip((cells, d, valid), alone.padded()):
+        assert d[valid].tobytes() == alone.entries()[1].tobytes()
+        for gathered, traced in zip((cells, d, valid), padded(alone)):
             assert gathered.tobytes() == traced.tobytes()
         assert valid.shape[1] % 8 == 0 and valid.shape[1] - 8 < alone.max_len
+
+
+def _kind_case(rng, geom, kind, n):
+    """An aux grid for ``kind`` (or None) and n weighted rays' observations."""
+    aux = None
+    if kind in ("depth_semantics", "color"):
+        k = 4 if kind == "depth_semantics" else 3
+        rows = rng.uniform(0.05, 0.95, (geom.ncells, k))
+        if kind == "depth_semantics":
+            rows /= rows.sum(axis=1, keepdims=True)
+        aux = AuxGrid(geom, "semantics" if kind == "depth_semantics" else "color",
+                      rows.reshape(*geom.shape, k))
+    fields = {"mask": lambda: {"s": rng.integers(0, 2, n).astype(np.float64)},
+              "depth": lambda: {"d": rng.uniform(0.5, 3.0, n)},
+              "depth_semantics": lambda: {"d": rng.uniform(0.5, 3.0, n), "c": rng.integers(0, 4, n)},
+              "color": lambda: {"c": rng.uniform(0.0, 1.0, (n, 3))}}[kind]()
+    return aux, RayBatch(kind, rng.uniform(0.5, 3.0, n), **fields)
+
+
+def _view_tables(rng, geom, count, n):
+    """``count`` tables of n rays each: most through the grid, some beside
+    it, some repeated (as sampled pixels repeat)."""
+    tables = []
+    for _ in range(count):
+        origins, directions = _rays_through(rng.uniform(-0.4, 0.4, (n, 3)), rng.normal(size=(n, 3)))
+        origins[:n // 8] += 3.0  # misses
+        origins[-n // 8:], directions[-n // 8:] = origins[n // 4:n // 4 + n // 8], directions[n // 4:n // 4 + n // 8]
+        tables.append(trace_batch(geom, origins, directions))
+    return tables
+
+
+def _same_bits(a, b):
+    assert a.loss == b.loss
+    assert a.grad_x.tobytes() == b.grad_x.tobytes()
+    assert (a.grad_p is None) == (b.grad_p is None)
+    if a.grad_p is not None:
+        assert a.grad_p.tobytes() == b.grad_p.tobytes()
+
+
+@pytest.mark.parametrize("kind", RAY_KINDS)
+@pytest.mark.parametrize("chunk", [5, 37, None])
+def test_one_call_over_tables_is_the_per_table_calls_summed(kind, chunk, monkeypatch):
+    """One view_loss call over k tables gives, to the bit, the k per-table
+    calls summed in list order, and each per-table call is the padded
+    kernel's; with a small LOSS_CHUNK passes split tables."""
+    rng = np.random.default_rng(RAY_KINDS.index(kind))
+    geom = unit_cube_geometry((5, 6, 4))
+    occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
+    tables = _view_tables(rng, geom, 3, 48)
+    aux, rays = _kind_case(rng, geom, kind, 3 * 48)
+    if chunk is not None:
+        monkeypatch.setattr(consistency, "LOSS_CHUNK", chunk)
+    res = view_loss(occ, rays, aux, label_weight=0.7, traces=tables)
+
+    loss, grad_x, grad_p = 0.0, np.zeros(geom.shape), None if aux is None else np.zeros(aux.payload.shape)
+    for v, table in enumerate(tables):
+        part = RayBatch(kind, rays.weights[48 * v:48 * (v + 1)],
+                        **rays.observed(np.arange(48 * v, 48 * (v + 1))))
+        alone = view_loss(occ, part, aux, label_weight=0.7, traces=table)
+        _same_bits(alone, padded_view_loss(occ, part, aux, label_weight=0.7, traces=table))
+        loss += alone.loss
+        grad_x += alone.grad_x
+        if grad_p is not None:
+            grad_p += alone.grad_p
+    assert 0 < np.count_nonzero(np.concatenate([t.n for t in tables])) < rays.n_rays
+    _same_bits(res, consistency.ViewLossResult(loss, grad_x, grad_p))
+
+
+def test_table_list_is_checked():
+    geom = unit_cube_geometry((3, 3, 3))
+    occ = OccupancyGrid(geom, np.full(geom.shape, 0.5))
+    tables = _view_tables(np.random.default_rng(0), geom, 2, 8)
+    rays = RayBatch("depth", np.ones(15), d=np.ones(15))
+    with pytest.raises(ValueError, match="one trace per ray, got 16 for 15"):
+        view_loss(occ, rays, traces=tables)
+    other = trace_batch(unit_cube_geometry((3, 3, 4)), np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="different geometry"):
+        view_loss(occ, RayBatch("depth", np.ones(17), d=np.ones(17)), traces=[*tables, other])
+
+
+def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
+    """On a 64^3 grid a diagonal trace crosses 190 cells.  A ray's loss and
+    gradient are the same bits alone and beside it, although numpy's own
+    row sum, which the padded oracle kernel uses, splits a row of more than
+    128 values at a point that depends on the row's width."""
+    rng = np.random.default_rng(64)
+    geom = unit_cube_geometry((64, 64, 64))
+    occ = OccupancyGrid(geom, rng.uniform(0.95, 1.0, geom.shape))  # late cells still count
+    n = 40
+    origins, directions = _rays_through(rng.uniform(-0.45, 0.45, (n, 3)), rng.normal(size=(n, 3)))
+    diagonal = _rays_through(np.zeros((1, 3)), np.array([[1.0, 1.001, 0.999]]))
+    table = trace_batch(geom, np.concatenate([origins, diagonal[0]]),
+                        np.concatenate([directions, diagonal[1]]))
+    assert table.n[-1] > 128 and table.n.min() > 0
+    d = rng.uniform(0.5, 3.0, n + 1)
+
+    def kernel(rows):
+        return _hit_loss(occ.flat, None, "depth", [table.take(rows)], np.ones(len(rows)),
+                         {"s": None, "d": d[rows], "c": None}, {"escape_depth": None, "label_weight": 1.0})
+
+    def padded_losses(rows):
+        cells, d_mid, valid = padded(table.take(rows))
+        psi, psi_esc, _ = padded_event_costs("depth", d_mid, valid, cells, d=d[rows])
+        return padded_telescope(np.where(valid, occ.flat[cells], 1.0), valid, psi, psi_esc,
+                                backward=False)[0]
+
+    changed = 0
+    for r in range(n):
+        alone, beside = kernel([r]), kernel([r, n])
+        assert alone[0][0] == beside[0][0]
+        assert alone[2].tobytes() == beside[2][:table.n[r]].tobytes()
+        changed += padded_losses([r])[0] != padded_losses([r, n])[0]
+    assert changed > 0, "the padded oracle no longer shows the batch dependence"
+
+
+@pytest.mark.parametrize("kind", RAY_KINDS)
+def test_ray_loss_is_a_one_ray_view_loss(kind):
+    """The scalar API runs the same kernel: ray_loss and its gradients are,
+    to the bit, a one-ray, weight-1 view_loss on the ray's trace."""
+    rng = np.random.default_rng(11 + RAY_KINDS.index(kind))
+    geom = unit_cube_geometry((9, 8, 10))
+    occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
+    table = _view_tables(rng, geom, 1, 16)[0]
+    aux, rays = _kind_case(rng, geom, kind, 16)
+    for r in range(16):
+        tr = table.row(r)
+        obs = {k: None if v is None else v[r] for k, v in rays.observed(np.arange(16)).items()}
+        p_r = None if aux is None else aux.flat[tr.cells]
+        costs = {"mask": lambda: cost_mask(tr, int(obs["s"])),
+                 "depth": lambda: cost_depth(tr, obs["d"]),
+                 "depth_semantics": lambda: cost_semantic(tr, p_r, obs["d"], obs["c"]),
+                 "color": lambda: cost_color(tr, p_r, obs["c"])}[kind]()
+        res = view_loss(occ, RayBatch(kind, np.ones(1), **rays.observed([r])), aux,
+                        traces=table.take([r]))
+        x_r = occ.flat[tr.cells]
+        assert ray_loss(x_r, costs) == res.loss
+        assert ray_loss_grad_x(x_r, costs).tobytes() == res.grad_x.reshape(-1)[tr.cells].tobytes()
+        if aux is not None:
+            grad_p = res.grad_p.reshape(-1, aux.nchannels)[tr.cells]
+            assert ray_loss_grad_p(x_r, costs).tobytes() == grad_p.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from drc import fitter
 from drc.consistency import view_loss
-from drc.fitter import Adam, FitConfig, fit, sample_rays, sigmoid, softmax, write_loss_log
+from drc.fitter import Adam, FitConfig, _last_axis_dot, fit, sample_rays, sigmoid, softmax, write_loss_log
 from drc.cameras import perspective_camera, pixel_rays
 from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
 from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
-from oracles import ReferenceAdam, two_reduction_softmax
+from oracles import ReferenceAdam, two_branch_sigmoid, two_reduction_softmax
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,23 @@ class TestSquashing:
         s = sigmoid(z)
         assert np.all((s >= 0) & (s <= 1))
         assert np.allclose(s + sigmoid(-z), 1.0, atol=1e-12)
+
+    def test_sigmoid_is_bitwise_the_two_branch_formula(self):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([rng.normal(size=(6, 1000)) * np.array([1e-3, 0.1, 1.0, 30.0, 300.0, 800.0])[:, None],
+                            [[0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf] * 125]])
+        assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+        assert sigmoid(np.array([-np.inf, -0.0, np.inf])).tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+    def test_last_axis_dot_is_bitwise_numpys_sum(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(5, 6, 7, k)) * 10.0 ** rng.uniform(-8, 3, size=(5, 6, 7, k))
+        b = rng.uniform(size=(5, 6, 7, k))
+        a[0] = 0.0  # zero rows, of both signs
+        a[1, 0] = -0.0
+        b[2, 0, 0, 0] = 0.0
+        assert _last_axis_dot(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
 
     def test_softmax_rows_are_simplices(self):
         rng = np.random.default_rng(0)
@@ -268,6 +286,24 @@ def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
         traces = trace_batch(geom, *pixel_rays(obs.camera, us + 0.5, vs + 0.5))
         expected += view_loss(occ, rays, aux, traces=traces).loss
     assert report.losses[0] == expected
+
+
+@pytest.mark.parametrize("views_per_iteration", [None, 2])
+def test_fit_calls_view_loss_once_per_iteration(views_per_iteration, depth_views, monkeypatch):
+    """Every chosen view's rays go through one view_loss call, one table per
+    view in the chosen order."""
+    gt, obs = depth_views
+    calls = []
+
+    def counting(occ, rays, aux=None, **kwargs):
+        calls.append((rays.n_rays, [t.n_rays for t in kwargs["traces"]]))
+        return view_loss(occ, rays, aux, **kwargs)
+
+    monkeypatch.setattr(fitter, "view_loss", counting)
+    config = FitConfig(iterations=4, rays_per_iteration=300, views_per_iteration=views_per_iteration)
+    fit(obs, gt.geometry, "depth", config)
+    take = views_per_iteration or len(obs)
+    assert calls == [(300 // take * take, [300 // take] * take)] * 4
 
 
 class TestLossLog:

@@ -10,7 +10,7 @@ from drc.traversal import first_hit_batch, trace, trace_batch
 from drc.consistency import event_probabilities
 
 
-from oracles import cell_faces, clip_cells, dense_sample_cells, first_hit
+from oracles import cell_faces, clip_cells, dense_sample_cells, first_hit, padded
 
 
 def unit(v):
@@ -120,7 +120,8 @@ class TestInvariants:
         table = trace_batch(geom,
                             np.stack([r.origin for r in rays]),
                             np.stack([r.direction for r in rays]))
-        cells, d, valid = table.padded()
+        cells, d, valid = padded(table)
+        flat_cells, flat_d = table.entries()
         assert 0 < np.count_nonzero(table.n) < len(rays)
         for i, ray in enumerate(rays):
             tr = trace(geom, ray)
@@ -130,6 +131,9 @@ class TestInvariants:
             assert row.t_exit.tobytes() == tr.t_exit.tobytes()
             assert cells[i, valid[i]].tobytes() == tr.cells.tobytes()
             assert d[i, valid[i]].tobytes() == tr.d.tobytes()
+            at = slice(table.start[i], table.start[i] + table.n[i])
+            assert flat_cells[at].tobytes() == tr.cells.tobytes()
+            assert flat_d[at].tobytes() == tr.d.tobytes()
 
 
 class TestBatchKernels:
@@ -172,7 +176,7 @@ class TestBatchKernels:
             assert 0 < np.count_nonzero(whole.n) < len(rays)
             for name in ("start", "n", "t0", "cells", "t_exit"):
                 assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
-            for a, b in zip(whole.padded(), chunked.padded()):
+            for a, b in zip((*padded(whole), *whole.entries()), (*padded(chunked), *chunked.entries())):
                 assert a.tobytes() == b.tobytes()
             for i in range(len(rays)):
                 assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
