@@ -368,8 +368,8 @@ class RayBatch:
         kinds = {b.kind for b in batches}
         if len(kinds) != 1:
             raise ValueError(f"batches must share one ray kind, got {sorted(kinds)}")
-        fields = {k: None if getattr(batches[0], k) is None else np.concatenate([getattr(b, k) for b in batches])
-                  for k in ("s", "d", "c")}
+        fields = {k: None if getattr(batches[0], k) is None
+                  else np.concatenate([getattr(b, k) for b in batches]) for k in ("s", "d", "c")}
         return cls(kinds.pop(), np.concatenate([b.weights for b in batches]), **fields)
 
     def observed(self, which) -> dict:

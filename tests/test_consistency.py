@@ -535,7 +535,8 @@ def _view_tables(rng, geom, count, n):
     for _ in range(count):
         origins, directions = _rays_through(rng.uniform(-0.4, 0.4, (n, 3)), rng.normal(size=(n, 3)))
         origins[:n // 8] += 3.0  # misses
-        origins[-n // 8:], directions[-n // 8:] = origins[n // 4:n // 4 + n // 8], directions[n // 4:n // 4 + n // 8]
+        again = slice(n // 4, n // 4 + n // 8)
+        origins[-n // 8:], directions[-n // 8:] = origins[again], directions[again]
         tables.append(trace_batch(geom, origins, directions))
     return tables
 

@@ -62,7 +62,8 @@ class TestSquashing:
 
     def test_sigmoid_is_bitwise_the_two_branch_formula(self):
         rng = np.random.default_rng(3)
-        z = np.concatenate([rng.normal(size=(6, 1000)) * np.array([1e-3, 0.1, 1.0, 30.0, 300.0, 800.0])[:, None],
+        scales = np.array([1e-3, 0.1, 1.0, 30.0, 300.0, 800.0])[:, None]
+        z = np.concatenate([rng.normal(size=(6, 1000)) * scales,
                             [[0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf] * 125]])
         assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
         assert sigmoid(np.array([-np.inf, -0.0, np.inf])).tolist() == [0.0, 0.5, 1.0]
