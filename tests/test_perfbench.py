@@ -12,9 +12,21 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Two of the self-test's checks are timings of operations that take a few
+# milliseconds (spans add up to within 5% of the traced time; at least three
+# operations in 0.5 s), and on a loaded machine one run in a few fails one
+# of them.  A failure caused by the code, such as fit bypassing
+# fitter.view_loss, fails every run.
+ATTEMPTS = 3
+
 
 def test_benchmark_selftest_passes():
-    out = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
-                         cwd=ROOT, capture_output=True, text=True, timeout=600)
-    lines = out.stdout.strip().splitlines()
-    assert out.returncode == 0 and lines and lines[-1] == "9/9 passed", out.stdout + out.stderr
+    outputs = []
+    for _ in range(ATTEMPTS):
+        out = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+                             cwd=ROOT, capture_output=True, text=True, timeout=600)
+        lines = out.stdout.strip().splitlines()
+        if out.returncode == 0 and lines and lines[-1] == "9/9 passed":
+            return
+        outputs.append(out.stdout + out.stderr)
+    raise AssertionError("perfbench/selftest.py failed every run:\n" + "\n---\n".join(outputs))
