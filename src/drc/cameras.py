@@ -107,7 +107,10 @@ def pixel_rays(camera: Camera, u, v) -> tuple[np.ndarray, np.ndarray]:
     if camera.model == "perspective":
         d_cam = np.stack([(u - u0) / a, (v - v0) / b, np.ones_like(u)], axis=-1)
         d_world = d_cam @ R  # row-vector form of R.T @ d_cam
-        d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
+        # np.linalg.norm's sum over a short last axis, slice by slice: the
+        # same three additions in the same order, five times faster
+        x, y, z = d_world[..., 0], d_world[..., 1], d_world[..., 2]
+        d_world /= np.sqrt((x * x + y * y) + z * z)[..., None]
         origins = np.broadcast_to(camera.center_world, d_world.shape).copy()
         return origins, d_world
     # orthographic

@@ -256,7 +256,13 @@ class AuxGrid:
                 raise ValueError("semantic payload needs at least 2 classes")
             if not np.all(p >= 0.0):
                 raise ValueError("semantic payload must be nonnegative (and not NaN)")
-            if np.any(np.abs(p.sum(axis=3) - 1.0) > SIMPLEX_ATOL):
+            # the classes summed slice by slice, as fitter.softmax sums: numpy
+            # reduces a short last axis far slower, and for K < 8 adds in
+            # this order too
+            total = p[..., 0].copy()
+            for k in range(1, p.shape[3]):
+                total += p[..., k]
+            if np.any(np.abs(total - 1.0) > SIMPLEX_ATOL):
                 raise ValueError(f"semantic payload rows must sum to 1 within {SIMPLEX_ATOL}")
         object.__setattr__(self, "payload", _freeze(p))
 

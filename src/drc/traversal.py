@@ -10,6 +10,17 @@ signed by the ray's rate across it.  The kernel sorts the crossings inside
 passed at t0, and steps from there.  The hull is convex, so the in-grid
 segments are contiguous.
 
+A uniform grid evaluates every axis plane.  A frustum grid evaluates every
+depth plane but, of each family of planes through the apex, only a window
+per ray: the planes between the ray's grid coordinate at t0 and at t1 and
+one more on each side (a ray near the apex crosses about 5 of the 62
+apex planes of a 32^3 grid).  Inside the hull z >= alpha1 > 0, so x/z and
+y/z move monotonically along the ray, and a plane outside the window is
+neither crossed in (t0, t1) nor on an uncertain side at t0: the crossing
+depths would put it below the ray there exactly when it lies below the
+window.  So the planes below a window go straight into the first cell's
+count, and the traces are those of the full plane set, to the bit.
+
 Per-cell event depths d_i are the segment midpoints (t_enter + t_exit)/2:
 rendered depth and the depth event cost share this convention, so a hard
 shape is an exact minimizer of its own depth loss.
@@ -42,6 +53,10 @@ from .grid import BinaryGrid, GridGeometry, same_geometry
 # the kernel holds before it writes the pass's table.  4096 measured 13%
 # slower and raised the peak memory of a 32^3 depth fit by 9-12 MB.
 TABLE_CHUNK = 1024
+
+# planes of each apex family a frustum ray's window holds beyond those
+# between its grid coordinates at t0 and t1, on each side; see _apex_window
+APEX_MARGIN = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +181,9 @@ def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray
                 crossings):
     """(n, cells, t_exit) of rays (o, d) that lie inside the grid's convex
     hull over (t0, t1), t0 < t1, both (R, 1); ``crossings`` is the grid
-    kind's crossing function."""
-    ts, step, stride = crossings(geom, o, d)
+    kind's crossing function, whose ``base`` counts the planes it leaves
+    out below each ray, times their strides."""
+    ts, step, stride, base = crossings(geom, o, d, t0, t1)
     after = ts > t0
     inside = after & (ts < t1)  # NaN and +-inf from parallel planes fail
     crossed = np.count_nonzero(inside, axis=1)
@@ -175,7 +191,7 @@ def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray
     # at t0 the ray is above plane k if it crossed it upward by then or
     # crosses it downward later (parallel: NaN or -inf, on or above it).
     # Counted from the crossing depths, no cell leaves the grid however they round.
-    entry = (after == (step < 0.0)).astype(np.float64) @ stride
+    entry = base + (after == (step < 0.0)).astype(np.float64) @ stride
     np.copyto(ts, np.inf, where=~inside)
     flat = np.argsort(ts, axis=1)[:, :width - 1] + (np.arange(len(o)) * ts.shape[1])[:, None]
     cross = ts.ravel()[flat]
@@ -195,25 +211,30 @@ def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray
 
 
 def _box_hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(t0, t1, alive): each ray's depths inside the grid's box, by slabs."""
-    lo, hi = geom.aabb_min, geom.aabb_max
-    # d == 0 axes contribute (-inf, inf) if inside the slab
-    # components below ~1e-308 overflow to +-inf, which is the right limit
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ta = (lo - o) / d
-        tb = (hi - o) / d
-    zero = d == 0.0
-    slab_in = (o >= lo) & (o < hi)
-    tmin_ax = np.where(zero, np.where(slab_in, -np.inf, np.inf), np.minimum(ta, tb))
-    tmax_ax = np.where(zero, np.where(slab_in, np.inf, -np.inf), np.maximum(ta, tb))
-    t0 = np.maximum(tmin_ax.max(axis=1), 0.0)
-    t1 = tmax_ax.min(axis=1)
+    """(t0, t1, alive): each ray's depths inside the grid's box, by slabs.
+    Each axis's slab is a 1-D pair and the three are combined in axis
+    order: numpy reduces a short last axis far slower."""
+    t_in, t_out = [], []
+    for a in range(3):
+        lo, hi, oa, da = geom.aabb_min[a], geom.aabb_max[a], o[:, a], d[:, a]
+        # d == 0 axes contribute (-inf, inf) if inside the slab
+        # components below ~1e-308 overflow to +-inf, which is the right limit
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ta = (lo - oa) / da
+            tb = (hi - oa) / da
+        zero = da == 0.0
+        slab_in = (oa >= lo) & (oa < hi)
+        t_in.append(np.where(zero, np.where(slab_in, -np.inf, np.inf), np.minimum(ta, tb)))
+        t_out.append(np.where(zero, np.where(slab_in, np.inf, -np.inf), np.maximum(ta, tb)))
+    t0 = np.maximum(np.maximum(np.maximum(t_in[0], t_in[1]), t_in[2]), 0.0)
+    t1 = np.minimum(np.minimum(t_out[0], t_out[1]), t_out[2])
     return t0, t1, t0 < t1
 
 
-def _axis_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(depths, steps, strides) of the rays' crossings with the interior
-    planes lo + k h of each axis: (R, P), (R, P) and (P,)."""
+def _axis_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0, t1):
+    """(depths, steps, strides, base) of the rays' crossings with every
+    interior plane lo + k h of each axis: (R, P), (R, P), (P,) and 0, no
+    plane being left out below."""
     nx, ny, _ = geom.dims
     lo, h = geom.aabb_min, geom.cell_size
     counts = np.array(geom.dims) - 1
@@ -222,7 +243,7 @@ def _axis_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
         ts = np.concatenate([(lo[a] + np.arange(1, n) * h[a] - o[:, a:a + 1]) / d[:, a:a + 1]
                              for a, n in enumerate(geom.dims)], axis=1)
     stride = np.array([1.0, nx, nx * ny])
-    return ts, np.repeat(np.sign(d) * stride, counts, axis=1), np.repeat(stride, counts)
+    return ts, np.repeat(np.sign(d) * stride, counts, axis=1), np.repeat(stride, counts), 0.0
 
 
 def _frustum_halfspaces(geom: GridGeometry) -> list[tuple[np.ndarray, float]]:
@@ -262,26 +283,56 @@ def _frustum_hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
     return t0, t1, alive & (t0 < t1)
 
 
-def _frustum_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(depths, steps, strides) of the rays' crossings with the interior
-    depth planes z = z_k and the planes x = c_k z, y = c_k z through the
-    origin: (R, P), (R, P) and (P,).  A step's sign is that of the ray's
-    rate across the plane, dz or d_x - c_k dz."""
+def _frustum_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray,
+                       t1: np.ndarray):
+    """(depths, steps, strides, base) of the rays' crossings with the
+    interior depth planes z = z_k and with a window of the planes
+    x = c_k z, y = c_k z through the origin: (R, P), (R, P) and (P,).  A
+    step's sign is that of the ray's rate across the plane, dz or
+    d_x - c_k dz; ``base`` counts the apex planes below the windows, times
+    their strides, (R,)."""
     nx, ny, nz = geom.dims
     ox, oy, oz = o[:, :1], o[:, 1:2], o[:, 2:]
     dx, dy, dz = d[:, :1], d[:, 1:2], d[:, 2:]
     zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, nz))
-    cxs = geom.f * (np.arange(1, nx) - nx / 2.0)
-    cys = geom.f * (np.arange(1, ny) - ny / 2.0)
+    ks_x, base_x = _apex_window(geom, ox, oz, dx, dz, t0, t1, nx)
+    ks_y, base_y = _apex_window(geom, oy, oz, dy, dz, t0, t1, ny)
+    cxs = geom.f * (ks_x - nx / 2.0)
+    cys = geom.f * (ks_y - ny / 2.0)
     rate = np.concatenate([np.broadcast_to(dz, (len(o), nz - 1)), dx - cxs * dz, dy - cys * dz], axis=1)
     rate += 0.0  # -0.0 -> +0.0, as in _axis_crossings
     ts = np.concatenate([zs - oz, cxs * oz - ox, cys * oz - oy], axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ts /= rate
-    stride = np.repeat(np.array([nx * ny, 1.0, nx]), [nz - 1, nx - 1, ny - 1])
+    stride = np.repeat(np.array([nx * ny, 1.0, nx]), [nz - 1, ks_x.shape[1], ks_y.shape[1]])
     step = np.sign(rate, out=rate)
     step *= stride
-    return ts, step, stride
+    return ts, step, stride, base_x + nx * base_y
+
+
+def _apex_window(geom: GridGeometry, oa, oz, da, dz, t0, t1, n: int):
+    """(ks, base): the planes k of one apex family (x or y) that a ray's
+    window holds, (R, W) with W the widest window of the pass, and the
+    number of the family's planes below each window, (R,).
+
+    A ray's grid coordinate moves monotonically over (t0, t1), where z >=
+    alpha1 > 0, so it crosses only the planes between its coordinates at t0
+    and t1.  The window holds those and APEX_MARGIN more on each side, so
+    every plane outside it is crossed neither in (t0, t1) nor near t0, and
+    lies below the ray there iff it lies below the window.  A window
+    narrower than W takes in the next planes above it (below it, at the top
+    of the family), so every column is a real plane and none is padding; a
+    NaN coordinate opens the window to every plane."""
+    if n == 1:
+        return np.empty((len(oa), 0)), 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g0 = (oa + t0 * da) / (geom.f * (oz + t0 * dz))
+        g1 = (oa + t1 * da) / (geom.f * (oz + t1 * dz))
+    lo = np.fmin(np.fmax(np.ceil(np.minimum(g0, g1) + n / 2.0) - APEX_MARGIN, 1.0), n - 1.0)
+    hi = np.fmax(np.fmin(np.floor(np.maximum(g0, g1) + n / 2.0) + APEX_MARGIN, n - 1.0), 1.0)
+    width = int((hi - lo).max()) + 1
+    first = np.minimum(lo, n - width)
+    return first + np.arange(width), first[:, 0] - 1.0
 
 
 def first_hit_batch(bgrid: BinaryGrid, table: TraceTable):

@@ -411,3 +411,46 @@ def padded_view_loss(occ, rays, aux=None, *, escape_depth=None, label_weight=1.0
         grad_p = np.stack([np.bincount(at, weights=contrib[:, j], minlength=geom.ncells)
                            for j in range(contrib.shape[1])], axis=-1).reshape(*geom.shape, -1)
     return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)
+
+
+# ---------------------------------------------------------------------------
+# The traversal kernel's earlier plane sets and hull clip
+# ---------------------------------------------------------------------------
+
+
+def full_frustum_crossings(geom, o, d, t0=None, t1=None):
+    """``traversal._frustum_crossings`` before its apex-plane windows: the
+    crossings with every interior depth plane and every plane through the
+    apex, none counted below.  Its (depths, steps, strides, 0) fit the
+    kernel's crossing-function slot."""
+    nx, ny, nz = geom.dims
+    ox, oy, oz = o[:, :1], o[:, 1:2], o[:, 2:]
+    dx, dy, dz = d[:, :1], d[:, 1:2], d[:, 2:]
+    zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, nz))
+    cxs = geom.f * (np.arange(1, nx) - nx / 2.0)
+    cys = geom.f * (np.arange(1, ny) - ny / 2.0)
+    rate = np.concatenate([np.broadcast_to(dz, (len(o), nz - 1)), dx - cxs * dz, dy - cys * dz], axis=1)
+    rate += 0.0  # -0.0 -> +0.0
+    ts = np.concatenate([zs - oz, cxs * oz - ox, cys * oz - oy], axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ts /= rate
+    stride = np.repeat(np.array([nx * ny, 1.0, nx]), [nz - 1, nx - 1, ny - 1])
+    step = np.sign(rate, out=rate)
+    step *= stride
+    return ts, step, stride, 0.0
+
+
+def slab_hull(geom, o, d):
+    """``traversal._box_hull`` on (R, 3) arrays reduced along their short
+    last axis, as it was before its per-axis form."""
+    lo, hi = geom.aabb_min, geom.aabb_max
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ta = (lo - o) / d
+        tb = (hi - o) / d
+    zero = d == 0.0
+    slab_in = (o >= lo) & (o < hi)
+    tmin_ax = np.where(zero, np.where(slab_in, -np.inf, np.inf), np.minimum(ta, tb))
+    tmax_ax = np.where(zero, np.where(slab_in, np.inf, -np.inf), np.maximum(ta, tb))
+    t0 = np.maximum(tmin_ax.max(axis=1), 0.0)
+    t1 = tmax_ax.min(axis=1)
+    return t0, t1, t0 < t1

@@ -56,6 +56,25 @@ class TestPixelToRay:
         assert np.allclose(dirs, dirs[0])
         assert not np.allclose(origins[0], origins[1])
 
+    @pytest.mark.parametrize("rotation", ["look_at", "identity", "permutation"])
+    def test_directions_are_bitwise_numpys_norm(self, rotation):
+        # random pixels, and the principal point and pixels on its row and
+        # column, where two or three direction components are +-0.0 or 1
+        if rotation == "look_at":
+            rot, t = look_at_extrinsics((1.5, -0.7, 2.2), (0.1, 0.0, -0.2))
+        else:
+            rot = np.eye(3) if rotation == "identity" else np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0]])
+            t = np.zeros(3)
+        cam = Camera("perspective", 64, 48, (70.0, 65.0, 32.0, 24.0), rot, t)
+        rng = np.random.default_rng(1)
+        u = np.concatenate([rng.uniform(-10.0, 74.0, 500), np.full(9, 32.0), np.arange(0.0, 64.0, 8.0)])
+        v = np.concatenate([rng.uniform(-10.0, 58.0, 500), np.arange(0.0, 48.0, 5.5)[:9], np.full(8, 24.0)])
+        a, b, u0, v0 = cam.intrinsics
+        d = np.stack([(u - u0) / a, (v - v0) / b, np.ones_like(u)], axis=-1) @ cam.rotation
+        expect = d / np.linalg.norm(d, axis=-1, keepdims=True)
+        assert pixel_rays(cam, u, v)[1].tobytes() == expect.tobytes()
+        assert pixel_rays(cam, u.reshape(-1, 1), v.reshape(-1, 1))[1].tobytes() == expect.tobytes()
+
     @pytest.mark.parametrize("model", ["perspective", "orthographic"])
     def test_projection_roundtrip(self, model):
         rng = np.random.default_rng(0)

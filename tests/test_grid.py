@@ -3,6 +3,7 @@ import pytest
 
 from drc.errors import FormatError
 from drc.grid import (
+    SIMPLEX_ATOL,
     AuxGrid,
     BinaryGrid,
     OccupancyGrid,
@@ -54,6 +55,31 @@ class TestConstruction:
         field[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             OccupancyGrid(geom, field)
+
+    @pytest.mark.parametrize("k", [2, 4, 7, 9])
+    def test_semantic_rows_within_simplex_tolerance(self, k):
+        # a row off the simplex by just under or just over SIMPLEX_ATOL,
+        # either way; and for K < 8, random rows within a few ulps of the
+        # tolerance, which the check must judge as numpy's row sum does
+        geom = unit_cube_geometry((1, 1, 1))
+        rng = np.random.default_rng(k)
+        rows = [(np.full(k, 1.0 / k), f * SIMPLEX_ATOL, abs(f) < 1.0) for f in (-1.001, -0.999, 0.999, 1.001)]
+        if k < 8:
+            rows += [(rng.dirichlet(np.ones(k)) + 0.01, rng.choice([-1.0, 1.0]) * SIMPLEX_ATOL
+                      + rng.integers(-8, 9) * np.spacing(1.0), None) for _ in range(300)]
+        outcomes = set()
+        for row, delta, inside in rows:
+            p = (row / row.sum()).reshape(1, 1, 1, k)
+            p[..., 0] += delta
+            if inside is None:
+                inside = not np.any(np.abs(p.sum(axis=3) - 1.0) > SIMPLEX_ATOL)
+            outcomes.add(inside)
+            if inside:
+                AuxGrid(geom, "semantics", p)
+            else:
+                with pytest.raises(ValueError, match="sum to 1"):
+                    AuxGrid(geom, "semantics", p)
+        assert outcomes == {True, False}
 
     def test_storage_order_x_fastest(self):
         geom = unit_cube_geometry((3, 4, 5))

@@ -1,21 +1,25 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drc.cameras import Ray
+from drc.cameras import Ray, image_grid_rays, perspective_camera
 from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry, unit_cube_geometry
 from drc import traversal
 from drc.traversal import first_hit_batch, trace, trace_batch
 from drc.consistency import event_probabilities
 
 
-from oracles import cell_faces, clip_cells, dense_sample_cells, first_hit, padded
+from oracles import (cell_faces, clip_cells, dense_sample_cells, first_hit, full_frustum_crossings, padded,
+                     slab_hull)
 
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def random_ray(rng, spread=2.0):
@@ -358,3 +362,174 @@ class TestFirstHit:
             first_hit_batch(bg, table.take([1]))
         with pytest.raises(ValueError, match="in order"):  # a prefix keeps start in order
             first_hit_batch(bg, table.take([0]))
+
+
+TABLE_FIELDS = ("start", "n", "t0", "cells", "t_exit")
+
+
+def full_plane_table(geom, origins, directions):
+    """``trace_batch`` with every apex plane evaluated, as the kernel did
+    before its windows."""
+    with mock.patch.object(traversal, "_frustum_crossings", full_frustum_crossings):
+        return trace_batch(geom, origins, directions)
+
+
+def assert_same_as_full_planes(geom, origins, directions):
+    """The windowed table equals the full-plane one field by field, to the
+    bit; returns it."""
+    o = np.asarray(origins, dtype=np.float64)
+    d = np.asarray(directions, dtype=np.float64)
+    table = trace_batch(geom, o, d)
+    reference = full_plane_table(geom, o, d)
+    for name in TABLE_FIELDS:
+        assert getattr(table, name).tobytes() == getattr(reference, name).tobytes(), name
+    return table
+
+
+SCENE_GEOM = make_frustum_geometry((32, 32, 32), 0.5, 60.0, 60.0)
+
+
+class TestApexWindows:
+    """Frustum traces evaluate only a window of the planes through the apex
+    per ray; every table must equal the full-plane kernel's to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+           z_min=st.floats(0.05, 2.0), depth_ratio=st.floats(1.5, 200.0), hfov=st.floats(5.0, 150.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_rays_match_full_planes(self, dims, z_min, depth_ratio, hfov, seed):
+        geom = make_frustum_geometry(dims, z_min, z_min * depth_ratio, hfov)
+        rng = np.random.default_rng(seed)
+        n = 96
+        inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (n, 3)) * dims)
+        # from near the apex, from inside and from far outside, aimed at a
+        # point inside for two rays in three, the rest in random directions
+        scale = rng.choice([0.0, 0.01, 1.0, 10.0], (n, 1)) * z_min
+        origins = rng.normal(size=(n, 3)) * scale
+        origins[n // 2:] = inside[n // 2:] + origins[n // 2:] * 0.01
+        directions = np.where(np.arange(n)[:, None] % 3 == 0, rng.normal(size=(n, 3)),
+                              inside[::-1] - origins)
+        zero = rng.uniform(size=(n, 3)) < 0.15
+        directions[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+        directions[~directions.any(axis=1)] = (0.0, 0.0, 1.0)
+        assert_same_as_full_planes(geom, origins, unit(directions))
+
+    @pytest.mark.parametrize("geom", FRUSTUM_GEOMS + [SCENE_GEOM])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_rays_from_the_apex(self, geom, zero):
+        # through random grid points and through points on the apex planes,
+        # where the crossing depth is 0 / rate or 0 / 0
+        nx, ny, nz = geom.dims
+        rng = np.random.default_rng(8)
+        g = rng.uniform(0.0, 1.0, (4000, 3)) * geom.dims
+        g[1000:2500, 0] = rng.integers(0, nx + 1, 1500)
+        g[2500:, 1] = rng.integers(0, ny + 1, 1500)
+        table = assert_same_as_full_planes(geom, np.full((4000, 3), zero), unit(geom.grid_to_world(g)))
+        inner = np.all((g[:, :2] > 0) & (g[:, :2] < (nx, ny)), axis=1)  # not on a side face
+        assert np.all(table.n[inner] >= nz)
+
+    @pytest.mark.parametrize("geom", [FRUSTUM_GEOMS[0], SCENE_GEOM])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rays_in_an_apex_plane(self, geom, axis, zero):
+        # between two points of one apex plane, from in front of the grid,
+        # inside it and the apex; in the central plane x = 0 (or y = 0) the
+        # rate across it is exactly zero, of either sign
+        n = geom.dims[axis]
+        rng = np.random.default_rng(axis)
+        a = rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims
+        b = rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims
+        a[:, axis] = b[:, axis] = rng.integers(0, n + 1, 3000)
+        a[:1000, 2] = -3.0
+        origins, targets = geom.grid_to_world(a), geom.grid_to_world(b)
+        origins[2000:] = 0.0
+        directions = unit(targets - origins)
+        central = a[:, axis] == n / 2
+        origins[central, axis] = zero
+        directions[central, axis] = zero
+        table = assert_same_as_full_planes(geom, origins, directions)
+        assert np.count_nonzero(table.n[central]) > 50
+
+    @pytest.mark.parametrize("dims", [(1, 6, 5), (6, 1, 5), (1, 1, 4)])
+    def test_grids_one_cell_wide(self, dims):
+        geom = make_frustum_geometry(dims, 0.5, 8.0, 60.0)
+        rng = np.random.default_rng(2)
+        inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (300, 3)) * dims)
+        origins = rng.normal(size=(300, 3)) * 0.3
+        table = assert_same_as_full_planes(geom, origins, unit(inside - origins))
+        assert np.all(table.n > 0)
+
+    @pytest.mark.parametrize("geom", FRUSTUM_GEOMS + [SCENE_GEOM])
+    def test_coordinates_on_window_edge_planes(self, geom):
+        # rays whose coordinate at t0 or t1 is on an apex plane: they enter
+        # or leave through the near or far plane at a point of an apex plane,
+        # or start on one inside the grid
+        nx, ny, nz = geom.dims
+        rng = np.random.default_rng(6)
+        g = rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims
+        g[:1500, 0] = rng.integers(0, nx + 1, 1500)
+        g[1500:, 1] = rng.integers(0, ny + 1, 1500)
+        g[:, 2] = rng.choice([0.0, 0.5, nz], 3000)
+        on_plane = geom.grid_to_world(g)
+        inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims)
+        towards = unit(inside - on_plane)
+        origins = np.concatenate([on_plane - 0.7 * towards, inside, on_plane])
+        directions = np.concatenate([towards, -towards, towards])
+        table = assert_same_as_full_planes(geom, origins, directions)
+        assert np.count_nonzero(table.n) > 7000
+
+    @pytest.mark.parametrize("origin, direction", [
+        # each leaves through the near plane one ulp of depth after it crosses
+        # an apex plane, and its coordinate there rounds to the plane's far
+        # side: x = c_31 z, rounding below 31; y = c_k z; x = c_k z, above
+        ((-2.2270274823484058, 1.6052321724566467, 3.94729602572165),
+         (0.5500682363189674, -0.34788726769094125, -0.7592097104038331)),
+        ((0.6797693465657227, -8.457013409450266, 15.566197539410604),
+         (-0.024106819260505254, 0.5011104316202512, -0.8650475111729454)),
+        ((-8.56260960487056, -0.1697580109651172, 19.969758784805883),
+         (0.3917868450153277, 0.01553523748426693, -0.9199248471854878)),
+    ])
+    def test_rays_leaving_just_past_an_apex_plane(self, origin, direction):
+        table = assert_same_as_full_planes(SCENE_GEOM, [origin], [direction])
+        tr = table.row(0)
+        assert tr.t_exit[-1] - tr.t_enter[-1] < 1e-14  # the last cell is that one ulp
+
+    def test_scene_pixel_rays(self):
+        # three cameras spread across the apex of a 32^3 0.5-60 m grid, each
+        # looking down it, every pixel of a 64 x 48 image
+        geom = SCENE_GEOM
+        rng = np.random.default_rng(5)
+        for x in (-0.1, 0.0, 0.1):
+            position = np.array([x, 0.0, 0.1]) + rng.uniform(-0.02, 0.02, 3)
+            target = (rng.uniform(-0.15, 0.15), rng.uniform(0.72, 0.78), 20.0)
+            origins, directions = image_grid_rays(perspective_camera(position, target, 48.0, 64, 48))
+            table = assert_same_as_full_planes(geom, origins.reshape(-1, 3), directions.reshape(-1, 3))
+            assert np.all(table.n > 0)
+
+    def test_windows_hold_fewer_planes(self):
+        # the point of the windows: a ray near the apex crosses a few of the
+        # 62 apex planes, so a pass holds far fewer than all 93 columns
+        geom = SCENE_GEOM
+        origins, directions = image_grid_rays(perspective_camera((0.0, 0.0, 0.1), (0.0, 0.75, 20.0),
+                                                                 48.0, 64, 48))
+        o, d = origins.reshape(-1, 3)[:1024], directions.reshape(-1, 3)[:1024]
+        t0, t1, alive = traversal._frustum_hull(geom, o, d)
+        assert alive.all()
+        ts = traversal._frustum_crossings(geom, o, d, t0[:, None], t1[:, None])[0]
+        assert ts.shape[1] < 60 and full_frustum_crossings(geom, o, d)[0].shape[1] == 93
+
+
+class TestBoxHull:
+    @pytest.mark.parametrize("geom", UNIFORM_GEOMS)
+    def test_is_bitwise_the_slab_reduction(self, geom):
+        # zero, signed-zero and subnormal direction components, and origins
+        # on the slab faces, where a depth is -0.0 or +-inf
+        rng = np.random.default_rng(12)
+        n = 20000
+        faces = np.concatenate([geom.aabb_min, geom.aabb_max, [0.0, -0.0, 3.0, -3.0]])
+        origins = rng.choice(faces, (n, 3))
+        origins[::4] = rng.uniform(-1.0, 1.0, (n // 4, 3))
+        directions = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-309, -2.2e-309, 0.6, -0.8, 1.0], (n, 3))
+        for got, expect in zip(traversal._box_hull(geom, origins, directions),
+                               slab_hull(geom, origins, directions)):
+            assert got.tobytes() == expect.tobytes()
