@@ -17,7 +17,7 @@ gt, aux = make_test_shape("sphere", (32, 32, 32))
 cams = sample_view_ring(8, seed=10, width=128, height=128)
 observations = [render(gt, c, "color", aux) for c in cams]
 
-config = FitConfig(iterations=800, seed=7)  # color_schedule="carve-then-paint"
+config = FitConfig(iterations=800, seed=7)  # color fits always carve, then paint
 fitted, fitted_aux, report = fit(observations, gt.geometry, "color", config)
 
 result = best_threshold(fitted, gt)

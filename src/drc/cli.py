@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .consistency import RAY_KINDS
+from .consistency import AUX_KINDS, RAY_KINDS
 from .errors import FormatError
 from .fitter import FitConfig, fit, write_loss_log
 from .fusion import carve_masks, fuse_depth, fused_to_occupancy_grid
@@ -134,10 +134,9 @@ def cmd_render(args) -> int:
     grid, aux, _ = load_grid(args.grid)
     if not isinstance(grid, BinaryGrid):
         raise FormatError(f"{args.grid}: rendering needs a hard (bin) grid")
-    if args.kind in ("depth_semantics", "color"):
-        want = "semantics" if args.kind == "depth_semantics" else "color"
-        if aux is None or aux.kind != want:
-            raise FormatError(f"{args.grid}: kind {args.kind} needs a {want!r} aux field in the grid file")
+    want = AUX_KINDS.get(args.kind)
+    if want is not None and (aux is None or aux.kind != want):
+        raise FormatError(f"{args.grid}: kind {args.kind} needs a {want!r} aux field in the grid file")
     if args.noise > 0.0 and args.kind != "depth":
         raise UsageError("--noise only applies to depth renders")
     lo, hi = (float(v) for v in args.elevation.split(","))
@@ -305,10 +304,8 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
 
     def add_threading_flags(p):
-        # both kept for existing scripts: fits always run on one thread and
-        # are always bitwise reproducible
+        # kept for existing scripts: fits always run on one thread
         p.add_argument("--threads", type=int, default=1, help="must be 1")
-        p.add_argument("--deterministic", action="store_true", help="no effect")
 
     p = sub.add_parser("shape", help="generate a procedural ground-truth shape")
     p.add_argument("--name", required=True, choices=SHAPE_NAMES)

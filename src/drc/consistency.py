@@ -70,6 +70,7 @@ LOG_PROB_FLOOR = 1e-8
 ESCAPE_COLOR = np.array([1.0, 1.0, 1.0])
 
 RAY_KINDS = ("mask", "depth", "depth_semantics", "color")
+AUX_KINDS = {"depth_semantics": "semantics", "color": "color"}  # ray kind -> its aux grid's kind
 
 # cells per pass of view_loss's kernel; bounds the per-cell arrays a pass
 # holds.  Of 16k to 64k, 40k measured fastest on both benchmark fits: one
@@ -123,7 +124,7 @@ def event_probabilities(x_r) -> np.ndarray:
 
 def _event_costs(kind: str, d_mid: np.ndarray, cells: np.ndarray, ray: np.ndarray,
                  payload: np.ndarray | None = None, *, s=None, d=None, c=None,
-                 escape_depth: float | None = None, label_weight: float = 1.0):
+                 label_weight: float = 1.0):
     """(E,) cell-event costs and (R,) escape costs, then for payload kinds
     the flat index into the payload table (P, D) of each non-zero
     derivative d psi / d p and that derivative, else None and None: (E,) at
@@ -137,16 +138,14 @@ def _event_costs(kind: str, d_mid: np.ndarray, cells: np.ndarray, ray: np.ndarra
         s = s.astype(np.float64)
         return s[ray], 1.0 - s, None, None
     if kind == "depth":
-        esc = OBJECT_ESCAPE_DEPTH if escape_depth is None else escape_depth
-        return np.abs(d_mid - d[ray]), np.abs(esc - d), None, None
+        return np.abs(d_mid - d[ray]), np.abs(OBJECT_ESCAPE_DEPTH - d), None, None
     k = np.int64(payload.shape[1])
     if kind == "depth_semantics":
-        esc = SCENE_ESCAPE_DEPTH if escape_depth is None else escape_depth
         at = cells * k + c[ray]
         pc = np.maximum(payload.ravel()[at], LOG_PROB_FLOOR)
         disparity = np.abs(1.0 / d_mid - (1.0 / d)[ray])
         psi = disparity - label_weight * np.log(pc)
-        psi_esc = np.abs(1.0 / esc - 1.0 / d) + label_weight * np.log(payload.shape[1])
+        psi_esc = np.abs(1.0 / SCENE_ESCAPE_DEPTH - 1.0 / d) + label_weight * np.log(payload.shape[1])
         return psi, psi_esc, at, -label_weight / pc
     # color
     diff = payload[cells] - c[ray]
@@ -218,11 +217,10 @@ def _one_ray_costs(kind: str, d_mid, payload=None, **obs) -> EventCosts:
     return EventCosts(np.concatenate([psi, psi_esc]), dpsi_dp)
 
 
-def cost_depth(trace, d_r: float, escape_depth: float = OBJECT_ESCAPE_DEPTH) -> EventCosts:
-    """Absolute depth error per event: |d_i - d_r|, escape at escape_depth."""
+def cost_depth(trace, d_r: float) -> EventCosts:
+    """Absolute depth error per event: |d_i - d_r|, escape at OBJECT_ESCAPE_DEPTH."""
     _check_depth(d_r)
-    return _one_ray_costs("depth", _as_depths(trace), d=np.array([d_r], dtype=np.float64),
-                          escape_depth=escape_depth)
+    return _one_ray_costs("depth", _as_depths(trace), d=np.array([d_r], dtype=np.float64))
 
 
 def cost_mask(trace, s_r: int) -> EventCosts:
@@ -236,13 +234,11 @@ def cost_mask(trace, s_r: int) -> EventCosts:
     return _one_ray_costs("mask", np.zeros(_as_length(trace)), s=np.array([s_r]))
 
 
-def cost_semantic(trace, p_r, d_r: float, c_r: int,
-                  escape_depth: float = SCENE_ESCAPE_DEPTH,
-                  label_weight: float = 1.0) -> EventCosts:
+def cost_semantic(trace, p_r, d_r: float, c_r: int, label_weight: float = 1.0) -> EventCosts:
     """Disparity error plus class negative log-likelihood.
 
     psi(i) = |1/d_i - 1/d_r| - label_weight * log p_i(c_r); the escape
-    event uses disparity 1/escape_depth and the uniform distribution over
+    event uses disparity 1/SCENE_ESCAPE_DEPTH and the uniform distribution over
     the K classes.  Probabilities are floored at 1e-8 inside the log so
     costs and gradients stay finite.
     """
@@ -259,8 +255,7 @@ def cost_semantic(trace, p_r, d_r: float, c_r: int,
     if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-4):
         raise ValueError("p_r rows must be probability simplices")
     return _one_ray_costs("depth_semantics", d, p, d=np.array([d_r], dtype=np.float64),
-                          c=np.array([int(c_r)]), escape_depth=escape_depth,
-                          label_weight=label_weight)
+                          c=np.array([int(c_r)]), label_weight=label_weight)
 
 
 def cost_color(trace, p_r, c_r) -> EventCosts:
@@ -386,7 +381,7 @@ class ViewLossResult:
 
 
 def _hit_loss(x: np.ndarray, payload, kind: str, parts: list, weights: np.ndarray,
-              observed: dict, costs: dict):
+              observed: dict, label_weight: float):
     """The kernel on the rays of the tables ``parts``, in order, every one
     of which enters the grid.  Returns the per-ray losses and, per cell in
     the tables' ray order, the cell, the weighted d(loss)/dx, then for
@@ -401,7 +396,7 @@ def _hit_loss(x: np.ndarray, payload, kind: str, parts: list, weights: np.ndarra
     del entries
     first = np.cumsum(n) - n  # each ray's first cell
     psi, psi_esc, at_p, dpsi_dp = _event_costs(kind, d_mid, cells, np.repeat(np.arange(n.size), n),
-                                               payload, **observed, **costs)
+                                               payload, **observed, label_weight=label_weight)
     del d_mid
     psi_first = psi[first]
     dpsi = np.empty_like(psi)  # psi_{k+1} - psi_k, escape after the last cell
@@ -441,15 +436,14 @@ def _hit_loss(x: np.ndarray, payload, kind: str, parts: list, weights: np.ndarra
 
 
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
-              escape_depth: float | None = None, label_weight: float = 1.0,
-              traces) -> ViewLossResult:
+              label_weight: float = 1.0, traces) -> ViewLossResult:
     """Weighted sum of per-ray losses plus gradients scattered onto the grid.
 
     ``traces`` holds one trace per ray, in order: a ``TraceTable`` (rows of
     a view's ``image_traces`` table, or ``trace_batch`` over the rays) or a
     list of tables whose rows, in list order, are the rays.  Loss and
     gradients are reduced table by table in list order, each table's rays
-    in order, so the result is deterministic and, to the bit, the in-order
+    in order, so the result is reproducible and, to the bit, the in-order
     sum of one call per table.  Cells no ray touches get zero gradient.
 
     Only rays that enter the grid run through the telescoped kernel, in
@@ -459,8 +453,8 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     tables = [traces] if isinstance(traces, TraceTable) else list(traces)
     if rays.n_rays == 0:
         raise ValueError("ray set is empty")
-    if rays.kind in ("depth_semantics", "color"):
-        want = "semantics" if rays.kind == "depth_semantics" else "color"
+    want = AUX_KINDS.get(rays.kind)
+    if want is not None:
         if aux is None or aux.kind != want:
             raise ValueError(f"{rays.kind} rays need an aux grid of kind {want!r}")
         if not same_geometry(aux.geometry, occ.geometry):
@@ -472,13 +466,12 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     if n.shape != (rays.n_rays,):
         raise ValueError(f"need one trace per ray, got {n.shape[0]} for {rays.n_rays} rays")
     payload = None if aux is None else aux.flat
-    costs = {"escape_depth": escape_depth, "label_weight": label_weight}
 
     per_ray = np.empty(rays.n_rays)
     miss = np.flatnonzero(n == 0)
     none = np.zeros(0, dtype=np.int64)
     per_ray[miss] = _event_costs(rays.kind, np.zeros(0), none, none, payload,
-                                 **rays.observed(miss), **costs)[1]
+                                 **rays.observed(miss), label_weight=label_weight)[1]
 
     # each table's gradients are summed in its rays' order (ufunc.at adds in
     # input order), the first table's straight into the totals, each later
@@ -503,7 +496,7 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         runs = [(row_table[a], tables[row_table[a]].take(rows[a:b] - first[row_table[a]]))
                 for a, b in zip(cut[:-1], cut[1:])]
         per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, [r for _, r in runs],
-                                                       rays.weights[rows], rays.observed(rows), costs)
+                                                       rays.weights[rows], rays.observed(rows), label_weight)
         end = 0
         for t, r in runs:
             start, end = end, end + int(r.n.sum())

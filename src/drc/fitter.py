@@ -7,14 +7,24 @@ x stays in the open interval and the gradient endpoints never degenerate.
 Updates use Adam with per-parameter moments.
 
 Cameras and geometry stay fixed during a fit, so each view's pixel rays
-are traced once, into a table (``image_traces``), the first time the view
-is used, unless the caller passes the views' tables as ``traces=``.  Every
+are traced once, into a table (``image_traces``), before the first
+iteration, unless the caller passes the views' tables as ``traces=``.  Every
 iteration samples a subset of views and a budget of rays (uniform pixels
 with replacement, foreground rays weighted up), looks up their traces in
 the tables, computes the loss of all of them and its analytic gradients in
 one ``view_loss`` call, chain-rules through the squashing map and applies
-the update; a loss or gradient that
-is not finite stops the fit with ``ValueError``.
+the update; a loss or gradient that is not finite stops the fit with
+``ValueError``.
+
+Color fits run carve-then-paint, because joint optimization under
+RGB-only supervision has a bad basin: cells can turn white and become
+indistinguishable from the white escape event, which kills the
+background rays' carving pressure before the geometry settles.  The first
+half of the iterations update occupancy with payloads frozen at a dark
+``COLOR_INIT_LOGIT`` (so unexplained cells stay expensive for background
+rays), the second half update payloads with the geometry frozen.  A
+semantic fit, anchored by depth, updates both every iteration.
+
 Everything is seeded: identical configs produce identical loss traces and
 final grids.
 """
@@ -27,13 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import RayBatch, view_loss
+from .consistency import AUX_KINDS, RayBatch, view_loss
 from .grid import AuxGrid, GridGeometry, OccupancyGrid
-from .renderer import Observation, full_image_rays, image_traces, rays_from_pixels, view_traces
+from .renderer import Observation, full_image_rays, rays_from_pixels, view_traces
 
 DEFAULT_RAYS_PER_ITERATION = 3000
 DEFAULT_FOREGROUND_WEIGHT = 5.0
 _VIEW_CHOICE_STREAM = 1 << 20
+COLOR_INIT_LOGIT = -2.0  # color payload init; semantics stay uniform
 
 
 def sigmoid(z):
@@ -70,18 +81,7 @@ def _last_axis_dot(a, b):
 
 @dataclass
 class FitConfig:
-    """Knobs for fit(); defaults sized for 32^3 object grids.
-
-    ``color_schedule`` exists because joint optimization under RGB-only
-    supervision has a bad basin: cells can turn white and become
-    indistinguishable from the white escape event, which kills the
-    background rays' carving pressure before the geometry settles.
-    "carve-then-paint" block-coordinates the same objective: the first
-    half of the iterations update occupancy with payloads frozen at a
-    dark ``aux_init_logit`` (so unexplained cells stay expensive for
-    background rays), the second half update payloads with the geometry
-    frozen.  Depth-anchored kinds do not need this and ignore it.
-    """
+    """Knobs for fit(); defaults sized for 32^3 object grids."""
 
     iterations: int = 500
     step_size: float = 0.05
@@ -89,14 +89,9 @@ class FitConfig:
     views_per_iteration: int | None = None  # None: all views if <= 5, else 3
     foreground_weight: float = DEFAULT_FOREGROUND_WEIGHT
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     label_weight: float = 1.0
     full_images: bool = False  # use every pixel of every chosen view
     threads: int = 1  # kept for existing callers; a fit runs on one thread
-    color_schedule: str = "carve-then-paint"  # or "joint"
-    aux_init_logit: float = -2.0  # color payload init; semantics stay uniform
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -113,8 +108,6 @@ class FitConfig:
             raise ValueError(f"label_weight must be finite, got {self.label_weight}")
         if self.threads != 1:
             raise ValueError(f"threads must be 1 (a fit runs on one thread), got {self.threads}")
-        if self.color_schedule not in ("carve-then-paint", "joint"):
-            raise ValueError(f"unknown color_schedule {self.color_schedule!r}")
 
 
 @dataclass
@@ -127,11 +120,12 @@ class FitReport:
 class Adam:
     """Per-parameter adaptive moments, bias-corrected."""
 
-    def __init__(self, shape, step, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, shape, step):
         self.step = step
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
@@ -186,11 +180,10 @@ def _check_observations(observations, kind: str) -> None:
 def _squash(geometry: GridGeometry, logits_x, logits_p, aux_kind):
     """The grids the logits stand for: (OccupancyGrid, AuxGrid or None)."""
     occ = OccupancyGrid(geometry, sigmoid(logits_x))
-    if aux_kind == "color":
-        return occ, AuxGrid(geometry, "color", sigmoid(logits_p))
-    if aux_kind == "semantics":
-        return occ, AuxGrid(geometry, "semantics", softmax(logits_p))
-    return occ, None
+    if aux_kind is None:
+        return occ, None
+    squash = sigmoid if aux_kind == "color" else softmax
+    return occ, AuxGrid(geometry, aux_kind, squash(logits_p))
 
 
 def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
@@ -204,23 +197,19 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
     ValueError at the first iteration whose loss or gradient is not finite.
     """
     _check_observations(observations, kind)
+    t_start = time.perf_counter()  # the table builds count toward the fit's time
     tables = view_traces(observations, geometry, traces)  # per view: the traces of all its pixels
-    t_start = time.perf_counter()
 
     logits_x = np.zeros(geometry.shape)
-    logits_p = None
-    aux_kind = None
+    aux_kind = AUX_KINDS.get(kind)
+    logits_p = opt_p = None
     if kind == "color":
-        aux_kind = "color"
-        logits_p = np.full((*geometry.shape, 3), config.aux_init_logit)
+        logits_p = np.full((*geometry.shape, 3), COLOR_INIT_LOGIT)
     elif kind == "depth_semantics":
-        aux_kind = "semantics"
         logits_p = np.zeros((*geometry.shape, observations[0].n_classes))
-
-    opt_x = Adam(logits_x.shape, config.step_size, config.beta1, config.beta2, config.epsilon)
-    opt_p = None
+    opt_x = Adam(logits_x.shape, config.step_size)
     if logits_p is not None:
-        opt_p = Adam(logits_p.shape, config.step_size, config.beta1, config.beta2, config.epsilon)
+        opt_p = Adam(logits_p.shape, config.step_size)
 
     n_views = len(observations)
     take = config.views_per_iteration
@@ -228,8 +217,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         take = n_views if n_views <= 5 else 3
     take = min(take, n_views)
 
-    blocked = kind == "color" and config.color_schedule == "carve-then-paint"
-    paint_from = config.iterations // 2 if blocked else 0
+    paint_from = config.iterations // 2 if kind == "color" else 0  # carve, then paint
 
     losses = np.zeros(config.iterations)
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
@@ -243,10 +231,8 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
 
         per_view = max(1, config.rays_per_iteration // take)
         batches, view_rows = [], []
-        for view_idx in chosen:  # fixed view order: deterministic reduction
+        for view_idx in chosen:  # fixed view order: reproducible reduction
             obs = observations[view_idx]
-            if tables[view_idx] is None:
-                tables[view_idx] = image_traces(geometry, obs.camera)
             if config.full_images:
                 rays = full_image_rays(obs, config.foreground_weight)
             else:
@@ -264,10 +250,10 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         losses[it] = loss
         ray_counts[it] = count
 
-        if not blocked or it < paint_from:
+        if kind != "color" or it < paint_from:
             x = occ.x
             opt_x.update(logits_x, grad_x * x * (1.0 - x))
-        if logits_p is not None and (not blocked or it >= paint_from):
+        if logits_p is not None and it >= paint_from:
             p = aux.payload
             if aux_kind == "color":
                 opt_p.update(logits_p, grad_p * p * (1.0 - p))

@@ -12,9 +12,10 @@ Noisy hit points are clamped into the ray's traversed interval (a noisy
 depth just past the far side still votes for the last cell); rays whose
 pixel reads the escape sentinel count as escapes.
 
-Fusion and carving read one ``image_traces`` table per view: they build
-it themselves, or take the tables of ``traces=`` (one per observation), so
-a caller that also renders or fits from the same cameras traces them once.
+Fusion and carving read one ``image_traces`` table per view, all built
+by ``view_traces`` before the first view is counted, or taken from
+``traces=`` (one per observation), so a caller that also renders or fits
+from the same cameras traces them once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import BinaryGrid, GridGeometry, OccupancyGrid
-from .renderer import Observation, image_traces, view_traces
+from .renderer import Observation, view_traces
 from .traversal import trace_batch  # noqa: F401  (perfbench patches fusion.trace_batch)
 
 
@@ -38,8 +39,6 @@ def accumulate_depth_counts(observations: list[Observation], geometry: GridGeome
     empty = np.zeros(geometry.ncells, dtype=np.int64)
     occupied = np.zeros(geometry.ncells, dtype=np.int64)
     for obs, table in zip(observations, view_traces(observations, geometry, traces)):
-        if table is None:
-            table = image_traces(geometry, obs.camera)
         view_empty, view_occupied = _depth_votes(obs, table)
         empty += view_empty
         occupied += view_occupied
@@ -108,7 +107,5 @@ def carve_masks(observations: list[Observation], geometry: GridGeometry, *,
         background = obs.mask.reshape(-1) == 0
         if not background.any():
             continue
-        if table is None:
-            table = image_traces(geometry, obs.camera)
         carved[table.cells[background[table.cell_rays()]]] = True
     return BinaryGrid(geometry, ~carved.reshape(geometry.shape))

@@ -20,6 +20,7 @@ from . import images
 from .cameras import Camera, image_grid_rays, load_camera, perspective_camera, save_camera
 from .cameras import pixel_rays  # noqa: F401  (perfbench patches renderer.pixel_rays)
 from .consistency import (
+    AUX_KINDS,
     ESCAPE_COLOR,
     OBJECT_ESCAPE_DEPTH,
     RAY_KINDS,
@@ -116,12 +117,11 @@ def _checked_image_traces(table: TraceTable, geometry: GridGeometry, camera: Cam
 
 
 def view_traces(observations: list[Observation], geometry: GridGeometry, traces=None) -> list:
-    """Per observation, its table from a ``traces=`` list, checked to hold
-    every pixel of its image on ``geometry``.  Without ``traces`` every
-    entry is None, and the caller builds the table with ``image_traces``
-    when it first needs it."""
+    """Per observation, the ``image_traces`` table of its camera on
+    ``geometry``: taken from a ``traces=`` list and checked to hold every
+    pixel of its image, or, without ``traces``, built here."""
     if traces is None:
-        return [None] * len(observations)
+        return [image_traces(geometry, obs.camera) for obs in observations]
     if len(traces) != len(observations):
         raise ValueError(f"need one trace table per observation, got {len(traces)} "
                          f"for {len(observations)} observations")
@@ -137,10 +137,9 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
     """
     if kind not in RAY_KINDS:
         raise ValueError(f"render kind must be one of {RAY_KINDS}, got {kind!r}")
-    if kind in ("depth_semantics", "color"):
-        want = "semantics" if kind == "depth_semantics" else "color"
-        if aux is None or aux.kind != want:
-            raise ValueError(f"{kind} render needs an aux grid of kind {want!r}")
+    want = AUX_KINDS.get(kind)
+    if want is not None and (aux is None or aux.kind != want):
+        raise ValueError(f"{kind} render needs an aux grid of kind {want!r}")
     hw = (camera.height, camera.width)
     if traces is None:
         table = image_traces(bgrid.geometry, camera)
@@ -292,7 +291,7 @@ def sample_view_ring(n_views: int, elevation_range=DEFAULT_ELEVATION_RANGE,
     """Perspective cameras at a fixed radius looking at the grid center.
 
     Azimuth is uniform over [0, 360) and elevation uniform over the given
-    range (degrees above the horizon, +y up); both are deterministic under
+    range (degrees above the horizon, +y up); both are fixed by
     the seed.  Explicit ``azimuths`` / ``elevations`` lists override the
     sampling.  azimuth 0, elevation 0 puts the camera on the +z axis.
     """
@@ -323,9 +322,6 @@ def sample_view_ring(n_views: int, elevation_range=DEFAULT_ELEVATION_RANGE,
 # image file(s) of the observation's kind.
 # ---------------------------------------------------------------------------
 
-_IMAGE_FILES = {"mask": ("mask.pgm",), "depth": ("depth.pfm",),
-                "depth_semantics": ("depth.pfm", "labels.pgm"), "color": ("color.ppm",)}
-
 
 def save_observation_bundle(directory, obs: Observation) -> None:
     os.makedirs(directory, exist_ok=True)
@@ -354,6 +350,8 @@ def load_observation_bundle(directory) -> Observation:
     if not tokens or tokens[0] not in RAY_KINDS:
         raise FormatError(f"{kind_path}: bad observation kind line {tokens!r}")
     kind = tokens[0]
+    if kind != "depth_semantics" and len(tokens) != 1:
+        raise FormatError(f"{kind_path}: {kind} manifest takes no arguments, got {tokens[1:]!r}")
     camera = load_camera(os.path.join(directory, "camera.txt"))
     if kind == "mask":
         img, maxval = images.read_pgm(os.path.join(directory, "mask.pgm"))

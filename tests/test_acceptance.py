@@ -313,7 +313,7 @@ def test_11_rgb_supervision(fits):
 
 def test_12_repro_determinism(tmp_path):
     args = ["repro", "--dims", "32", "--views", "5", "--iters", "40", "--rays", "3000",
-            "--seed", str(VIEW_SEED), "--deterministic"]
+            "--seed", str(VIEW_SEED)]
     assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
     compared = 0

@@ -48,9 +48,9 @@ class TestPipeline:
 
     def test_fit_rerun_is_bitwise_identical(self, pipeline, tmp_path):
         assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "15",
-                   "--rays", "300", "--deterministic", "--out", str(tmp_path / "a")) == 0
+                   "--rays", "300", "--out", str(tmp_path / "a")) == 0
         assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "15",
-                   "--rays", "300", "--deterministic", "--out", str(tmp_path / "b")) == 0
+                   "--rays", "300", "--out", str(tmp_path / "b")) == 0
         assert (tmp_path / "a" / "fitted.grid").read_bytes() == \
                (tmp_path / "b" / "fitted.grid").read_bytes()
         assert (tmp_path / "a" / "loss_log.tsv").read_bytes() == \
@@ -104,6 +104,11 @@ class TestExitCodes:
             assert run(*command, "--iters", "1", "--threads", "2",
                        "--out", str(tmp_path / command[0])) == 1
             assert not (tmp_path / command[0]).exists()
+
+    def test_deterministic_flag_is_usage_error(self, pipeline, tmp_path):
+        assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "1",
+                   "--deterministic", "--out", str(tmp_path / "fit")) == 1
+        assert not (tmp_path / "fit").exists()
 
     def test_non_finite_fit_weight_is_usage_error(self, pipeline, tmp_path):
         assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "2",

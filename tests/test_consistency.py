@@ -608,7 +608,7 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
 
     def kernel(rows):
         return _hit_loss(occ.flat, None, "depth", [table.take(rows)], np.ones(len(rows)),
-                         {"s": None, "d": d[rows], "c": None}, {"escape_depth": None, "label_weight": 1.0})
+                         {"s": None, "d": d[rows], "c": None}, label_weight=1.0)
 
     def padded_losses(rows):
         cells, d_mid, valid = padded(table.take(rows))

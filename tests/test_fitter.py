@@ -107,7 +107,7 @@ class TestAdam:
         assert param[0] < 0 < param[1]
 
     def test_moments_accumulate(self):
-        opt = Adam((1,), step=0.1, beta1=0.9, beta2=0.999)
+        opt = Adam((1,), step=0.1)
         param = np.zeros(1)
         for _ in range(10):
             opt.update(param, np.ones(1))
@@ -249,6 +249,25 @@ class TestFit:
         occ, fit_aux, _ = fit(obs, gt.geometry, "depth_semantics", FitConfig(iterations=3))
         assert fit_aux.kind == "semantics"
         assert np.allclose(fit_aux.payload.sum(axis=3), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind, iterations, schedule", [
+        ("color", 4, ["occupancy", "occupancy", "payload", "payload"]),  # carve, then paint
+        ("depth_semantics", 2, ["occupancy", "payload"] * 2),
+    ])
+    def test_update_schedule(self, kind, iterations, schedule, monkeypatch):
+        aux_kind = "semantics" if kind == "depth_semantics" else "color"
+        gt, aux = make_test_shape("sphere", (16, 16, 16), aux_kind=aux_kind)
+        cams = sample_view_ring(2, seed=4, width=16, height=16)
+        obs = [render(gt, c, kind, aux) for c in cams]
+        updated = []
+
+        def recording(opt, param, grad, update=Adam.update):
+            updated.append("occupancy" if param.shape == gt.geometry.shape else "payload")
+            update(opt, param, grad)
+
+        monkeypatch.setattr(fitter.Adam, "update", recording)
+        fit(obs, gt.geometry, kind, FitConfig(iterations=iterations, rays_per_iteration=200))
+        assert updated == schedule
 
 
 def _frustum_scene():

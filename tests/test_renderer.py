@@ -240,6 +240,15 @@ class TestBundles:
         with pytest.raises(FormatError, match="kind"):
             load_observation_bundle(tmp_path / "v")
 
+    @pytest.mark.parametrize("kind, line", [("mask", "mask junk"), ("depth", "depth 4 extra"),
+                                            ("color", "color 3")])
+    def test_extra_kind_tokens_rejected(self, tmp_path, kind, line):
+        gt, aux = make_test_shape("sphere", (16, 16, 16))
+        cam = sample_view_ring(1, seed=0, width=16, height=16)[0]
+        save_observation_bundle(tmp_path / "v", render(gt, cam, kind, aux))
+        (tmp_path / "v" / "kind.txt").write_text(line + "\n")
+        with pytest.raises(FormatError, match="no arguments"):
+            load_observation_bundle(tmp_path / "v")
 
     def test_nan_depth_rejected_as_format_error(self, tmp_path):
         gt, _ = make_test_shape("sphere", (16, 16, 16))
