@@ -38,9 +38,6 @@ class Ray:
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "direction", d)
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
-
 
 @dataclass(frozen=True, eq=False)
 class Camera:
@@ -83,9 +80,6 @@ class Camera:
     def center_world(self) -> np.ndarray:
         """Camera center in world coordinates (perspective ray origin)."""
         return -self.rotation.T @ self.translation
-
-    def cam_to_world(self, p_cam) -> np.ndarray:
-        return (np.asarray(p_cam, dtype=np.float64) - self.translation) @ self.rotation
 
     def world_to_cam(self, p_world) -> np.ndarray:
         return np.asarray(p_world, dtype=np.float64) @ self.rotation.T + self.translation

@@ -35,8 +35,13 @@ past 128 cells a ray's loss still does not depend on the rays beside it.
 ``view_loss`` runs the kernel on the rays that enter the grid (a ray that
 misses has the escape event alone), about LOSS_CHUNK cells per pass, over
 one table or a list of them (``fit`` passes every chosen view's table).
-It scatters each table's gradients in that table's ray order, so one call
-over k tables gives the bits of k calls summed in order.  The scalar API
+A pass reads its rays' cells and exit depths from their tables straight
+into the slot-major layout; a cell's entry depth is the exit depth one
+slot back, or the ray's t0 in slot 0.  It adds its gradients with one
+``np.bincount`` in that layout's order, slot by slot and the longest rays
+first, into zeros that are then added to the totals, pass after pass.  The
+loss is a dot per table, added in list order, so it has the bits of one
+call per table summed; the gradients do not.  The scalar API
 (``cost_*``, ``ray_loss*``) runs the same kernel on one ray, so the
 gradient check tests the fitter's kernel, sum order included.
 ``event_probabilities`` and ``mask_loss_closed_form`` are independent
@@ -380,57 +385,66 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
-def _hit_loss(x: np.ndarray, payload, kind: str, parts: list, weights: np.ndarray,
-              observed: dict, label_weight: float):
-    """The kernel on the rays of the tables ``parts``, in order, every one
-    of which enters the grid.  Returns the per-ray losses and, per cell in
-    the tables' ray order, the cell, the weighted d(loss)/dx, then for
-    payload kinds the flat payload index and the weighted payload gradient
-    there ((E,) at the observed class, or (E, 3)), else None and None.
-    A pass's per-cell arrays set a fit's peak memory, so each is dropped
-    as soon as it has been used."""
-    n = np.concatenate([t.n for t in parts])
-    entries = [t.entries() for t in parts]
-    cells = np.concatenate([e[0] for e in entries])
-    d_mid = np.concatenate([e[1] for e in entries])
-    del entries
-    first = np.cumsum(n) - n  # each ray's first cell
-    psi, psi_esc, at_p, dpsi_dp = _event_costs(kind, d_mid, cells, np.repeat(np.arange(n.size), n),
-                                               payload, **observed, label_weight=label_weight)
-    del d_mid
-    psi_first = psi[first]
-    dpsi = np.empty_like(psi)  # psi_{k+1} - psi_k, escape after the last cell
-    dpsi[:-1] = psi[1:]
-    dpsi[first + n - 1] = psi_esc
-    dpsi -= psi
-    del psi
-    # the slot-major layout: rays by decreasing length, slot k after slot
-    # k-1; ``back`` is the cell at each place in it, ``at`` each cell's place
-    order = np.argsort(-n, kind="stable")
-    m = n.size - np.cumsum(np.bincount(n))[:-1]  # per slot k, the rays longer than k
-    slot_start = np.concatenate([[0], np.cumsum(m)[:-1]])
-    back = np.arange(cells.size) - np.repeat(slot_start, m)
-    back = first[order][back]
-    back += np.repeat(np.arange(m.size), m)
-    x_sorted, dpsi = x[cells[back]], dpsi[back]
-    del back
-    per_ray, grad, p_events = _telescope(x_sorted, dpsi, psi_first[order], m.tolist(),
-                                         events=dpsi_dp is not None)
-    del x_sorted, dpsi
+def _hit_loss(x: np.ndarray, payload, kind: str, tables: list, tab: np.ndarray, start: np.ndarray,
+              n: np.ndarray, t0: np.ndarray, weights: np.ndarray, observed: dict, label_weight: float):
+    """The kernel on rays that all enter the grid: ray i crosses the n[i]
+    cells stored from start[i] on in table ``tables[tab[i]]``, entering the
+    first at t0[i], and ``tab`` does not decrease.  Returns the per-ray
+    losses and, per entry of the slot-major layout, the cell and the
+    weighted d(loss)/dx, then for payload kinds the flat payload index and
+    the weighted payload gradient there ((E,) at the observed class, or
+    (E, 3)), else None and None.  A pass's per-cell arrays set a fit's peak
+    memory, so each is dropped as soon as it has been used."""
+    order = np.argsort(-n, kind="stable")  # the rays by decreasing length
     rank = np.empty_like(order)
     rank[order] = np.arange(n.size)
-    at = slot_start[np.arange(cells.size) - np.repeat(first, n)]
-    at += np.repeat(rank, n)
-    w = np.repeat(weights, n)
-    grad = grad[at]
+    m = n.size - np.cumsum(np.bincount(n))[:-1]  # per slot k, the rays longer than k
+    off = np.concatenate([[0], np.cumsum(m)])  # slot k's run starts at off[k]
+    size = int(off[-1])
+    # the k-th cell of ray i, at start[i] + k in its table, goes to
+    # off[k] + rank[i]: one gather and one scatter per table
+    first = np.cumsum(n) - n
+    k = np.arange(size) - np.repeat(first, n)
+    src = k + np.repeat(start, n)
+    dest = np.take(off, k)
+    dest += np.repeat(rank, n)
+    del k
+    cells, t_exit = np.empty(size, dtype=tables[0].cells.dtype), np.empty(size)
+    runs = np.flatnonzero(np.diff(tab, prepend=-1))  # each table's first ray
+    for r, a, b in zip(runs.tolist(), first[runs].tolist(), [*first[runs[1:]].tolist(), size]):
+        cells[dest[a:b]] = np.take(tables[tab[r]].cells, src[a:b])
+        t_exit[dest[a:b]] = np.take(tables[tab[r]].t_exit, src[a:b])
+    del src, dest
+    # past slot 0, an entry's ray left the cell before it m[k-1] places back
+    prev = np.arange(m[0], size) - np.repeat(m[:-1], m[1:])
+    # event depths 0.5 * (t_enter + t_exit), entering at t0 in slot 0
+    d_mid = np.empty_like(t_exit)
+    d_mid[:m[0]] = t0[order]
+    d_mid[m[0]:] = np.take(t_exit, prev)
+    d_mid += t_exit
+    d_mid *= 0.5
+    del t_exit
+    ray = np.arange(size) - np.repeat(off[:-1], m)  # each entry's ray, as a place in ``order``
+    observed = {f: None if v is None else v[order] for f, v in observed.items()}
+    psi, psi_esc, at_p, dpsi_dp = _event_costs(kind, d_mid, cells, ray, payload, **observed,
+                                               label_weight=label_weight)
+    del d_mid
+    dpsi = np.empty_like(psi)  # psi_{k+1} - psi_k, escape after the last cell
+    dpsi[prev] = psi[m[0]:]
+    del prev
+    dpsi[np.take(off, n[order] - 1) + np.arange(n.size)] = psi_esc
+    dpsi -= psi
+    per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi[:m[0]], m.tolist(),
+                                         events=dpsi_dp is not None)
+    del psi, dpsi
+    w = np.take(weights[order], ray)
+    del ray
     grad *= w
     if dpsi_dp is None:
         return per_ray[rank], cells, grad, None, None
-    p_events = p_events[at]
-    del at
     if kind == "color":
         p_events, w = p_events[:, None], w[:, None]
-    dpsi_dp = p_events * dpsi_dp
+    dpsi_dp *= p_events
     dpsi_dp *= w
     return per_ray[rank], cells, grad, at_p, dpsi_dp
 
@@ -441,10 +455,12 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
 
     ``traces`` holds one trace per ray, in order: a ``TraceTable`` (rows of
     a view's ``image_traces`` table, or ``trace_batch`` over the rays) or a
-    list of tables whose rows, in list order, are the rays.  Loss and
-    gradients are reduced table by table in list order, each table's rays
-    in order, so the result is reproducible and, to the bit, the in-order
-    sum of one call per table.  Cells no ray touches get zero gradient.
+    list of tables whose rows, in list order, are the rays.  The loss is
+    reduced table by table in list order, each table's rays in order, so it
+    is, to the bit, the in-order sum of one call per table.  Each cell's
+    gradient adds its terms pass by pass, and within a pass slot by slot,
+    the longest rays first (ties in ray order), so the result is
+    reproducible.  Cells no ray touches get zero gradient.
 
     Only rays that enter the grid run through the telescoped kernel, in
     passes of about LOSS_CHUNK cells that may span tables.  A miss has one
@@ -473,48 +489,30 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     per_ray[miss] = _event_costs(rays.kind, np.zeros(0), none, none, payload,
                                  **rays.observed(miss), label_weight=label_weight)[1]
 
-    # each table's gradients are summed in its rays' order (ufunc.at adds in
-    # input order), the first table's straight into the totals, each later
-    # one's in buffers of its own that are then added, as one call per table
-    # would add up
-    grad_x = np.zeros(geom.ncells)
-    grad_p = None if payload is None else np.zeros(payload.size)
-    totals = [g for g in (grad_x, grad_p) if g is not None]
-    sums = totals
+    # per ray that enters the grid: its table, its first cell there and the
+    # depth where it enters the grid
     first = np.cumsum([0] + [t.n_rays for t in tables])
     hit = np.flatnonzero(n)
-    table_of = np.searchsorted(first, hit, side="right") - 1
-    current = table_of[0] if hit.size else -1
-    # passes of whole rays, a new one after every LOSS_CHUNK cells
+    tab = np.repeat(np.arange(len(tables)), np.diff(first))[hit]
+    start = np.concatenate([t.start for t in tables])[hit]
+    t0 = np.concatenate([t.t0 for t in tables])[hit]
+    grad_x = np.zeros(geom.ncells)
+    grad_p = None if payload is None else np.zeros(payload.size)
+    # passes of whole rays, a new one after every LOSS_CHUNK cells, each
+    # scattered in its slot-major order
     ends = np.cumsum(n[hit])
     stops = np.searchsorted(ends, np.arange(LOSS_CHUNK, ends[-1] if hit.size else 0, LOSS_CHUNK))
     for i, j in zip([0, *stops.tolist()], [*stops.tolist(), hit.size]):
         if i == j:  # two stops meet past a ray of more than LOSS_CHUNK cells
             continue
-        rows, row_table = hit[i:j], table_of[i:j]
-        cut = [0, *(np.flatnonzero(np.diff(row_table)) + 1).tolist(), rows.size]
-        runs = [(row_table[a], tables[row_table[a]].take(rows[a:b] - first[row_table[a]]))
-                for a, b in zip(cut[:-1], cut[1:])]
-        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, [r for _, r in runs],
-                                                       rays.weights[rows], rays.observed(rows), label_weight)
-        end = 0
-        for t, r in runs:
-            start, end = end, end + int(r.n.sum())
-            if t != current:
-                if sums is totals:
-                    sums = [np.zeros_like(g) for g in totals]
-                else:
-                    for total, part in zip(totals, sums):
-                        total += part
-                        part.fill(0.0)
-                current = t
-            np.add.at(sums[0], cells[start:end], gx[start:end])
-            if gp is not None:
-                np.add.at(sums[1], at_p[start:end], gp[start:end])
+        rows = hit[i:j]
+        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, tables, tab[i:j],
+                                                       start[i:j], n[rows], t0[i:j], rays.weights[rows],
+                                                       rays.observed(rows), label_weight)
+        grad_x += np.bincount(cells, weights=gx, minlength=grad_x.size)
+        if gp is not None:
+            grad_p += np.bincount(at_p.ravel(), weights=gp.ravel(), minlength=grad_p.size)
         del cells, gx, at_p, gp
-    if sums is not totals:
-        for total, part in zip(totals, sums):
-            total += part
     loss = 0.0
     for a, b in zip(first[:-1], first[1:]):
         loss += float(rays.weights[a:b] @ per_ray[a:b])

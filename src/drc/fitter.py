@@ -6,15 +6,17 @@ probabilities are held as unconstrained logits squashed through a sigmoid
 x stays in the open interval and the gradient endpoints never degenerate.
 Updates use Adam with per-parameter moments.
 
-Cameras and geometry stay fixed during a fit, so each view's pixel rays
-are traced once, into a table (``image_traces``), before the first
-iteration, unless the caller passes the views' tables as ``traces=``.  Every
-iteration samples a subset of views and a budget of rays (uniform pixels
-with replacement, foreground rays weighted up), looks up their traces in
-the tables, computes the loss of all of them and its analytic gradients in
-one ``view_loss`` call, chain-rules through the squashing map and applies
-the update; a loss or gradient that is not finite stops the fit with
-``ValueError``.
+Cameras, geometry and observations stay fixed during a fit, so before the
+first iteration each view's pixel rays are traced once, into a table
+(``image_traces``), unless the caller passes the views' tables as
+``traces=``, and every pixel's loss weight (foreground pixels weighted up)
+and observation is looked up once.  Every iteration samples a subset of
+views and a budget of pixels per view (uniform with replacement, the
+pixels ``sample_rays`` draws), gathers their weights, observations and
+table rows, computes the loss of all of them and its analytic gradients
+in one ``view_loss`` call, chain-rules through the squashing map and
+applies the update; a loss or gradient that is not finite stops the fit
+with ``ValueError``.
 
 Color fits run carve-then-paint, because joint optimization under
 RGB-only supervision has a bad basin: cells can turn white and become
@@ -148,6 +150,15 @@ class Adam:
         param -= delta
 
 
+def _sample_pixels(obs: Observation, n: int, seed: int, iteration: int, stream: int):
+    """n pixel indices (us, vs), uniform with replacement, drawn from the
+    generator of (seed, iteration, stream)."""
+    rng = np.random.default_rng([seed, iteration, stream])
+    us = rng.integers(0, obs.camera.width, n)
+    vs = rng.integers(0, obs.camera.height, n)
+    return us, vs
+
+
 def sample_rays(obs: Observation, n: int, foreground_weight: float, seed: int,
                 iteration: int, stream: int = 0) -> RayBatch:
     """n pixels uniform with replacement -> weighted rays.
@@ -155,14 +166,11 @@ def sample_rays(obs: Observation, n: int, foreground_weight: float, seed: int,
     Foreground pixels (mask 1 / non-escape depth / non-background label or
     color) carry ``foreground_weight``; background pixels weight 1.
     Deterministic under (seed, iteration); ``stream`` separates draws for
-    different views within one iteration.
+    different views within one iteration.  ``fit`` draws the same pixels.
     """
     if n < 1:
         raise ValueError(f"need at least one ray, got n={n}")
-    rng = np.random.default_rng([seed, iteration, stream])
-    us = rng.integers(0, obs.camera.width, n)
-    vs = rng.integers(0, obs.camera.height, n)
-    return rays_from_pixels(obs, us, vs, foreground_weight)
+    return rays_from_pixels(obs, *_sample_pixels(obs, n, seed, iteration, stream), foreground_weight)
 
 
 def _check_observations(observations, kind: str) -> None:
@@ -219,6 +227,9 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
 
     paint_from = config.iterations // 2 if kind == "color" else 0  # carve, then paint
 
+    # every pixel's loss weight and observation, view after view, once per fit
+    every = RayBatch.concatenate([full_image_rays(obs, config.foreground_weight) for obs in observations])
+    pixel_base = np.cumsum([0] + [t.n_rays for t in tables])
     losses = np.zeros(config.iterations)
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
     for it in range(config.iterations):
@@ -230,19 +241,18 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
 
         per_view = max(1, config.rays_per_iteration // take)
-        batches, view_rows = [], []
+        pixels = []
         for view_idx in chosen:  # fixed view order: reproducible reduction
-            obs = observations[view_idx]
             if config.full_images:
-                rays = full_image_rays(obs, config.foreground_weight)
+                pixels.append(np.arange(tables[view_idx].n_rays))
             else:
-                rays = sample_rays(obs, per_view, config.foreground_weight,
-                                   config.seed, it, stream=view_idx)
-            batches.append(rays)
-            view_rows.append(tables[view_idx].take(rays.pixels))
-        # one kernel call for every chosen view, reduced view by view
-        rays = RayBatch.concatenate(batches)
-        res = view_loss(occ, rays, aux, label_weight=config.label_weight, traces=view_rows)
+                us, vs = _sample_pixels(observations[view_idx], per_view, config.seed, it, view_idx)
+                pixels.append(vs * observations[view_idx].camera.width + us)
+        rows = np.concatenate([pixel_base[v] + p for v, p in zip(chosen, pixels)])
+        rays = RayBatch(kind, every.weights[rows], **every.observed(rows))
+        # one kernel call for every chosen view
+        res = view_loss(occ, rays, aux, label_weight=config.label_weight,
+                        traces=[tables[v].take(p) for v, p in zip(chosen, pixels)])
         loss, grad_x, grad_p, count = res.loss, res.grad_x, res.grad_p, rays.n_rays
         if not (math.isfinite(loss) and np.isfinite(grad_x).all()
                 and (grad_p is None or np.isfinite(grad_p).all())):

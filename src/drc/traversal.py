@@ -34,10 +34,10 @@ as floor() of its grid coordinate would say.
 ``trace_batch`` returns the traces of many rays as one unpadded
 ``TraceTable``: per ray a start, a length and an entry depth, per traversed
 cell its index and exit depth.  Consecutive cells of a ray share their
-boundary, so each cell's entry depth is the exit depth before it.
-``TraceTable.entries`` gives every cell of gathered rows and its event
-depth, flat and ray by ray, for the loss; ``TraceTable.row`` gives one
-ray's ``RayTrace``, and ``trace`` is ``trace_batch`` on one ray.
+boundary, so each cell's entry depth is the exit depth before it; the loss
+reads the cells and exit depths of the rays it samples straight from the
+table.  ``TraceTable.row`` gives one ray's ``RayTrace``, and ``trace`` is
+``trace_batch`` on one ray.
 """
 
 from __future__ import annotations
@@ -134,16 +134,6 @@ class TraceTable:
         if self.cells.size != self.n.sum() or not np.array_equal(self.start, np.cumsum(self.n) - self.n):
             raise ValueError("table does not store its rays in order (a take() of another table?)")
         return np.repeat(np.arange(self.n_rays, dtype=np.int32), self.n)
-
-    def entries(self):
-        """(cells, d) of every traversed cell, ray by ray and along each ray:
-        the cell and its event depth 0.5 * (t_enter + t_exit)."""
-        first = np.cumsum(self.n) - self.n  # each ray's first cell in the result
-        at = np.arange(self.n.sum()) + np.repeat(self.start - first, self.n)
-        t_enter = self.t_exit[at - 1]  # -1 only at a first cell, set next
-        hit = self.n > 0
-        t_enter[first[hit]] = self.t0[hit]
-        return self.cells[at], 0.5 * (t_enter + self.t_exit[at])
 
 
 def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:

@@ -10,7 +10,9 @@ two-reduction softmax, the two-branch sigmoid, ``ReferenceAdam`` and the
 padded loss kernel (``padded``, ``padded_view_loss``) are the formulas the
 fitter used before its flat payload scatter, slice-wise softmax, one-exp
 sigmoid, in-place Adam update and length-sorted loss kernel, kept to
-check those bit for bit.
+check those bit for bit; their gradients are added in the order the
+kernel documents (``scatter_in_kernel_order``), not in ray order.
+``entries`` gathers a table's rows ray by ray, as the loss once did.
 """
 
 from dataclasses import dataclass
@@ -18,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from drc.cameras import Ray, pixel_rays
+from drc import consistency
 from drc.consistency import (ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
                              EventCosts, ViewLossResult)
 from drc.grid import same_geometry
+from drc.traversal import TraceTable
 
 
 def brute_force_ray_loss(x_r, costs) -> float:
@@ -68,12 +72,48 @@ def pixel_to_ray(camera, u: float, v: float) -> Ray:
 
 
 def dense_payload_scatter(cells, valid, p_events, dpsi_dp, weights, ncells):
-    """(ncells, D) payload gradient by ``np.add.at`` of the dense (R, L, D)
-    products p_event * dpsi_dp * weight over the valid slots."""
+    """(ncells, D) payload gradient: the dense (R, L, D) products p_event *
+    dpsi_dp * weight over the valid slots, added in ``view_loss``'s order
+    (``scatter_in_kernel_order``)."""
     contrib = p_events[:, :, None] * dpsi_dp * weights[:, None, None]
-    grad_p = np.zeros((ncells, dpsi_dp.shape[2]))
-    np.add.at(grad_p, cells[valid], contrib[valid])
-    return grad_p
+    return scatter_in_kernel_order(cells, contrib, valid.sum(axis=1), ncells)
+
+
+def scatter_in_kernel_order(cells, values, n, size):
+    """``np.add.at`` of padded per-cell ``values`` ((R, L) or (R, L, D))
+    into zeros of ``size`` rows, in the order ``view_loss`` documents for R
+    rays of n > 0 cells each, left-aligned in the L slots.
+
+    The rays go in passes: a pass ends before the first ray whose cells,
+    counted from the first ray's, reach the next multiple of LOSS_CHUNK.
+    Each pass is added into zeros of its own, slot by slot, within a slot
+    the longest rays first (ties in ray order), and the passes are then
+    added to the total in turn.
+    """
+    ends = np.cumsum(n)
+    bounds = np.arange(consistency.LOSS_CHUNK, ends[-1], consistency.LOSS_CHUNK)
+    pass_of = np.count_nonzero(ends[:, None] >= bounds, axis=1)
+    ray, slot = np.nonzero(np.arange(cells.shape[1]) < n[:, None])
+    order = np.lexsort((ray, -n[ray], slot, pass_of[ray]))
+    ray, slot = ray[order], slot[order]
+    total = np.zeros((size, *values.shape[2:]))
+    for p in np.unique(pass_of):
+        here = pass_of[ray] == p
+        part = np.zeros_like(total)
+        np.add.at(part, cells[ray[here], slot[here]], values[ray[here], slot[here]])
+        total += part
+    return total
+
+
+def entries(table):
+    """(cells, d) of every cell the rows of ``table`` cross, ray by ray and
+    along each ray: the cell and its event depth 0.5 * (t_enter + t_exit)."""
+    first = np.cumsum(table.n) - table.n  # each ray's first cell in the result
+    at = np.arange(table.n.sum()) + np.repeat(table.start - first, table.n)
+    t_enter = table.t_exit[at - 1]  # -1 only at a first cell, set next
+    hit = table.n > 0
+    t_enter[first[hit]] = table.t0[hit]
+    return table.cells[at], 0.5 * (t_enter + table.t_exit[at])
 
 
 def two_branch_sigmoid(z):
@@ -331,7 +371,7 @@ def padded(table):
 
 
 def padded_event_costs(kind, d_mid, valid, cells, payload=None, *, s=None, d=None, c=None,
-                       escape_depth=None, label_weight=1.0):
+                       label_weight=1.0):
     """(R, L) cell-event costs, (R,) escape costs, then the payload
     derivative or None: (R, L) d psi / d p(c) at the observed class c for
     depth_semantics, the (R, L, 3) d psi / d p for color."""
@@ -339,15 +379,13 @@ def padded_event_costs(kind, d_mid, valid, cells, payload=None, *, s=None, d=Non
         psi = np.broadcast_to(s[:, None].astype(np.float64), d_mid.shape).copy()
         return psi, 1.0 - s.astype(np.float64), None
     if kind == "depth":
-        esc = OBJECT_ESCAPE_DEPTH if escape_depth is None else escape_depth
         psi = np.abs(np.where(valid, d_mid, 1.0) - d[:, None])
-        return psi, np.abs(esc - d), None
+        return psi, np.abs(OBJECT_ESCAPE_DEPTH - d), None
     if kind == "depth_semantics":
-        esc = SCENE_ESCAPE_DEPTH if escape_depth is None else escape_depth
         pc = np.maximum(payload[cells, c[:, None]], LOG_PROB_FLOOR)
         disparity = np.abs(1.0 / np.where(valid, d_mid, 1.0) - 1.0 / d[:, None])
         psi = disparity - label_weight * np.log(pc)
-        psi_esc = np.abs(1.0 / esc - 1.0 / d) + label_weight * np.log(payload.shape[1])
+        psi_esc = np.abs(1.0 / SCENE_ESCAPE_DEPTH - 1.0 / d) + label_weight * np.log(payload.shape[1])
         return psi, psi_esc, -label_weight / pc
     diff = payload[cells] - c[:, None, :]
     psi = 0.5 * np.sum(diff * diff, axis=2)
@@ -376,40 +414,61 @@ def padded_telescope(x, valid, psi, psi_esc, *, backward=True, events=False):
     return per_ray, grad, p_events
 
 
-def padded_view_loss(occ, rays, aux=None, *, escape_depth=None, label_weight=1.0, traces):
-    """``view_loss`` on one table through the padded kernel, as the fitter
-    ran it once per view."""
+def padded_view_loss(occ, rays, aux=None, *, label_weight=1.0, traces):
+    """``view_loss`` through the padded kernel, one table at a time as the
+    fitter once ran it per view: the loss is the per-table sums added in
+    list order, and the gradients are added in the kernel's order
+    (``scatter_in_kernel_order``) over the rays of every table that enter
+    the grid."""
+    tables = [traces] if isinstance(traces, TraceTable) else list(traces)
     geom = occ.geometry
     payload = None if aux is None else aux.flat
-    costs = {"escape_depth": escape_depth, "label_weight": label_weight}
-    hit = np.flatnonzero(traces.n)
-    miss = np.flatnonzero(traces.n == 0)
     per_ray = np.empty(rays.n_rays)
-    no_slots = np.zeros((miss.size, 0))
-    per_ray[miss] = padded_event_costs(rays.kind, no_slots, no_slots.astype(bool),
-                                       no_slots.astype(np.int64), payload,
-                                       **rays.observed(miss), **costs)[1]
-    cells, d_mid, valid = padded(traces.take(hit))
-    x = np.where(valid, occ.flat[cells], 1.0)
-    observed = rays.observed(hit)
-    psi, psi_esc, dpsi = padded_event_costs(rays.kind, d_mid, valid, cells, payload, **observed, **costs)
-    per_ray[hit], grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
-    loss = float(rays.weights @ per_ray)
+    loss = 0.0
+    parts = []  # per table: its hit rays' cells, valid slots, d(loss)/dx and payload gradient
+    base = 0
+    for table in tables:
+        ids = base + np.arange(table.n_rays)
+        base += table.n_rays
+        hit, miss = ids[table.n > 0], ids[table.n == 0]
+        no_slots = np.zeros((miss.size, 0))
+        per_ray[miss] = padded_event_costs(rays.kind, no_slots, no_slots.astype(bool),
+                                           no_slots.astype(np.int64), payload,
+                                           **rays.observed(miss), label_weight=label_weight)[1]
+        cells, d_mid, valid = padded(table.take(hit - ids[0]))
+        x = np.where(valid, occ.flat[cells], 1.0)
+        observed = rays.observed(hit)
+        psi, psi_esc, dpsi = padded_event_costs(rays.kind, d_mid, valid, cells, payload, **observed,
+                                                label_weight=label_weight)
+        per_ray[hit], grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
+        loss += float(rays.weights[ids] @ per_ray[ids])
+        weights = rays.weights[hit]
+        contrib = None
+        if rays.kind == "depth_semantics":  # dense over the K classes, zero off the observed one
+            dense = np.zeros((*dpsi.shape, aux.nchannels))
+            dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), observed["c"][:, None]] = dpsi
+            contrib = p_events[:, :, None] * dense * weights[:, None, None]
+        elif rays.kind == "color":
+            contrib = p_events[:, :, None] * dpsi * weights[:, None, None]
+        parts.append((cells, valid, grad * weights[:, None], contrib))
 
-    weights = rays.weights[hit]
-    at = cells[valid]
+    width = max(p[0].shape[1] for p in parts)
+
+    def stacked(i):  # the tables' padded arrays, widened to one width
+        return np.concatenate([np.pad(p[i], [(0, 0), (0, width - p[i].shape[1])] + [(0, 0)] * (p[i].ndim - 2))
+                               for p in parts])
+
+    cells, valid, grad = stacked(0), stacked(1), stacked(2)
+    n = valid.sum(axis=1)
     grad_x = np.zeros(geom.ncells)
-    np.add.at(grad_x, at, (grad * weights[:, None])[valid])
     grad_p = None
-    if rays.kind == "depth_semantics":
-        k = aux.nchannels
-        bins = (cells * np.int64(k) + observed["c"][:, None])[valid]
-        contrib = (p_events * dpsi * weights[:, None])[valid]
-        grad_p = np.bincount(bins, weights=contrib, minlength=geom.ncells * k).reshape(*geom.shape, k)
-    elif rays.kind == "color":
-        contrib = (p_events[:, :, None] * dpsi * weights[:, None, None])[valid]
-        grad_p = np.stack([np.bincount(at, weights=contrib[:, j], minlength=geom.ncells)
-                           for j in range(contrib.shape[1])], axis=-1).reshape(*geom.shape, -1)
+    if n.size:
+        grad_x = scatter_in_kernel_order(cells, grad, n, geom.ncells)
+    if payload is not None:
+        grad_p = np.zeros((geom.ncells, aux.nchannels))
+        if n.size:
+            grad_p = scatter_in_kernel_order(cells, stacked(3), n, geom.ncells)
+        grad_p = grad_p.reshape(*geom.shape, aux.nchannels)
     return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)
 
 

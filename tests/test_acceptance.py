@@ -12,6 +12,7 @@ extra pixels per cell average the per-pixel noise), noise amplitude
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,11 +312,17 @@ def test_11_rgb_supervision(fits):
            f"IoU {iou:.3f}, mean surface RGB error {rgb_err:.3f} over {surf.sum()} cells")
 
 
+GOLDEN_TABLE = Path(__file__).with_name("golden") / "repro_iters40_seed10.tsv"
+
+
 def test_12_repro_determinism(tmp_path):
     args = ["repro", "--dims", "32", "--views", "5", "--iters", "40", "--rays", "3000",
             "--seed", str(VIEW_SEED)]
     assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
+    # the reconstructions themselves, at the table's printed precision
+    table = (tmp_path / "a" / "table.tsv").read_bytes()
+    assert table == GOLDEN_TABLE.read_bytes(), f"table.tsv is not the golden table:\n{table.decode()}"
     compared = 0
     for f in sorted((tmp_path / "a").rglob("*")):
         if f.is_dir() or f.name == "manifest.txt":

@@ -27,7 +27,7 @@ from drc.metrics import central_difference
 from drc.traversal import trace, trace_batch
 
 
-from oracles import (brute_force_ray_loss, dense_payload_scatter, naive_grad_x, padded,
+from oracles import (brute_force_ray_loss, dense_payload_scatter, entries, naive_grad_x, padded,
                      padded_event_costs, padded_telescope, padded_view_loss, reference_psi)
 
 
@@ -483,14 +483,14 @@ class TestTraceTable:
         monkeypatch.setattr(traversal, "TABLE_CHUNK", 100)
         table = trace_batch(geom, *pixel_rays(cam, us + 0.5, vs + 0.5))
         rows = table.take(pixels)
-        cells, d = rows.entries()
+        cells, d = entries(rows)
 
         assert 0 < np.count_nonzero(alone.n) < pixels.size
         assert np.array_equal(rows.n, alone.n)
         assert cells.tobytes() == alone.cells.tobytes()
         want_d = [alone.row(i).d for i in range(alone.n_rays)]
         assert d.tobytes() == np.concatenate(want_d).tobytes()
-        assert [a.tobytes() for a in alone.entries()] == [cells.tobytes(), d.tobytes()]
+        assert [a.tobytes() for a in entries(alone)] == [cells.tobytes(), d.tobytes()]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_padded_oracle_rows_equal_traced_rows(self, case, monkeypatch):
@@ -505,7 +505,7 @@ class TestTraceTable:
         cells, d, valid = padded(rows)
         assert np.array_equal(valid.sum(axis=1), alone.n)
         assert np.array_equal(cells[valid], alone.cells)
-        assert d[valid].tobytes() == alone.entries()[1].tobytes()
+        assert d[valid].tobytes() == entries(alone)[1].tobytes()
         for gathered, traced in zip((cells, d, valid), padded(alone)):
             assert gathered.tobytes() == traced.tobytes()
         assert valid.shape[1] % 8 == 0 and valid.shape[1] - 8 < alone.max_len
@@ -552,9 +552,11 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("kind", RAY_KINDS)
 @pytest.mark.parametrize("chunk", [5, 37, None])
 def test_one_call_over_tables_is_the_per_table_calls_summed(kind, chunk, monkeypatch):
-    """One view_loss call over k tables gives, to the bit, the k per-table
-    calls summed in list order, and each per-table call is the padded
-    kernel's; with a small LOSS_CHUNK passes split tables."""
+    """One view_loss call over k tables gives, to the bit, the loss of the
+    k per-table calls summed in list order, each per-table call is the
+    padded kernel's, and the call's gradients are the padded kernel's added
+    in the kernel's order across the tables; with a small LOSS_CHUNK
+    passes split tables."""
     rng = np.random.default_rng(RAY_KINDS.index(kind))
     geom = unit_cube_geometry((5, 6, 4))
     occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
@@ -564,18 +566,49 @@ def test_one_call_over_tables_is_the_per_table_calls_summed(kind, chunk, monkeyp
         monkeypatch.setattr(consistency, "LOSS_CHUNK", chunk)
     res = view_loss(occ, rays, aux, label_weight=0.7, traces=tables)
 
-    loss, grad_x, grad_p = 0.0, np.zeros(geom.shape), None if aux is None else np.zeros(aux.payload.shape)
+    loss = 0.0
     for v, table in enumerate(tables):
         part = RayBatch(kind, rays.weights[48 * v:48 * (v + 1)],
                         **rays.observed(np.arange(48 * v, 48 * (v + 1))))
         alone = view_loss(occ, part, aux, label_weight=0.7, traces=table)
         _same_bits(alone, padded_view_loss(occ, part, aux, label_weight=0.7, traces=table))
         loss += alone.loss
-        grad_x += alone.grad_x
-        if grad_p is not None:
-            grad_p += alone.grad_p
     assert 0 < np.count_nonzero(np.concatenate([t.n for t in tables])) < rays.n_rays
-    _same_bits(res, consistency.ViewLossResult(loss, grad_x, grad_p))
+    assert res.loss == loss
+    _same_bits(res, padded_view_loss(occ, rays, aux, label_weight=0.7, traces=tables))
+
+
+@pytest.mark.parametrize("kind", RAY_KINDS)
+@pytest.mark.parametrize("chunk", [5, 37, None])
+def test_gradients_are_added_in_slot_major_order(kind, chunk, monkeypatch):
+    """Each cell's gradient is the sum, to the bit, of its rays' terms in
+    the kernel's order: pass by pass, slot by slot, the longest rays first.
+    On one table whose rays cross the same few cells many times, at many
+    lengths, that order gives other bits than adding ray by ray in one
+    pass (small passes hold a ray or two, so only the default is checked)."""
+    rng = np.random.default_rng(40 + RAY_KINDS.index(kind))
+    geom = unit_cube_geometry((4, 4, 4))
+    occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
+    table = _view_tables(rng, geom, 1, 96)[0]
+    aux, rays = _kind_case(rng, geom, kind, 96)
+    if chunk is not None:
+        monkeypatch.setattr(consistency, "LOSS_CHUNK", chunk)
+    res = view_loss(occ, rays, aux, label_weight=0.7, traces=table)
+    _same_bits(res, padded_view_loss(occ, rays, aux, label_weight=0.7, traces=table))
+
+    # the same terms added ray by ray, in one pass
+    hit = np.flatnonzero(table.n)
+    assert np.unique(table.n[hit]).size > 4 and np.bincount(table.cells).max() > 10
+    cells, d_mid, valid = padded(table.take(hit))
+    x = np.where(valid, occ.flat[cells], 1.0)
+    psi, psi_esc, _ = padded_event_costs(kind, d_mid, valid, cells, None if aux is None else aux.flat,
+                                         **rays.observed(hit), label_weight=0.7)
+    grad = padded_telescope(x, valid, psi, psi_esc)[1] * rays.weights[hit][:, None]
+    by_ray = np.zeros(geom.ncells)
+    np.add.at(by_ray, cells[valid], grad[valid])
+    assert np.allclose(by_ray, res.grad_x.reshape(-1), rtol=1e-12, atol=1e-15)
+    if chunk is None:
+        assert by_ray.tobytes() != res.grad_x.tobytes()
 
 
 def test_table_list_is_checked():
@@ -603,11 +636,13 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
     diagonal = _rays_through(np.zeros((1, 3)), np.array([[1.0, 1.001, 0.999]]))
     table = trace_batch(geom, np.concatenate([origins, diagonal[0]]),
                         np.concatenate([directions, diagonal[1]]))
-    assert table.n[-1] > 128 and table.n.min() > 0
+    assert table.n[-1] > 128 and table.n.min() > 0 and table.n[:-1].max() < table.n[-1]
     d = rng.uniform(0.5, 3.0, n + 1)
 
     def kernel(rows):
-        return _hit_loss(occ.flat, None, "depth", [table.take(rows)], np.ones(len(rows)),
+        rows = np.asarray(rows)
+        return _hit_loss(occ.flat, None, "depth", [table], np.zeros(rows.size, dtype=np.int64),
+                         table.start[rows], table.n[rows], table.t0[rows], np.ones(rows.size),
                          {"s": None, "d": d[rows], "c": None}, label_weight=1.0)
 
     def padded_losses(rows):
@@ -620,7 +655,8 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
     for r in range(n):
         alone, beside = kernel([r]), kernel([r, n])
         assert alone[0][0] == beside[0][0]
-        assert alone[2].tobytes() == beside[2][:table.n[r]].tobytes()
+        # slot-major: beside the longer diagonal, ray r holds every second entry
+        assert alone[2].tobytes() == beside[2][1:2 * table.n[r]:2].tobytes()
         changed += padded_losses([r])[0] != padded_losses([r, n])[0]
     assert changed > 0, "the padded oracle no longer shows the batch dependence"
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drc import fitter
-from drc.consistency import view_loss
+from drc.consistency import AUX_KINDS, view_loss
 from drc.fitter import Adam, FitConfig, _last_axis_dot, fit, sample_rays, sigmoid, softmax, write_loss_log
 from drc.cameras import perspective_camera, pixel_rays
 from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
@@ -324,6 +324,49 @@ def test_fit_calls_view_loss_once_per_iteration(views_per_iteration, depth_views
     fit(obs, gt.geometry, "depth", config)
     take = views_per_iteration or len(obs)
     assert calls == [(300 // take * take, [300 // take] * take)] * 4
+
+
+@pytest.mark.parametrize("views_per_iteration", [None, 2])
+@pytest.mark.parametrize("kind", ["mask", "depth", "depth_semantics", "color"])
+def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypatch):
+    """Iteration i's rays carry, view by view in the chosen order, exactly
+    the weights and observations of sample_rays(obs, per_view, fg, seed, i,
+    stream=v), and their traces are those pixels' rows of the view's table."""
+    gt, aux = make_test_shape("sphere", (12, 12, 12), aux_kind=AUX_KINDS.get(kind, "color"))
+    cams = sample_view_ring(3, seed=3, width=20, height=16)
+    obs = [render(gt, c, kind, aux) for c in cams]
+    calls = []
+
+    def recording(occ, rays, aux=None, **kwargs):
+        calls.append((rays, kwargs["traces"]))
+        return view_loss(occ, rays, aux, **kwargs)
+
+    monkeypatch.setattr(fitter, "view_loss", recording)
+    config = FitConfig(iterations=3, rays_per_iteration=240, views_per_iteration=views_per_iteration,
+                       foreground_weight=3.0, seed=6)
+    fit(obs, gt.geometry, kind, config)
+    tables = [image_traces(gt.geometry, o.camera) for o in obs]
+    take = views_per_iteration or len(obs)
+    per_view = config.rays_per_iteration // take
+    assert len(calls) == config.iterations
+    for it, (rays, traces) in enumerate(calls):
+        chosen = list(range(len(obs)))
+        if take < len(obs):
+            rng = np.random.default_rng([config.seed, it, fitter._VIEW_CHOICE_STREAM])
+            chosen = sorted(rng.choice(len(obs), size=take, replace=False))
+        assert len(traces) == take and rays.n_rays == take * per_view
+        for j, v in enumerate(chosen):
+            want = sample_rays(obs[v], per_view, config.foreground_weight, config.seed, it, stream=v)
+            got = slice(j * per_view, (j + 1) * per_view)
+            assert rays.weights[got].tobytes() == want.weights.tobytes()
+            for field in ("s", "d", "c"):
+                have, expected = getattr(rays, field), getattr(want, field)
+                assert (have is None) == (expected is None)
+                if expected is not None:
+                    assert have[got].tobytes() == expected.tobytes()
+            rows = tables[v].take(want.pixels)
+            for field in ("start", "n", "t0"):
+                assert getattr(traces[j], field).tobytes() == getattr(rows, field).tobytes()
 
 
 class TestLossLog:

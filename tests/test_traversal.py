@@ -13,8 +13,8 @@ from drc.traversal import first_hit_batch, trace, trace_batch
 from drc.consistency import event_probabilities
 
 
-from oracles import (cell_faces, clip_cells, dense_sample_cells, first_hit, full_frustum_crossings, padded,
-                     slab_hull)
+from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, first_hit, full_frustum_crossings,
+                     padded, slab_hull)
 
 
 def unit(v):
@@ -125,7 +125,7 @@ class TestInvariants:
                             np.stack([r.origin for r in rays]),
                             np.stack([r.direction for r in rays]))
         cells, d, valid = padded(table)
-        flat_cells, flat_d = table.entries()
+        flat_cells, flat_d = entries(table)
         assert 0 < np.count_nonzero(table.n) < len(rays)
         for i, ray in enumerate(rays):
             tr = trace(geom, ray)
@@ -180,7 +180,7 @@ class TestBatchKernels:
             assert 0 < np.count_nonzero(whole.n) < len(rays)
             for name in ("start", "n", "t0", "cells", "t_exit"):
                 assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes()
-            for a, b in zip((*padded(whole), *whole.entries()), (*padded(chunked), *chunked.entries())):
+            for a, b in zip((*padded(whole), *entries(whole)), (*padded(chunked), *entries(chunked))):
                 assert a.tobytes() == b.tobytes()
             for i in range(len(rays)):
                 assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
