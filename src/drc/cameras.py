@@ -60,12 +60,16 @@ class Camera:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         a, b, _, _ = self.intrinsics
+        if not np.all(np.isfinite(self.intrinsics)):
+            raise ValueError(f"intrinsics must be finite, got {self.intrinsics}")
         if a <= 0.0 or b <= 0.0:
             raise ValueError(f"focal/scale intrinsics must be positive, got {self.intrinsics}")
         R = np.asarray(self.rotation, dtype=np.float64).copy()
         t = np.asarray(self.translation, dtype=np.float64).copy()
         if R.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
+        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
+            raise ValueError("rotation and translation must be finite")
         if np.max(np.abs(R @ R.T - np.eye(3))) > ROTATION_ATOL:
             raise ValueError("rotation is not orthonormal (R @ R.T != I within 1e-9)")
         if abs(np.linalg.det(R) - 1.0) > ROTATION_ATOL:
@@ -83,6 +87,13 @@ class Camera:
 
     def world_to_cam(self, p_world) -> np.ndarray:
         return np.asarray(p_world, dtype=np.float64) @ self.rotation.T + self.translation
+
+
+def same_camera(a: Camera, b: Camera) -> bool:
+    """Exact camera equality (model, image size and parameters)."""
+    return a is b or ((a.model, a.width, a.height, a.intrinsics) == (b.model, b.width, b.height, b.intrinsics)
+                      and np.array_equal(a.rotation, b.rotation)
+                      and np.array_equal(a.translation, b.translation))
 
 
 def pixel_rays(camera: Camera, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +214,10 @@ def load_camera(path) -> Camera:
     missing = [k for k in _CAMERA_KEYS if k not in fields]
     if missing:
         raise FormatError(f"{path}: missing camera fields {missing}")
-    model = fields["model"][0] if fields["model"] else ""
+    for key in ("model", "width", "height"):
+        if len(fields[key]) != 1:
+            raise FormatError(f"{path}: camera field {key!r} takes one value, got {fields[key]}")
+    model = fields["model"][0]
     if model not in ("perspective", "orthographic"):
         raise FormatError(f"{path}: unknown camera model {model!r}")
     try:

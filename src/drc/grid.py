@@ -154,8 +154,8 @@ def uniform_geometry(dims, aabb_min, aabb_max) -> GridGeometry:
     hi = np.asarray(aabb_max, dtype=np.float64).copy()
     if lo.shape != (3,) or hi.shape != (3,):
         raise ValueError("aabb corners must be 3-vectors")
-    if not np.all(hi > lo):
-        raise ValueError(f"aabb must have strictly positive extent per axis, got min {lo}, max {hi}")
+    if not np.all(np.isfinite(hi - lo) & (hi > lo)):  # inf or NaN corners fail
+        raise ValueError(f"aabb must be finite with strictly positive extent per axis, got min {lo}, max {hi}")
     lo.flags.writeable = False
     hi.flags.writeable = False
     return GridGeometry(kind="uniform", dims=dims, aabb_min=lo, aabb_max=hi)
@@ -177,8 +177,8 @@ def make_frustum_geometry(dims, z_min: float, z_max: float, hfov_deg: float) -> 
         f      = tan(hfov/2) / (nx/2)
     """
     dims = _check_dims(dims)
-    if not (0.0 < z_min < z_max):
-        raise ValueError(f"need 0 < z_min < z_max, got z_min={z_min}, z_max={z_max}")
+    if not (0.0 < z_min < z_max < np.inf):
+        raise ValueError(f"need 0 < z_min < z_max < inf, got z_min={z_min}, z_max={z_max}")
     if not (0.0 < hfov_deg < 180.0):
         raise ValueError(f"hfov must be in (0, 180) degrees, got {hfov_deg}")
     nx, _, nz = dims

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import images
-from .cameras import Camera, image_grid_rays, load_camera, perspective_camera, save_camera
+from .cameras import Camera, image_grid_rays, load_camera, perspective_camera, same_camera, save_camera
 from .cameras import pixel_rays  # noqa: F401  (perfbench patches renderer.pixel_rays)
 from .consistency import (
     AUX_KINDS,
@@ -96,7 +96,14 @@ class Observation:
         return np.any(self.rgb != ESCAPE_COLOR, axis=2)
 
 
-def image_traces(geometry: GridGeometry, camera: Camera) -> TraceTable:
+@dataclass(frozen=True, eq=False)
+class ImageTraces(TraceTable):
+    """An ``image_traces`` table, which remembers the camera it traced."""
+
+    camera: Camera
+
+
+def image_traces(geometry: GridGeometry, camera: Camera) -> ImageTraces:
     """The traces of every pixel ray of the camera's image, row-major.
 
     ``render``, ``fit``, ``fuse_depth`` and ``carve_masks`` each read such a
@@ -104,7 +111,8 @@ def image_traces(geometry: GridGeometry, camera: Camera) -> TraceTable:
     builds it once and passes it as ``traces=``.
     """
     origins, dirs = image_grid_rays(camera)
-    return trace_batch(geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
+    table = trace_batch(geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
+    return ImageTraces(**vars(table), camera=camera)
 
 
 def _checked_image_traces(table: TraceTable, geometry: GridGeometry, camera: Camera) -> TraceTable:
@@ -113,6 +121,8 @@ def _checked_image_traces(table: TraceTable, geometry: GridGeometry, camera: Cam
     if table.n_rays != camera.width * camera.height:
         raise ValueError(f"trace table holds {table.n_rays} rays, "
                          f"the {camera.width}x{camera.height} image has {camera.width * camera.height} pixels")
+    if not (isinstance(table, ImageTraces) and same_camera(table.camera, camera)):
+        raise ValueError("trace table was not traced for this camera (not its image_traces table)")
     return table
 
 

@@ -1,14 +1,15 @@
 """Exact ordered ray-grid intersection.
 
-Both grid kinds share one kernel.  A hull clip gives the depths (t0, t1)
-inside the grid's convex hull (the box's slabs, the frustum's six
-half-spaces); a crossing function gives the ray's depth at every interior
-cell boundary plane (axis planes; depth planes and planes through the
-apex) and the change of the linear cell index there, the plane's stride
-signed by the ray's rate across it.  The kernel sorts the crossings inside
-(t0, t1) once per ray, counts the first cell from the planes the ray has
-passed at t0, and steps from there.  The hull is convex, so the in-grid
-segments are contiguous.
+Both grid kinds share one kernel.  One clip, ``_hull``, gives the depths
+(t0, t1) inside the grid's convex hull from a list of its six faces
+(``_hull_faces``: the box's axis planes; the frustum's near and far planes
+and its four side planes through the apex); a crossing function gives the
+ray's depth at every interior cell boundary plane (axis planes; depth
+planes and planes through the apex) and the change of the linear cell
+index there, the plane's stride signed by the ray's rate across it.  The
+kernel sorts the crossings inside (t0, t1) once per ray, counts the first
+cell from the planes the ray has passed at t0, and steps from there.  The
+hull is convex, so the in-grid segments are contiguous.
 
 A uniform grid evaluates every axis plane.  A frustum grid evaluates every
 depth plane but, of each family of planes through the apex, only a window
@@ -29,7 +30,10 @@ A ray through a cell edge or corner crosses two or three planes at one
 depth.  The zero-length segments between them are dropped and the cell
 after the last of them kept, so consecutive cells differ in exactly the
 axes crossed there.  A ray lying on a plane belongs to the cell above it,
-as floor() of its grid coordinate would say.
+as floor() of its grid coordinate would say.  The hull's faces follow the
+same rule: a ray lying in a low face (grid coordinate 0 on its axis, the
+frustum's near plane among them) is inside the grid, one lying in a high
+face (the axis's cell count, the far plane among them) is outside.
 
 ``trace_batch`` returns the traces of many rays as one unpadded
 ``TraceTable``: per ray a start, a length and an entry depth, per traversed
@@ -150,11 +154,8 @@ def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndar
     are traced TABLE_CHUNK at a time."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    if geometry.kind == "uniform":
-        hull, crossings = _box_hull, _axis_crossings
-    else:
-        hull, crossings = _frustum_hull, _frustum_crossings
-    t0, t1, alive = hull(geometry, o, d)
+    crossings = _axis_crossings if geometry.kind == "uniform" else _frustum_crossings
+    t0, t1, alive = _hull(geometry, o, d)
     rows = np.flatnonzero(alive)
     n = np.zeros(len(o), dtype=np.int64)
     cells, t_exit = [np.empty(0, dtype=np.int32)], [np.empty(0)]
@@ -200,27 +201,6 @@ def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray
     return np.count_nonzero(keep, axis=1), cells[keep].astype(np.int32), t_exit[keep]
 
 
-def _box_hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(t0, t1, alive): each ray's depths inside the grid's box, by slabs.
-    Each axis's slab is a 1-D pair and the three are combined in axis
-    order: numpy reduces a short last axis far slower."""
-    t_in, t_out = [], []
-    for a in range(3):
-        lo, hi, oa, da = geom.aabb_min[a], geom.aabb_max[a], o[:, a], d[:, a]
-        # d == 0 axes contribute (-inf, inf) if inside the slab
-        # components below ~1e-308 overflow to +-inf, which is the right limit
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ta = (lo - oa) / da
-            tb = (hi - oa) / da
-        zero = da == 0.0
-        slab_in = (oa >= lo) & (oa < hi)
-        t_in.append(np.where(zero, np.where(slab_in, -np.inf, np.inf), np.minimum(ta, tb)))
-        t_out.append(np.where(zero, np.where(slab_in, np.inf, -np.inf), np.maximum(ta, tb)))
-    t0 = np.maximum(np.maximum(np.maximum(t_in[0], t_in[1]), t_in[2]), 0.0)
-    t1 = np.minimum(np.minimum(t_out[0], t_out[1]), t_out[2])
-    return t0, t1, t0 < t1
-
-
 def _axis_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0, t1):
     """(depths, steps, strides, base) of the rays' crossings with every
     interior plane lo + k h of each axis: (R, P), (R, P), (P,) and 0, no
@@ -236,41 +216,52 @@ def _axis_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0, t1):
     return ts, np.repeat(np.sign(d) * stride, counts, axis=1), np.repeat(stride, counts), 0.0
 
 
-def _frustum_halfspaces(geom: GridGeometry) -> list[tuple[np.ndarray, float]]:
-    """Hull of the frustum as inequalities a . p <= b (interior)."""
+def _hull_faces(geom: GridGeometry) -> list[tuple[np.ndarray, float, bool]]:
+    """The six faces (normal, c, low) of the grid's hull: the plane normal . p
+    = c where one grid coordinate is 0 (a low face) or the axis's cell count
+    (a high face), the normal pointing up that axis, so the grid lies on the
+    + side of a low face and the - side of a high one.  The box's faces are
+    its axis planes, in axis order; the frustum's are its near and far
+    planes and the planes x = c z, y = c z through the apex at its sides,
+    normal (1, 0, -c) or (0, 1, -c) as in ``_frustum_crossings``."""
+    if geom.kind == "uniform":
+        return [(np.eye(3)[a], bound[a], low) for a in range(3)
+                for bound, low in ((geom.aabb_min, True), (geom.aabb_max, False))]
     nx, ny, nz = geom.dims
-    z0 = geom.alpha1
-    z1 = geom.alpha1 * np.exp(geom.alpha2 * nz)
-    cx = geom.f * (nx / 2.0)
-    cy = geom.f * (ny / 2.0)
-    return [
-        (np.array([0.0, 0.0, -1.0]), -z0),
-        (np.array([0.0, 0.0, 1.0]), z1),
-        (np.array([-1.0, 0.0, -cx]), 0.0),
-        (np.array([1.0, 0.0, -cx]), 0.0),
-        (np.array([0.0, -1.0, -cy]), 0.0),
-        (np.array([0.0, 1.0, -cy]), 0.0),
-    ]
+    faces = [(np.array([0.0, 0.0, 1.0]), geom.alpha1 * np.exp(geom.alpha2 * k), k == 0) for k in (0, nz)]
+    for a, n in ((0, nx), (1, ny)):
+        for k in (0, n):
+            normal = np.zeros(3)
+            normal[a], normal[2] = 1.0, -geom.f * (k - n / 2.0)
+            faces.append((normal, 0.0, k == 0))
+    return faces
 
 
-def _frustum_hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(t0, t1, alive): each ray's depths inside the frustum's hull."""
-    m = o.shape[0]
-    t0 = np.zeros(m)
-    t1 = np.full(m, np.inf)
-    alive = np.ones(m, dtype=bool)
+def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
+    """(t0, t1, alive): each ray's depths inside the grid's hull, clipped
+    face by face.  A ray lying in a face is inside a low face and outside a
+    high one, as floor() of its grid coordinate says; a depth t0 <= 0 is +0."""
+    t0 = np.full(len(o), -np.inf)
+    t1 = np.full(len(o), np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for a_vec, b in _frustum_halfspaces(geom):
+        for normal, c, low in _hull_faces(geom):
             # a matrix-vector product rounds each ray's dot as a 1-D dot does;
-            # an elementwise (d * a_vec).sum(1) can differ in the last bit
-            ad = d @ a_vec
-            ao = o @ a_vec
-            t = (b - ao) / ad
-            alive &= ~((ad == 0.0) & (ao > b))
-            # replace only on strict improvement, so t0 = 0 keeps its sign
-            t1 = np.where((ad > 0.0) & (t < t1), t, t1)
-            t0 = np.where((ad < 0.0) & (t > t0), t, t0)
-    return t0, t1, alive & (t0 < t1)
+            # an elementwise (d * normal).sum(1) can differ in the last bit
+            rate = d @ normal
+            gap = c - o @ normal  # > 0: the origin is below the plane
+            t = gap / rate  # a rate below ~1e-308 overflows to +-inf, the right limit
+            up, down = rate > 0.0, rate < 0.0
+            enter, leave = (up, down) if low else (down, up)
+            # on ties (+0 and -0) np.maximum and np.minimum return their second
+            # argument, so t0 = max(..., 0.0) below is never -0
+            np.maximum(t0, t, out=t0, where=enter)
+            np.minimum(t1, t, out=t1, where=leave)
+            # a parallel ray outside the face's half-space
+            blocked = (rate == 0.0) & ((gap > 0.0) if low else (gap <= 0.0))
+            t0[blocked] = np.inf
+            t1[blocked] = -np.inf
+    t0 = np.maximum(t0, 0.0)
+    return t0, t1, t0 < t1
 
 
 def _frustum_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray,

@@ -1,0 +1,152 @@
+"""Byte digests of the outputs drc promises to keep.
+
+    PYTHONPATH=src python tests/golden.py --write   # record tests/golden/digests.txt
+    PYTHONPATH=src python tests/golden.py --check   # compare with it, list what changed
+
+Covers every output of ``drc repro --iters 40 --seed 10`` except
+``manifest.txt`` (it holds wall times), the trace tables that run builds,
+and for each fit workload of ``perfbench/workloads.py`` at seeds 0 and 1 the
+fitted grid, payload and loss trace and the ``image_traces`` table of every
+view.  A table's digest covers its five arrays (start, n, t0, cells,
+t_exit).
+
+The digests are SHA-256 of raw bytes, which may differ across numpy builds
+and CPUs (``exp``, ``log`` and the BLAS dot products take other SIMD paths),
+so the file records the numpy version and platform, and pytest does not
+run this script: Tier-1 checks run-to-run determinism and the golden
+``table.tsv`` instead.  A change that breaks the bytes on purpose runs
+``--write`` and lists the changed files.  Takes a few seconds.
+"""
+
+import os
+
+# one BLAS thread before numpy loads, as the benchmark runs
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import platform
+import sys
+import tempfile
+from unittest import mock
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from drc import cli, renderer  # noqa: E402
+from workloads import make_workload  # noqa: E402
+
+DIGESTS = os.path.join(ROOT, "tests", "golden", "digests.txt")
+REPRO_ARGS = ["--iters", "40", "--seed", "10"]
+FIT_WORKLOADS = ("object_depth", "scene_semantics")
+FIT_SEEDS = (0, 1)
+TABLE_FIELDS = ("start", "n", "t0", "cells", "t_exit")
+
+
+def sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def table_digest(table) -> str:
+    return sha256(*(getattr(table, name) for name in TABLE_FIELDS))
+
+
+def repro_digests() -> dict:
+    """Every repro output but manifest.txt, and each trace table it built."""
+    digests = {}
+    tables = []
+
+    def recording_image_traces(geometry, camera, build=cli.image_traces):
+        table = build(geometry, camera)
+        tables.append(table)
+        return table
+
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["repro", "--out", out, *REPRO_ARGS]
+        with mock.patch.object(cli, "image_traces", recording_image_traces), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"drc {' '.join(argv)} exited {code}")
+        for dirpath, dirnames, filenames in os.walk(out):
+            dirnames.sort()
+            for fname in sorted(filenames):
+                if fname == "manifest.txt":
+                    continue
+                path = os.path.join(dirpath, fname)
+                with open(path, "rb") as fh:
+                    digests[f"repro/{os.path.relpath(path, out)}"] = hashlib.sha256(fh.read()).hexdigest()
+    for i, table in enumerate(tables):
+        digests[f"repro/traces/{i}"] = table_digest(table)
+    return digests
+
+
+def fit_digests() -> dict:
+    """Each fit workload's fit and view tables at each seed."""
+    digests = {}
+    for name in FIT_WORKLOADS:
+        workload = make_workload(name, ROOT, "")
+        for seed in FIT_SEEDS:
+            inputs = workload.setup(seed)
+            occ, aux, report = workload.op(inputs)
+            key = f"{name}/seed{seed}"
+            digests[f"{key}/x"] = sha256(occ.x)
+            if aux is not None:
+                digests[f"{key}/payload"] = sha256(aux.payload)
+            digests[f"{key}/losses"] = sha256(report.losses)
+            for v, obs in enumerate(inputs.observations):
+                table = renderer.image_traces(inputs.gt.geometry, obs.camera)
+                digests[f"{key}/traces/{v}"] = table_digest(table)
+    return digests
+
+
+def environment() -> str:
+    return f"numpy {np.__version__}, Python {platform.python_version()}, {platform.platform()}"
+
+
+def read_digests() -> tuple[str, dict]:
+    with open(DIGESTS, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].removeprefix("# ")
+    return header, dict(line.split("  ", 1)[::-1] for line in lines[1:])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true", help="record the digests")
+    mode.add_argument("--check", action="store_true", help="compare with the recorded digests")
+    args = p.parse_args(argv)
+
+    digests = {**repro_digests(), **fit_digests()}
+    if args.write:
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            fh.write(f"# {environment()}\n")
+            fh.writelines(f"{digests[k]}  {k}\n" for k in sorted(digests))
+        print(f"wrote {len(digests)} digests to {os.path.relpath(DIGESTS, ROOT)}")
+        return 0
+
+    recorded_env, recorded = read_digests()
+    if recorded_env != environment():
+        print(f"note: digests were written under {recorded_env}, checked under {environment()}")
+    changed = sorted(k for k in recorded.keys() & digests.keys() if recorded[k] != digests[k])
+    missing = sorted(recorded.keys() - digests.keys())
+    new = sorted(digests.keys() - recorded.keys())
+    for label, keys in (("changed", changed), ("missing", missing), ("not recorded", new)):
+        for k in keys:
+            print(f"{label}: {k}")
+    same = len(recorded) - len(changed) - len(missing)
+    print(f"{same} of {len(recorded)} byte-identical")
+    return 0 if same == len(recorded) and not new else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

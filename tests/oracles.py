@@ -200,7 +200,7 @@ def dense_sample_cells(geom, ray, step_factor=1e-4, chunk=1_000_000):
 def cell_faces(geom):
     """Every cell as a convex polyhedron {p : a . p <= b}: (a, b) of shapes
     (ncells, 6, 3) and (ncells, 6), the six ``cell_bounds_world`` planes of
-    each cell."""
+    each cell, low and high face of each axis in turn."""
     planes = [cell_bounds_world(geom, i) for i in range(geom.ncells)]
     return (np.array([[p.normal for p in cell] for cell in planes]),
             np.array([[p.offset for p in cell] for cell in planes]))
@@ -209,7 +209,9 @@ def cell_faces(geom):
 def clip_cells(geom, ray, faces=None):
     """(cells, t_enter, t_exit) of every cell the ray's half-line t >= 0
     crosses over a positive length, ordered by entry depth: the ray is
-    clipped against each cell's faces (``cell_faces``) independently."""
+    clipped against each cell's faces (``cell_faces``) independently.  A
+    ray lying in a cell's low face is inside the cell, one lying in its high
+    face outside it, so a ray in a plane between two cells is in the upper."""
     a, b = cell_faces(geom) if faces is None else faces
     ad = a @ ray.direction
     slack = b - a @ ray.origin
@@ -218,7 +220,8 @@ def clip_cells(geom, ray, faces=None):
     t_in = np.maximum(np.where(ad < 0.0, t, -np.inf).max(axis=1), 0.0)
     t_out = np.where(ad > 0.0, t, np.inf).min(axis=1)
     # a face parallel to the ray excludes the cell or constrains nothing
-    outside = ((ad == 0.0) & (slack < 0.0)).any(axis=1)
+    high = np.arange(6) % 2 == 1
+    outside = ((ad == 0.0) & np.where(high, slack <= 0.0, slack < 0.0)).any(axis=1)
     cells = np.flatnonzero(~outside & (t_in < t_out))
     cells = cells[np.argsort(t_in[cells], kind="stable")]
     return cells, t_in[cells], t_out[cells]
@@ -290,7 +293,8 @@ class Plane:
 
 
 def cell_bounds_world(geometry, index):
-    """Six bounding planes of a cell, normals pointing outward.
+    """Six bounding planes of a cell, normals pointing outward (unit, but
+    for a frustum's planes through the apex).
 
     Order: (-x, +x, -y, +y, -z, +z) in grid-axis sense.  Uniform cells are
     bounded by axis-aligned planes; frustum cells by two z = const planes
@@ -302,9 +306,12 @@ def cell_bounds_world(geometry, index):
     nx, ny, _ = geometry.dims
     planes = []
     if geometry.kind == "uniform":
+        # plane k of an axis at lo + k h, the last at the box's top face, as
+        # the kernel places them: the two cells a plane divides share it
         h = geometry.cell_size
-        lo = geometry.aabb_min + np.array([ix, iy, iz]) * h
-        hi = lo + h
+        ijk = np.array([ix, iy, iz])
+        lo = geometry.aabb_min + ijk * h
+        hi = np.where(ijk + 1 == geometry.dims, geometry.aabb_max, geometry.aabb_min + (ijk + 1) * h)
         for axis in range(3):
             n = np.zeros(3)
             n[axis] = -1.0
@@ -312,7 +319,9 @@ def cell_bounds_world(geometry, index):
             planes.append(Plane(-n, hi[axis]))
         return tuple(planes)
     # Frustum: lateral boundaries are planes through the origin.  Grid
-    # coordinate gx = c corresponds to {p : p_x - f*(c - nx/2)*p_z = 0}.
+    # coordinate gx = c corresponds to {p : p_x - f*(c - nx/2)*p_z = 0};
+    # the normal (1, 0, -f*(c - nx/2)) is left unnormalized, as the
+    # traversal kernel's, so both round a . o and a . d alike.
     for c, axis, lower in ((ix, 0, True), (ix + 1, 0, False), (iy, 1, True),
                            (iy + 1, 1, False), (iz, None, True), (iz + 1, None, False)):
         sign = -1.0 if lower else 1.0
@@ -324,7 +333,6 @@ def cell_bounds_world(geometry, index):
             n = np.zeros(3)
             n[axis] = 1.0
             n[2] = -geometry.f * (c - half)
-            n /= np.linalg.norm(n)
             # interior lies on the +g side of the lower plane, -g side of upper
             planes.append(Plane(sign * n, 0.0))
     return tuple(planes)
@@ -500,8 +508,9 @@ def full_frustum_crossings(geom, o, d, t0=None, t1=None):
 
 
 def slab_hull(geom, o, d):
-    """``traversal._box_hull`` on (R, 3) arrays reduced along their short
-    last axis, as it was before its per-axis form."""
+    """The box clip by slabs, as the kernel clipped boxes before its one
+    face-by-face hull: (R, 3) arrays reduced along their short last axis.
+    A slab is half-open, so a ray lying in a top face misses."""
     lo, hi = geom.aabb_min, geom.aabb_max
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ta = (lo - o) / d

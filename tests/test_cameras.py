@@ -105,6 +105,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="model"):
             Camera("fisheye", 8, 8, (1, 1, 4, 4), np.eye(3), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", range(4))
+    def test_non_finite_intrinsics_rejected(self, bad, at):
+        intrinsics = [1.0, 1.0, 4.0, 4.0]
+        intrinsics[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Camera("perspective", 8, 8, tuple(intrinsics), np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_rotation_rejected(self, bad):
+        rotation = np.full((3, 3), bad)  # NaN passes both orthonormality checks
+        with pytest.raises(ValueError, match="finite"):
+            Camera("perspective", 8, 8, (1, 1, 4, 4), rotation, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_translation_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Camera("perspective", 8, 8, (1, 1, 4, 4), np.eye(3), np.array([0.0, bad, 0.0]))
+
     def test_non_unit_ray_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]))
@@ -152,4 +171,26 @@ class TestCameraFiles:
         lines = (tmp_path / "cam.txt").read_text().splitlines()
         (tmp_path / "cam.txt").write_text("\n".join(l for l in lines if not l.startswith("rotation")))
         with pytest.raises(FormatError, match="missing"):
+            load_camera(tmp_path / "cam.txt")
+
+    @pytest.mark.parametrize("line", ["model perspective orthographic", "width 8 9", "height 8 9"])
+    def test_extra_tokens_rejected(self, tmp_path, line):
+        cam = identity_perspective()
+        save_camera(tmp_path / "cam.txt", cam)
+        key = line.split()[0]
+        lines = (tmp_path / "cam.txt").read_text().splitlines()
+        (tmp_path / "cam.txt").write_text("\n".join(line if l.startswith(key) else l for l in lines))
+        with pytest.raises(FormatError, match="takes one value"):
+            load_camera(tmp_path / "cam.txt")
+
+    @pytest.mark.parametrize("key, value", [("intrinsics", "1.0 nan 4.0 4.0"),
+                                            ("rotation", "nan 0 0 0 1 0 0 0 1"),
+                                            ("translation", "0 inf 0")])
+    def test_non_finite_values_rejected(self, tmp_path, key, value):
+        cam = identity_perspective()
+        save_camera(tmp_path / "cam.txt", cam)
+        lines = (tmp_path / "cam.txt").read_text().splitlines()
+        (tmp_path / "cam.txt").write_text("\n".join(f"{key} {value}" if l.startswith(key) else l
+                                                    for l in lines))
+        with pytest.raises(FormatError, match="finite"):
             load_camera(tmp_path / "cam.txt")

@@ -89,6 +89,18 @@ class TestExitCodes:
                    "--out", str(tmp_path / "fit")) == 2
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("line", ["width 24 9", "intrinsics 20.0 20.0 nan 12.0"])
+    def test_malformed_camera_file_is_data_error(self, pipeline, tmp_path, line):
+        import shutil
+        shutil.copytree(pipeline / "obs", tmp_path / "obs")
+        path = tmp_path / "obs" / "view_001" / "camera.txt"
+        key = line.split()[0]
+        path.write_text("".join(f"{line}\n" if l.startswith(key) else l
+                                for l in path.read_text().splitlines(keepends=True)))
+        assert run("fit", "--obs", str(tmp_path / "obs"), "--dims", "16", "--iters", "2",
+                   "--out", str(tmp_path / "fit")) == 2
+        assert not (tmp_path / "fit").exists()
+
     def test_malformed_semantic_aux_tag_is_data_error(self, pipeline, tmp_path):
         data = (pipeline / "gt" / "shape.grid").read_bytes()
         header, body = data.split(b"\n", 1)
@@ -113,6 +125,12 @@ class TestExitCodes:
     def test_non_finite_fit_weight_is_usage_error(self, pipeline, tmp_path):
         assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "2",
                    "--fg-weight", "nan", "--out", str(tmp_path / "fit")) == 1
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("flag", ["--aabb=-inf,-0.5,-0.5,0.5,0.5,0.5", "--frustum=0.4,inf,50"])
+    def test_non_finite_geometry_is_usage_error(self, pipeline, tmp_path, flag):
+        assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "1", flag,
+                   "--out", str(tmp_path / "fit")) == 1
         assert not (tmp_path / "fit").exists()
 
     def test_mask_input_to_fuse_is_data_error(self, pipeline, tmp_path):

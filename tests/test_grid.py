@@ -42,6 +42,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="aabb"):
             uniform_geometry((2, 2, 2), (0, 0, 0), (1, -1, 1))
 
+    @pytest.mark.parametrize("lo, hi", [((0, -np.inf, 0), (1, 1, 1)), ((0, 0, 0), (1, 1, np.inf)),
+                                        ((np.nan, 0, 0), (1, 1, 1))])
+    def test_non_finite_aabb_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            uniform_geometry((2, 2, 2), lo, hi)
+
     def test_x_out_of_range_rejected(self):
         geom = unit_cube_geometry((2, 2, 2))
         field = np.full(geom.shape, 0.5)
@@ -110,6 +116,10 @@ class TestFrustumGeometry:
     def test_inverted_depths_rejected(self):
         with pytest.raises(ValueError, match="z_min"):
             make_frustum_geometry((4, 4, 4), 2.0, 1.0, 50.0)
+
+    def test_infinite_far_plane_rejected(self):
+        with pytest.raises(ValueError, match="z_max < inf"):
+            make_frustum_geometry((4, 4, 4), 0.5, np.inf, 50.0)
 
     def test_layer_volumes_strictly_increase(self):
         geom = make_frustum_geometry((8, 8, 8), 0.5, 100.0, 50.0)
@@ -266,6 +276,11 @@ class TestGridFiles:
         (tmp_path / "n.grid").write_bytes(b"DRC-GRID v1 bin 1 1 1 nan 0.1 0.2 none\n\x01")
         with pytest.raises(FormatError, match="frustum parameters"):
             load_grid(tmp_path / "n.grid")
+
+    def test_infinite_aabb_rejected(self, tmp_path):
+        (tmp_path / "i.grid").write_bytes(b"DRC-GRID v1 bin 1 1 1 -inf 0 0 1 1 1 none\n\x01")
+        with pytest.raises(FormatError, match="finite"):
+            load_grid(tmp_path / "i.grid")
 
     @pytest.mark.parametrize("tag", ["sem:x", "sem:0", "sem:"])
     def test_malformed_semantic_tag_rejected(self, tmp_path, tag):

@@ -4,7 +4,7 @@ table must give byte-identical results to letting the function build it."""
 import numpy as np
 import pytest
 
-from drc.cameras import pixel_rays
+from drc.cameras import image_grid_rays, pixel_rays
 from drc.fitter import FitConfig, fit
 from drc.fusion import accumulate_depth_counts, carve_masks, fuse_depth
 from drc.grid import unit_cube_geometry
@@ -110,6 +110,18 @@ def test_table_of_another_image_size_rejected(scene):
     for _, call in consumers(scene):
         with pytest.raises(ValueError, match="image has"):
             call(short)
+
+
+def test_table_of_another_camera_rejected(scene):
+    # the three cameras' images have one size, so only the camera tells the
+    # swapped tables apart; a trace_batch table of the same rays has none
+    gt, _, cams, tables = scene
+    origins, directions = image_grid_rays(cams[0])
+    unnamed = trace_batch(gt.geometry, origins.reshape(-1, 3), directions.reshape(-1, 3))
+    for other in ([tables[1], tables[0], tables[2]], [unnamed, *tables[1:]]):
+        for _, call in consumers(scene):
+            with pytest.raises(ValueError, match="not traced for this camera"):
+                call(other)
 
 
 def test_wrong_number_of_tables_rejected(scene):

@@ -186,6 +186,74 @@ class TestBatchKernels:
                 assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
 
 
+# a box, a box whose planes k / 4 are exact in binary, and the frustum of
+# the hull's face rule: a ray lying in a face belongs to the cell above it
+FACE_RULE_GEOMS = [
+    (uniform_geometry((4, 5, 6), (-0.6, -0.4, -0.5), (0.5, 0.6, 0.4)), False),
+    (uniform_geometry((4, 4, 4), (0, 0, 0), (1, 1, 1)), True),
+    (make_frustum_geometry((6, 5, 7), 0.4, 20.0, 50.0), False),
+]
+FACE_RULE_ORACLES = [cell_faces(geom) for geom, _ in FACE_RULE_GEOMS]
+
+
+def plane_value(geom, axis, k):
+    """World coordinate of a box's plane k of an axis, or a frustum's depth
+    plane k, as the kernel and the clip oracle compute it."""
+    if geom.kind == "frustum":
+        return geom.alpha1 * np.exp(geom.alpha2 * k)
+    if k == geom.dims[axis]:
+        return geom.aabb_max[axis]
+    return geom.aabb_min[axis] + k * geom.cell_size[axis]
+
+
+class TestRaysLyingInPlanes:
+    """Rays lying in one of the six hull faces, or in an interior plane of
+    a box whose planes are exact: the kernel, the clip oracle and, wherever
+    the plane coordinate is exact in floating point, dense sampling agree
+    that a ray lying in a plane belongs to the cell above it, and so that a
+    ray lying in a high face (the far plane among them) misses."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.integers(0, len(FACE_RULE_GEOMS) - 1), axis=st.integers(0, 2), plane=st.integers(0, 4),
+           zero=st.sampled_from([0.0, -0.0]), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_matches_oracles(self, which, axis, plane, zero, seed):
+        geom, exact_planes = FACE_RULE_GEOMS[which]
+        faces = FACE_RULE_ORACLES[which]
+        n = geom.dims[axis]
+        k = min(plane, n) if exact_planes else (0, n)[plane % 2]
+        rng = np.random.default_rng(seed)
+        m = 4
+        # two points of the plane: grid coordinates a little past the grid's
+        # on the other axes
+        a, b = (rng.uniform(-0.2, 1.2, (m, 3)) * geom.dims for _ in range(2))
+        a[:, axis] = b[:, axis] = k
+        p, q = geom.grid_to_world(a), geom.grid_to_world(b)
+        if geom.kind == "uniform" or axis == 2:  # an axis or depth plane: exact
+            p[:, axis] = q[:, axis] = plane_value(geom, axis, k)
+            d = q - p
+            d[:, axis] = zero
+        else:  # a side face through the apex: from the apex or from a point of it
+            p[rng.uniform(size=m) < 0.5] = zero
+            d = q - p
+        d = unit(d)
+        origins = p - rng.uniform(0.0, 1.5, (m, 1)) * d  # before the grid or inside it
+        lying = 0
+        for o, direction in zip(origins, d):
+            ray = Ray(o, direction)
+            tr = trace(geom, ray)
+            assert_matches_clip_oracle(geom, ray, tr, faces)
+            if geom.world_to_grid(o)[axis] == k and (geom.kind == "uniform" or axis == 2):
+                lying += 1
+                if lying == 1:  # dense sampling is slow: one ray per example
+                    assert tr.cells.tolist() == dense_sample_cells(geom, ray).tolist()
+                if k == n:
+                    assert tr.n == 0
+                else:
+                    assert np.all(geom.unravel(tr.cells)[axis] == k)
+        if geom.kind == "uniform" and k in (0, n):
+            assert lying == m  # a box face's coordinate is exact
+
+
 class TestEdgeCrossings:
     """Rays through exact cell edges and corners cross two or three planes
     at one depth, and rays lying on a plane never cross it."""
@@ -513,7 +581,7 @@ class TestApexWindows:
         origins, directions = image_grid_rays(perspective_camera((0.0, 0.0, 0.1), (0.0, 0.75, 20.0),
                                                                  48.0, 64, 48))
         o, d = origins.reshape(-1, 3)[:1024], directions.reshape(-1, 3)[:1024]
-        t0, t1, alive = traversal._frustum_hull(geom, o, d)
+        t0, t1, alive = traversal._hull(geom, o, d)
         assert alive.all()
         ts = traversal._frustum_crossings(geom, o, d, t0[:, None], t1[:, None])[0]
         assert ts.shape[1] < 60 and full_frustum_crossings(geom, o, d)[0].shape[1] == 93
@@ -522,14 +590,15 @@ class TestApexWindows:
 class TestBoxHull:
     @pytest.mark.parametrize("geom", UNIFORM_GEOMS)
     def test_is_bitwise_the_slab_reduction(self, geom):
-        # zero, signed-zero and subnormal direction components, and origins
-        # on the slab faces, where a depth is -0.0 or +-inf
+        # the face-by-face hull clip gives the slab clip's bits, with zero,
+        # signed-zero and subnormal direction components, and origins on the
+        # slab faces, where a depth is -0.0 or +-inf
         rng = np.random.default_rng(12)
         n = 20000
         faces = np.concatenate([geom.aabb_min, geom.aabb_max, [0.0, -0.0, 3.0, -3.0]])
         origins = rng.choice(faces, (n, 3))
         origins[::4] = rng.uniform(-1.0, 1.0, (n // 4, 3))
         directions = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-309, -2.2e-309, 0.6, -0.8, 1.0], (n, 3))
-        for got, expect in zip(traversal._box_hull(geom, origins, directions),
+        for got, expect in zip(traversal._hull(geom, origins, directions),
                                slab_hull(geom, origins, directions)):
             assert got.tobytes() == expect.tobytes()
