@@ -255,12 +255,12 @@ def cmd_repro(args) -> int:
         os.makedirs(shape_dir, exist_ok=True)
         save_grid(os.path.join(shape_dir, "gt.grid"), gt, aux)
         geometry = gt.geometry
-        # every render, fit, fusion and carve below reads these: one trace per
-        # camera, shared by all shapes on the same geometry
-        if traces is None or not same_geometry(traces[0].geometry, geometry):
-            traces = [image_traces(geometry, c) for c in cams]
-        depth_obs = [render(gt, c, "depth", traces=t) for c, t in zip(cams, traces)]
-        mask_obs = [render(gt, c, "mask", traces=t) for c, t in zip(cams, traces)]
+        # every render, fit, fusion and carve below reads this one table of
+        # every camera's pixels, shared by all shapes on the same geometry
+        if traces is None or not same_geometry(traces.geometry, geometry):
+            traces = image_traces(geometry, cams)
+        depth_obs = [render(gt, c, "depth", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]
+        mask_obs = [render(gt, c, "mask", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]
         noisy_obs = [add_depth_noise(o, args.noise, seed=args.seed * 1000 + i)
                      for i, o in enumerate(depth_obs)]
 

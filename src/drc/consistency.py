@@ -34,16 +34,17 @@ past 128 cells a ray's loss still does not depend on the rays beside it.
 
 ``view_loss`` runs the kernel on the rays that enter the grid (a ray that
 misses has the escape event alone), about LOSS_CHUNK cells per pass, over
-one table or a list of them (``fit`` passes every chosen view's table).
-A pass reads its rays' cells and exit depths from their tables straight
-into the slot-major layout; a cell's entry depth is the exit depth one
-slot back, or the ray's t0 in slot 0.  It adds its gradients with one
-``np.bincount`` in that layout's order, slot by slot and the longest rays
-first, into zeros that are then added to the totals, pass after pass.  The
-loss is a dot per table, added in list order, so it has the bits of one
-call per table summed; the gradients do not.  The scalar API
-(``cost_*``, ``ray_loss*``) runs the same kernel on one ray, so the
-gradient check tests the fitter's kernel, sum order included.
+one table or a list of takes of one table (``fit``'s, one per view).  A
+pass reads the slot-major layout with one gather per array (cells, exit
+depths) from the shared storage, at each ray's start plus the slot; a
+cell's entry depth is the exit depth one slot back, or t0 in slot 0.  It
+adds its gradients with one ``np.bincount`` in that layout's order, slot
+by slot and the longest rays first, into zeros that are then added to the
+totals, pass after pass.  The loss is a dot per list entry, added in list
+order, so it has the bits of one call per entry summed; the gradients do
+not.  The scalar API (``cost_*``, ``ray_loss*``) runs the same kernel on
+one ray, so the gradient check tests the fitter's kernel, sum order
+included.
 ``event_probabilities`` and ``mask_loss_closed_form`` are independent
 direct formulas for tests.
 
@@ -385,36 +386,27 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
-def _hit_loss(x: np.ndarray, payload, kind: str, tables: list, tab: np.ndarray, start: np.ndarray,
+def _hit_loss(x: np.ndarray, payload, kind: str, cells: np.ndarray, t_exit: np.ndarray, start: np.ndarray,
               n: np.ndarray, t0: np.ndarray, weights: np.ndarray, observed: dict, label_weight: float):
     """The kernel on rays that all enter the grid: ray i crosses the n[i]
-    cells stored from start[i] on in table ``tables[tab[i]]``, entering the
-    first at t0[i], and ``tab`` does not decrease.  Returns the per-ray
-    losses and, per entry of the slot-major layout, the cell and the
-    weighted d(loss)/dx, then for payload kinds the flat payload index and
-    the weighted payload gradient there ((E,) at the observed class, or
+    cells stored from start[i] on in ``cells`` and ``t_exit``, a table's
+    storage, entering the first at t0[i].  Returns the per-ray losses and,
+    per entry of the slot-major layout, the cell and the weighted
+    d(loss)/dx, then for payload kinds the flat payload index and the
+    weighted payload gradient there ((E,) at the observed class, or
     (E, 3)), else None and None.  A pass's per-cell arrays set a fit's peak
     memory, so each is dropped as soon as it has been used."""
     order = np.argsort(-n, kind="stable")  # the rays by decreasing length
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n.size)
     m = n.size - np.cumsum(np.bincount(n))[:-1]  # per slot k, the rays longer than k
     off = np.concatenate([[0], np.cumsum(m)])  # slot k's run starts at off[k]
     size = int(off[-1])
-    # the k-th cell of ray i, at start[i] + k in its table, goes to
-    # off[k] + rank[i]: one gather and one scatter per table
-    first = np.cumsum(n) - n
-    k = np.arange(size) - np.repeat(first, n)
-    src = k + np.repeat(start, n)
-    dest = np.take(off, k)
-    dest += np.repeat(rank, n)
-    del k
-    cells, t_exit = np.empty(size, dtype=tables[0].cells.dtype), np.empty(size)
-    runs = np.flatnonzero(np.diff(tab, prepend=-1))  # each table's first ray
-    for r, a, b in zip(runs.tolist(), first[runs].tolist(), [*first[runs[1:]].tolist(), size]):
-        cells[dest[a:b]] = np.take(tables[tab[r]].cells, src[a:b])
-        t_exit[dest[a:b]] = np.take(tables[tab[r]].t_exit, src[a:b])
-    del src, dest
+    ray = np.arange(size) - np.repeat(off[:-1], m)  # each entry's ray, as a place in ``order``
+    # slot k's run holds the k-th cells of rays order[:m[k]], read with one
+    # gather per array at start + k
+    src = np.take(start[order], ray)
+    src += np.repeat(np.arange(m.size), m)
+    cells, t_exit = np.take(cells, src), np.take(t_exit, src)
+    del src
     # past slot 0, an entry's ray left the cell before it m[k-1] places back
     prev = np.arange(m[0], size) - np.repeat(m[:-1], m[1:])
     # event depths 0.5 * (t_enter + t_exit), entering at t0 in slot 0
@@ -424,7 +416,6 @@ def _hit_loss(x: np.ndarray, payload, kind: str, tables: list, tab: np.ndarray, 
     d_mid += t_exit
     d_mid *= 0.5
     del t_exit
-    ray = np.arange(size) - np.repeat(off[:-1], m)  # each entry's ray, as a place in ``order``
     observed = {f: None if v is None else v[order] for f, v in observed.items()}
     psi, psi_esc, at_p, dpsi_dp = _event_costs(kind, d_mid, cells, ray, payload, **observed,
                                                label_weight=label_weight)
@@ -440,33 +431,38 @@ def _hit_loss(x: np.ndarray, payload, kind: str, tables: list, tab: np.ndarray, 
     w = np.take(weights[order], ray)
     del ray
     grad *= w
+    losses = np.empty_like(per_ray)
+    losses[order] = per_ray
     if dpsi_dp is None:
-        return per_ray[rank], cells, grad, None, None
+        return losses, cells, grad, None, None
     if kind == "color":
         p_events, w = p_events[:, None], w[:, None]
     dpsi_dp *= p_events
     dpsi_dp *= w
-    return per_ray[rank], cells, grad, at_p, dpsi_dp
+    return losses, cells, grad, at_p, dpsi_dp
 
 
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
               label_weight: float = 1.0, traces) -> ViewLossResult:
     """Weighted sum of per-ray losses plus gradients scattered onto the grid.
 
-    ``traces`` holds one trace per ray, in order: a ``TraceTable`` (rows of
-    a view's ``image_traces`` table, or ``trace_batch`` over the rays) or a
-    list of tables whose rows, in list order, are the rays.  The loss is
-    reduced table by table in list order, each table's rays in order, so it
-    is, to the bit, the in-order sum of one call per table.  Each cell's
-    gradient adds its terms pass by pass, and within a pass slot by slot,
-    the longest rays first (ties in ray order), so the result is
-    reproducible.  Cells no ray touches get zero gradient.
+    ``traces`` holds one trace per ray, in order: a ``TraceTable`` (an
+    ``image_traces`` table or its rows, or ``trace_batch`` over the rays) or
+    a list of takes of one table (ValueError for tables that do not share
+    its storage) whose rows, in list order, are the rays.  The loss is
+    reduced table by table in list order, so it is, to the bit, the
+    in-order sum of one call per table.  Each cell's gradient adds its
+    terms pass by pass, and within a pass slot by slot, the longest rays
+    first (ties in ray order), so the result is reproducible.  Cells no ray
+    touches get zero gradient.
 
     Only rays that enter the grid run through the telescoped kernel, in
     passes of about LOSS_CHUNK cells that may span tables.  A miss has one
     event, escape: its loss is the escape cost and its gradient zero.
     """
     tables = [traces] if isinstance(traces, TraceTable) else list(traces)
+    if not tables or any(t.cells is not tables[0].cells or t.t_exit is not tables[0].t_exit for t in tables):
+        raise ValueError("traces must be one table or takes of one table (sharing its storage)")
     if rays.n_rays == 0:
         raise ValueError("ray set is empty")
     want = AUX_KINDS.get(rays.kind)
@@ -489,11 +485,10 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     per_ray[miss] = _event_costs(rays.kind, np.zeros(0), none, none, payload,
                                  **rays.observed(miss), label_weight=label_weight)[1]
 
-    # per ray that enters the grid: its table, its first cell there and the
+    # per ray that enters the grid: its first cell in the storage and the
     # depth where it enters the grid
     first = np.cumsum([0] + [t.n_rays for t in tables])
     hit = np.flatnonzero(n)
-    tab = np.repeat(np.arange(len(tables)), np.diff(first))[hit]
     start = np.concatenate([t.start for t in tables])[hit]
     t0 = np.concatenate([t.t0 for t in tables])[hit]
     grad_x = np.zeros(geom.ncells)
@@ -506,9 +501,9 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         if i == j:  # two stops meet past a ray of more than LOSS_CHUNK cells
             continue
         rows = hit[i:j]
-        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, tables, tab[i:j],
-                                                       start[i:j], n[rows], t0[i:j], rays.weights[rows],
-                                                       rays.observed(rows), label_weight)
+        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, tables[0].cells,
+                                                       tables[0].t_exit, start[i:j], n[rows], t0[i:j],
+                                                       rays.weights[rows], rays.observed(rows), label_weight)
         grad_x += np.bincount(cells, weights=gx, minlength=grad_x.size)
         if gp is not None:
             grad_p += np.bincount(at_p.ravel(), weights=gp.ravel(), minlength=grad_p.size)

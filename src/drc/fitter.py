@@ -7,16 +7,16 @@ x stays in the open interval and the gradient endpoints never degenerate.
 Updates use Adam with per-parameter moments.
 
 Cameras, geometry and observations stay fixed during a fit, so before the
-first iteration each view's pixel rays are traced once, into a table
-(``image_traces``), unless the caller passes the views' tables as
-``traces=``, and every pixel's loss weight (foreground pixels weighted up)
-and observation is looked up once.  Every iteration samples a subset of
-views and a budget of pixels per view (uniform with replacement, the
-pixels ``sample_rays`` draws), gathers their weights, observations and
-table rows, computes the loss of all of them and its analytic gradients
-in one ``view_loss`` call, chain-rules through the squashing map and
-applies the update; a loss or gradient that is not finite stops the fit
-with ``ValueError``.
+first iteration every view's pixel rays are traced once, into one table
+(``image_traces``) unless the caller passes it as ``traces=``, and every
+pixel's loss weight (foreground pixels weighted up) and observation is
+looked up once.  Every iteration samples a subset of views and a budget
+of pixels per view (uniform with replacement, the pixels ``sample_rays``
+draws), gathers their weights, observations and rows (one ``take`` of the
+table per view, sharing its storage), computes the loss of all of them
+and its analytic gradients in one ``view_loss`` call, chain-rules through
+the squashing map and applies the update; a loss or gradient that is not
+finite stops the fit with ``ValueError``.
 
 Color fits run carve-then-paint, because joint optimization under
 RGB-only supervision has a bad basin: cells can turn white and become
@@ -206,7 +206,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
     """
     _check_observations(observations, kind)
     t_start = time.perf_counter()  # the table builds count toward the fit's time
-    tables = view_traces(observations, geometry, traces)  # per view: the traces of all its pixels
+    table = view_traces([o.camera for o in observations], geometry, traces)  # every pixel of every view
 
     logits_x = np.zeros(geometry.shape)
     aux_kind = AUX_KINDS.get(kind)
@@ -229,7 +229,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
 
     # every pixel's loss weight and observation, view after view, once per fit
     every = RayBatch.concatenate([full_image_rays(obs, config.foreground_weight) for obs in observations])
-    pixel_base = np.cumsum([0] + [t.n_rays for t in tables])
+    pixel_base = table.first_rows
     losses = np.zeros(config.iterations)
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
     for it in range(config.iterations):
@@ -241,18 +241,18 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
 
         per_view = max(1, config.rays_per_iteration // take)
-        pixels = []
-        for view_idx in chosen:  # fixed view order: reproducible reduction
+        rows = []  # per chosen view, in a fixed order (a reproducible reduction), its rows of the table
+        for view_idx in chosen:
             if config.full_images:
-                pixels.append(np.arange(tables[view_idx].n_rays))
+                rows.append(np.arange(pixel_base[view_idx], pixel_base[view_idx + 1]))
             else:
                 us, vs = _sample_pixels(observations[view_idx], per_view, config.seed, it, view_idx)
-                pixels.append(vs * observations[view_idx].camera.width + us)
-        rows = np.concatenate([pixel_base[v] + p for v, p in zip(chosen, pixels)])
-        rays = RayBatch(kind, every.weights[rows], **every.observed(rows))
-        # one kernel call for every chosen view
+                rows.append(pixel_base[view_idx] + vs * observations[view_idx].camera.width + us)
+        every_row = np.concatenate(rows)
+        rays = RayBatch(kind, every.weights[every_row], **every.observed(every_row))
+        # one kernel call for every chosen view, over takes of the one table
         res = view_loss(occ, rays, aux, label_weight=config.label_weight,
-                        traces=[tables[v].take(p) for v, p in zip(chosen, pixels)])
+                        traces=[table.take(r) for r in rows])
         loss, grad_x, grad_p, count = res.loss, res.grad_x, res.grad_p, rays.n_rays
         if not (math.isfinite(loss) and np.isfinite(grad_x).all()
                 and (grad_p is None or np.isfinite(grad_p).all())):

@@ -12,10 +12,10 @@ Noisy hit points are clamped into the ray's traversed interval (a noisy
 depth just past the far side still votes for the last cell); rays whose
 pixel reads the escape sentinel count as escapes.
 
-Fusion and carving read one ``image_traces`` table per view, all built
-by ``view_traces`` before the first view is counted, or taken from
-``traces=`` (one per observation), so a caller that also renders or fits
-from the same cameras traces them once.
+Fusion and carving read the ``image_traces`` table of all the views'
+cameras, built by ``view_traces`` or taken from ``traces=``, one view's
+rows (``camera_rows``, views of the table's storage) at a time, so a
+caller that also renders or fits from the same cameras traces them once.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ def accumulate_depth_counts(observations: list[Observation], geometry: GridGeome
             raise ValueError(f"depth fusion needs depth observations, got {obs.kind!r}")
     empty = np.zeros(geometry.ncells, dtype=np.int64)
     occupied = np.zeros(geometry.ncells, dtype=np.int64)
-    for obs, table in zip(observations, view_traces(observations, geometry, traces)):
-        view_empty, view_occupied = _depth_votes(obs, table)
+    table = view_traces([obs.camera for obs in observations], geometry, traces)
+    for i, obs in enumerate(observations):
+        view_empty, view_occupied = _depth_votes(obs, table.camera_rows(i))
         empty += view_empty
         occupied += view_occupied
     return empty.reshape(geometry.shape), occupied.reshape(geometry.shape)
@@ -103,9 +104,10 @@ def carve_masks(observations: list[Observation], geometry: GridGeometry, *,
         if obs.kind != "mask":
             raise ValueError(f"mask carving needs mask observations, got {obs.kind!r}")
     carved = np.zeros(geometry.ncells, dtype=bool)
-    for obs, table in zip(observations, view_traces(observations, geometry, traces)):
+    table = view_traces([obs.camera for obs in observations], geometry, traces)
+    for i, obs in enumerate(observations):
         background = obs.mask.reshape(-1) == 0
-        if not background.any():
-            continue
-        carved[table.cells[background[table.cell_rays()]]] = True
+        if background.any():
+            rows = table.camera_rows(i)
+            carved[rows.cells[background[rows.cell_rays()]]] = True
     return BinaryGrid(geometry, ~carved.reshape(geometry.shape))

@@ -31,6 +31,13 @@ def _read_token(fh) -> bytes:
         tok += ch
 
 
+def _read_positive(fh, path) -> int:  # a width, height or maxval
+    tok = _read_token(fh)
+    if not (tok.isdigit() and int(tok) > 0):
+        raise FormatError(f"{path}: header value {tok!r} is not a positive integer")
+    return int(tok)
+
+
 def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     img = np.asarray(image)
     if img.ndim != 2:
@@ -50,7 +57,7 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     with open(path, "rb") as fh:
         if _read_token(fh) != b"P5":
             raise FormatError(f"{path}: not a binary PGM (P5) file")
-        w, h, maxval = (int(_read_token(fh)) for _ in range(3))
+        w, h, maxval = (_read_positive(fh, path) for _ in range(3))
         if maxval > 255:
             raise FormatError(f"{path}: 16-bit PGM not supported")
         buf = fh.read(w * h)
@@ -79,7 +86,7 @@ def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if _read_token(fh) != b"P6":
             raise FormatError(f"{path}: not a binary PPM (P6) file")
-        w, h, maxval = (int(_read_token(fh)) for _ in range(3))
+        w, h, maxval = (_read_positive(fh, path) for _ in range(3))
         if maxval != 255:
             raise FormatError(f"{path}: only maxval 255 PPM supported")
         buf = fh.read(w * h * 3)
@@ -107,9 +114,13 @@ def read_pfm(path) -> np.ndarray:
             raise FormatError(f"{path}: 3-channel PFM not supported (want 'Pf')")
         if tag != b"Pf":
             raise FormatError(f"{path}: not a PFM file")
-        w = int(_read_token(fh))
-        h = int(_read_token(fh))
-        scale = float(_read_token(fh))
+        w, h = (_read_positive(fh, path) for _ in range(2))
+        try:
+            scale = float(_read_token(fh))
+        except ValueError:
+            scale = 0.0  # not a number
+        if not (np.isfinite(scale) and scale != 0.0):
+            raise FormatError(f"{path}: PFM scale must be finite and non-zero (its sign gives the byte order)")
         buf = fh.read(w * h * 4)
     if len(buf) != w * h * 4:
         raise FormatError(f"{path}: truncated PFM body")

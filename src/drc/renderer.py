@@ -7,6 +7,8 @@ setting), semantic images use class K-1 as background, color images a
 white background.  Rendered depth is the midpoint depth of the first
 occupied cell, the same convention the depth event cost uses, so a shape
 is an exact minimizer of the loss against its own noiseless renders.
+``image_traces`` traces a camera set's pixels into one table for ``traces=``
+(``camera_rows``: one camera's rows, views of its storage).
 """
 
 from __future__ import annotations
@@ -98,52 +100,59 @@ class Observation:
 
 @dataclass(frozen=True, eq=False)
 class ImageTraces(TraceTable):
-    """An ``image_traces`` table, which remembers the camera it traced."""
+    """An ``image_traces`` table, which remembers the cameras it traced."""
 
-    camera: Camera
+    cameras: tuple
 
+    @property
+    def first_rows(self) -> np.ndarray:
+        """Each camera's first row, then the table's row count."""
+        return np.cumsum([0] + [c.width * c.height for c in self.cameras])
 
-def image_traces(geometry: GridGeometry, camera: Camera) -> ImageTraces:
-    """The traces of every pixel ray of the camera's image, row-major.
-
-    ``render``, ``fit``, ``fuse_depth`` and ``carve_masks`` each read such a
-    table per camera; a caller that runs several of them on one camera
-    builds it once and passes it as ``traces=``.
-    """
-    origins, dirs = image_grid_rays(camera)
-    table = trace_batch(geometry, origins.reshape(-1, 3), dirs.reshape(-1, 3))
-    return ImageTraces(**vars(table), camera=camera)
-
-
-def _checked_image_traces(table: TraceTable, geometry: GridGeometry, camera: Camera) -> TraceTable:
-    if not same_geometry(table.geometry, geometry):
-        raise ValueError("trace table was built on a different geometry")
-    if table.n_rays != camera.width * camera.height:
-        raise ValueError(f"trace table holds {table.n_rays} rays, "
-                         f"the {camera.width}x{camera.height} image has {camera.width * camera.height} pixels")
-    if not (isinstance(table, ImageTraces) and same_camera(table.camera, camera)):
-        raise ValueError("trace table was not traced for this camera (not its image_traces table)")
-    return table
+    def camera_rows(self, first: int, stop: int | None = None) -> "ImageTraces":
+        """Cameras ``first`` to ``stop - 1`` (``first`` alone by default) as a
+        table of their own: ``start`` rebased to 0, views of the other arrays."""
+        stop = first + 1 if stop is None else stop
+        a, b = self.first_rows[[first, stop]]
+        cells = slice(self.start[a], self.start[b - 1] + self.n[b - 1])
+        return ImageTraces(self.geometry, self.start[a:b] - cells.start, self.n[a:b], self.t0[a:b],
+                           self.cells[cells], self.t_exit[cells], self.cameras[first:stop])
 
 
-def view_traces(observations: list[Observation], geometry: GridGeometry, traces=None) -> list:
-    """Per observation, the ``image_traces`` table of its camera on
-    ``geometry``: taken from a ``traces=`` list and checked to hold every
-    pixel of its image, or, without ``traces``, built here."""
+def image_traces(geometry: GridGeometry, cameras) -> ImageTraces:
+    """The traces of every pixel ray of the cameras' images in one table,
+    camera after camera and row-major within a camera, for the ``traces=``
+    of ``render``, ``fit``, ``fuse_depth`` and ``carve_masks``."""
+    cameras = tuple(cameras)
+    rows = np.cumsum([0] + [c.width * c.height for c in cameras])
+    rays = np.empty((2, rows[-1], 3))  # origins, directions
+    for camera, a, b in zip(cameras, rows[:-1], rows[1:]):
+        rays[:, a:b] = [r.reshape(-1, 3) for r in image_grid_rays(camera)]
+    rays = list(rays)  # handed over, not kept: trace_batch frees the rays that miss after its clip
+    return ImageTraces(**vars(trace_batch(geometry, rays.pop(0), rays.pop())), cameras=cameras)
+
+
+def view_traces(cameras: list[Camera], geometry: GridGeometry, traces=None) -> ImageTraces:
+    """The ``image_traces`` table of ``cameras`` on ``geometry``: ``traces``,
+    checked to be that table, or, without ``traces``, built here."""
     if traces is None:
-        return [image_traces(geometry, obs.camera) for obs in observations]
-    if len(traces) != len(observations):
-        raise ValueError(f"need one trace table per observation, got {len(traces)} "
-                         f"for {len(observations)} observations")
-    return [_checked_image_traces(t, geometry, obs.camera) for t, obs in zip(traces, observations)]
+        return image_traces(geometry, cameras)
+    if not (isinstance(traces, ImageTraces) and len(traces.cameras) == len(cameras)
+            and all(map(same_camera, traces.cameras, cameras))):
+        raise ValueError("trace table was not traced for these cameras, in this order (as image_traces)")
+    if not same_geometry(traces.geometry, geometry):
+        raise ValueError("trace table was built on a different geometry")
+    if traces.n_rays != traces.first_rows[-1]:
+        raise ValueError(f"trace table holds {traces.n_rays} rays, its images have {traces.first_rows[-1]}")
+    return traces
 
 
 def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = None, *,
-           traces: TraceTable | None = None) -> Observation:
+           traces: ImageTraces | None = None) -> Observation:
     """Render one observation of a hard shape by first-hit ray casting.
 
-    ``traces`` is the camera's ``image_traces`` table on the grid's
-    geometry, if the caller has it already.
+    ``traces`` is the camera's ``image_traces`` table (or its ``camera_rows``
+    of one of several cameras) on the grid's geometry, if the caller has it.
     """
     if kind not in RAY_KINDS:
         raise ValueError(f"render kind must be one of {RAY_KINDS}, got {kind!r}")
@@ -151,11 +160,7 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
     if want is not None and (aux is None or aux.kind != want):
         raise ValueError(f"{kind} render needs an aux grid of kind {want!r}")
     hw = (camera.height, camera.width)
-    if traces is None:
-        table = image_traces(bgrid.geometry, camera)
-    else:
-        table = _checked_image_traces(traces, bgrid.geometry, camera)
-    hit, cell, depth = first_hit_batch(bgrid, table)
+    hit, cell, depth = first_hit_batch(bgrid, view_traces([camera], bgrid.geometry, traces))
     hit = hit.reshape(hw)
     cell = cell.reshape(hw)
     depth = depth.reshape(hw)

@@ -37,15 +37,17 @@ face (the axis's cell count, the far plane among them) is outside.
 
 ``trace_batch`` returns the traces of many rays as one unpadded
 ``TraceTable``: per ray a start, a length and an entry depth, per traversed
-cell its index and exit depth.  Consecutive cells of a ray share their
-boundary, so each cell's entry depth is the exit depth before it; the loss
-reads the cells and exit depths of the rays it samples straight from the
-table.  ``TraceTable.row`` gives one ray's ``RayTrace``, and ``trace`` is
-``trace_batch`` on one ray.
+cell its index and exit depth, which each pass writes after the last one's
+into storage reserved from a bound on every ray's cell count (from 4 MiB
+on an anonymous mapping, whose unwritten pages never become resident).
+Consecutive cells share their boundary, so a cell's entry depth is the exit
+depth before it.  ``TraceTable.row`` gives one ray's ``RayTrace``;
+``trace`` is ``trace_batch`` on one ray.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,22 +152,43 @@ def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:
 
 
 def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> TraceTable:
-    """The traces of many rays, in one table.  The rays that meet the grid
-    are traced TABLE_CHUNK at a time."""
+    """The traces of many rays in one table, TABLE_CHUNK rays a pass."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
     crossings = _axis_crossings if geometry.kind == "uniform" else _frustum_crossings
     t0, t1, alive = _hull(geometry, o, d)
     rows = np.flatnonzero(alive)
-    n = np.zeros(len(o), dtype=np.int64)
-    cells, t_exit = [np.empty(0, dtype=np.int32)], [np.empty(0)]
-    for i in range(0, rows.size, TABLE_CHUNK):
-        r = rows[i:i + TABLE_CHUNK]
-        n[r], c, t = _trace_rays(geometry, o[r], d[r], t0[r, None], t1[r, None], crossings)
-        cells.append(c)
-        t_exit.append(t)
-    return TraceTable(geometry, np.cumsum(n) - n, n, np.where(alive, t0, 0.0),
-                      np.concatenate(cells), np.concatenate(t_exit))
+    n, t0 = np.zeros(len(o), dtype=np.int64), np.where(alive, t0, 0.0)
+    del origins, directions  # only the rays that meet the grid from here on: the caller's can go
+    o, d, enter, t1 = o[rows], d[rows], t0[rows, None], t1[rows, None]
+    passes = [slice(i, i + TABLE_CHUNK) for i in range(0, rows.size, TABLE_CHUNK)]
+    size = sum(_cell_bound(geometry, o[s], d[s], enter[s, 0], t1[s, 0]) for s in passes)
+    cells, t_exit = _reserve(size, np.int32), _reserve(size, np.float64)
+    end = 0
+    for s in passes:
+        n[rows[s]], c, t = _trace_rays(geometry, o[s], d[s], enter[s], t1[s], crossings)
+        cells[end:end + c.size] = c  # raises if the bound were ever short
+        t_exit[end:end + c.size] = t
+        end += c.size
+    return TraceTable(geometry, np.cumsum(n) - n, n, t0, cells[:end], t_exit[:end])
+
+
+def _reserve(count: int, dtype) -> np.ndarray:
+    """Space for ``count`` values: below 4 MiB, where numpy advises no huge
+    pages, ``np.empty`` (its memory is reused), else an anonymous mapping."""
+    nbytes = count * np.dtype(dtype).itemsize
+    return np.empty(count, dtype) if nbytes < 1 << 22 else np.frombuffer(mmap.mmap(-1, nbytes), dtype, count)
+
+
+def _cell_bound(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> int:
+    """At least the cells the rays cross over (t0, t1): per ray one, and per axis the planes
+    between its grid coordinates at t0 and t1, one more each side, at most (or if NaN) all."""
+    if geom.kind == "uniform":  # |d| (t1 - t0) / h, a third of world_to_grid's cost
+        span = np.abs(d) * ((t1 - t0)[:, None] / geom.cell_size)
+    else:
+        with np.errstate(invalid="ignore"):
+            span = np.abs(geom.world_to_grid(o + t1[:, None] * d) - geom.world_to_grid(o + t0[:, None] * d))
+    return len(o) + int(np.fmin(np.floor(span, out=span) + 2.0, np.array(geom.dims) - 1.0).sum())
 
 
 def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t1: np.ndarray,

@@ -6,8 +6,9 @@
 Covers every output of ``drc repro --iters 40 --seed 10`` except
 ``manifest.txt`` (it holds wall times), the trace tables that run builds,
 and for each fit workload of ``perfbench/workloads.py`` at seeds 0 and 1 the
-fitted grid, payload and loss trace and the ``image_traces`` table of every
-view.  A table's digest covers its five arrays (start, n, t0, cells,
+fitted grid, payload and loss trace and the ``image_traces`` rows of every
+view.  Each camera's rows of a table are hashed as a table of their own
+(``camera_rows``): its five arrays (start, rebased to 0, n, t0, cells,
 t_exit).
 
 The digests are SHA-256 of raw bytes, which may differ across numpy builds
@@ -55,8 +56,10 @@ def sha256(*arrays) -> str:
     return digest.hexdigest()
 
 
-def table_digest(table) -> str:
-    return sha256(*(getattr(table, name) for name in TABLE_FIELDS))
+def camera_digests(table) -> list:
+    """Per camera of an ``image_traces`` table, the digest of its rows."""
+    return [sha256(*(getattr(table.camera_rows(i), name) for name in TABLE_FIELDS))
+            for i in range(len(table.cameras))]
 
 
 def repro_digests() -> dict:
@@ -64,8 +67,8 @@ def repro_digests() -> dict:
     digests = {}
     tables = []
 
-    def recording_image_traces(geometry, camera, build=cli.image_traces):
-        table = build(geometry, camera)
+    def recording_image_traces(geometry, cameras, build=cli.image_traces):
+        table = build(geometry, cameras)
         tables.append(table)
         return table
 
@@ -84,8 +87,9 @@ def repro_digests() -> dict:
                 path = os.path.join(dirpath, fname)
                 with open(path, "rb") as fh:
                     digests[f"repro/{os.path.relpath(path, out)}"] = hashlib.sha256(fh.read()).hexdigest()
-    for i, table in enumerate(tables):
-        digests[f"repro/traces/{i}"] = table_digest(table)
+    rows = [d for table in tables for d in camera_digests(table)]
+    for i, digest in enumerate(rows):
+        digests[f"repro/traces/{i}"] = digest
     return digests
 
 
@@ -102,9 +106,9 @@ def fit_digests() -> dict:
             if aux is not None:
                 digests[f"{key}/payload"] = sha256(aux.payload)
             digests[f"{key}/losses"] = sha256(report.losses)
-            for v, obs in enumerate(inputs.observations):
-                table = renderer.image_traces(inputs.gt.geometry, obs.camera)
-                digests[f"{key}/traces/{v}"] = table_digest(table)
+            table = renderer.image_traces(inputs.gt.geometry, [obs.camera for obs in inputs.observations])
+            for v, digest in enumerate(camera_digests(table)):
+                digests[f"{key}/traces/{v}"] = digest
     return digests
 
 

@@ -94,25 +94,26 @@ class ShapeFits:
     fit_seconds: dict = field(default_factory=dict)
     depth_fit: object = None
     mask_fit: object = None
-    traces: list = field(default_factory=list)  # one image_traces table per 128 px camera
+    traces: object = None  # the image_traces table of the 128 px cameras
 
 
 def _build_shape(name):
-    """Each camera set is traced once; its renders, fits and fusion share the tables."""
+    """Each camera set is traced once, into one table; its renders, fits and
+    fusion share it."""
     gt, aux = make_test_shape(name, DIMS)
     cfg = FitConfig(iterations=500, seed=FIT_SEED)
     geom = gt.geometry
 
     cams = sample_view_ring(5, seed=VIEW_SEED, width=RES_FIT, height=RES_FIT)
-    traces = [image_traces(geom, c) for c in cams]
-    depth_obs = [render(gt, c, "depth", traces=t) for c, t in zip(cams, traces)]
-    mask_obs = [render(gt, c, "mask", traces=t) for c, t in zip(cams, traces)]
+    traces = image_traces(geom, cams)
+    depth_obs = [render(gt, c, "depth", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]
+    mask_obs = [render(gt, c, "mask", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]
     depth_fit, _, drep = fit(depth_obs, geom, "depth", cfg, traces=traces)
     mask_fit, _, mrep = fit(mask_obs, geom, "mask", cfg, traces=traces)
 
     cams_hi = sample_view_ring(5, seed=VIEW_SEED, width=RES_NOISE, height=RES_NOISE)
-    traces_hi = [image_traces(geom, c) for c in cams_hi]
-    depth_hi = [render(gt, c, "depth", traces=t) for c, t in zip(cams_hi, traces_hi)]
+    traces_hi = image_traces(geom, cams_hi)
+    depth_hi = [render(gt, c, "depth", traces=traces_hi.camera_rows(i)) for i, c in enumerate(cams_hi)]
     amplitude = 0.2 * shape_scale(gt)
     noisy_obs = [add_depth_noise(o, amplitude, seed=VIEW_SEED * 100 + i)
                  for i, o in enumerate(depth_hi)]
@@ -242,8 +243,8 @@ def test_06_render_loss_closure(fits):
     for shape in fits.values():
         x_hard = shape.gt.as_occupancy_grid()
         for obs_set in (shape.depth_obs, shape.mask_obs):
-            total = sum(view_loss(x_hard, full_image_rays(o), traces=t).loss
-                        for o, t in zip(obs_set, shape.traces))
+            total = sum(view_loss(x_hard, full_image_rays(o), traces=shape.traces.camera_rows(i)).loss
+                        for i, o in enumerate(obs_set))
             worst = max(worst, abs(total))
     report(6, "render-loss-closure", worst < 1e-9,
            f"max |view_loss(GT vs own noiseless renders)| = {worst:.2e}")
@@ -292,7 +293,7 @@ def test_10_view_count_monotonicity(fits):
             ious.append(shape.depth_iou)
             continue
         fitted, _, _ = fit(shape.depth_obs[:k], shape.gt.geometry, "depth", cfg,
-                           traces=shape.traces[:k])
+                           traces=shape.traces.camera_rows(0, k))
         ious.append(best_threshold(fitted, shape.gt).best_iou)
     ok = ious[1] >= ious[0] - 0.02 and ious[2] >= ious[1] - 0.02
     report(10, "view-count-monotonicity", ok,

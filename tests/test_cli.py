@@ -79,6 +79,18 @@ class TestExitCodes:
                    "--out", str(tmp_path / "fit")) == 2
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("size, scale", [(b"24 24", b"nan"), (b"24 24", b"inf"), (b"-24 24", b"-1.0"),
+                                             (b"24 twenty", b"-1.0")])
+    def test_malformed_depth_header_is_data_error(self, pipeline, tmp_path, size, scale):
+        import shutil
+        shutil.copytree(pipeline / "obs", tmp_path / "obs")
+        path = tmp_path / "obs" / "view_001" / "depth.pfm"
+        tag, _, _, body = path.read_bytes().split(b"\n", 3)
+        path.write_bytes(b"\n".join([tag, size, scale, body]))
+        assert run("fit", "--obs", str(tmp_path / "obs"), "--dims", "16", "--iters", "2",
+                   "--out", str(tmp_path / "fit")) == 2
+        assert not (tmp_path / "fit").exists()
+
     def test_malformed_class_count_is_data_error(self, tmp_path):
         assert run("shape", "--name", "sphere", "--dims", "16", "--aux", "semantics",
                    "--out", str(tmp_path / "semgt")) == 0
@@ -215,7 +227,7 @@ class TestRenderKinds:
 
 def test_repro_traces_each_camera_once(monkeypatch, tmp_path):
     """Both renders, three fits, two fusions and the carve of every shape
-    share one trace table per camera."""
+    share one trace table of every camera's pixels, traced in one call."""
     from drc import consistency, fusion, renderer
 
     calls = []
@@ -230,8 +242,8 @@ def test_repro_traces_each_camera_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "trace_batch", counting(module.trace_batch))
     assert run("repro", "--shapes", "sphere", "--views", "2", "--size", "16", "--iters", "1",
                "--out", str(tmp_path / "repro")) == 0
-    assert calls == [256, 256]
+    assert calls == [512]
     calls.clear()
     assert run("repro", "--shapes", "sphere,chair_like", "--views", "2", "--size", "16",
                "--iters", "1", "--out", str(tmp_path / "repro2")) == 0
-    assert calls == [256, 256]
+    assert calls == [512]

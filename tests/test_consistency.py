@@ -529,16 +529,18 @@ def _kind_case(rng, geom, kind, n):
 
 
 def _view_tables(rng, geom, count, n):
-    """``count`` tables of n rays each: most through the grid, some beside
-    it, some repeated (as sampled pixels repeat)."""
-    tables = []
+    """``count`` tables of n rays each, takes of one table as ``fit`` passes
+    its views: most through the grid, some beside it, some repeated (as
+    sampled pixels repeat)."""
+    rays = []
     for _ in range(count):
         origins, directions = _rays_through(rng.uniform(-0.4, 0.4, (n, 3)), rng.normal(size=(n, 3)))
         origins[:n // 8] += 3.0  # misses
         again = slice(n // 4, n // 4 + n // 8)
         origins[-n // 8:], directions[-n // 8:] = origins[again], directions[again]
-        tables.append(trace_batch(geom, origins, directions))
-    return tables
+        rays.append((origins, directions))
+    table = trace_batch(geom, *(np.concatenate(r) for r in zip(*rays)))
+    return [table.take(np.arange(v * n, (v + 1) * n)) for v in range(count)]
 
 
 def _same_bits(a, b):
@@ -620,7 +622,23 @@ def test_table_list_is_checked():
         view_loss(occ, rays, traces=tables)
     other = trace_batch(unit_cube_geometry((3, 3, 4)), np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="different geometry"):
-        view_loss(occ, RayBatch("depth", np.ones(17), d=np.ones(17)), traces=[*tables, other])
+        view_loss(occ, RayBatch("depth", np.ones(1), d=np.ones(1)), traces=other)
+
+
+def test_tables_of_other_storage_rejected():
+    """A list of tables must be takes of one table: tables traced apart, even
+    of the same rays, are refused."""
+    geom = unit_cube_geometry((3, 3, 3))
+    occ = OccupancyGrid(geom, np.full(geom.shape, 0.5))
+    tables = _view_tables(np.random.default_rng(0), geom, 2, 8)
+    o, d = np.zeros((8, 3)), np.tile([0.0, 0.0, 1.0], (8, 1))
+    apart = trace_batch(geom, o, d)
+    rays = RayBatch("depth", np.ones(16), d=np.ones(16))
+    for traces in ([tables[0], apart], [apart, trace_batch(geom, o, d)], []):
+        with pytest.raises(ValueError, match="takes of one table"):
+            view_loss(occ, rays, traces=traces)
+    assert view_loss(occ, rays, traces=[apart, apart.take(np.arange(8))]).loss == \
+        2 * view_loss(occ, RayBatch("depth", np.ones(8), d=np.ones(8)), traces=apart).loss
 
 
 def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
@@ -641,8 +659,8 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
 
     def kernel(rows):
         rows = np.asarray(rows)
-        return _hit_loss(occ.flat, None, "depth", [table], np.zeros(rows.size, dtype=np.int64),
-                         table.start[rows], table.n[rows], table.t0[rows], np.ones(rows.size),
+        return _hit_loss(occ.flat, None, "depth", table.cells, table.t_exit, table.start[rows],
+                         table.n[rows], table.t0[rows], np.ones(rows.size),
                          {"s": None, "d": d[rows], "c": None}, label_weight=1.0)
 
     def padded_losses(rows):

@@ -178,7 +178,8 @@ class TestFit:
         rng = np.random.default_rng(8)
         logits = rng.normal(0, 1, geom.shape)
 
-        tables = [image_traces(geom, o.camera) for o in obs]
+        table = image_traces(geom, [o.camera for o in obs])
+        tables = [table.camera_rows(v) for v in range(len(obs))]
 
         def total_loss(lg):
             occ = OccupancyGrid(geom, sigmoid(lg))
@@ -284,8 +285,9 @@ def _frustum_scene():
 
 @pytest.mark.parametrize("kind", ["depth", "depth_semantics"])
 def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
-    """fit reads traces from per-view tables; its first loss must equal, bit
-    for bit, view_loss on the same sampled pixels' rays traced alone."""
+    """fit reads traces from one table of every view; its first loss must
+    equal, bit for bit, view_loss on the same sampled pixels' rays traced
+    alone."""
     if kind == "depth":
         gt, observations = depth_views
         geom = gt.geometry
@@ -310,8 +312,8 @@ def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
 
 @pytest.mark.parametrize("views_per_iteration", [None, 2])
 def test_fit_calls_view_loss_once_per_iteration(views_per_iteration, depth_views, monkeypatch):
-    """Every chosen view's rays go through one view_loss call, one table per
-    view in the chosen order."""
+    """Every chosen view's rays go through one view_loss call, one take of
+    the table per view in the chosen order."""
     gt, obs = depth_views
     calls = []
 
@@ -345,7 +347,7 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
     config = FitConfig(iterations=3, rays_per_iteration=240, views_per_iteration=views_per_iteration,
                        foreground_weight=3.0, seed=6)
     fit(obs, gt.geometry, kind, config)
-    tables = [image_traces(gt.geometry, o.camera) for o in obs]
+    table = image_traces(gt.geometry, [o.camera for o in obs])
     take = views_per_iteration or len(obs)
     per_view = config.rays_per_iteration // take
     assert len(calls) == config.iterations
@@ -364,9 +366,10 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
                 assert (have is None) == (expected is None)
                 if expected is not None:
                     assert have[got].tobytes() == expected.tobytes()
-            rows = tables[v].take(want.pixels)
+            rows = table.take(table.first_rows[v] + want.pixels)
             for field in ("start", "n", "t0"):
                 assert getattr(traces[j], field).tobytes() == getattr(rows, field).tobytes()
+            assert traces[j].cells is traces[0].cells and traces[j].t_exit is traces[0].t_exit
 
 
 class TestLossLog:

@@ -42,6 +42,13 @@ class TestPGM:
         img, _ = read_pgm(tmp_path / "x.pgm")
         assert img.tolist() == [[7, 8]]
 
+    @pytest.mark.parametrize("header", [b"x 1 255", b"2 one 255", b"-8 -8 255", b"0 1 255", b"2 1 0",
+                                        b"2 1 -1", b"2.0 1 255", b"2 1 2e2"])
+    def test_header_value_not_a_positive_integer_rejected(self, tmp_path, header):
+        (tmp_path / "x.pgm").write_bytes(b"P5\n" + header + b"\n\x07\x08")
+        with pytest.raises(FormatError, match="not a positive integer"):
+            read_pgm(tmp_path / "x.pgm")
+
 
 class TestPPM:
     def test_float_roundtrip(self, tmp_path):
@@ -63,6 +70,13 @@ class TestPPM:
         (tmp_path / "t.ppm").write_bytes(data[:-1])
         with pytest.raises(FormatError, match="truncated"):
             read_ppm(tmp_path / "t.ppm")
+
+
+    @pytest.mark.parametrize("header", [b"x 1 255", b"-8 -8 255", b"1 0 255", b"1 1 -255"])
+    def test_header_value_not_a_positive_integer_rejected(self, tmp_path, header):
+        (tmp_path / "x.ppm").write_bytes(b"P6\n" + header + b"\n\x07\x08\x09")
+        with pytest.raises(FormatError, match="not a positive integer"):
+            read_ppm(tmp_path / "x.ppm")
 
 
 class TestPFM:
@@ -97,3 +111,22 @@ class TestPFM:
         (tmp_path / "d.pfm").write_bytes(b"Pf\n2 1\n-1.0\n" + np.array([1.0, bad], dtype="<f4").tobytes())
         with pytest.raises(FormatError, match="NaN or infinite"):
             read_pfm(tmp_path / "d.pfm")
+
+    @pytest.mark.parametrize("size", [b"x 1", b"2 one", b"-8 -8", b"0 1", b"2 1.5"])
+    def test_size_not_a_positive_integer_rejected(self, tmp_path, size):
+        (tmp_path / "d.pfm").write_bytes(b"Pf\n" + size + b"\n-1.0\n" + np.ones(2, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="not a positive integer"):
+            read_pfm(tmp_path / "d.pfm")
+
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"0", b"-0.0", b"little"])
+    def test_scale_zero_or_not_finite_rejected(self, tmp_path, scale):
+        # a NaN or infinite scale once read little-endian depths big-endian
+        body = np.array([1.85, 10.0], dtype="<f4").tobytes()
+        (tmp_path / "d.pfm").write_bytes(b"Pf\n2 1\n" + scale + b"\n" + body)
+        with pytest.raises(FormatError, match="scale"):
+            read_pfm(tmp_path / "d.pfm")
+
+    def test_positive_scale_is_big_endian(self, tmp_path):
+        body = np.array([1.85, 10.0], dtype=">f4").tobytes()
+        (tmp_path / "d.pfm").write_bytes(b"Pf\n2 1\n1.0\n" + body)
+        assert read_pfm(tmp_path / "d.pfm").tolist() == np.array([[1.85, 10.0]], dtype=np.float32).tolist()

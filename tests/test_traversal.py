@@ -1,3 +1,4 @@
+import mmap
 import warnings
 from unittest import mock
 
@@ -184,6 +185,34 @@ class TestBatchKernels:
                 assert a.tobytes() == b.tobytes()
             for i in range(len(rays)):
                 assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
+
+    def test_storage_bound_covers_every_trace(self, monkeypatch):
+        """Each ray's bound holds its cells, the reservation stays within
+        twice the cells written, and a short bound raises rather than
+        writing past the reservation."""
+        for geom, spread in ((UNIFORM_GEOMS[1], 2.0), (UNIFORM_GEOMS[2], 0.6), (FRUSTUM_GEOMS[1], 0.5)):
+            rng = np.random.default_rng(7)
+            o, d = rng.uniform(-spread, spread, (600, 3)), unit(rng.normal(size=(600, 3)))
+            t0, t1, alive = traversal._hull(geom, o, d)
+            table = trace_batch(geom, o, d)
+            rows = np.flatnonzero(alive)
+            assert rows.size > 20 and table.n[rows].min() > 0
+            for r in rows:
+                assert traversal._cell_bound(geom, o[r:r + 1], d[r:r + 1], t0[r:r + 1], t1[r:r + 1]) >= table.n[r]
+            assert traversal._cell_bound(geom, o[rows], d[rows], t0[rows], t1[rows]) <= 2 * table.n.sum()
+            monkeypatch.setattr(traversal, "_cell_bound", lambda *args: 0)
+            with pytest.raises(ValueError):
+                trace_batch(geom, o, d)
+            monkeypatch.undo()
+
+    def test_large_reservations_are_mapped(self):
+        # from 4 MiB on, an anonymous mapping: no page is resident before it is written
+        for count, dtype in ((0, np.int32), (1000, np.int32), ((1 << 20) - 1, np.int32), (1 << 20, np.float64)):
+            space = traversal._reserve(count, dtype)
+            assert space.shape == (count,) and space.dtype == dtype and space.flags.writeable
+            assert isinstance(getattr(space.base, "obj", None), mmap.mmap) == (space.nbytes >= 1 << 22)
+        space[-1] = 1.5
+        assert space[0] == 0.0 and space[-1] == 1.5
 
 
 # a box, a box whose planes k / 4 are exact in binary, and the frustum of
