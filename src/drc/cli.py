@@ -137,7 +137,7 @@ def cmd_render(args) -> int:
     want = AUX_KINDS.get(args.kind)
     if want is not None and (aux is None or aux.kind != want):
         raise FormatError(f"{args.grid}: kind {args.kind} needs a {want!r} aux field in the grid file")
-    if args.noise > 0.0 and args.kind != "depth":
+    if args.noise != 0.0 and args.kind != "depth":
         raise UsageError("--noise only applies to depth renders")
     lo, hi = (float(v) for v in args.elevation.split(","))
     cams = sample_view_ring(args.views, (lo, hi), args.radius, args.seed,
@@ -145,7 +145,7 @@ def cmd_render(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i, cam in enumerate(cams):
         obs = render(grid, cam, args.kind, aux)
-        if args.noise > 0.0:
+        if args.noise != 0.0:
             obs = add_depth_noise(obs, args.noise, seed=args.seed * 1000 + i)
         save_observation_bundle(os.path.join(args.out, f"view_{i:03d}"), obs)
     write_manifest(args.out, "render", args)

@@ -34,17 +34,16 @@ past 128 cells a ray's loss still does not depend on the rays beside it.
 
 ``view_loss`` runs the kernel on the rays that enter the grid (a ray that
 misses has the escape event alone), about LOSS_CHUNK cells per pass, over
-one table or a list of takes of one table (``fit``'s, one per view).  A
-pass reads the slot-major layout with one gather per array (cells, exit
-depths) from the shared storage, at each ray's start plus the slot; a
-cell's entry depth is the exit depth one slot back, or t0 in slot 0.  It
-adds its gradients with one ``np.bincount`` in that layout's order, slot
-by slot and the longest rays first, into zeros that are then added to the
-totals, pass after pass.  The loss is a dot per list entry, added in list
-order, so it has the bits of one call per entry summed; the gradients do
-not.  The scalar API (``cost_*``, ``ray_loss*``) runs the same kernel on
-one ray, so the gradient check tests the fitter's kernel, sum order
-included.
+one table whose rows are the rays (``fit``'s is one take of every sampled
+row of its views).  A pass reads the slot-major layout with one gather
+per array (cells, exit depths) from the table's storage, at each ray's
+start plus the slot; a cell's entry depth is the exit depth one slot
+back, or t0 in slot 0.  It adds its gradients with one ``np.bincount`` in
+that layout's order, slot by slot and the longest rays first, into zeros
+that are then added to the totals, pass after pass.  The loss is one dot
+of the weights with the per-ray losses.  The scalar API (``cost_*``,
+``ray_loss*``) runs the same kernel on one ray, so the gradient check
+tests the fitter's kernel, sum order included.
 ``event_probabilities`` and ``mask_loss_closed_form`` are independent
 direct formulas for tests.
 
@@ -333,8 +332,7 @@ class RayBatch:
 
     Per kind: ``s`` (0 foreground / 1 background) for mask; ``d`` for depth
     and depth_semantics; ``c`` is an int class id per ray (depth_semantics)
-    or an (R, 3) RGB array (color).  ``pixels``, for rays through the
-    pixel centers of one image, holds each ray's row-major pixel index.
+    or an (R, 3) RGB array (color).
     """
 
     kind: str
@@ -342,7 +340,6 @@ class RayBatch:
     s: np.ndarray | None = None
     d: np.ndarray | None = None
     c: np.ndarray | None = None
-    pixels: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in RAY_KINDS:
@@ -355,8 +352,6 @@ class RayBatch:
         for field in need[self.kind]:
             if getattr(self, field) is None:
                 raise ValueError(f"{self.kind} rays need per-ray field {field!r}")
-        if self.pixels is not None and self.pixels.shape != self.weights.shape:
-            raise ValueError("pixels must be (R,)")
 
     @property
     def n_rays(self) -> int:
@@ -364,8 +359,7 @@ class RayBatch:
 
     @classmethod
     def concatenate(cls, batches) -> "RayBatch":
-        """The rays of ``batches``, all of one kind, in order.  Pixel indices
-        belong to each batch's own image, so the result has none."""
+        """The rays of ``batches``, all of one kind, in order."""
         kinds = {b.kind for b in batches}
         if len(kinds) != 1:
             raise ValueError(f"batches must share one ray kind, got {sorted(kinds)}")
@@ -386,16 +380,16 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
-def _hit_loss(x: np.ndarray, payload, kind: str, cells: np.ndarray, t_exit: np.ndarray, start: np.ndarray,
-              n: np.ndarray, t0: np.ndarray, weights: np.ndarray, observed: dict, label_weight: float):
-    """The kernel on rays that all enter the grid: ray i crosses the n[i]
-    cells stored from start[i] on in ``cells`` and ``t_exit``, a table's
-    storage, entering the first at t0[i].  Returns the per-ray losses and,
-    per entry of the slot-major layout, the cell and the weighted
-    d(loss)/dx, then for payload kinds the flat payload index and the
-    weighted payload gradient there ((E,) at the observed class, or
-    (E, 3)), else None and None.  A pass's per-cell arrays set a fit's peak
-    memory, so each is dropped as soon as it has been used."""
+def _hit_loss(x: np.ndarray, payload, kind: str, traces: TraceTable, weights: np.ndarray, observed: dict,
+              label_weight: float):
+    """The kernel on rays that all enter the grid, the rows of ``traces``.
+    Returns the per-ray losses and, per entry of the slot-major layout, the
+    cell and the weighted d(loss)/dx, then for payload kinds the flat
+    payload index and the weighted payload gradient there ((E,) at the
+    observed class, or (E, 3)), else None and None.  A pass's per-cell
+    arrays set a fit's peak memory, so each is dropped as soon as it has
+    been used."""
+    n = traces.n
     order = np.argsort(-n, kind="stable")  # the rays by decreasing length
     m = n.size - np.cumsum(np.bincount(n))[:-1]  # per slot k, the rays longer than k
     off = np.concatenate([[0], np.cumsum(m)])  # slot k's run starts at off[k]
@@ -403,15 +397,15 @@ def _hit_loss(x: np.ndarray, payload, kind: str, cells: np.ndarray, t_exit: np.n
     ray = np.arange(size) - np.repeat(off[:-1], m)  # each entry's ray, as a place in ``order``
     # slot k's run holds the k-th cells of rays order[:m[k]], read with one
     # gather per array at start + k
-    src = np.take(start[order], ray)
+    src = np.take(traces.start[order], ray)
     src += np.repeat(np.arange(m.size), m)
-    cells, t_exit = np.take(cells, src), np.take(t_exit, src)
+    cells, t_exit = np.take(traces.cells, src), np.take(traces.t_exit, src)
     del src
     # past slot 0, an entry's ray left the cell before it m[k-1] places back
     prev = np.arange(m[0], size) - np.repeat(m[:-1], m[1:])
     # event depths 0.5 * (t_enter + t_exit), entering at t0 in slot 0
     d_mid = np.empty_like(t_exit)
-    d_mid[:m[0]] = t0[order]
+    d_mid[:m[0]] = traces.t0[order]
     d_mid[m[0]:] = np.take(t_exit, prev)
     d_mid += t_exit
     d_mid *= 0.5
@@ -443,26 +437,20 @@ def _hit_loss(x: np.ndarray, payload, kind: str, cells: np.ndarray, t_exit: np.n
 
 
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
-              label_weight: float = 1.0, traces) -> ViewLossResult:
+              label_weight: float = 1.0, traces: TraceTable) -> ViewLossResult:
     """Weighted sum of per-ray losses plus gradients scattered onto the grid.
 
-    ``traces`` holds one trace per ray, in order: a ``TraceTable`` (an
-    ``image_traces`` table or its rows, or ``trace_batch`` over the rays) or
-    a list of takes of one table (ValueError for tables that do not share
-    its storage) whose rows, in list order, are the rays.  The loss is
-    reduced table by table in list order, so it is, to the bit, the
-    in-order sum of one call per table.  Each cell's gradient adds its
-    terms pass by pass, and within a pass slot by slot, the longest rays
-    first (ties in ray order), so the result is reproducible.  Cells no ray
-    touches get zero gradient.
+    ``traces`` is a ``TraceTable`` whose rows, in order, are the rays: an
+    ``image_traces`` table, its rows or a take of them, or ``trace_batch``
+    over the rays.  The loss is one dot of the weights with the per-ray
+    losses.  Each cell's gradient adds its terms pass by pass, and within a
+    pass slot by slot, the longest rays first (ties in ray order), so the
+    result is reproducible.  Cells no ray touches get zero gradient.
 
     Only rays that enter the grid run through the telescoped kernel, in
-    passes of about LOSS_CHUNK cells that may span tables.  A miss has one
-    event, escape: its loss is the escape cost and its gradient zero.
+    passes of about LOSS_CHUNK cells.  A miss has one event, escape: its
+    loss is the escape cost and its gradient zero.
     """
-    tables = [traces] if isinstance(traces, TraceTable) else list(traces)
-    if not tables or any(t.cells is not tables[0].cells or t.t_exit is not tables[0].t_exit for t in tables):
-        raise ValueError("traces must be one table or takes of one table (sharing its storage)")
     if rays.n_rays == 0:
         raise ValueError("ray set is empty")
     want = AUX_KINDS.get(rays.kind)
@@ -472,9 +460,9 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         if not same_geometry(aux.geometry, occ.geometry):
             raise ValueError("aux grid geometry does not match the occupancy grid")
     geom = occ.geometry
-    if not all(same_geometry(t.geometry, geom) for t in tables):
+    if not same_geometry(traces.geometry, geom):
         raise ValueError("traces were built on a different geometry")
-    n = np.concatenate([t.n for t in tables])
+    n = traces.n
     if n.shape != (rays.n_rays,):
         raise ValueError(f"need one trace per ray, got {n.shape[0]} for {rays.n_rays} rays")
     payload = None if aux is None else aux.flat
@@ -485,12 +473,7 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     per_ray[miss] = _event_costs(rays.kind, np.zeros(0), none, none, payload,
                                  **rays.observed(miss), label_weight=label_weight)[1]
 
-    # per ray that enters the grid: its first cell in the storage and the
-    # depth where it enters the grid
-    first = np.cumsum([0] + [t.n_rays for t in tables])
     hit = np.flatnonzero(n)
-    start = np.concatenate([t.start for t in tables])[hit]
-    t0 = np.concatenate([t.t0 for t in tables])[hit]
     grad_x = np.zeros(geom.ncells)
     grad_p = None if payload is None else np.zeros(payload.size)
     # passes of whole rays, a new one after every LOSS_CHUNK cells, each
@@ -501,16 +484,13 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         if i == j:  # two stops meet past a ray of more than LOSS_CHUNK cells
             continue
         rows = hit[i:j]
-        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, tables[0].cells,
-                                                       tables[0].t_exit, start[i:j], n[rows], t0[i:j],
+        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, traces.take(rows),
                                                        rays.weights[rows], rays.observed(rows), label_weight)
         grad_x += np.bincount(cells, weights=gx, minlength=grad_x.size)
         if gp is not None:
             grad_p += np.bincount(at_p.ravel(), weights=gp.ravel(), minlength=grad_p.size)
         del cells, gx, at_p, gp
-    loss = 0.0
-    for a, b in zip(first[:-1], first[1:]):
-        loss += float(rays.weights[a:b] @ per_ray[a:b])
+    loss = float(rays.weights @ per_ray)
 
     if grad_p is not None:
         grad_p = grad_p.reshape(*geom.shape, aux.nchannels)

@@ -13,10 +13,10 @@ pixel's loss weight (foreground pixels weighted up) and observation is
 looked up once.  Every iteration samples a subset of views and a budget
 of pixels per view (uniform with replacement, the pixels ``sample_rays``
 draws), gathers their weights, observations and rows (one ``take`` of the
-table per view, sharing its storage), computes the loss of all of them
-and its analytic gradients in one ``view_loss`` call, chain-rules through
-the squashing map and applies the update; a loss or gradient that is not
-finite stops the fit with ``ValueError``.
+table for every chosen view, sharing its storage), computes the loss of
+all of them and its analytic gradients in one ``view_loss`` call,
+chain-rules through the squashing map and applies the update; a loss or
+gradient that is not finite stops the fit with ``ValueError``.
 
 Color fits run carve-then-paint, because joint optimization under
 RGB-only supervision has a bad basin: cells can turn white and become
@@ -92,7 +92,6 @@ class FitConfig:
     foreground_weight: float = DEFAULT_FOREGROUND_WEIGHT
     seed: int = 0
     label_weight: float = 1.0
-    full_images: bool = False  # use every pixel of every chosen view
     threads: int = 1  # kept for existing callers; a fit runs on one thread
 
     def __post_init__(self):
@@ -243,16 +242,11 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         per_view = max(1, config.rays_per_iteration // take)
         rows = []  # per chosen view, in a fixed order (a reproducible reduction), its rows of the table
         for view_idx in chosen:
-            if config.full_images:
-                rows.append(np.arange(pixel_base[view_idx], pixel_base[view_idx + 1]))
-            else:
-                us, vs = _sample_pixels(observations[view_idx], per_view, config.seed, it, view_idx)
-                rows.append(pixel_base[view_idx] + vs * observations[view_idx].camera.width + us)
-        every_row = np.concatenate(rows)
-        rays = RayBatch(kind, every.weights[every_row], **every.observed(every_row))
-        # one kernel call for every chosen view, over takes of the one table
-        res = view_loss(occ, rays, aux, label_weight=config.label_weight,
-                        traces=[table.take(r) for r in rows])
+            us, vs = _sample_pixels(observations[view_idx], per_view, config.seed, it, view_idx)
+            rows.append(pixel_base[view_idx] + vs * observations[view_idx].camera.width + us)
+        rows = np.concatenate(rows)
+        rays = RayBatch(kind, every.weights[rows], **every.observed(rows))
+        res = view_loss(occ, rays, aux, label_weight=config.label_weight, traces=table.take(rows))
         loss, grad_x, grad_p, count = res.loss, res.grad_x, res.grad_p, rays.n_rays
         if not (math.isfinite(loss) and np.isfinite(grad_x).all()
                 and (grad_p is None or np.isfinite(grad_p).all())):

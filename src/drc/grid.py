@@ -22,6 +22,7 @@ the C-order flat index, i.e. ``(iz*ny + iy)*nx + ix`` (x fastest).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -369,10 +370,10 @@ def save_grid(path, grid, aux: AuxGrid | None = None, annotations: dict | None =
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"grid file truncated: wanted {n} bytes, got {len(buf)}")
-    return buf
+    left = os.fstat(fh.fileno()).st_size - fh.tell()  # checked first: a header may claim any size
+    if n > left:
+        raise FormatError(f"grid file truncated: wanted {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def load_grid(path):

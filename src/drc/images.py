@@ -8,6 +8,8 @@ PFM convention.  Arrays are (H, W) or (H, W, 3), row 0 at the top.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import FormatError
@@ -38,6 +40,14 @@ def _read_positive(fh, path) -> int:  # a width, height or maxval
     return int(tok)
 
 
+def _read_body(fh, path, size: int, what: str) -> bytes:
+    """The next ``size`` bytes, checked against the bytes left in the file
+    before reading: a header may claim any size."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise FormatError(f"{path}: truncated {what} body")
+    return fh.read(size)
+
+
 def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     img = np.asarray(image)
     if img.ndim != 2:
@@ -60,9 +70,7 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         w, h, maxval = (_read_positive(fh, path) for _ in range(3))
         if maxval > 255:
             raise FormatError(f"{path}: 16-bit PGM not supported")
-        buf = fh.read(w * h)
-    if len(buf) != w * h:
-        raise FormatError(f"{path}: truncated PGM body")
+        buf = _read_body(fh, path, w * h, "PGM")
     return np.frombuffer(buf, dtype=np.uint8).reshape(h, w).copy(), maxval
 
 
@@ -89,9 +97,7 @@ def read_ppm(path) -> np.ndarray:
         w, h, maxval = (_read_positive(fh, path) for _ in range(3))
         if maxval != 255:
             raise FormatError(f"{path}: only maxval 255 PPM supported")
-        buf = fh.read(w * h * 3)
-    if len(buf) != w * h * 3:
-        raise FormatError(f"{path}: truncated PPM body")
+        buf = _read_body(fh, path, w * h * 3, "PPM")
     return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, 3).copy()
 
 
@@ -121,9 +127,7 @@ def read_pfm(path) -> np.ndarray:
             scale = 0.0  # not a number
         if not (np.isfinite(scale) and scale != 0.0):
             raise FormatError(f"{path}: PFM scale must be finite and non-zero (its sign gives the byte order)")
-        buf = fh.read(w * h * 4)
-    if len(buf) != w * h * 4:
-        raise FormatError(f"{path}: truncated PFM body")
+        buf = _read_body(fh, path, w * h * 4, "PFM")
     dtype = "<f4" if scale < 0 else ">f4"
     img = np.frombuffer(buf, dtype=dtype).reshape(h, w)
     if not np.all(np.isfinite(img)):

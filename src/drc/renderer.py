@@ -189,8 +189,8 @@ def add_depth_noise(obs: Observation, max_noise: float, seed: int) -> Observatio
     """
     if obs.kind != "depth":
         raise ValueError(f"depth noise applies to 'depth' observations, got {obs.kind!r}")
-    if max_noise < 0.0:
-        raise ValueError(f"max_noise must be >= 0, got {max_noise}")
+    if not 0.0 <= max_noise <= np.finfo(np.float64).max / 2:  # uniform() needs a finite width
+        raise ValueError(f"max_noise must be >= 0 and finite, got {max_noise}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed % (1 << 64))))
     noise = rng.uniform(-max_noise, max_noise, size=obs.depth.shape)
     fg = obs.foreground()
@@ -411,7 +411,7 @@ def list_observation_bundles(directory) -> list[str]:
 
 def rays_from_pixels(obs: Observation, us, vs, foreground_weight: float = 1.0) -> RayBatch:
     """RayBatch for integer pixel indices (us, vs); its rays pass the pixel
-    centers, and their traces are the ``pixels`` rows of the camera's
+    centers, and their traces are the rows vs * width + us of the camera's
     ``image_traces`` table.
 
     Foreground pixels get ``foreground_weight``, background pixels 1.
@@ -430,7 +430,7 @@ def rays_from_pixels(obs: Observation, us, vs, foreground_weight: float = 1.0) -
         c = obs.classid[vs, us].astype(np.int64)
     else:
         c = obs.rgb[vs, us]
-    return RayBatch(obs.kind, weights, s=s, d=d, c=c, pixels=vs * obs.camera.width + us)
+    return RayBatch(obs.kind, weights, s=s, d=d, c=c)
 
 
 def full_image_rays(obs: Observation, foreground_weight: float = 1.0) -> RayBatch:

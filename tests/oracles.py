@@ -24,7 +24,6 @@ from drc import consistency
 from drc.consistency import (ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
                              EventCosts, ViewLossResult)
 from drc.grid import same_geometry
-from drc.traversal import TraceTable
 
 
 def brute_force_ray_loss(x_r, costs) -> float:
@@ -423,59 +422,42 @@ def padded_telescope(x, valid, psi, psi_esc, *, backward=True, events=False):
 
 
 def padded_view_loss(occ, rays, aux=None, *, label_weight=1.0, traces):
-    """``view_loss`` through the padded kernel, one table at a time as the
-    fitter once ran it per view: the loss is the per-table sums added in
-    list order, and the gradients are added in the kernel's order
-    (``scatter_in_kernel_order``) over the rays of every table that enter
-    the grid."""
-    tables = [traces] if isinstance(traces, TraceTable) else list(traces)
+    """``view_loss`` through the padded kernel, on one table whose rows are
+    the rays: the loss is one dot of the weights with the per-ray losses,
+    and the gradients are added in the kernel's order
+    (``scatter_in_kernel_order``) over the rays that enter the grid."""
     geom = occ.geometry
     payload = None if aux is None else aux.flat
     per_ray = np.empty(rays.n_rays)
-    loss = 0.0
-    parts = []  # per table: its hit rays' cells, valid slots, d(loss)/dx and payload gradient
-    base = 0
-    for table in tables:
-        ids = base + np.arange(table.n_rays)
-        base += table.n_rays
-        hit, miss = ids[table.n > 0], ids[table.n == 0]
-        no_slots = np.zeros((miss.size, 0))
-        per_ray[miss] = padded_event_costs(rays.kind, no_slots, no_slots.astype(bool),
-                                           no_slots.astype(np.int64), payload,
-                                           **rays.observed(miss), label_weight=label_weight)[1]
-        cells, d_mid, valid = padded(table.take(hit - ids[0]))
-        x = np.where(valid, occ.flat[cells], 1.0)
-        observed = rays.observed(hit)
-        psi, psi_esc, dpsi = padded_event_costs(rays.kind, d_mid, valid, cells, payload, **observed,
-                                                label_weight=label_weight)
-        per_ray[hit], grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
-        loss += float(rays.weights[ids] @ per_ray[ids])
-        weights = rays.weights[hit]
-        contrib = None
-        if rays.kind == "depth_semantics":  # dense over the K classes, zero off the observed one
-            dense = np.zeros((*dpsi.shape, aux.nchannels))
-            dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), observed["c"][:, None]] = dpsi
-            contrib = p_events[:, :, None] * dense * weights[:, None, None]
-        elif rays.kind == "color":
-            contrib = p_events[:, :, None] * dpsi * weights[:, None, None]
-        parts.append((cells, valid, grad * weights[:, None], contrib))
+    hit, miss = np.flatnonzero(traces.n), np.flatnonzero(traces.n == 0)
+    no_slots = np.zeros((miss.size, 0))
+    per_ray[miss] = padded_event_costs(rays.kind, no_slots, no_slots.astype(bool), no_slots.astype(np.int64),
+                                       payload, **rays.observed(miss), label_weight=label_weight)[1]
+    cells, d_mid, valid = padded(traces.take(hit))
+    x = np.where(valid, occ.flat[cells], 1.0)
+    observed = rays.observed(hit)
+    psi, psi_esc, dpsi = padded_event_costs(rays.kind, d_mid, valid, cells, payload, **observed,
+                                            label_weight=label_weight)
+    per_ray[hit], grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
+    loss = float(rays.weights @ per_ray)
+    weights = rays.weights[hit]
+    contrib = None
+    if rays.kind == "depth_semantics":  # dense over the K classes, zero off the observed one
+        dense = np.zeros((*dpsi.shape, aux.nchannels))
+        dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), observed["c"][:, None]] = dpsi
+        contrib = p_events[:, :, None] * dense * weights[:, None, None]
+    elif rays.kind == "color":
+        contrib = p_events[:, :, None] * dpsi * weights[:, None, None]
 
-    width = max(p[0].shape[1] for p in parts)
-
-    def stacked(i):  # the tables' padded arrays, widened to one width
-        return np.concatenate([np.pad(p[i], [(0, 0), (0, width - p[i].shape[1])] + [(0, 0)] * (p[i].ndim - 2))
-                               for p in parts])
-
-    cells, valid, grad = stacked(0), stacked(1), stacked(2)
     n = valid.sum(axis=1)
     grad_x = np.zeros(geom.ncells)
     grad_p = None
     if n.size:
-        grad_x = scatter_in_kernel_order(cells, grad, n, geom.ncells)
+        grad_x = scatter_in_kernel_order(cells, grad * weights[:, None], n, geom.ncells)
     if payload is not None:
         grad_p = np.zeros((geom.ncells, aux.nchannels))
         if n.size:
-            grad_p = scatter_in_kernel_order(cells, stacked(3), n, geom.ncells)
+            grad_p = scatter_in_kernel_order(cells, contrib, n, geom.ncells)
         grad_p = grad_p.reshape(*geom.shape, aux.nchannels)
     return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)
 

@@ -157,6 +157,25 @@ class TestExitCodes:
         assert run("eval", "--pred", str(pipeline / "fit" / "fitted.grid"),
                    "--gt", str(tmp_path / "small" / "shape.grid")) == 2
 
+    def test_oversized_grid_header_is_data_error(self, pipeline, tmp_path, capsys):
+        (tmp_path / "big.grid").write_bytes(b"DRC-GRID v1 uniform 100000 100000 100000 0 0 0 1 1 1 none\n"
+                                            + b"\x00" * 16)
+        assert run("eval", "--pred", str(tmp_path / "big.grid"),
+                   "--gt", str(pipeline / "gt" / "shape.grid")) == 2
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["inf", "nan", "1e308", "-0.1"])
+    def test_negative_or_non_finite_render_noise_is_error(self, pipeline, tmp_path, capsys, noise):
+        assert run("render", "--grid", str(pipeline / "gt" / "shape.grid"), "--views", "1",
+                   "--kind", "depth", "--noise", noise, "--size", "8",
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith("error: max_noise")
+
+    def test_non_finite_repro_noise_is_error(self, tmp_path, capsys):
+        assert run("repro", "--shapes", "sphere", "--dims", "8", "--views", "2", "--size", "8",
+                   "--iters", "1", "--noise", "inf", "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err.startswith("error: max_noise")
+
     def test_gradcheck_zero_trials_is_usage_error(self):
         assert run("gradcheck", "--kind", "depth", "--trials", "0") == 1
 

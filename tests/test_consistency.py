@@ -529,9 +529,9 @@ def _kind_case(rng, geom, kind, n):
 
 
 def _view_tables(rng, geom, count, n):
-    """``count`` tables of n rays each, takes of one table as ``fit`` passes
-    its views: most through the grid, some beside it, some repeated (as
-    sampled pixels repeat)."""
+    """One table of ``count`` views' n rays each, as ``fit`` passes its
+    sampled rows, and its rows of each view: most rays through the grid,
+    some beside it, some repeated (as sampled pixels repeat)."""
     rays = []
     for _ in range(count):
         origins, directions = _rays_through(rng.uniform(-0.4, 0.4, (n, 3)), rng.normal(size=(n, 3)))
@@ -540,7 +540,8 @@ def _view_tables(rng, geom, count, n):
         origins[-n // 8:], directions[-n // 8:] = origins[again], directions[again]
         rays.append((origins, directions))
     table = trace_batch(geom, *(np.concatenate(r) for r in zip(*rays)))
-    return [table.take(np.arange(v * n, (v + 1) * n)) for v in range(count)]
+    every = table.take(np.arange(count * n))
+    return every, [table.take(np.arange(v * n, (v + 1) * n)) for v in range(count)]
 
 
 def _same_bits(a, b):
@@ -554,19 +555,20 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("kind", RAY_KINDS)
 @pytest.mark.parametrize("chunk", [5, 37, None])
 def test_one_call_over_tables_is_the_per_table_calls_summed(kind, chunk, monkeypatch):
-    """One view_loss call over k tables gives, to the bit, the loss of the
-    k per-table calls summed in list order, each per-table call is the
-    padded kernel's, and the call's gradients are the padded kernel's added
-    in the kernel's order across the tables; with a small LOSS_CHUNK
-    passes split tables."""
+    """One view_loss call over one take of k views' rows is, to the bit, the
+    padded kernel's on that take, and so is each view's call alone; the
+    one call's loss is the views' losses summed, up to rounding.  With a
+    small LOSS_CHUNK passes split the views' rows."""
     rng = np.random.default_rng(RAY_KINDS.index(kind))
     geom = unit_cube_geometry((5, 6, 4))
     occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
-    tables = _view_tables(rng, geom, 3, 48)
+    every, tables = _view_tables(rng, geom, 3, 48)
     aux, rays = _kind_case(rng, geom, kind, 3 * 48)
     if chunk is not None:
         monkeypatch.setattr(consistency, "LOSS_CHUNK", chunk)
-    res = view_loss(occ, rays, aux, label_weight=0.7, traces=tables)
+    res = view_loss(occ, rays, aux, label_weight=0.7, traces=every)
+    assert 0 < np.count_nonzero(every.n) < rays.n_rays
+    _same_bits(res, padded_view_loss(occ, rays, aux, label_weight=0.7, traces=every))
 
     loss = 0.0
     for v, table in enumerate(tables):
@@ -575,9 +577,7 @@ def test_one_call_over_tables_is_the_per_table_calls_summed(kind, chunk, monkeyp
         alone = view_loss(occ, part, aux, label_weight=0.7, traces=table)
         _same_bits(alone, padded_view_loss(occ, part, aux, label_weight=0.7, traces=table))
         loss += alone.loss
-    assert 0 < np.count_nonzero(np.concatenate([t.n for t in tables])) < rays.n_rays
-    assert res.loss == loss
-    _same_bits(res, padded_view_loss(occ, rays, aux, label_weight=0.7, traces=tables))
+    assert res.loss == pytest.approx(loss, rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", RAY_KINDS)
@@ -616,29 +616,13 @@ def test_gradients_are_added_in_slot_major_order(kind, chunk, monkeypatch):
 def test_table_list_is_checked():
     geom = unit_cube_geometry((3, 3, 3))
     occ = OccupancyGrid(geom, np.full(geom.shape, 0.5))
-    tables = _view_tables(np.random.default_rng(0), geom, 2, 8)
+    every, _ = _view_tables(np.random.default_rng(0), geom, 2, 8)
     rays = RayBatch("depth", np.ones(15), d=np.ones(15))
     with pytest.raises(ValueError, match="one trace per ray, got 16 for 15"):
-        view_loss(occ, rays, traces=tables)
+        view_loss(occ, rays, traces=every)
     other = trace_batch(unit_cube_geometry((3, 3, 4)), np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="different geometry"):
         view_loss(occ, RayBatch("depth", np.ones(1), d=np.ones(1)), traces=other)
-
-
-def test_tables_of_other_storage_rejected():
-    """A list of tables must be takes of one table: tables traced apart, even
-    of the same rays, are refused."""
-    geom = unit_cube_geometry((3, 3, 3))
-    occ = OccupancyGrid(geom, np.full(geom.shape, 0.5))
-    tables = _view_tables(np.random.default_rng(0), geom, 2, 8)
-    o, d = np.zeros((8, 3)), np.tile([0.0, 0.0, 1.0], (8, 1))
-    apart = trace_batch(geom, o, d)
-    rays = RayBatch("depth", np.ones(16), d=np.ones(16))
-    for traces in ([tables[0], apart], [apart, trace_batch(geom, o, d)], []):
-        with pytest.raises(ValueError, match="takes of one table"):
-            view_loss(occ, rays, traces=traces)
-    assert view_loss(occ, rays, traces=[apart, apart.take(np.arange(8))]).loss == \
-        2 * view_loss(occ, RayBatch("depth", np.ones(8), d=np.ones(8)), traces=apart).loss
 
 
 def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
@@ -659,8 +643,7 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
 
     def kernel(rows):
         rows = np.asarray(rows)
-        return _hit_loss(occ.flat, None, "depth", table.cells, table.t_exit, table.start[rows],
-                         table.n[rows], table.t0[rows], np.ones(rows.size),
+        return _hit_loss(occ.flat, None, "depth", table.take(rows), np.ones(rows.size),
                          {"s": None, "d": d[rows], "c": None}, label_weight=1.0)
 
     def padded_losses(rows):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drc import fitter
-from drc.consistency import AUX_KINDS, view_loss
+from drc.consistency import AUX_KINDS, RayBatch, view_loss
 from drc.fitter import Adam, FitConfig, _last_axis_dot, fit, sample_rays, sigmoid, softmax, write_loss_log
 from drc.cameras import perspective_camera, pixel_rays
 from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
@@ -16,6 +16,13 @@ def depth_views():
     gt, _ = make_test_shape("sphere", (16, 16, 16))
     cams = sample_view_ring(3, seed=2, width=24, height=24)
     return gt, [render(gt, c, "depth") for c in cams]
+
+
+def _full_image_loss(occ, observations):
+    """The loss of every pixel of every view, in one view_loss call."""
+    table = image_traces(occ.geometry, [o.camera for o in observations])
+    rays = RayBatch.concatenate([full_image_rays(o) for o in observations])
+    return view_loss(occ, rays, traces=table).loss
 
 
 class TestSampleRays:
@@ -43,7 +50,7 @@ class TestSampleRays:
         a = sample_rays(obs[0], 50, 5.0, seed=3, iteration=7)
         b = sample_rays(obs[0], 50, 5.0, seed=3, iteration=7)
         c = sample_rays(obs[0], 50, 5.0, seed=3, iteration=8)
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.d, b.d)
         assert not np.array_equal(a.d, c.d)
 
@@ -139,11 +146,12 @@ class TestFit:
         assert len(report.losses) == 0
 
     def test_loss_decreases_with_full_images(self, depth_views):
-        # quadratic-ish descent sanity: tiny step, every pixel, two iterations
+        # descent sanity: one tiny step on sampled rays lowers every pixel's loss
         gt, obs = depth_views
-        cfg = FitConfig(iterations=2, step_size=1e-3, full_images=True)
-        _, _, report = fit(obs, gt.geometry, "depth", cfg)
-        assert report.losses[1] <= report.losses[0]
+        cfg = FitConfig(iterations=1, step_size=1e-3)
+        fitted, _, _ = fit(obs, gt.geometry, "depth", cfg)
+        start = OccupancyGrid(gt.geometry, np.full(gt.geometry.shape, 0.5))
+        assert _full_image_loss(fitted, obs) < _full_image_loss(start, obs)
 
     def test_seeded_determinism(self, depth_views):
         gt, obs = depth_views
@@ -218,9 +226,10 @@ class TestFit:
         cam = sample_view_ring(1, seed=6, width=32, height=32)[0]
         obs = [render(gt, cam, "mask")]
         cone = carve_masks(obs, gt.geometry)
-        cfg = FitConfig(iterations=10, step_size=0.01, full_images=True)
-        fitted, _, report = fit(obs, gt.geometry, "mask", cfg)
-        assert report.losses[-1] < report.losses[0]
+        cfg = FitConfig(iterations=10, step_size=0.01, rays_per_iteration=32 * 32)
+        fitted, _, _ = fit(obs, gt.geometry, "mask", cfg)
+        start = OccupancyGrid(gt.geometry, np.full(gt.geometry.shape, 0.5))
+        assert _full_image_loss(fitted, obs) < _full_image_loss(start, obs)
         occ = fitted.occupancy()
         assert np.all(occ[cone.occ] >= 0.5)
         assert occ[cone.occ].mean() > occ[~cone.occ].mean()
@@ -301,31 +310,37 @@ def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
     if kind == "depth_semantics":
         aux = AuxGrid(geom, "semantics", softmax(np.zeros((*geom.shape, 3))))
     per_view = config.rays_per_iteration // len(observations)
-    expected = 0.0
+    rays, origins, directions = [], [], []
     for v, obs in enumerate(observations):
-        rays = sample_rays(obs, per_view, config.foreground_weight, config.seed, 0, stream=v)
-        vs, us = np.divmod(rays.pixels, obs.camera.width)
-        traces = trace_batch(geom, *pixel_rays(obs.camera, us + 0.5, vs + 0.5))
-        expected += view_loss(occ, rays, aux, traces=traces).loss
+        rays.append(sample_rays(obs, per_view, config.foreground_weight, config.seed, 0, stream=v))
+        us, vs = fitter._sample_pixels(obs, per_view, config.seed, 0, v)
+        o, d = pixel_rays(obs.camera, us + 0.5, vs + 0.5)
+        origins.append(o)
+        directions.append(d)
+    traces = trace_batch(geom, np.concatenate(origins), np.concatenate(directions))
+    expected = view_loss(occ, RayBatch.concatenate(rays), aux, traces=traces).loss
     assert report.losses[0] == expected
 
 
 @pytest.mark.parametrize("views_per_iteration", [None, 2])
 def test_fit_calls_view_loss_once_per_iteration(views_per_iteration, depth_views, monkeypatch):
-    """Every chosen view's rays go through one view_loss call, one take of
-    the table per view in the chosen order."""
+    """Every chosen view's rays go through one view_loss call, over one take
+    of the table that shares its storage."""
     gt, obs = depth_views
+    table = image_traces(gt.geometry, [o.camera for o in obs])
     calls = []
 
     def counting(occ, rays, aux=None, **kwargs):
-        calls.append((rays.n_rays, [t.n_rays for t in kwargs["traces"]]))
+        traces = kwargs["traces"]
+        shared = traces.cells is table.cells and traces.t_exit is table.t_exit
+        calls.append((rays.n_rays, traces.n_rays, shared))
         return view_loss(occ, rays, aux, **kwargs)
 
     monkeypatch.setattr(fitter, "view_loss", counting)
     config = FitConfig(iterations=4, rays_per_iteration=300, views_per_iteration=views_per_iteration)
-    fit(obs, gt.geometry, "depth", config)
+    fit(obs, gt.geometry, "depth", config, traces=table)
     take = views_per_iteration or len(obs)
-    assert calls == [(300 // take * take, [300 // take] * take)] * 4
+    assert calls == [(300 // take * take, 300 // take * take, True)] * 4
 
 
 @pytest.mark.parametrize("views_per_iteration", [None, 2])
@@ -333,7 +348,8 @@ def test_fit_calls_view_loss_once_per_iteration(views_per_iteration, depth_views
 def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypatch):
     """Iteration i's rays carry, view by view in the chosen order, exactly
     the weights and observations of sample_rays(obs, per_view, fg, seed, i,
-    stream=v), and their traces are those pixels' rows of the view's table."""
+    stream=v), and their traces are one take of those pixels' rows of the
+    table, sharing its storage."""
     gt, aux = make_test_shape("sphere", (12, 12, 12), aux_kind=AUX_KINDS.get(kind, "color"))
     cams = sample_view_ring(3, seed=3, width=20, height=16)
     obs = [render(gt, c, kind, aux) for c in cams]
@@ -346,8 +362,8 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
     monkeypatch.setattr(fitter, "view_loss", recording)
     config = FitConfig(iterations=3, rays_per_iteration=240, views_per_iteration=views_per_iteration,
                        foreground_weight=3.0, seed=6)
-    fit(obs, gt.geometry, kind, config)
     table = image_traces(gt.geometry, [o.camera for o in obs])
+    fit(obs, gt.geometry, kind, config, traces=table)
     take = views_per_iteration or len(obs)
     per_view = config.rays_per_iteration // take
     assert len(calls) == config.iterations
@@ -356,7 +372,8 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
         if take < len(obs):
             rng = np.random.default_rng([config.seed, it, fitter._VIEW_CHOICE_STREAM])
             chosen = sorted(rng.choice(len(obs), size=take, replace=False))
-        assert len(traces) == take and rays.n_rays == take * per_view
+        assert traces.n_rays == rays.n_rays == take * per_view
+        assert traces.cells is table.cells and traces.t_exit is table.t_exit
         for j, v in enumerate(chosen):
             want = sample_rays(obs[v], per_view, config.foreground_weight, config.seed, it, stream=v)
             got = slice(j * per_view, (j + 1) * per_view)
@@ -366,10 +383,10 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
                 assert (have is None) == (expected is None)
                 if expected is not None:
                     assert have[got].tobytes() == expected.tobytes()
-            rows = table.take(table.first_rows[v] + want.pixels)
+            us, vs = fitter._sample_pixels(obs[v], per_view, config.seed, it, v)
+            rows = table.take(table.first_rows[v] + vs * obs[v].camera.width + us)
             for field in ("start", "n", "t0"):
-                assert getattr(traces[j], field).tobytes() == getattr(rows, field).tobytes()
-            assert traces[j].cells is traces[0].cells and traces[j].t_exit is traces[0].t_exit
+                assert getattr(traces, field)[got].tobytes() == getattr(rows, field).tobytes()
 
 
 class TestLossLog:

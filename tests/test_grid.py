@@ -236,6 +236,15 @@ class TestGridFiles:
         with pytest.raises(FormatError, match="truncated"):
             load_grid(tmp_path / "trunc.grid")
 
+    @pytest.mark.parametrize("header", [b"uniform 100000 100000 100000 0 0 0 1 1 1 none",
+                                        b"bin 100000 100000 100000 0 0 0 1 1 1 none",
+                                        b"bin 2 2 2 0 0 0 1 1 1 sem:1000000000000"])
+    def test_oversized_header_rejected(self, tmp_path, header):
+        # the claimed body size is compared with the bytes left before reading
+        (tmp_path / "big.grid").write_bytes(b"DRC-GRID v1 " + header + b"\n" + b"\x01" * 16)
+        with pytest.raises(FormatError, match="truncated"):
+            load_grid(tmp_path / "big.grid")
+
     def test_out_of_range_field_rejected(self, tmp_path):
         geom = unit_cube_geometry((2, 2, 2))
         g = OccupancyGrid(geom, np.full(geom.shape, 0.5))

@@ -130,3 +130,15 @@ class TestPFM:
         body = np.array([1.85, 10.0], dtype=">f4").tobytes()
         (tmp_path / "d.pfm").write_bytes(b"Pf\n2 1\n1.0\n" + body)
         assert read_pfm(tmp_path / "d.pfm").tolist() == np.array([[1.85, 10.0]], dtype=np.float32).tolist()
+
+
+@pytest.mark.parametrize("read, header", [(read_pgm, b"P5\n100000000 100000000\n255\n"),
+                                          (read_ppm, b"P6\n100000000 100000000\n255\n"),
+                                          (read_pfm, b"Pf\n100000000 100000000\n-1.0\n")])
+def test_oversized_header_rejected(tmp_path, read, header):
+    """A header may claim a body far larger than the file (here 10^16
+    pixels); the reader compares the claim with the bytes left before it
+    allocates anything."""
+    (tmp_path / "big").write_bytes(header + b"\x00" * 16)
+    with pytest.raises(FormatError, match="truncated"):
+        read(tmp_path / "big")

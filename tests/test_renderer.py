@@ -117,6 +117,14 @@ class TestDepthNoise:
         with pytest.raises(ValueError, match="depth"):
             add_depth_noise(obs, 0.1, seed=0)
 
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, 1e308])
+    def test_negative_or_non_finite_amplitude_rejected(self, bad):
+        # 1e308 is finite, but the noise interval's width 2e308 is not
+        gt, _ = make_test_shape("sphere", (16, 16, 16))
+        obs = render(gt, sample_view_ring(1, seed=1)[0], "depth")
+        with pytest.raises(ValueError, match="max_noise"):
+            add_depth_noise(obs, bad, seed=0)
+
 
 class TestShapes:
     def test_sphere_membership_rule(self):
