@@ -10,8 +10,7 @@ for scene supervision.
 
 import numpy as np
 
-from drc import Ray, make_frustum_geometry, trace
-from drc.consistency import cost_semantic, ray_loss, ray_loss_grad_p
+from drc import AuxGrid, OccupancyGrid, RayBatch, make_frustum_geometry, trace_batch, view_loss
 
 geom = make_frustum_geometry((64, 32, 32), z_min=0.5, z_max=1000.0, hfov_deg=50.0)
 print(f"alpha1={geom.alpha1}  alpha2={geom.alpha2:.5f}  f={geom.f:.6f}")
@@ -20,25 +19,31 @@ zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(33))
 print("depth-layer boundaries (m):", np.array2string(zs[:6], precision=2),
       "...", np.array2string(zs[-3:], precision=0))
 
+apex = np.zeros((1, 3))
 # a ray from the camera apex straight down the optical axis crosses every layer
-tr = trace(geom, Ray((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
+tr = trace_batch(geom, apex, np.array([[0.0, 0.0, 1.0]])).row(0)
 print(f"apex ray: {tr.n} cells, first extent {tr.t_exit[0] - tr.t_enter[0]:.3f} m, "
       f"last extent {tr.t_exit[-1] - tr.t_enter[-1]:.1f} m")
 
 # an oblique ray still has exact, contiguous cell intersections
 d = np.array([0.25, 0.1, 1.0])
-tr = trace(geom, Ray((0.0, 0.0, 0.0), d / np.linalg.norm(d)))
+table = trace_batch(geom, apex, (d / np.linalg.norm(d))[None])
+tr = table.row(0)
 print(f"oblique ray: {tr.n} cells, chord {tr.t_exit[-1] - tr.t_enter[0]:.1f} m, "
       f"gaps: {np.abs(tr.t_enter[1:] - tr.t_exit[:-1]).max():.2e}")
 
 # scene supervision: observed disparity + class label per ray
 rng = np.random.default_rng(0)
 k = 4
-p_r = rng.dirichlet(np.ones(k), size=tr.n)
-costs = cost_semantic(tr, p_r, d_r=12.0, c_r=2)
-x_r = np.full(tr.n, 0.8)
-print(f"\nsemantic ray loss: {ray_loss(x_r, costs):.4f}")
+payload = np.full((geom.ncells, k), 1.0 / k)
+payload[tr.cells] = rng.dirichlet(np.ones(k), size=tr.n)  # class distributions along the ray
+aux = AuxGrid(geom, "semantics", payload.reshape(*geom.shape, k))
+rays = RayBatch("depth_semantics", np.ones(1), d=np.array([12.0]), c=np.array([2]))
+res = view_loss(OccupancyGrid(geom, np.full(geom.shape, 0.8)), rays, aux, traces=table)
+print(f"\nsemantic ray loss: {res.loss:.4f}")
 print("payload gradient row sums (one per traversed cell, escape has none):",
-      np.array2string(ray_loss_grad_p(x_r, costs).sum(axis=1)[:5], precision=4), "...")
+      np.array2string(res.grad_p.reshape(-1, k)[tr.cells].sum(axis=1)[:5], precision=4), "...")
+# through an empty grid the ray escapes for certain: its loss is the escape cost
+escape = view_loss(OccupancyGrid(geom, np.ones(geom.shape)), rays, aux, traces=table)
 print("escape event cost uses disparity 1/1000 and the uniform distribution:",
-      f"{costs.psi[-1]:.4f}")
+      f"{escape.loss:.4f}")

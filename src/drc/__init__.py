@@ -3,9 +3,11 @@
 Core objects: occupancy grids over uniform or frustum geometries
 (``grid``), calibrated cameras and rays (``cameras``), exact ray-grid
 traversal (``traversal``), the ray-consistency loss and its analytic
-gradients (``consistency``), a synthetic observation renderer
+gradients over a trace table, evaluated only by ``view_loss``
+(``consistency``), a synthetic observation renderer
 (``renderer``), a gradient-descent single-instance fitter (``fitter``), a
-depth-fusion baseline (``fusion``) and IoU evaluation (``metrics``).
+depth-fusion baseline (``fusion``), and IoU evaluation and the gradient
+check (``metrics``).
 
 NOTE the sign convention: ``OccupancyGrid.x`` is the probability a cell is
 EMPTY.  Conventional occupancy is ``1 - x`` everywhere in this package.
@@ -29,18 +31,4 @@ from .grid import (
 )
 from .cameras import Camera, Ray, load_camera, perspective_camera, project, save_camera
 from .traversal import RayTrace, TraceTable, trace, trace_batch
-from .consistency import (
-    EventCosts,
-    RayBatch,
-    ViewLossResult,
-    cost_color,
-    cost_depth,
-    cost_mask,
-    cost_semantic,
-    event_probabilities,
-    mask_loss_closed_form,
-    ray_loss,
-    ray_loss_grad_p,
-    ray_loss_grad_x,
-    view_loss,
-)
+from .consistency import RayBatch, ViewLossResult, view_loss

@@ -1,4 +1,4 @@
-"""Ray consistency: event probabilities, event costs, losses, gradients.
+"""Ray consistency: the expected event cost of rays and its gradients.
 
 A ray crossing N cells with emptiness probabilities x_1..x_N induces a
 distribution over termination events.  Event i <= N is "the ray terminates
@@ -41,23 +41,28 @@ start plus the slot; a cell's entry depth is the exit depth one slot
 back, or t0 in slot 0.  It adds its gradients with one ``np.bincount`` in
 that layout's order, slot by slot and the longest rays first, into zeros
 that are then added to the totals, pass after pass.  The loss is one dot
-of the weights with the per-ray losses.  The scalar API (``cost_*``,
-``ray_loss*``) runs the same kernel on one ray, so the gradient check
-tests the fitter's kernel, sum order included.
-``event_probabilities`` and ``mask_loss_closed_form`` are independent
-direct formulas for tests.
+of the weights with the per-ray losses, which the result also returns
+(``per_ray``).  ``view_loss`` is the one way to evaluate the loss: ``fit``,
+``drc gradcheck`` (``metrics.run_gradcheck``) and the tests' oracles all
+call it, so they check the fitter's kernel, sum order included.
 
 A payload gradient is p(z = i) * dpsi_i/dp_i per cell.  A semantic cost
 depends on the observed class c alone, so the kernel keeps one derivative
 -label_weight / p_i(c) per cell, and ``view_loss`` adds it into the flat
 payload at cell * K + c.  A color cost keeps its (E, 3) residual, added at
-cell * 3 + channel.  ``EventCosts.dpsi_dp``, from the scalar API, holds
-the full (N, D) derivative, zero off the observed class.
+cell * 3 + channel.
 
-Escape conventions: depth events use a fixed escape depth (10 m at object
-scale; disparity-based costs use 1000 m so escape means near-zero
-disparity), semantic escape scores against the uniform class distribution,
-color escape against white.
+The costs of event i at depth d_i (the midpoint of the cell's segment),
+and of escape, for a ray observed as s, d, c (see RayBatch):
+
+    mask             s                                  1 - s
+    depth            |d_i - d|                          |OBJECT_ESCAPE_DEPTH - d|
+    depth_semantics  |1/d_i - 1/d| - w log p_i(c)       |1/SCENE_ESCAPE_DEPTH - 1/d| + w log K
+    color            |p_i - c|^2 / 2                    |ESCAPE_COLOR - c|^2 / 2
+
+so a semantic escape means near-zero disparity and the uniform
+distribution over the K classes, and a color escape is white; w is the
+label weight and p_i(c) is floored at LOG_PROB_FLOOR inside the log.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import AuxGrid, OccupancyGrid, same_geometry
-from .traversal import RayTrace, TraceTable, trace_batch  # noqa: F401  (perfbench patches consistency.trace_batch)
+from .traversal import TraceTable, trace_batch  # noqa: F401  (perfbench patches consistency.trace_batch)
 
 OBJECT_ESCAPE_DEPTH = 10.0
 SCENE_ESCAPE_DEPTH = 1000.0
@@ -82,49 +87,6 @@ AUX_KINDS = {"depth_semantics": "semantics", "color": "color"}  # ray kind -> it
 # pass of a 32^3 depth fit's ~36k cells per iteration, and passes of ~37k
 # cells in the semantic scene fit (112k), where 64k-cell passes ran ~15% slower.
 LOSS_CHUNK = 40 * 1024
-
-
-def _as_depths(trace) -> np.ndarray:
-    if isinstance(trace, RayTrace):
-        return trace.d
-    return np.asarray(trace, dtype=np.float64)
-
-
-def _as_length(trace) -> int:
-    if isinstance(trace, RayTrace):
-        return trace.n
-    if np.isscalar(trace):
-        return int(trace)
-    return len(np.asarray(trace))
-
-
-@dataclass(frozen=True, eq=False)
-class EventCosts:
-    """Costs psi for the N+1 events of one ray.
-
-    psi[-1] is the escape event.  dpsi_dp, when present, holds the
-    derivative of psi[i] w.r.t. the i-th cell's aux payload, shape (N, D)
-    (the escape event has no per-cell payload); for semantic costs it is
-    zero except at the observed class.
-    """
-
-    psi: np.ndarray
-    dpsi_dp: np.ndarray | None = None
-
-
-def event_probabilities(x_r) -> np.ndarray:
-    """Termination-event distribution of a ray, length N+1 (escape last)."""
-    x = np.asarray(x_r, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("x_r must be a 1-D vector of emptiness probabilities")
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
-        raise ValueError("emptiness probabilities must lie in [0, 1]")
-    cum = np.cumprod(x)
-    pre = np.concatenate([[1.0], cum[:-1]])
-    p = np.empty(x.size + 1)
-    p[:-1] = (1.0 - x) * pre
-    p[-1] = cum[-1] if x.size else 1.0
-    return p
 
 
 def _event_costs(kind: str, d_mid: np.ndarray, cells: np.ndarray, ray: np.ndarray,
@@ -159,11 +121,10 @@ def _event_costs(kind: str, d_mid: np.ndarray, cells: np.ndarray, ray: np.ndarra
     return psi, psi_esc, cells[:, None] * k + np.arange(k), diff
 
 
-def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, *,
-               backward: bool = True, events: bool = False):
+def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, *, events: bool = False):
     """(R,) per-ray losses psi_1 + sum_k dpsi_k prod_{j<=k} x_j, then (E,)
-    d(loss)/dx if ``backward`` and (E,) cell-event probabilities if
-    ``events`` (else None).  The gradient is computed in ``dpsi``.
+    d(loss)/dx and (E,) cell-event probabilities if ``events`` (else
+    None).  The gradient is computed in ``dpsi``.
 
     The R rays are sorted by decreasing length and their E cells laid out
     slot-major: slot k holds the k-th cell of rays 0..m[k]-1, so ``m`` is
@@ -189,135 +150,17 @@ def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, 
     per_ray = psi_first + (((acc[0] + acc[1]) + (acc[2] + acc[3]))
                            + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
 
-    grad = p_events = None
+    p_events = None
     if events:
         p_events = 1.0 - x
         p_events *= pre
-    if backward:
-        # backward recurrence S_k = dpsi_k + x_{k+1} S_{k+1}; grad = pre * S
-        grad = dpsi
-        for k in range(len(m) - 2, -1, -1):
-            a, b, more = off[k], off[k + 1], m[k + 1]
-            grad[a:a + more] += x[b:b + more] * grad[b:b + more]
-        grad *= pre
+    # backward recurrence S_k = dpsi_k + x_{k+1} S_{k+1}; grad = pre * S
+    grad = dpsi
+    for k in range(len(m) - 2, -1, -1):
+        a, b, more = off[k], off[k + 1], m[k + 1]
+        grad[a:a + more] += x[b:b + more] * grad[b:b + more]
+    grad *= pre
     return per_ray, grad, p_events
-
-
-def _check_depth(d_r) -> None:
-    if not (np.isfinite(d_r) and d_r > 0.0):
-        raise ValueError(f"observed depth must be positive and finite, got {d_r}")
-
-
-def _one_ray_costs(kind: str, d_mid, payload=None, **obs) -> EventCosts:
-    """Event costs of one ray: ``_event_costs`` on a batch of one, its
-    payload derivative spread to the (N, D) ``dpsi_dp``."""
-    d_mid = np.asarray(d_mid, dtype=np.float64)
-    n = d_mid.shape[0]
-    psi, psi_esc, at, dpsi = _event_costs(kind, d_mid, np.arange(n), np.zeros(n, dtype=np.int64),
-                                          payload, **obs)
-    dpsi_dp = None
-    if at is not None:
-        dpsi_dp = np.zeros(payload.shape)
-        dpsi_dp.ravel()[at] = dpsi
-    return EventCosts(np.concatenate([psi, psi_esc]), dpsi_dp)
-
-
-def cost_depth(trace, d_r: float) -> EventCosts:
-    """Absolute depth error per event: |d_i - d_r|, escape at OBJECT_ESCAPE_DEPTH."""
-    _check_depth(d_r)
-    return _one_ray_costs("depth", _as_depths(trace), d=np.array([d_r], dtype=np.float64))
-
-
-def cost_mask(trace, s_r: int) -> EventCosts:
-    """Foreground-mask cost: s_r for in-grid termination, 1 - s_r for escape.
-
-    s_r = 0 marks a foreground pixel (the ray hits the object), s_r = 1
-    background.
-    """
-    if s_r not in (0, 1):
-        raise ValueError(f"s_r must be 0 or 1, got {s_r!r}")
-    return _one_ray_costs("mask", np.zeros(_as_length(trace)), s=np.array([s_r]))
-
-
-def cost_semantic(trace, p_r, d_r: float, c_r: int, label_weight: float = 1.0) -> EventCosts:
-    """Disparity error plus class negative log-likelihood.
-
-    psi(i) = |1/d_i - 1/d_r| - label_weight * log p_i(c_r); the escape
-    event uses disparity 1/SCENE_ESCAPE_DEPTH and the uniform distribution over
-    the K classes.  Probabilities are floored at 1e-8 inside the log so
-    costs and gradients stay finite.
-    """
-    _check_depth(d_r)
-    d = _as_depths(trace)
-    p = np.asarray(p_r, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != d.size:
-        raise ValueError("p_r must be (N, K) class distributions, one per traversed cell")
-    k = p.shape[1]
-    if not (0 <= int(c_r) < k):
-        raise ValueError(f"observed class {c_r} out of range [0, {k})")
-    # loose simplex sanity check; finite-difference probes perturb single
-    # components, so this is intentionally weaker than the AuxGrid invariant
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-4):
-        raise ValueError("p_r rows must be probability simplices")
-    return _one_ray_costs("depth_semantics", d, p, d=np.array([d_r], dtype=np.float64),
-                          c=np.array([int(c_r)]), label_weight=label_weight)
-
-
-def cost_color(trace, p_r, c_r) -> EventCosts:
-    """Half squared RGB error; escaping rays are scored against white."""
-    n = _as_length(trace)
-    p = np.asarray(p_r, dtype=np.float64)
-    c = np.asarray(c_r, dtype=np.float64)
-    if p.shape != (n, 3) or c.shape != (3,):
-        raise ValueError("p_r must be (N, 3) colors and c_r a single RGB triple")
-    return _one_ray_costs("color", np.zeros(n), p, c=c[None])
-
-
-def _one_ray(x_r, costs, *, backward: bool = True, events: bool = False):
-    """``_telescope`` on one ray: its N cells are N slots of one entry."""
-    x = np.asarray(x_r, dtype=np.float64)
-    psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
-    if psi.ndim != 1 or psi.size != x.size + 1:
-        raise ValueError(f"psi must have length N+1 = {x.size + 1}, got {psi.size}")
-    per_ray, grad, p_events = _telescope(x, np.diff(psi), psi[:1], [1] * x.size,
-                                         backward=backward, events=events)
-    return float(per_ray[0]), grad, p_events
-
-
-def ray_loss(x_r, costs) -> float:
-    """Expected event cost of one ray (the telescoped form)."""
-    return _one_ray(x_r, costs, backward=False)[0]
-
-
-def ray_loss_grad_x(x_r, costs) -> np.ndarray:
-    """d(ray_loss)/dx_k for every traversed cell, in O(N).
-
-    Uses prefix products pre_k = prod_{j<k} x_j and the backward
-    recurrence S_k = dpsi_k + x_{k+1} S_{k+1}, giving grad_k = pre_k * S_k.
-    """
-    return _one_ray(x_r, costs)[1]
-
-
-def ray_loss_grad_p(x_r, costs: EventCosts) -> np.ndarray:
-    """d(ray_loss)/dp_i = p(z = i) * dpsi_i/dp_i, shape (N, D).
-
-    Each cell's payload gradient is its cost derivative weighted by the
-    probability of that cell's termination event.
-    """
-    if not isinstance(costs, EventCosts) or costs.dpsi_dp is None:
-        raise ValueError("costs must carry dpsi_dp (semantic or color event costs)")
-    x = np.asarray(x_r, dtype=np.float64)
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
-        raise ValueError("emptiness probabilities must lie in [0, 1]")
-    return _one_ray(x, costs, backward=False, events=True)[2][:, None] * costs.dpsi_dp
-
-
-def mask_loss_closed_form(x_r, s_r: int) -> float:
-    """|prod_i x_i - s_r|: the mask ray loss collapses to reprojected emptiness."""
-    if s_r not in (0, 1):
-        raise ValueError(f"s_r must be 0 or 1, got {s_r!r}")
-    x = np.asarray(x_r, dtype=np.float64)
-    return float(abs((np.prod(x) if x.size else 1.0) - s_r))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +173,10 @@ class RayBatch:
     """A set of rays with per-ray observations and loss weights; the rays
     themselves are the rows of a ``TraceTable`` passed with the batch.
 
-    Per kind: ``s`` (0 foreground / 1 background) for mask; ``d`` for depth
-    and depth_semantics; ``c`` is an int class id per ray (depth_semantics)
-    or an (R, 3) RGB array (color).
+    Per kind: ``s`` (0 foreground / 1 background) for mask; ``d``, a
+    positive finite depth, for depth and depth_semantics; ``c`` is a
+    non-negative int class id per ray (depth_semantics) or an (R, 3) finite
+    RGB array (color).  Weights are positive and finite.
     """
 
     kind: str
@@ -346,12 +190,26 @@ class RayBatch:
             raise ValueError(f"ray kind must be one of {RAY_KINDS}, got {self.kind!r}")
         if self.weights.ndim != 1:
             raise ValueError("weights must be (R,)")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("ray weights must be positive")
-        need = {"mask": ("s",), "depth": ("d",), "depth_semantics": ("d", "c"), "color": ("c",)}
-        for field in need[self.kind]:
-            if getattr(self, field) is None:
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0.0)):
+            raise ValueError("ray weights must be positive and finite")
+        r = self.n_rays
+        need = {"mask": {"s": (r,)}, "depth": {"d": (r,)}, "depth_semantics": {"d": (r,), "c": (r,)},
+                "color": {"c": (r, 3)}}[self.kind]
+        for field, shape in need.items():
+            v = getattr(self, field)
+            if v is None:
                 raise ValueError(f"{self.kind} rays need per-ray field {field!r}")
+            if v.shape != shape:
+                raise ValueError(f"{field} must have shape {shape} for {r} rays, got {v.shape}")
+        if self.kind == "mask" and not np.all((self.s == 0) | (self.s == 1)):
+            raise ValueError("mask observations s must be 0 or 1")
+        if "d" in need and not np.all(np.isfinite(self.d) & (self.d > 0.0)):
+            raise ValueError("observed depths must be positive and finite")
+        if self.kind == "depth_semantics" and not (np.issubdtype(self.c.dtype, np.integer)
+                                                    and np.all(self.c >= 0)):
+            raise ValueError("observed class ids must be non-negative integers")
+        if self.kind == "color" and not np.all(np.isfinite(self.c)):
+            raise ValueError("observed colors must be finite")
 
     @property
     def n_rays(self) -> int:
@@ -375,7 +233,11 @@ class RayBatch:
 
 @dataclass(frozen=True, eq=False)
 class ViewLossResult:
+    """The weighted loss ``weights @ per_ray``, the (R,) unweighted per-ray
+    losses, and the loss's gradients on the grid's cells and payloads."""
+
     loss: float
+    per_ray: np.ndarray
     grad_x: np.ndarray
     grad_p: np.ndarray | None
 
@@ -438,7 +300,8 @@ def _hit_loss(x: np.ndarray, payload, kind: str, traces: TraceTable, weights: np
 
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
               label_weight: float = 1.0, traces: TraceTable) -> ViewLossResult:
-    """Weighted sum of per-ray losses plus gradients scattered onto the grid.
+    """Weighted sum of per-ray losses plus gradients scattered onto the grid:
+    the one way to evaluate the loss.
 
     ``traces`` is a ``TraceTable`` whose rows, in order, are the rays: an
     ``image_traces`` table, its rows or a take of them, or ``trace_batch``
@@ -459,6 +322,8 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
             raise ValueError(f"{rays.kind} rays need an aux grid of kind {want!r}")
         if not same_geometry(aux.geometry, occ.geometry):
             raise ValueError("aux grid geometry does not match the occupancy grid")
+    if rays.kind == "depth_semantics" and rays.c.max() >= aux.nchannels:
+        raise ValueError(f"observed class ids must be below the aux grid's {aux.nchannels} classes")
     geom = occ.geometry
     if not same_geometry(traces.geometry, geom):
         raise ValueError("traces were built on a different geometry")
@@ -494,4 +359,4 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
 
     if grad_p is not None:
         grad_p = grad_p.reshape(*geom.shape, aux.nchannels)
-    return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)
+    return ViewLossResult(loss, per_ray, grad_x.reshape(geom.shape), grad_p)

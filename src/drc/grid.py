@@ -32,8 +32,8 @@ from .errors import FormatError
 
 GRID_MAGIC = "DRC-GRID v1"
 
-# Simplex tolerance for stored semantic payloads.  Event-cost code applies a
-# looser check so finite-difference probes (h ~ 1e-6) stay legal inputs.
+# Simplex tolerance for stored semantic payloads.  The gradient check's
+# finite-difference probes move a row along e_j - p, which keeps it inside.
 SIMPLEX_ATOL = 1e-9
 
 

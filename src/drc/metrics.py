@@ -1,12 +1,13 @@
-"""Reconstruction metrics and independent numerical oracles.
+"""Reconstruction metrics and the gradient check.
 
 IoU against a hard ground truth is reported at the optimal binarization
 threshold, swept over 0.00..1.00 in steps of 0.01 (ties go to the lower
 threshold).  Binarization is on occupancy = 1 - x, i.e. a cell counts as
 predicted-occupied iff (1 - x) >= threshold.
 
-The gradcheck helpers check the analytic gradients against central finite
-differences, which share no code with them.
+``run_gradcheck`` checks ``view_loss``'s analytic gradients against
+central differences of its own per-ray losses, so it tests the kernel
+``fit`` runs.
 """
 
 from __future__ import annotations
@@ -15,23 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import (
-    RAY_KINDS,
-    EventCosts,
-    cost_color,
-    cost_depth,
-    cost_mask,
-    cost_semantic,
-    ray_loss,
-    ray_loss_grad_p,
-    ray_loss_grad_x,
-)
-from .grid import BinaryGrid, OccupancyGrid, same_geometry
+from .consistency import AUX_KINDS, RAY_KINDS, RayBatch, view_loss
+from .grid import AuxGrid, BinaryGrid, OccupancyGrid, same_geometry, uniform_geometry
+from .traversal import TraceTable
 
 THRESHOLDS = np.round(np.arange(101) / 100.0, 2)
 
 GRADCHECK_REL_TOL = 1e-5
 GRADCHECK_ABS_FLOOR = 1e-8
+GRADCHECK_STEP = 1e-6
+GRADCHECK_MAX_CELLS = 16
+GRADCHECK_CLASSES = 4
 
 
 @dataclass(frozen=True)
@@ -65,18 +60,17 @@ def best_threshold(pred: OccupancyGrid, gt: BinaryGrid) -> IoUResult:
 # ---------------------------------------------------------------------------
 
 
-def central_difference(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one component at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros(x.shape)
-    flat = grad.reshape(-1)
-    for i in range(x.size):
-        xp = x.copy().reshape(-1)
-        xm = x.copy().reshape(-1)
-        xp[i] += h
-        xm[i] -= h
-        flat[i] = (fn(xp.reshape(x.shape)) - fn(xm.reshape(x.shape))) / (2.0 * h)
-    return grad
+def strip_table(bounds) -> TraceTable:
+    """The traces of rays that each cross cells of their own, one ray after
+    another along an (E, 1, 1) strip: ray i enters its first cell at
+    ``bounds[i][0]`` and leaves its k-th at ``bounds[i][k + 1]``, so it
+    crosses ``len(bounds[i]) - 1`` cells; one of a single bound misses."""
+    n = np.array([len(b) - 1 for b in bounds], dtype=np.int64)
+    e = int(n.sum())
+    geom = uniform_geometry((max(e, 1), 1, 1), (0.0, 0.0, 0.0), (max(e, 1), 1.0, 1.0))
+    t_exit = np.array([t for b in bounds for t in b[1:]], dtype=np.float64)
+    t0 = np.array([b[0] for b in bounds], dtype=np.float64)
+    return TraceTable(geom, np.cumsum(n) - n, n, t0, np.arange(e, dtype=np.int32), t_exit)
 
 
 def _worst_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -89,35 +83,6 @@ def _worst_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(err[over] / denom[over]))
 
 
-def _random_instance(kind: str, rng: np.random.Generator, n_classes: int = 4):
-    """Random (x, costs, payload) for one ray of the given cost kind."""
-    n = int(rng.integers(1, 17))
-    x = rng.uniform(0.02, 0.98, n)
-    t = np.cumsum(rng.uniform(0.05, 0.5, n + 1))
-    d = 0.5 * (t[:-1] + t[1:])
-    if kind == "mask":
-        return x, cost_mask(n, int(rng.integers(0, 2))), None, None
-    if kind == "depth":
-        return x, cost_depth(d, float(rng.uniform(0.1, 12.0))), None, None
-    if kind == "depth_semantics":
-        p = rng.dirichlet(np.ones(n_classes) * 2.0, size=n)
-        p = np.maximum(p, 1e-4)
-        p /= p.sum(axis=1, keepdims=True)
-        d_r = float(rng.uniform(0.1, 12.0))
-        c_r = int(rng.integers(0, n_classes))
-        return x, cost_semantic(d, p, d_r, c_r), p, (d, d_r, c_r)
-    p = rng.uniform(0.0, 1.0, (n, 3))
-    c_r = rng.uniform(0.0, 1.0, 3)
-    return x, cost_color(n, p, c_r), p, c_r
-
-
-def _recost(kind: str, costs_info, p: np.ndarray) -> EventCosts:
-    if kind == "depth_semantics":
-        d, d_r, c_r = costs_info
-        return cost_semantic(d, p, d_r, c_r)
-    return cost_color(p.shape[0], p, costs_info)
-
-
 @dataclass(frozen=True)
 class GradcheckReport:
     kind: str
@@ -127,29 +92,74 @@ class GradcheckReport:
     ok: bool
 
 
-def run_gradcheck(kind: str, trials: int, seed: int, h: float = 1e-6,
-                  grad_x_fn=ray_loss_grad_x, grad_p_fn=ray_loss_grad_p) -> GradcheckReport:
-    """Check analytic gradients against central differences on random rays.
+def run_gradcheck(kind: str, trials: int, seed: int) -> GradcheckReport:
+    """Check ``view_loss``'s gradients against central differences.
 
-    ``grad_*_fn`` exist so tests can verify that a wrong gradient is
-    actually caught.
+    Each trial is one ray of a single ``strip_table``: 0 to 16 cells of its
+    own, random segment depths, emptiness, weight and observation.  The
+    analytic gradients come from one ``view_loss`` call; each difference
+    moves the k-th cell of every ray at once and reads ``per_ray``.  Color
+    payloads, drawn inside [0.01, 0.99], move one component at a time;
+    semantic payloads move along e_j - p, which keeps a row on the simplex,
+    so the check compares g_j - <g, p>, the derivative ``fit``'s softmax
+    chain rule uses.
     """
     if kind not in RAY_KINDS:
         raise ValueError(f"kind must be one of {RAY_KINDS}, got {kind!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst_x = 0.0
-    worst_p = float("nan") if kind in ("mask", "depth") else 0.0
-    for _ in range(trials):
-        x, costs, payload, info = _random_instance(kind, rng)
-        analytic = grad_x_fn(x, costs)
-        numeric = central_difference(lambda xv: ray_loss(xv, costs), x, h)
-        worst_x = max(worst_x, _worst_rel_error(analytic, numeric))
-        if payload is not None:
-            analytic_p = grad_p_fn(x, costs)
-            numeric_p = central_difference(
-                lambda pv: ray_loss(x, _recost(kind, info, pv)), payload, h)
-            worst_p = max(worst_p, _worst_rel_error(analytic_p, numeric_p))
+    n = rng.integers(0, GRADCHECK_MAX_CELLS + 1, trials)
+    table = strip_table([np.cumsum(rng.uniform(0.05, 0.5, k + 1)) for k in n])
+    geom, e = table.geometry, int(n.sum())
+    x = rng.uniform(0.02, 0.98, geom.ncells)
+    weights = rng.uniform(0.5, 2.0, trials)
+    depth = rng.uniform(0.1, 12.0, trials)
+    payload = None
+    if kind == "mask":
+        fields = {"s": rng.integers(0, 2, trials)}
+    elif kind == "depth":
+        fields = {"d": depth}
+    elif kind == "depth_semantics":
+        fields = {"d": depth, "c": rng.integers(0, GRADCHECK_CLASSES, trials)}
+        payload = np.maximum(rng.dirichlet(np.full(GRADCHECK_CLASSES, 2.0), geom.ncells), 1e-4)
+        payload /= payload.sum(axis=1, keepdims=True)
+    else:
+        fields = {"c": rng.uniform(0.0, 1.0, (trials, 3))}
+        payload = rng.uniform(0.01, 0.99, (geom.ncells, 3))
+    rays = RayBatch(kind, weights, **fields)
+
+    def loss(x, payload):
+        aux = None if payload is None else AuxGrid(geom, AUX_KINDS[kind], payload.reshape(*geom.shape, -1))
+        return view_loss(OccupancyGrid(geom, x.reshape(geom.shape)), rays, aux, traces=table)
+
+    def slope(rows, dx=0.0, dp=0.0):
+        """w d(per_ray)/dt of rays ``rows`` at (x + t dx, payload + t dp), t = 0."""
+        h = GRADCHECK_STEP
+        up, down = (loss(x + t * dx, None if payload is None else payload + t * dp).per_ray[rows]
+                    for t in (h, -h))
+        return weights[rows] * (up - down) / (2.0 * h)
+
+    res = loss(x, payload)
+    numeric_x = np.zeros(geom.ncells)
+    numeric_p = None if payload is None else np.zeros(payload.shape)
+    for k in range(int(n.max())):
+        rows = np.flatnonzero(n > k)
+        cells = table.start[rows] + k  # the k-th cell of each of these rays
+        dx = np.zeros(geom.ncells)
+        dx[cells] = 1.0
+        numeric_x[cells] = slope(rows, dx=dx)
+        for j in range(0 if payload is None else payload.shape[1]):
+            dp = np.zeros(payload.shape)  # e_j for a color, e_j - p for a class distribution
+            dp[cells] = np.eye(payload.shape[1])[j] - (payload[cells] if kind == "depth_semantics" else 0.0)
+            numeric_p[cells, j] = slope(rows, dp=dp)
+
+    worst_x = _worst_rel_error(res.grad_x.reshape(-1)[:e], numeric_x[:e])
+    worst_p = float("nan")
+    if payload is not None:
+        g = res.grad_p.reshape(payload.shape)[:e]
+        if kind == "depth_semantics":
+            g = g - np.sum(g * payload[:e], axis=1, keepdims=True)
+        worst_p = _worst_rel_error(g, numeric_p[:e])
     ok = worst_x < GRADCHECK_REL_TOL and not worst_p >= GRADCHECK_REL_TOL
     return GradcheckReport(kind, trials, worst_x, worst_p, ok)

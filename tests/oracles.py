@@ -13,6 +13,10 @@ sigmoid, in-place Adam update and length-sorted loss kernel, kept to
 check those bit for bit; their gradients are added in the order the
 kernel documents (``scatter_in_kernel_order``), not in ray order.
 ``entries`` gathers a table's rows ray by ray, as the loss once did.
+``event_probabilities``, ``mask_loss_closed_form`` and
+``central_difference`` are direct formulas the loss is checked against;
+``strip_view_loss`` is the one entrance to the loss, ``view_loss``, on
+hand-built rays, whose losses tests read through ``per_ray``.
 """
 
 from dataclasses import dataclass
@@ -21,21 +25,113 @@ import numpy as np
 
 from drc.cameras import Ray, pixel_rays
 from drc import consistency
-from drc.consistency import (ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
-                             EventCosts, ViewLossResult)
-from drc.grid import same_geometry
+from drc.consistency import (AUX_KINDS, ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
+                             RayBatch, ViewLossResult, view_loss)
+from drc.grid import AuxGrid, OccupancyGrid, same_geometry
+from drc.metrics import strip_table
 
 
-def brute_force_ray_loss(x_r, costs) -> float:
+def event_probabilities(x_r) -> np.ndarray:
+    """Termination-event distribution of a ray, length N+1 (escape last)."""
+    x = np.asarray(x_r, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("x_r must be a 1-D vector of emptiness probabilities")
+    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        raise ValueError("emptiness probabilities must lie in [0, 1]")
+    cum = np.cumprod(x)
+    pre = np.concatenate([[1.0], cum[:-1]])
+    p = np.empty(x.size + 1)
+    p[:-1] = (1.0 - x) * pre
+    p[-1] = cum[-1] if x.size else 1.0
+    return p
+
+
+def mask_loss_closed_form(x_r, s_r: int) -> float:
+    """|prod_i x_i - s_r|: the mask ray loss collapses to reprojected emptiness."""
+    if s_r not in (0, 1):
+        raise ValueError(f"s_r must be 0 or 1, got {s_r!r}")
+    x = np.asarray(x_r, dtype=np.float64)
+    return float(abs((np.prod(x) if x.size else 1.0) - s_r))
+
+
+def central_difference(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one component at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros(x.shape)
+    flat = grad.reshape(-1)
+    for i in range(x.size):
+        xp = x.copy().reshape(-1)
+        xm = x.copy().reshape(-1)
+        xp[i] += h
+        xm[i] -= h
+        flat[i] = (fn(xp.reshape(x.shape)) - fn(xm.reshape(x.shape))) / (2.0 * h)
+    return grad
+
+
+def strip_view_loss(kind, x, bounds, payload=None, **fields):
+    """``view_loss`` on rays of weight 1 that cross cells of their own
+    (``strip_table``): ray r crosses len(bounds[r]) - 1 cells with
+    emptiness x[r] and, for payload kinds, payload rows payload[r];
+    ``fields`` are the rays' s, d, c as in RayBatch.  Returns the result
+    and each ray's slice of the flat cells."""
+    table = strip_table(bounds)
+    geom, n = table.geometry, table.n
+    pad = geom.ncells - int(n.sum())  # 1 when no ray crosses a cell: a grid keeps one
+    occ = OccupancyGrid(geom, np.concatenate([*map(np.ravel, x), np.ones(pad)]).reshape(geom.shape))
+    aux = None
+    if payload is not None:
+        rows = np.concatenate(payload)  # (n_r, D) per ray
+        d = rows.shape[1]
+        rows = np.concatenate([rows, np.full((pad, d), 1.0 / d)])
+        aux = AuxGrid(geom, AUX_KINDS[kind], rows.reshape(*geom.shape, d))
+    res = view_loss(occ, RayBatch(kind, np.ones(n.size), **fields), aux, traces=table)
+    return res, [slice(a, a + b) for a, b in zip(table.start, n)]
+
+
+def random_strip_rays(rng, kind, count, max_cells, min_cells=0):
+    """``count`` random rays of one kind for ``strip_view_loss``, of
+    ``min_cells`` to ``max_cells`` cells each: (x, bounds, payload, obs,
+    fields), the per-ray emptiness, segment bounds, payload rows (None for
+    kinds without) and observation as ``reference_psi`` takes it, and the
+    rays' RayBatch fields."""
+    n = rng.integers(min_cells, max_cells + 1, count)
+    x = [rng.uniform(size=k) for k in n]
+    bounds = [np.cumsum(rng.uniform(0.05, 0.5, k + 1)) for k in n]
+    payload = None
+    if kind == "mask":
+        fields = {"s": rng.integers(0, 2, count)}
+        obs = fields["s"]
+    elif kind == "depth":
+        fields = {"d": rng.uniform(0.1, 12.0, count)}
+        obs = fields["d"]
+    elif kind == "depth_semantics":
+        payload = [np.maximum(rng.dirichlet(np.ones(4), size=k), 1e-6) for k in n]
+        payload = [p / p.sum(axis=1, keepdims=True) for p in payload]
+        fields = {"d": rng.uniform(0.1, 12.0, count), "c": rng.integers(0, 4, count)}
+        obs = list(zip(fields["d"], fields["c"]))
+    else:
+        payload = [rng.uniform(size=(k, 3)) for k in n]
+        fields = {"c": rng.uniform(size=(count, 3))}
+        obs = fields["c"]
+    return x, bounds, payload, obs, fields
+
+
+def strip_psi(kind, bounds, obs, payload=None):
+    """``reference_psi`` of a ``strip_view_loss`` ray of segment bounds ``bounds``."""
+    b = np.asarray(bounds, dtype=np.float64)
+    return reference_psi(kind, 0.5 * (b[:-1] + b[1:]), obs, payload)
+
+
+def brute_force_ray_loss(x_r, psi) -> float:
     """Exhaustive expectation over all 2^N hard occupancy configurations.
 
     Each configuration b (b_j = 1 means cell j is empty) has probability
     prod_j (x_j if b_j else 1-x_j) and costs psi(first non-empty cell), or
-    psi(escape) when every cell is empty.  Independent oracle for
-    ray_loss; N is capped at 20.
+    psi(escape) when every cell is empty.  Independent oracle for the
+    per-ray loss; N is capped at 20.
     """
     x = np.asarray(x_r, dtype=np.float64)
-    psi = costs.psi if isinstance(costs, EventCosts) else np.asarray(costs, dtype=np.float64)
+    psi = np.asarray(psi, dtype=np.float64)
     n = x.size
     if n > 20:
         raise ValueError(f"brute force is limited to N <= 20 cells, got {n}")
@@ -459,7 +555,7 @@ def padded_view_loss(occ, rays, aux=None, *, label_weight=1.0, traces):
         if n.size:
             grad_p = scatter_in_kernel_order(cells, contrib, n, geom.ncells)
         grad_p = grad_p.reshape(*geom.shape, aux.nchannels)
-    return ViewLossResult(loss, grad_x.reshape(geom.shape), grad_p)
+    return ViewLossResult(loss, per_ray, grad_x.reshape(geom.shape), grad_p)
 
 
 # ---------------------------------------------------------------------------

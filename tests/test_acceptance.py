@@ -19,16 +19,8 @@ import pytest
 
 from drc.cameras import Ray
 from drc.cli import main as cli_main
-from drc.consistency import (
-    cost_color,
-    cost_depth,
-    cost_mask,
-    cost_semantic,
-    event_probabilities,
-    mask_loss_closed_form,
-    ray_loss,
-    view_loss,
-)
+from drc import consistency
+from drc.consistency import view_loss
 from drc.fitter import FitConfig, fit
 from drc.fusion import fuse_depth, fused_to_occupancy_grid
 from drc.grid import make_frustum_geometry, uniform_geometry
@@ -43,7 +35,8 @@ from drc.renderer import (
     sample_view_ring,
 )
 from drc.traversal import trace
-from oracles import (brute_force_ray_loss, cell_faces, clip_cells, dense_sample_cells, shape_scale,
+from oracles import (brute_force_ray_loss, cell_faces, clip_cells, dense_sample_cells, event_probabilities,
+                     mask_loss_closed_form, random_strip_rays, shape_scale, strip_psi, strip_view_loss,
                      surface_cells)
 
 VIEW_SEED = 10
@@ -62,21 +55,6 @@ def report(num, slug, ok, detail):
 def random_ray(rng, spread=2.0):
     d = rng.normal(size=3)
     return Ray(rng.uniform(-spread, spread, 3), d / np.linalg.norm(d))
-
-
-def random_costs(rng, n, kind):
-    t = np.cumsum(rng.uniform(0.05, 0.5, n + 1))
-    d = 0.5 * (t[:-1] + t[1:])
-    if kind == "mask":
-        return cost_mask(n, int(rng.integers(0, 2)))
-    if kind == "depth":
-        return cost_depth(d, float(rng.uniform(0.1, 12.0)))
-    if kind == "depth_semantics":
-        p = rng.dirichlet(np.ones(4), size=n)
-        p = np.maximum(p, 1e-6)
-        p /= p.sum(axis=1, keepdims=True)
-        return cost_semantic(d, p, float(rng.uniform(0.1, 12.0)), int(rng.integers(0, 4)))
-    return cost_color(n, rng.uniform(size=(n, 3)), rng.uniform(size=3))
 
 
 @dataclass
@@ -168,15 +146,17 @@ def test_02_gradient_correctness():
 
 
 def test_03_brute_force_oracle():
+    """The per-ray losses of one view_loss call per kind, misses included,
+    against the enumeration over costs written out from their definitions."""
     start = time.perf_counter()
     rng = np.random.default_rng(300)
     worst = 0.0
     for kind in COST_KINDS:
-        for _ in range(500):
-            n = int(rng.integers(0, 13))
-            x = rng.uniform(size=n)
-            costs = random_costs(rng, n, kind)
-            worst = max(worst, abs(ray_loss(x, costs) - brute_force_ray_loss(x, costs)))
+        x, bounds, payload, obs, fields = random_strip_rays(rng, kind, 500, 12)
+        res, _ = strip_view_loss(kind, x, bounds, payload, **fields)
+        for r in range(500):
+            psi = strip_psi(kind, bounds[r], obs[r], None if payload is None else payload[r])
+            worst = max(worst, abs(res.per_ray[r] - brute_force_ray_loss(x[r], psi)))
     elapsed = time.perf_counter() - start
     report(3, "brute-force-oracle",
            worst < 1e-10 and elapsed < 30.0,
@@ -184,13 +164,13 @@ def test_03_brute_force_oracle():
 
 
 def test_04_mask_closed_form():
+    """One view_loss call over 10000 mask rays, in several passes of
+    LOSS_CHUNK cells, against |prod(x) - s| per ray."""
     rng = np.random.default_rng(400)
-    worst = 0.0
-    for _ in range(10_000):
-        n = int(rng.integers(0, 25))
-        x = rng.uniform(size=n)
-        s = int(rng.integers(0, 2))
-        worst = max(worst, abs(ray_loss(x, cost_mask(n, s)) - mask_loss_closed_form(x, s)))
+    x, bounds, _, s, fields = random_strip_rays(rng, "mask", 10_000, 24)
+    assert sum(map(len, x)) > 2 * consistency.LOSS_CHUNK
+    res, _ = strip_view_loss("mask", x, bounds, **fields)
+    worst = max(abs(res.per_ray[r] - mask_loss_closed_form(x[r], int(s[r]))) for r in range(10_000))
     report(4, "mask-closed-form", worst < 1e-12,
            f"max |expected-cost - |prod(x)-s|| = {worst:.2e} over 10000 instances")
 

@@ -7,43 +7,49 @@ from drc.cameras import Ray
 from drc import traversal
 from drc.cameras import perspective_camera, pixel_rays
 from drc import consistency
-from drc.consistency import (
-    RAY_KINDS,
-    RayBatch,
-    _hit_loss,
-    cost_color,
-    cost_depth,
-    cost_mask,
-    cost_semantic,
-    event_probabilities,
-    mask_loss_closed_form,
-    ray_loss,
-    ray_loss_grad_p,
-    ray_loss_grad_x,
-    view_loss,
-)
+from drc.consistency import RAY_KINDS, RayBatch, _hit_loss, view_loss
 from drc.grid import AuxGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
-from drc.metrics import central_difference
 from drc.traversal import trace, trace_batch
 
 
-from oracles import (brute_force_ray_loss, dense_payload_scatter, entries, naive_grad_x, padded,
-                     padded_event_costs, padded_telescope, padded_view_loss, reference_psi)
+from oracles import (brute_force_ray_loss, central_difference, dense_payload_scatter, entries,
+                     event_probabilities, mask_loss_closed_form, naive_grad_x, padded, padded_event_costs,
+                     padded_telescope, padded_view_loss, random_strip_rays, reference_psi, strip_psi,
+                     strip_view_loss)
 
 
-def random_costs(rng, n, kind):
-    t = np.cumsum(rng.uniform(0.05, 0.5, n + 1))
-    d = 0.5 * (t[:-1] + t[1:])
-    if kind == "mask":
-        return cost_mask(n, int(rng.integers(0, 2)))
-    if kind == "depth":
-        return cost_depth(d, float(rng.uniform(0.1, 12.0)))
-    if kind == "depth_semantics":
-        p = rng.dirichlet(np.ones(4), size=n)
-        p = np.maximum(p, 1e-6)
-        p /= p.sum(axis=1, keepdims=True)
-        return cost_semantic(d, p, float(rng.uniform(0.1, 12.0)), int(rng.integers(0, 4)))
-    return cost_color(n, rng.uniform(size=(n, 3)), rng.uniform(size=3))
+def one_ray(kind, x, bounds, payload=None, **obs):
+    """``strip_view_loss`` on one ray of weight 1: its loss and its cells'
+    d(loss)/dx and payload gradient (None for kinds without)."""
+    fields = {k: np.asarray([v]) for k, v in obs.items()}
+    res, (cells,) = strip_view_loss(kind, [np.asarray(x, dtype=np.float64)], [bounds],
+                                    None if payload is None else [np.asarray(payload, dtype=np.float64)],
+                                    **fields)
+    grad_p = None if res.grad_p is None else res.grad_p.reshape(-1, res.grad_p.shape[-1])[cells]
+    return res.per_ray[0], res.grad_x.reshape(-1)[cells], grad_p
+
+
+def event_costs(kind, bounds, payload=None, **obs):
+    """psi of one ray's N+1 events, read through ``per_ray``: N+1 copies of
+    the ray, copy i with its first i cells empty and the next one full, so
+    that event i is certain (the last copy escapes)."""
+    n = len(bounds) - 1
+    x = [np.concatenate([np.ones(i), np.zeros(n - i)]) for i in range(n + 1)]
+    fields = {k: np.repeat(np.asarray([v]), n + 1, axis=0) for k, v in obs.items()}
+    res, _ = strip_view_loss(kind, x, [bounds] * (n + 1),
+                             None if payload is None else [np.asarray(payload, dtype=np.float64)] * (n + 1),
+                             **fields)
+    return res.per_ray
+
+
+def batch_of(rng, kind, count, max_cells, min_cells=0):
+    """``count`` random rays of one kind in one ``strip_view_loss`` call:
+    the result, each ray's cells, and per ray its emptiness and its
+    ``reference_psi``."""
+    x, bounds, payload, obs, fields = random_strip_rays(rng, kind, count, max_cells, min_cells)
+    res, cells = strip_view_loss(kind, x, bounds, payload, **fields)
+    psi = [strip_psi(kind, bounds[r], obs[r], None if payload is None else payload[r]) for r in range(count)]
+    return res, cells, x, psi
 
 
 class TestEventProbabilities:
@@ -71,131 +77,132 @@ class TestEventProbabilities:
 
 
 class TestEventCosts:
+    """The costs of each event, read through ``view_loss`` at hard x."""
+
     def test_depth_example(self):
-        costs = cost_depth(np.array([1.0, 2.0]), 2.0)
-        assert costs.psi.tolist() == [1.0, 0.0, 8.0]
+        # event depths 1 and 2
+        assert event_costs("depth", [0.5, 1.5, 2.5], d=2.0).tolist() == [1.0, 0.0, 8.0]
 
     def test_depth_empty_trace(self):
-        costs = cost_depth(np.zeros(0), 4.0)
-        assert costs.psi.tolist() == [6.0]
+        assert event_costs("depth", [0.5], d=4.0).tolist() == [6.0]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_depth_observation_must_be_positive_and_finite(self, bad):
-        d = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="finite"):
-            cost_depth(d, bad)
+            RayBatch("depth", np.ones(1), d=np.array([bad]))
         with pytest.raises(ValueError, match="finite"):
-            cost_semantic(d, np.full((2, 4), 0.25), bad, 0)
+            RayBatch("depth_semantics", np.ones(1), d=np.array([bad]), c=np.array([0]))
 
     def test_depth_exact_match_is_free(self):
-        costs = cost_depth(np.array([0.7, 1.3, 2.9]), 1.3)
-        assert costs.psi[1] == 0.0
+        # event depths 0.7, 1.3, 2.9
+        assert event_costs("depth", [0.4, 1.0, 1.6, 4.2], d=1.3)[1] == 0.0
 
     def test_mask_foreground(self):
-        assert cost_mask(3, 0).psi.tolist() == [0, 0, 0, 1]
+        assert event_costs("mask", [0.5, 1.0, 1.5, 2.0], s=0).tolist() == [0, 0, 0, 1]
 
     def test_mask_background(self):
-        assert cost_mask(3, 1).psi.tolist() == [1, 1, 1, 0]
+        assert event_costs("mask", [0.5, 1.0, 1.5, 2.0], s=1).tolist() == [1, 1, 1, 0]
 
     def test_mask_empty_trace(self):
-        assert cost_mask(0, 1).psi.tolist() == [0.0]
+        assert event_costs("mask", [0.5], s=1).tolist() == [0.0]
 
     def test_semantic_perfect_explanation(self):
-        p = np.array([[0.0, 1.0, 0.0, 0.0]])
-        costs = cost_semantic(np.array([2.0]), p, 2.0, 1)
-        assert costs.psi[0] == pytest.approx(0.0, abs=1e-12)
+        psi = event_costs("depth_semantics", [1.5, 2.5], [[0.0, 1.0, 0.0, 0.0]], d=2.0, c=1)
+        assert psi[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_semantic_escape_convention(self):
         # escape disparity 1/1000 and the uniform distribution over K = 4
-        costs = cost_semantic(np.array([1.0]), np.array([[0.25] * 4]), 2.0, 0)
-        assert costs.psi[-1] == pytest.approx(abs(0.001 - 0.5) + np.log(4.0), rel=1e-12)
+        psi = event_costs("depth_semantics", [0.5, 1.5], [[0.25] * 4], d=2.0, c=0)
+        assert psi[-1] == pytest.approx(abs(0.001 - 0.5) + np.log(4.0), rel=1e-12)
 
     def test_semantic_half_probability(self):
-        p = np.array([[0.5, 0.5, 0.0, 0.0]])
-        costs = cost_semantic(np.array([3.0]), p, 3.0, 0)
-        assert costs.psi[0] == pytest.approx(np.log(2.0), rel=1e-12)
+        psi = event_costs("depth_semantics", [2.5, 3.5], [[0.5, 0.5, 0.0, 0.0]], d=3.0, c=0)
+        assert psi[0] == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_semantic_gradient_entry(self):
-        p = np.array([[0.5, 0.25, 0.125, 0.125]])
-        costs = cost_semantic(np.array([3.0]), p, 3.0, 1)
-        assert costs.dpsi_dp[0].tolist() == [0.0, -4.0, 0.0, 0.0]
+        # a full cell: its event is certain, so its payload gradient is dpsi/dp
+        _, _, grad_p = one_ray("depth_semantics", [0.0], [2.5, 3.5], [[0.5, 0.25, 0.125, 0.125]], d=3.0, c=1)
+        assert grad_p[0].tolist() == [0.0, -4.0, 0.0, 0.0]
 
     def test_color_match_is_free(self):
         c = np.array([0.2, 0.4, 0.9])
-        costs = cost_color(1, c[None, :], c)
-        assert costs.psi[0] == 0.0
+        assert event_costs("color", [0.5, 1.5], [c], c=c)[0] == 0.0
 
     def test_color_white_escape_is_free(self):
-        costs = cost_color(2, np.zeros((2, 3)), np.array([1.0, 1.0, 1.0]))
-        assert costs.psi[-1] == 0.0
+        assert event_costs("color", [0.5, 1.0, 1.5], np.zeros((2, 3)), c=np.ones(3))[-1] == 0.0
 
     def test_color_black_vs_white(self):
-        costs = cost_color(1, np.zeros((1, 3)), np.array([1.0, 1.0, 1.0]))
-        assert costs.psi[0] == pytest.approx(1.5, abs=0)
-        assert costs.dpsi_dp[0].tolist() == [-1.0, -1.0, -1.0]
+        assert event_costs("color", [0.5, 1.5], np.zeros((1, 3)), c=np.ones(3))[0] == 1.5
+        _, _, grad_p = one_ray("color", [0.0], [0.5, 1.5], np.zeros((1, 3)), c=np.ones(3))
+        assert grad_p[0].tolist() == [-1.0, -1.0, -1.0]
+
+
+# color costs 3/8 for every event: each cell's color is a corner of the unit
+# cube, the escape color white is one too, and the observed gray is the centre
+CORNERS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 class TestRayLoss:
     def test_background_mask_example(self):
         # only the escape event costs 1; p(escape) = 0.8 * 0.5
-        assert ray_loss([0.8, 0.5], cost_mask(2, 0)) == pytest.approx(0.4, abs=1e-15)
+        assert one_ray("mask", [0.8, 0.5], [0.5, 1.0, 1.5], s=0)[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_constant_costs_are_x_independent(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            x = rng.uniform(size=5)
-            assert ray_loss(x, np.full(6, 3.7)) == pytest.approx(3.7, abs=1e-12)
+            loss = one_ray("color", rng.uniform(size=5), np.arange(6.0), CORNERS, c=np.full(3, 0.5))[0]
+            assert loss == pytest.approx(0.375, abs=1e-12)
 
     def test_direct_expectation_single_cell(self):
-        assert ray_loss([0.5], np.array([2.0, 4.0])) == pytest.approx(3.0, abs=0)
+        # event depth 4 against an observed 6: psi = (2, 4)
+        assert one_ray("depth", [0.5], [3.5, 4.5], d=6.0)[0] == 3.0
 
     def test_telescoped_equals_direct_expectation(self):
         rng = np.random.default_rng(2)
-        for kind in ("mask", "depth", "depth_semantics", "color"):
-            for _ in range(200):
-                n = int(rng.integers(0, 9))
-                x = rng.uniform(size=n)
-                costs = random_costs(rng, n, kind)
-                direct = float(event_probabilities(x) @ costs.psi)
-                assert ray_loss(x, costs) == pytest.approx(direct, abs=1e-12)
+        for kind in RAY_KINDS:
+            res, _, x, psi = batch_of(rng, kind, 200, 8)
+            direct = [float(event_probabilities(x[r]) @ psi[r]) for r in range(200)]
+            assert res.per_ray == pytest.approx(direct, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            ray_loss([0.5, 0.5], np.array([1.0, 2.0]))
+        # two depths for one ray
+        with pytest.raises(ValueError, match=r"shape \(1,\) for 1 rays"):
+            RayBatch("depth", np.ones(1), d=np.array([1.0, 2.0]))
 
 
 class TestRayLossGradX:
     def test_background_product_gradient(self):
-        grad = ray_loss_grad_x([0.5, 0.5], cost_mask(2, 1))
+        grad = one_ray("mask", [0.5, 0.5], [0.5, 1.0, 1.5], s=1)[1]
         assert np.allclose(grad, [-0.5, -0.5], atol=1e-15)
 
     def test_constant_costs_zero_gradient(self):
-        grad = ray_loss_grad_x([0.3, 0.9, 0.2], np.full(4, 2.2))
+        grad = one_ray("color", [0.3, 0.9, 0.2], np.arange(4.0), CORNERS[:3], c=np.full(3, 0.5))[1]
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_all_empty_depth_gradient(self):
         # with x = 1 everywhere all products are 1: grad_k = psi_esc - psi_k
-        d = np.array([1.0, 2.0, 3.0])
-        costs = cost_depth(d, 2.5)
-        grad = ray_loss_grad_x(np.ones(3), costs)
-        assert np.allclose(grad, costs.psi[-1] - costs.psi[:-1], atol=1e-15)
+        bounds = [0.5, 1.5, 2.5, 3.5]
+        grad = one_ray("depth", np.ones(3), bounds, d=2.5)[1]
+        psi = event_costs("depth", bounds, d=2.5)
+        assert np.allclose(grad, psi[-1] - psi[:-1], atol=1e-15)
 
     def test_matches_naive_quadratic_formula(self):
         rng = np.random.default_rng(3)
-        for kind in ("mask", "depth", "depth_semantics", "color"):
-            for _ in range(100):
-                n = int(rng.integers(1, 9))
-                x = rng.uniform(size=n)
-                costs = random_costs(rng, n, kind)
-                assert np.allclose(ray_loss_grad_x(x, costs),
-                                   naive_grad_x(x, costs.psi), atol=1e-12)
+        for kind in RAY_KINDS:
+            res, cells, x, psi = batch_of(rng, kind, 100, 8, min_cells=1)
+            for r in range(100):
+                assert np.allclose(res.grad_x.reshape(-1)[cells[r]], naive_grad_x(x[r], psi[r]), atol=1e-12)
 
     def test_finite_at_exact_endpoints(self):
         # product form never divides by x, so hard 0/1 cells are safe
         x = np.array([1.0, 0.0, 1.0, 0.5, 0.0])
-        costs = cost_depth(np.linspace(0.5, 2.5, 5), 1.7)
-        grad = ray_loss_grad_x(x, costs)
+        bounds = np.linspace(0.25, 2.75, 6)
+        grad = one_ray("depth", x, bounds, d=1.7)[1]
         assert np.all(np.isfinite(grad))
+
+        def loss(x):
+            return one_ray("depth", x, bounds, d=1.7)[0]
+
         num = np.zeros(5)
         for k in range(5):  # one-sided differences stay inside [0, 1]
             h = 1e-7
@@ -203,34 +210,31 @@ class TestRayLossGradX:
             xp[k] = min(x[k] + h, 1.0)
             xm = x.copy()
             xm[k] = max(x[k] - h, 0.0)
-            num[k] = (ray_loss(xp, costs) - ray_loss(xm, costs)) / (xp[k] - xm[k])
+            num[k] = (loss(xp) - loss(xm)) / (xp[k] - xm[k])
         assert np.allclose(grad, num, atol=1e-5)
 
     def test_monotone_carving_for_background_rays(self):
         rng = np.random.default_rng(4)
-        for _ in range(300):
-            n = int(rng.integers(1, 12))
-            grad = ray_loss_grad_x(rng.uniform(size=n), cost_mask(n, 1))
-            assert np.all(grad <= 0.0)
+        x = [rng.uniform(size=k) for k in rng.integers(1, 12, 300)]
+        res, _ = strip_view_loss("mask", x, [np.arange(len(r) + 1.0) for r in x], s=np.ones(300))
+        assert np.all(res.grad_x <= 0.0)
 
 
 class TestRayLossGradP:
     def test_zero_probability_zero_gradient(self):
         # first cell surely occupied: later events have probability 0
-        costs = cost_color(2, np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]]),
-                           np.array([1.0, 0.0, 0.0]))
-        grad = ray_loss_grad_p([0.0, 0.5], costs)
+        grad = one_ray("color", [0.0, 0.5], [0.5, 1.0, 1.5], [[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]],
+                       c=np.array([1.0, 0.0, 0.0]))[2]
         assert np.allclose(grad[1], 0.0, atol=0)
 
     def test_color_gradient_is_event_weighted_residual(self):
-        x = [0.0]
-        costs = cost_color(1, np.zeros((1, 3)), np.array([1.0, 0.0, 0.0]))
-        grad = ray_loss_grad_p(x, costs)
+        grad = one_ray("color", [0.0], [0.5, 1.5], np.zeros((1, 3)), c=np.array([1.0, 0.0, 0.0]))[2]
         assert np.allclose(grad, [[-1.0, 0.0, 0.0]], atol=0)
 
     def test_requires_dpsi(self):
-        with pytest.raises(ValueError, match="dpsi"):
-            ray_loss_grad_p([0.5], cost_mask(1, 0))
+        # kinds whose costs have no payload term have no payload gradient
+        assert one_ray("mask", [0.5], [0.5, 1.5], s=0)[2] is None
+        assert one_ray("depth", [0.5], [0.5, 1.5], d=1.0)[2] is None
 
 
 class TestMaskClosedForm:
@@ -245,24 +249,19 @@ class TestMaskClosedForm:
 
     def test_equals_expected_cost_everywhere(self):
         rng = np.random.default_rng(5)
-        for _ in range(2000):
-            n = int(rng.integers(0, 10))
-            x = rng.uniform(size=n)
-            s = int(rng.integers(0, 2))
-            expected = ray_loss(x, cost_mask(n, s))
-            assert abs(expected - mask_loss_closed_form(x, s)) < 1e-12
+        x, bounds, _, s, fields = random_strip_rays(rng, "mask", 2000, 9)
+        res, _ = strip_view_loss("mask", x, bounds, **fields)
+        for r in range(2000):
+            assert abs(res.per_ray[r] - mask_loss_closed_form(x[r], int(s[r]))) < 1e-12
 
 
 class TestBruteForceAgreement:
-    @pytest.mark.parametrize("kind", ["mask", "depth", "depth_semantics", "color"])
+    @pytest.mark.parametrize("kind", RAY_KINDS)
     def test_loss_equals_exhaustive_expectation(self, kind):
         rng = np.random.default_rng(6)
-        for _ in range(150):
-            n = int(rng.integers(0, 13))
-            x = rng.uniform(size=n)
-            costs = random_costs(rng, n, kind)
-            assert ray_loss(x, costs) == pytest.approx(
-                brute_force_ray_loss(x, costs), abs=1e-10)
+        res, _, x, psi = batch_of(rng, kind, 150, 12)
+        for r in range(150):
+            assert res.per_ray[r] == pytest.approx(brute_force_ray_loss(x[r], psi[r]), abs=1e-10)
 
 
 class TestViewLoss:
@@ -664,29 +663,75 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
 
 @pytest.mark.parametrize("kind", RAY_KINDS)
 def test_ray_loss_is_a_one_ray_view_loss(kind):
-    """The scalar API runs the same kernel: ray_loss and its gradients are,
-    to the bit, a one-ray, weight-1 view_loss on the ray's trace."""
+    """A ray's loss does not depend on the rays beside it: a one-ray,
+    weight-1 view_loss on its trace has, to the bit, the ray's per_ray
+    entry of one call over sixteen rays (misses included) as its loss."""
     rng = np.random.default_rng(11 + RAY_KINDS.index(kind))
     geom = unit_cube_geometry((9, 8, 10))
     occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
     table = _view_tables(rng, geom, 1, 16)[0]
     aux, rays = _kind_case(rng, geom, kind, 16)
+    every = view_loss(occ, rays, aux, traces=table)
+    assert 0 < np.count_nonzero(table.n) < 16
+    assert every.loss == float(rays.weights @ every.per_ray)
     for r in range(16):
-        tr = table.row(r)
-        obs = {k: None if v is None else v[r] for k, v in rays.observed(np.arange(16)).items()}
-        p_r = None if aux is None else aux.flat[tr.cells]
-        costs = {"mask": lambda: cost_mask(tr, int(obs["s"])),
-                 "depth": lambda: cost_depth(tr, obs["d"]),
-                 "depth_semantics": lambda: cost_semantic(tr, p_r, obs["d"], obs["c"]),
-                 "color": lambda: cost_color(tr, p_r, obs["c"])}[kind]()
-        res = view_loss(occ, RayBatch(kind, np.ones(1), **rays.observed([r])), aux,
-                        traces=table.take([r]))
-        x_r = occ.flat[tr.cells]
-        assert ray_loss(x_r, costs) == res.loss
-        assert ray_loss_grad_x(x_r, costs).tobytes() == res.grad_x.reshape(-1)[tr.cells].tobytes()
-        if aux is not None:
-            grad_p = res.grad_p.reshape(-1, aux.nchannels)[tr.cells]
-            assert ray_loss_grad_p(x_r, costs).tobytes() == grad_p.tobytes()
+        alone = view_loss(occ, RayBatch(kind, np.ones(1), **rays.observed([r])), aux, traces=table.take([r]))
+        assert alone.loss == alone.per_ray[0] == every.per_ray[r]
+
+
+class TestObservationChecks:
+    """Observations that would read another cell's or class's payload, or
+    give a loss with no meaning, are refused."""
+
+    def _semantic(self, c):
+        geom = unit_cube_geometry((4, 4, 4))
+        occ = OccupancyGrid(geom, np.full(geom.shape, 0.5))
+        aux = AuxGrid(geom, "semantics", np.full((*geom.shape, 3), 1.0 / 3.0))
+        traces = trace_batch(geom, np.array([[-2.0, 0.1, 0.1]]), np.array([[1.0, 0.0, 0.0]]))
+        return view_loss(occ, RayBatch("depth_semantics", np.ones(1), d=np.ones(1), c=np.array([c])), aux,
+                         traces=traces)
+
+    @pytest.mark.parametrize("c", [3, 5])
+    def test_class_id_past_the_aux_classes_rejected(self, c):
+        self._semantic(2)
+        with pytest.raises(ValueError, match="below the aux grid's 3 classes"):
+            self._semantic(c)
+
+    @pytest.mark.parametrize("c", [-1, 1.0])
+    def test_negative_or_fractional_class_id_rejected(self, c):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            self._semantic(c)
+
+    @pytest.mark.parametrize("d", [0.0, -1.0])
+    def test_non_positive_depth_rejected(self, d):
+        for kind, fields in (("depth", {}), ("depth_semantics", {"c": np.zeros(2, dtype=np.int64)})):
+            with pytest.raises(ValueError, match="positive and finite"):
+                RayBatch(kind, np.ones(2), d=np.array([1.0, d]), **fields)
+
+    def test_mask_observation_not_0_or_1_rejected(self):
+        RayBatch("mask", np.ones(2), s=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="0 or 1"):
+            RayBatch("mask", np.ones(2), s=np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RayBatch("depth", np.array([1.0, w]), d=np.ones(2))
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("mask", {"s": np.zeros(3)}),
+        ("depth", {"d": np.ones((2, 1))}),
+        ("depth_semantics", {"d": np.ones(2), "c": np.zeros(1, dtype=np.int64)}),
+        ("color", {"c": np.ones(3)}),
+        ("color", {"c": np.ones((2, 4))}),
+    ])
+    def test_field_of_other_shape_rejected(self, kind, fields):
+        with pytest.raises(ValueError, match="must have shape"):
+            RayBatch(kind, np.ones(2), **fields)
+
+    def test_non_finite_color_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            RayBatch("color", np.ones(1), c=np.array([[0.5, np.nan, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

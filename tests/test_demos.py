@@ -1,0 +1,21 @@
+"""The quick demos run to the end.  The others (02, 03, 04, 06) fit grids
+and take seconds each, so they are left to be run by hand."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["01_ray_loss_basics.py", "05_frustum_scene_grid.py"])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                      os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "loss" in done.stdout

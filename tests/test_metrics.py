@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from drc.grid import BinaryGrid, OccupancyGrid, unit_cube_geometry
-from drc.metrics import best_threshold, central_difference, run_gradcheck
-from oracles import brute_force_ray_loss, iou_at
+from drc import consistency
+from drc.metrics import best_threshold, run_gradcheck
+from oracles import brute_force_ray_loss, central_difference, iou_at
 
 
 def make_pair(occ_pred, occ_gt):
@@ -102,13 +103,29 @@ class TestGradcheck:
             assert report.ok, f"{kind}: {report}"
             assert report.max_rel_err_x < 1e-5
 
-    def test_broken_gradient_is_caught(self):
-        def wrong_grad(x, costs):
-            from drc.consistency import ray_loss_grad_x
-            return 1.02 * ray_loss_grad_x(x, costs)  # 2% scale bug
+    def test_broken_gradient_is_caught(self, monkeypatch):
+        """A 1e-4 relative scaling of the kernel's x gradient, or of its
+        payload derivative, fails the check for every kind."""
+        telescope, event_costs = consistency._telescope, consistency._event_costs
 
-        report = run_gradcheck("depth", trials=10, seed=0, grad_x_fn=wrong_grad)
-        assert not report.ok
+        def scaled_grad_x(*args, **kwargs):
+            per_ray, grad, p_events = telescope(*args, **kwargs)
+            return per_ray, grad * (1.0 + 1e-4), p_events
+
+        def scaled_dpsi_dp(*args, **kwargs):
+            psi, psi_esc, at, dpsi_dp = event_costs(*args, **kwargs)
+            return psi, psi_esc, at, None if dpsi_dp is None else dpsi_dp * (1.0 + 1e-4)
+
+        with monkeypatch.context() as m:
+            m.setattr(consistency, "_telescope", scaled_grad_x)
+            for kind in ("mask", "depth", "depth_semantics", "color"):
+                report = run_gradcheck(kind, trials=10, seed=0)
+                assert not report.ok and report.max_rel_err_x > 1e-5, report
+        with monkeypatch.context() as m:
+            m.setattr(consistency, "_event_costs", scaled_dpsi_dp)
+            for kind in ("depth_semantics", "color"):
+                report = run_gradcheck(kind, trials=10, seed=0)
+                assert not report.ok and report.max_rel_err_p > 1e-5, report
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):

@@ -11,11 +11,10 @@ from drc.cameras import Ray, image_grid_rays, perspective_camera
 from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry, unit_cube_geometry
 from drc import traversal
 from drc.traversal import first_hit_batch, trace, trace_batch
-from drc.consistency import event_probabilities
 
 
-from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, first_hit, full_frustum_crossings,
-                     padded, slab_hull)
+from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, event_probabilities, first_hit,
+                     full_frustum_crossings, padded, slab_hull)
 
 
 def unit(v):
