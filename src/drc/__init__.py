@@ -1,13 +1,13 @@
 """drc: differentiable ray consistency between voxel grids and 2D observations.
 
 Core objects: occupancy grids over uniform or frustum geometries
-(``grid``), calibrated cameras and rays (``cameras``), exact ray-grid
-traversal (``traversal``), the ray-consistency loss and its analytic
-gradients over a trace table, evaluated only by ``view_loss``
-(``consistency``), a synthetic observation renderer
-(``renderer``), a gradient-descent single-instance fitter (``fitter``), a
-depth-fusion baseline (``fusion``), and IoU evaluation and the gradient
-check (``metrics``).
+(``grid``), calibrated cameras and their pixel rays (``cameras``), exact
+ray-grid traversal of a batch of rays into one trace table
+(``traversal``), the ray-consistency loss and its analytic gradients over
+a trace table, evaluated only by ``view_loss`` (``consistency``), a
+synthetic observation renderer (``renderer``), a gradient-descent
+single-instance fitter (``fitter``), a depth-fusion baseline
+(``fusion``), and IoU evaluation and the gradient check (``metrics``).
 
 NOTE the sign convention: ``OccupancyGrid.x`` is the probability a cell is
 EMPTY.  Conventional occupancy is ``1 - x`` everywhere in this package.
@@ -29,6 +29,6 @@ from .grid import (
     uniform_geometry,
     unit_cube_geometry,
 )
-from .cameras import Camera, Ray, load_camera, perspective_camera, project, save_camera
-from .traversal import RayTrace, TraceTable, trace, trace_batch
+from .cameras import Camera, load_camera, perspective_camera, save_camera
+from .traversal import RayTrace, TraceTable, trace_batch
 from .consistency import RayBatch, ViewLossResult, view_loss

@@ -16,27 +16,6 @@ import numpy as np
 from .errors import FormatError
 
 ROTATION_ATOL = 1e-9
-UNIT_ATOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Ray:
-    """World-space ray with unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64).copy()
-        d = np.asarray(self.direction, dtype=np.float64).copy()
-        if o.shape != (3,) or d.shape != (3,):
-            raise ValueError("ray origin and direction must be 3-vectors")
-        if abs(np.linalg.norm(d) - 1.0) > UNIT_ATOL:
-            raise ValueError(f"ray direction must be unit length, |d| = {np.linalg.norm(d)!r}")
-        o.flags.writeable = False
-        d.flags.writeable = False
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +64,6 @@ class Camera:
         """Camera center in world coordinates (perspective ray origin)."""
         return -self.rotation.T @ self.translation
 
-    def world_to_cam(self, p_world) -> np.ndarray:
-        return np.asarray(p_world, dtype=np.float64) @ self.rotation.T + self.translation
-
 
 def same_camera(a: Camera, b: Camera) -> bool:
     """Exact camera equality (model, image size and parameters)."""
@@ -131,21 +107,6 @@ def image_grid_rays(camera: Camera) -> tuple[np.ndarray, np.ndarray]:
     vs = np.arange(camera.height, dtype=np.float64) + 0.5
     uu, vv = np.meshgrid(us, vs)
     return pixel_rays(camera, uu, vv)
-
-
-def project(camera: Camera, points) -> np.ndarray:
-    """World points (..., 3) -> pixel coordinates (..., 2).
-
-    Perspective projection requires positive camera-frame depth.
-    """
-    p_cam = camera.world_to_cam(points)
-    a, b, u0, v0 = camera.intrinsics
-    if camera.model == "perspective":
-        z = p_cam[..., 2]
-        if np.any(z <= 0.0):
-            raise ValueError("cannot project points at or behind the perspective camera")
-        return np.stack([a * p_cam[..., 0] / z + u0, b * p_cam[..., 1] / z + v0], axis=-1)
-    return np.stack([p_cam[..., 0] / a + u0, p_cam[..., 1] / b + v0], axis=-1)
 
 
 def look_at_extrinsics(position, target, up=(0.0, 1.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:

@@ -230,7 +230,8 @@ def cmd_gradcheck(args) -> int:
     report = run_gradcheck(args.kind, args.trials, args.seed)
     status = "PASS" if report.ok else "FAIL"
     print(f"gradcheck {report.kind}: {status} over {report.trials} trials; "
-          f"max rel err x {report.max_rel_err_x:.3e}, aux {report.max_rel_err_p:.3e}")
+          f"max rel err x {report.max_rel_err_x:.3e}, aux {report.max_rel_err_p:.3e}; "
+          f"max abs err x {report.max_abs_err_x:.3e}, aux {report.max_abs_err_p:.3e}")
     if not report.ok:
         raise CheckFailure("analytic gradients disagree with finite differences")
     return EXIT_OK

@@ -322,6 +322,8 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
             raise ValueError(f"{rays.kind} rays need an aux grid of kind {want!r}")
         if not same_geometry(aux.geometry, occ.geometry):
             raise ValueError("aux grid geometry does not match the occupancy grid")
+    elif aux is not None:  # its payload gradient would be zero and never move
+        raise ValueError(f"{rays.kind} rays take no aux grid, got one of kind {aux.kind!r}")
     if rays.kind == "depth_semantics" and rays.c.max() >= aux.nchannels:
         raise ValueError(f"observed class ids must be below the aux grid's {aux.nchannels} classes")
     geom = occ.geometry

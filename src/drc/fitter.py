@@ -193,6 +193,26 @@ def _squash(geometry: GridGeometry, logits_x, logits_p, aux_kind):
     return occ, AuxGrid(geometry, aux_kind, squash(logits_p))
 
 
+def _logit_grads(occ: OccupancyGrid, aux, grad_x, grad_p):
+    """The chain rule through ``_squash``, in place: gradients ``grad_x``
+    and ``grad_p`` with respect to the grids (occ, aux) it returned become
+    gradients with respect to their logits, bitwise grad_x x (1 - x),
+    grad_p p (1 - p) and p (grad_p - <grad_p, p>).  None stays None."""
+    if grad_x is not None:
+        x = occ.x
+        grad_x *= x
+        grad_x *= 1.0 - x
+    if grad_p is not None:
+        p = aux.payload
+        if aux.kind == "color":
+            grad_p *= p
+            grad_p *= 1.0 - p
+        else:  # softmax
+            grad_p -= _last_axis_dot(grad_p, p)[..., None]
+            grad_p *= p
+    return grad_x, grad_p
+
+
 def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         config: FitConfig = FitConfig(), *, traces=None):
     """Optimize a grid against the observations.
@@ -254,15 +274,12 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         losses[it] = loss
         ray_counts[it] = count
 
-        if kind != "color" or it < paint_from:
-            x = occ.x
-            opt_x.update(logits_x, grad_x * x * (1.0 - x))
-        if logits_p is not None and it >= paint_from:
-            p = aux.payload
-            if aux_kind == "color":
-                opt_p.update(logits_p, grad_p * p * (1.0 - p))
-            else:
-                opt_p.update(logits_p, p * (grad_p - _last_axis_dot(grad_p, p)[..., None]))
+        carving = kind != "color" or it < paint_from
+        grad_x, grad_p = _logit_grads(occ, aux, grad_x if carving else None, grad_p if it >= paint_from else None)
+        if grad_x is not None:
+            opt_x.update(logits_x, grad_x)
+        if grad_p is not None:
+            opt_p.update(logits_p, grad_p)
 
     occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
     report = FitReport(losses, ray_counts, time.perf_counter() - t_start)

@@ -71,10 +71,6 @@ class GridGeometry:
             raise ValueError("cell_size is defined for uniform grids only")
         return (self.aabb_max - self.aabb_min) / np.asarray(self.dims, dtype=np.float64)
 
-    def linear_index(self, ix, iy, iz):
-        nx, ny, _ = self.dims
-        return (np.asarray(iz) * ny + np.asarray(iy)) * nx + np.asarray(ix)
-
     def unravel(self, index):
         nx, ny, _ = self.dims
         index = np.asarray(index)

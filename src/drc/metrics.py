@@ -73,14 +73,13 @@ def strip_table(bounds) -> TraceTable:
     return TraceTable(geom, np.cumsum(n) - n, n, t0, np.arange(e, dtype=np.int32), t_exit)
 
 
-def _worst_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max relative error over components whose absolute error exceeds the floor."""
+def _worst_errors(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, float]:
+    """(max absolute error, max relative error over components whose
+    absolute error reaches the floor)."""
     err = np.abs(analytic - numeric)
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
     over = err >= GRADCHECK_ABS_FLOOR
-    if not over.any():
-        return 0.0
-    return float(np.max(err[over] / denom[over]))
+    rel = err[over] / np.maximum(np.abs(analytic), np.abs(numeric))[over]
+    return float(err.max(initial=0.0)), float(rel.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,9 @@ class GradcheckReport:
     kind: str
     trials: int
     max_rel_err_x: float
-    max_rel_err_p: float  # nan for kinds without aux payloads
+    max_rel_err_p: float  # nan for kinds without aux payloads, as max_abs_err_p
+    max_abs_err_x: float  # the absolute errors are reported; the relative ones decide ok
+    max_abs_err_p: float
     ok: bool
 
 
@@ -154,12 +155,12 @@ def run_gradcheck(kind: str, trials: int, seed: int) -> GradcheckReport:
             dp[cells] = np.eye(payload.shape[1])[j] - (payload[cells] if kind == "depth_semantics" else 0.0)
             numeric_p[cells, j] = slope(rows, dp=dp)
 
-    worst_x = _worst_rel_error(res.grad_x.reshape(-1)[:e], numeric_x[:e])
-    worst_p = float("nan")
+    abs_x, worst_x = _worst_errors(res.grad_x.reshape(-1)[:e], numeric_x[:e])
+    abs_p = worst_p = float("nan")
     if payload is not None:
         g = res.grad_p.reshape(payload.shape)[:e]
         if kind == "depth_semantics":
             g = g - np.sum(g * payload[:e], axis=1, keepdims=True)
-        worst_p = _worst_rel_error(g, numeric_p[:e])
+        abs_p, worst_p = _worst_errors(g, numeric_p[:e])
     ok = worst_x < GRADCHECK_REL_TOL and not worst_p >= GRADCHECK_REL_TOL
-    return GradcheckReport(kind, trials, worst_x, worst_p, ok)
+    return GradcheckReport(kind, trials, worst_x, worst_p, abs_x, abs_p, ok)

@@ -41,8 +41,7 @@ cell its index and exit depth, which each pass writes after the last one's
 into storage reserved from a bound on every ray's cell count (from 4 MiB
 on an anonymous mapping, whose unwritten pages never become resident).
 Consecutive cells share their boundary, so a cell's entry depth is the exit
-depth before it.  ``TraceTable.row`` gives one ray's ``RayTrace``;
-``trace`` is ``trace_batch`` on one ray.
+depth before it.  ``TraceTable.row`` gives one ray's ``RayTrace``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cameras import Ray
 from .grid import BinaryGrid, GridGeometry, same_geometry
 
 # rays per pass of trace_batch; bounds the (rays, planes) crossing arrays
@@ -142,17 +140,10 @@ class TraceTable:
         return np.repeat(np.arange(self.n_rays, dtype=np.int32), self.n)
 
 
-def trace(geometry: GridGeometry, ray: Ray) -> RayTrace:
-    """Every cell the ray's positive half-line intersects, in increasing t.
-
-    Rays originating inside the grid start at t = 0 from the containing
-    cell.  A miss is the empty trace.  This is ``trace_batch`` on one ray.
-    """
-    return trace_batch(geometry, ray.origin[None, :], ray.direction[None, :]).row(0)
-
-
 def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> TraceTable:
-    """The traces of many rays in one table, TABLE_CHUNK rays a pass."""
+    """The traces of many rays in one table, TABLE_CHUNK rays a pass: the
+    cells each ray's half-line t >= 0 crosses, in increasing t, from t = 0
+    for a ray that starts inside the grid; a miss has n = 0."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
     crossings = _axis_crossings if geometry.kind == "uniform" else _frustum_crossings

@@ -16,19 +16,23 @@ kernel documents (``scatter_in_kernel_order``), not in ray order.
 ``event_probabilities``, ``mask_loss_closed_form`` and
 ``central_difference`` are direct formulas the loss is checked against;
 ``strip_view_loss`` is the one entrance to the loss, ``view_loss``, on
-hand-built rays, whose losses tests read through ``per_ray``.
+hand-built rays, whose losses tests read through ``per_ray``.  ``project``,
+the inverse of ``pixel_rays``, checks the pixel rays by a round trip;
+``trace_one`` traces one ray, given as an origin and a direction as the
+oracles take it, through ``trace_batch``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from drc.cameras import Ray, pixel_rays
+from drc.cameras import pixel_rays
 from drc import consistency
 from drc.consistency import (AUX_KINDS, ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
                              RayBatch, ViewLossResult, view_loss)
 from drc.grid import AuxGrid, OccupancyGrid, same_geometry
 from drc.metrics import strip_table
+from drc.traversal import trace_batch
 
 
 def event_probabilities(x_r) -> np.ndarray:
@@ -160,10 +164,30 @@ def iou_at(pred, gt, threshold: float) -> float:
     return np.count_nonzero(pred_occ & gt.flat) / union
 
 
-def pixel_to_ray(camera, u: float, v: float) -> Ray:
-    """The world-frame ray of one pixel coordinate (u, v)."""
+def pixel_to_ray(camera, u: float, v: float):
+    """The world-frame ray (origin, unit direction) of one pixel coordinate (u, v)."""
     origins, directions = pixel_rays(camera, np.asarray([u]), np.asarray([v]))
-    return Ray(origins[0], directions[0])
+    return origins[0], directions[0]
+
+
+def project(camera, points) -> np.ndarray:
+    """World points (..., 3) -> pixel coordinates (..., 2), the inverse of
+    ``pixel_rays``.  Perspective projection requires positive camera-frame
+    depth."""
+    p_cam = np.asarray(points, dtype=np.float64) @ camera.rotation.T + camera.translation
+    a, b, u0, v0 = camera.intrinsics
+    if camera.model == "perspective":
+        z = p_cam[..., 2]
+        if np.any(z <= 0.0):
+            raise ValueError("cannot project points at or behind the perspective camera")
+        return np.stack([a * p_cam[..., 0] / z + u0, b * p_cam[..., 1] / z + v0], axis=-1)
+    return np.stack([p_cam[..., 0] / a + u0, p_cam[..., 1] / b + v0], axis=-1)
+
+
+def trace_one(geom, origin, direction):
+    """The ``RayTrace`` of one ray: ``trace_batch`` on a table of that ray."""
+    return trace_batch(geom, np.asarray(origin, dtype=np.float64)[None],
+                       np.asarray(direction, dtype=np.float64)[None]).row(0)
 
 
 def dense_payload_scatter(cells, valid, p_events, dpsi_dp, weights, ncells):
@@ -257,7 +281,7 @@ def min_cell_extent(geom):
     return min(z1 - z0, geom.f * z0)
 
 
-def dense_sample_cells(geom, ray, step_factor=1e-4, chunk=1_000_000):
+def dense_sample_cells(geom, origin, direction, step_factor=1e-4, chunk=1_000_000):
     """Walk the ray at a tiny fixed step, record the grid cell under each
     sample, deduplicate consecutive runs.  Chunked to bound memory (long
     scene rays need millions of samples)."""
@@ -265,7 +289,9 @@ def dense_sample_cells(geom, ray, step_factor=1e-4, chunk=1_000_000):
                         for gx in (0, geom.dims[0])
                         for gy in (0, geom.dims[1])
                         for gz in (0, geom.dims[2])])
-    t_max = np.max(np.linalg.norm(corners - ray.origin, axis=1)) + 1.0
+    origin = np.asarray(origin, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    t_max = np.max(np.linalg.norm(corners - origin, axis=1)) + 1.0
     step = step_factor * min_cell_extent(geom)
     n_samples = int(np.ceil(t_max / step))
     dims = np.asarray(geom.dims, dtype=np.float64)
@@ -273,11 +299,11 @@ def dense_sample_cells(geom, ray, step_factor=1e-4, chunk=1_000_000):
     last = None
     for start in range(0, n_samples, chunk):
         ts = (start + np.arange(min(chunk, n_samples - start))) * step
-        g = geom.world_to_grid(ray.origin + ts[:, None] * ray.direction)
+        g = geom.world_to_grid(origin + ts[:, None] * direction)
         with np.errstate(invalid="ignore"):
             inside = np.all((g >= 0.0) & (g < dims), axis=1)
         ijk = np.floor(g[inside]).astype(np.int64)
-        cells = geom.linear_index(ijk[:, 0], ijk[:, 1], ijk[:, 2])
+        cells = np.ravel_multi_index((ijk[:, 2], ijk[:, 1], ijk[:, 0]), geom.shape)
         if cells.size == 0:
             continue
         keep = np.concatenate([[True], cells[1:] != cells[:-1]])
@@ -301,15 +327,15 @@ def cell_faces(geom):
             np.array([[p.offset for p in cell] for cell in planes]))
 
 
-def clip_cells(geom, ray, faces=None):
+def clip_cells(geom, origin, direction, faces=None):
     """(cells, t_enter, t_exit) of every cell the ray's half-line t >= 0
     crosses over a positive length, ordered by entry depth: the ray is
     clipped against each cell's faces (``cell_faces``) independently.  A
     ray lying in a cell's low face is inside the cell, one lying in its high
     face outside it, so a ray in a plane between two cells is in the upper."""
     a, b = cell_faces(geom) if faces is None else faces
-    ad = a @ ray.direction
-    slack = b - a @ ray.origin
+    ad = a @ np.asarray(direction, dtype=np.float64)
+    slack = b - a @ np.asarray(origin, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = slack / ad
     t_in = np.maximum(np.where(ad < 0.0, t, -np.inf).max(axis=1), 0.0)

@@ -3,16 +3,14 @@ import pytest
 
 from drc.cameras import (
     Camera,
-    Ray,
     load_camera,
     look_at_extrinsics,
     perspective_camera,
     pixel_rays,
-    project,
     save_camera,
 )
 from drc.errors import FormatError
-from oracles import pixel_to_ray
+from oracles import pixel_to_ray, project
 
 
 def identity_perspective(f=1.0, size=8):
@@ -28,20 +26,20 @@ def identity_orthographic(s=0.1, size=8):
 class TestPixelToRay:
     def test_principal_ray(self):
         cam = identity_perspective()
-        ray = pixel_to_ray(cam, 4.0, 4.0)
-        assert np.allclose(ray.origin, 0.0)
-        assert np.allclose(ray.direction, [0, 0, 1])
+        origin, direction = pixel_to_ray(cam, 4.0, 4.0)
+        assert np.allclose(origin, 0.0)
+        assert np.allclose(direction, [0, 0, 1])
 
     def test_unit_offset_direction(self):
         cam = identity_perspective(f=1.0)
-        ray = pixel_to_ray(cam, 5.0, 4.0)  # u - u0 = 1, v = v0
-        assert np.allclose(ray.direction, np.array([1, 0, 1]) / np.sqrt(2))
+        _, direction = pixel_to_ray(cam, 5.0, 4.0)  # u - u0 = 1, v = v0
+        assert np.allclose(direction, np.array([1, 0, 1]) / np.sqrt(2))
 
     def test_orthographic_offset(self):
         cam = identity_orthographic(s=0.1)
-        ray = pixel_to_ray(cam, 6.0, 4.0)  # u - u0 = 2
-        assert np.allclose(ray.origin, [0.2, 0, 0])
-        assert np.allclose(ray.direction, [0, 0, 1])
+        origin, direction = pixel_to_ray(cam, 6.0, 4.0)  # u - u0 = 2
+        assert np.allclose(origin, [0.2, 0, 0])
+        assert np.allclose(direction, [0, 0, 1])
 
     def test_perspective_rays_share_origin(self):
         cam = perspective_camera((1.0, 2.0, 3.0), (0, 0, 0), 50.0, 16, 16)
@@ -123,10 +121,6 @@ class TestValidation:
     def test_non_finite_translation_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Camera("perspective", 8, 8, (1, 1, 4, 4), np.eye(3), np.array([0.0, bad, 0.0]))
-
-    def test_non_unit_ray_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]))
 
 
 class TestCameraFiles:

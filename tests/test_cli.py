@@ -188,7 +188,7 @@ class TestExitCodes:
         import drc.cli as cli_mod
 
         def broken(kind, trials, seed):
-            return GradcheckReport(kind, trials, 0.37, float("nan"), False)
+            return GradcheckReport(kind, trials, 0.37, float("nan"), 1e-3, float("nan"), False)
 
         monkeypatch.setattr(cli_mod, "run_gradcheck", broken)
         assert run("gradcheck", "--kind", "depth", "--trials", "5") == 3

@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drc.cameras import Ray
 from drc import traversal
 from drc.cameras import perspective_camera, pixel_rays
 from drc import consistency
 from drc.consistency import RAY_KINDS, RayBatch, _hit_loss, view_loss
 from drc.grid import AuxGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
-from drc.traversal import trace, trace_batch
+from drc.traversal import trace_batch
 
 
 from oracles import (brute_force_ray_loss, central_difference, dense_payload_scatter, entries,
                      event_probabilities, mask_loss_closed_form, naive_grad_x, padded, padded_event_costs,
                      padded_telescope, padded_view_loss, random_strip_rays, reference_psi, strip_psi,
-                     strip_view_loss)
+                     strip_view_loss, trace_one)
 
 
 def one_ray(kind, x, bounds, payload=None, **obs):
@@ -300,7 +299,7 @@ class TestViewLoss:
         d = np.array([[1.0, 0.0, 0.0]])
         rays = RayBatch("mask", np.ones(1), s=np.array([0.0]))
         res = view_loss(occ, rays, traces=trace_batch(geom, o, d))
-        touched = trace(geom, Ray(o[0], d[0])).cells
+        touched = trace_one(geom, o[0], d[0]).cells
         grad = res.grad_x.reshape(-1)
         untouched = np.setdiff1d(np.arange(geom.ncells), touched)
         assert np.all(grad[untouched] == 0.0)
@@ -313,7 +312,7 @@ class TestViewLoss:
         w = 1.7
         rays = RayBatch("depth", np.array([w]), d=np.array([1.9]))
         res = view_loss(occ, rays, traces=trace_batch(geom, o[None], d[None]))
-        tr = trace(geom, Ray(o, d))
+        tr = trace_one(geom, o, d)
         psi = reference_psi("depth", tr.d, 1.9)
         x_r = occ.flat[tr.cells]
         assert res.loss == pytest.approx(w * brute_force_ray_loss(x_r, psi), abs=1e-12)
@@ -327,6 +326,16 @@ class TestViewLoss:
         with pytest.raises(ValueError, match="aux"):
             view_loss(occ, rays, traces=traces)
 
+    @pytest.mark.parametrize("kind, aux_kind", [("mask", "color"), ("depth", "color"), ("depth", "semantics")])
+    def test_aux_rejected_for_mask_and_depth(self, kind, aux_kind):
+        # its payload gradient would be all zeros: a payload that never moves
+        rng, geom, occ = self._setup(9)
+        rays = RayBatch(kind, np.ones(1), **({"s": np.array([1])} if kind == "mask" else {"d": np.array([1.5])}))
+        traces = trace_batch(geom, np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+        aux = AuxGrid(geom, aux_kind, np.full((*geom.shape, 3), 1.0 / 3))
+        with pytest.raises(ValueError, match="take no aux grid"):
+            view_loss(occ, rays, aux, traces=traces)
+
     def test_semantic_composition_with_aux(self):
         rng, geom, occ = self._setup(10)
         p = rng.dirichlet(np.ones(4), size=geom.ncells).reshape(*geom.shape, 4)
@@ -335,7 +344,7 @@ class TestViewLoss:
         d = np.array([1.0, 0.0, 0.0])
         rays = RayBatch("depth_semantics", np.array([1.0]), d=np.array([2.2]), c=np.array([2]))
         res = view_loss(occ, rays, aux, traces=trace_batch(geom, o[None], d[None]))
-        tr = trace(geom, Ray(o, d))
+        tr = trace_one(geom, o, d)
         x_r = occ.flat[tr.cells]
 
         def loss_of(p_r):
@@ -447,7 +456,7 @@ def test_miss_split_matches_brute_force(kind, batch):
     loss = 0.0
     grad_x = np.zeros(geom.ncells)
     for r in range(n):
-        tr = trace(geom, Ray(origins[r], directions[r]))
+        tr = trace_one(geom, origins[r], directions[r])
         assert (tr.n == 0) == (batch == "all_miss")
         psi = reference_psi(kind, tr.d, obs[r], None if aux is None else aux.flat[tr.cells])
         loss += weights[r] * brute_force_ray_loss(occ.flat[tr.cells], psi)
@@ -800,7 +809,7 @@ def test_view_loss_matches_independent_oracles(case):
     grad_x = np.zeros(geom.ncells)
     grad_p = None if aux is None else np.zeros((geom.ncells, aux.nchannels))
     for r in range(rays.n_rays):
-        tr = trace(geom, Ray(origins[r], directions[r]))
+        tr = trace_one(geom, origins[r], directions[r])
         x_r = occ.flat[tr.cells]
         w = rays.weights[r]
         p_r = None if aux is None else aux.flat[tr.cells]

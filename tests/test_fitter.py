@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from drc import fitter
-from drc.consistency import AUX_KINDS, RayBatch, view_loss
+from drc.consistency import AUX_KINDS, RAY_KINDS, RayBatch, view_loss
 from drc.fitter import Adam, FitConfig, _last_axis_dot, fit, sample_rays, sigmoid, softmax, write_loss_log
 from drc.cameras import perspective_camera, pixel_rays
 from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
+from drc.metrics import strip_table
 from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
-from oracles import ReferenceAdam, two_branch_sigmoid, two_reduction_softmax
+from oracles import ReferenceAdam, random_strip_rays, two_branch_sigmoid, two_reduction_softmax
 
 
 @pytest.fixture(scope="module")
@@ -179,37 +180,58 @@ class TestFit:
             fit(obs, gt.geometry, "depth", FitConfig(iterations=3, foreground_weight=1e308))
 
     def test_logit_chain_rule_against_finite_differences(self):
-        gt, _ = make_test_shape("sphere", (16, 16, 16))
-        cams = sample_view_ring(2, seed=5, width=12, height=12)
-        obs = [render(gt, c, "depth") for c in cams]
-        geom = unit_cube_geometry((4, 4, 4))
+        """``_logit_grads``, the chain rule ``fit`` applies to ``view_loss``'s
+        gradients, against central differences in the logits, for every
+        kind.  The rays cross cells of their own (``strip_table``), so each
+        difference moves the k-th cell of every ray at once and reads each
+        ray's own loss."""
         rng = np.random.default_rng(8)
-        logits = rng.normal(0, 1, geom.shape)
-
-        table = image_traces(geom, [o.camera for o in obs])
-        tables = [table.camera_rows(v) for v in range(len(obs))]
-
-        def total_loss(lg):
-            occ = OccupancyGrid(geom, sigmoid(lg))
-            return sum(view_loss(occ, full_image_rays(o), traces=t).loss for o, t in zip(obs, tables))
-
-        occ = OccupancyGrid(geom, sigmoid(logits))
-        grad = np.zeros(geom.shape)
-        for o, t in zip(obs, tables):
-            grad += view_loss(occ, full_image_rays(o), traces=t).grad_x
-        analytic = grad * occ.x * (1.0 - occ.x)
-
         h = 1e-5
-        rng2 = np.random.default_rng(9)
-        for _ in range(12):
-            i = tuple(rng2.integers(0, 4, 3))
-            lp = logits.copy()
-            lp[i] += h
-            lm = logits.copy()
-            lm[i] -= h
-            numeric = (total_loss(lp) - total_loss(lm)) / (2 * h)
-            denom = max(abs(numeric), abs(analytic[i]), 1e-8)
-            assert abs(analytic[i] - numeric) / denom < 1e-4
+        for kind in RAY_KINDS:
+            _, bounds, _, _, fields = random_strip_rays(rng, kind, 40, 8, min_cells=1)
+            table = strip_table(bounds)
+            geom, n = table.geometry, table.n
+            rays = RayBatch(kind, rng.uniform(0.5, 2.0, n.size), **fields)
+            aux_kind = AUX_KINDS.get(kind)
+            logits_x = rng.normal(0.0, 1.0, geom.shape)
+            logits_p = None
+            if aux_kind is not None:
+                logits_p = rng.normal(0.0, 1.0, (*geom.shape, 3 if aux_kind == "color" else 4))
+
+            def loss(lx, lp):
+                occ, aux = fitter._squash(geom, lx, lp, aux_kind)
+                return view_loss(occ, rays, aux, traces=table)
+
+            def slope(rows, dx=0.0, dp=0.0):
+                """w d(per_ray)/dt of rays ``rows`` at the logits moved by t (dx, dp), t = 0."""
+                up, down = (loss(logits_x + t * dx, None if logits_p is None else logits_p + t * dp).per_ray[rows]
+                            for t in (h, -h))
+                return rays.weights[rows] * (up - down) / (2.0 * h)
+
+            occ, aux = fitter._squash(geom, logits_x, logits_p, aux_kind)
+            res = loss(logits_x, logits_p)
+            analytic_x, analytic_p = fitter._logit_grads(occ, aux, res.grad_x, res.grad_p)
+            assert fitter._logit_grads(occ, aux, None, None) == (None, None)
+            numeric_x = np.zeros(geom.ncells)
+            channels = 0 if logits_p is None else logits_p.shape[-1]
+            numeric_p = np.zeros((geom.ncells, channels))
+            for k in range(n.max()):
+                rows = np.flatnonzero(n > k)
+                cells = table.start[rows] + k  # the k-th cell of each of these rays
+                dx = np.zeros(geom.ncells)
+                dx[cells] = 1.0
+                numeric_x[cells] = slope(rows, dx=dx.reshape(geom.shape))
+                for j in range(channels):
+                    dp = np.zeros(numeric_p.shape)
+                    dp[cells, j] = 1.0
+                    numeric_p[cells, j] = slope(rows, dp=dp.reshape(logits_p.shape))
+
+            pairs = [(analytic_x.reshape(-1), numeric_x)]
+            if channels:
+                pairs.append((analytic_p.reshape(-1, channels), numeric_p))
+            for analytic, numeric in pairs:
+                denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-8)
+                assert np.max(np.abs(analytic - numeric) / denom) < 1e-4, kind
 
     def test_ray_budget_split_across_views(self, depth_views):
         gt, obs = depth_views

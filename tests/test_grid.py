@@ -140,7 +140,7 @@ class TestCellBounds:
         geom = make_frustum_geometry((4, 4, 4), 0.5, 0.5 * 2.0**4, 50.0)
         assert geom.alpha2 == pytest.approx(np.log(2.0), rel=1e-12)
         iz = 1
-        idx = geom.linear_index(0, 0, iz)
+        idx = np.ravel_multi_index((iz, 0, 0), geom.shape)
         planes = cell_bounds_world(geom, int(idx))
         z_lo, z_hi = planes[4], planes[5]
         assert abs(z_lo.signed_distance([0.0, 0.0, 1.0])) < 1e-12
@@ -166,7 +166,7 @@ class TestCellBounds:
         geom = unit_cube_geometry((3, 5, 7))
         idx = np.arange(geom.ncells)
         ix, iy, iz = geom.unravel(idx)
-        assert np.array_equal(geom.linear_index(ix, iy, iz), idx)
+        assert np.array_equal(np.ravel_multi_index((iz, iy, ix), geom.shape), idx)
         assert ix.max() == 2 and iy.max() == 4 and iz.max() == 6
 
 

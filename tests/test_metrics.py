@@ -105,8 +105,11 @@ class TestGradcheck:
 
     def test_broken_gradient_is_caught(self, monkeypatch):
         """A 1e-4 relative scaling of the kernel's x gradient, or of its
-        payload derivative, fails the check for every kind."""
+        payload derivative, fails the check for every kind, and raises the
+        reported absolute x error a thousandfold."""
         telescope, event_costs = consistency._telescope, consistency._event_costs
+        kinds = ("mask", "depth", "depth_semantics", "color")
+        working = {kind: run_gradcheck(kind, trials=10, seed=0) for kind in kinds}
 
         def scaled_grad_x(*args, **kwargs):
             per_ray, grad, p_events = telescope(*args, **kwargs)
@@ -118,9 +121,10 @@ class TestGradcheck:
 
         with monkeypatch.context() as m:
             m.setattr(consistency, "_telescope", scaled_grad_x)
-            for kind in ("mask", "depth", "depth_semantics", "color"):
+            for kind in kinds:
                 report = run_gradcheck(kind, trials=10, seed=0)
                 assert not report.ok and report.max_rel_err_x > 1e-5, report
+                assert report.max_abs_err_x >= 1000 * working[kind].max_abs_err_x, (report, working[kind])
         with monkeypatch.context() as m:
             m.setattr(consistency, "_event_costs", scaled_dpsi_dp)
             for kind in ("depth_semantics", "color"):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drc.cameras import Ray, image_grid_rays, perspective_camera
+from drc.cameras import image_grid_rays, perspective_camera
 from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry, unit_cube_geometry
 from drc import traversal
-from drc.traversal import first_hit_batch, trace, trace_batch
+from drc.traversal import first_hit_batch, trace_batch
 
 
 from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, event_probabilities, first_hit,
-                     full_frustum_crossings, padded, slab_hull)
+                     full_frustum_crossings, padded, slab_hull, trace_one)
 
 
 def unit(v):
@@ -24,13 +24,13 @@ def unit(v):
 
 def random_ray(rng, spread=2.0):
     origin = rng.uniform(-spread, spread, 3)
-    return Ray(origin, unit(rng.normal(size=3)))
+    return origin, unit(rng.normal(size=3))
 
 
 def assert_matches_clip_oracle(geom, ray, tr, faces=None):
     """The trace's cells exactly, and its depths within 1e-12; returns the
     oracle's cells."""
-    cells, t_enter, t_exit = clip_cells(geom, ray, faces)
+    cells, t_enter, t_exit = clip_cells(geom, *ray, faces)
     assert tr.cells.tolist() == cells.tolist()
     assert np.abs(tr.t_enter - t_enter).max(initial=0.0) <= 1e-12
     assert np.abs(tr.t_exit - t_exit).max(initial=0.0) <= 1e-12
@@ -51,7 +51,7 @@ FRUSTUM_GEOMS = [
 class TestHandExamples:
     def test_single_cell_grid(self):
         geom = uniform_geometry((1, 1, 1), (0, 0, 0), (1, 1, 1))
-        tr = trace(geom, Ray((-1.0, 0.5, 0.5), (1.0, 0.0, 0.0)))
+        tr = trace_one(geom, (-1.0, 0.5, 0.5), (1.0, 0.0, 0.0))
         assert tr.cells.tolist() == [0]
         assert tr.t_enter[0] == pytest.approx(1.0, abs=1e-12)
         assert tr.t_exit[0] == pytest.approx(2.0, abs=1e-12)
@@ -59,25 +59,25 @@ class TestHandExamples:
 
     def test_two_cell_grid(self):
         geom = uniform_geometry((2, 1, 1), (0, 0, 0), (2, 1, 1))
-        tr = trace(geom, Ray((-1.0, 0.5, 0.5), (1.0, 0.0, 0.0)))
+        tr = trace_one(geom, (-1.0, 0.5, 0.5), (1.0, 0.0, 0.0))
         assert tr.cells.tolist() == [0, 1]
         assert np.allclose(tr.t_enter, [1.0, 2.0], atol=1e-12)
         assert np.allclose(tr.t_exit, [2.0, 3.0], atol=1e-12)
 
     def test_parallel_outside_misses(self):
         geom = uniform_geometry((2, 1, 1), (0, 0, 0), (2, 1, 1))
-        tr = trace(geom, Ray((-1.0, 5.0, 0.5), (1.0, 0.0, 0.0)))
+        tr = trace_one(geom, (-1.0, 5.0, 0.5), (1.0, 0.0, 0.0))
         assert tr.n == 0
 
     def test_origin_inside_starts_at_zero(self):
         geom = uniform_geometry((4, 4, 4), (0, 0, 0), (1, 1, 1))
-        tr = trace(geom, Ray((0.6, 0.6, 0.6), unit((1.0, 0.3, -0.2))))
+        tr = trace_one(geom, (0.6, 0.6, 0.6), unit((1.0, 0.3, -0.2)))
         assert tr.t_enter[0] == 0.0
-        assert tr.cells[0] == geom.linear_index(2, 2, 2)
+        assert tr.cells[0] == np.ravel_multi_index((2, 2, 2), geom.shape)
 
     def test_frustum_apex_ray_crosses_all_layers(self):
         geom = make_frustum_geometry((4, 4, 4), 0.5, 8.0, 60.0)
-        tr = trace(geom, Ray((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
+        tr = trace_one(geom, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         assert tr.n == 4
         assert np.allclose(tr.t_enter, [0.5, 1.0, 2.0, 4.0], atol=1e-12)
         assert np.allclose(tr.t_exit, [1.0, 2.0, 4.0, 8.0], atol=1e-12)
@@ -88,7 +88,7 @@ class TestInvariants:
     def test_contiguity_and_adjacency(self, geom):
         rng = np.random.default_rng(42)
         for _ in range(80):
-            tr = trace(geom, random_ray(rng))
+            tr = trace_one(geom, *random_ray(rng))
             if tr.n == 0:
                 continue
             assert np.all(tr.t_exit > tr.t_enter)
@@ -101,7 +101,7 @@ class TestInvariants:
     def test_chord_length_conservation(self, geom):
         rng = np.random.default_rng(7)
         for _ in range(60):
-            tr = trace(geom, random_ray(rng))
+            tr = trace_one(geom, *random_ray(rng))
             if tr.n == 0:
                 continue
             total = np.sum(tr.t_exit - tr.t_enter)
@@ -112,23 +112,21 @@ class TestInvariants:
         faces = cell_faces(geom)
         for i in range(25):
             ray = random_ray(rng)
-            cells = assert_matches_clip_oracle(geom, ray, trace(geom, ray), faces)
+            cells = assert_matches_clip_oracle(geom, ray, trace_one(geom, *ray), faces)
             if i < 4:  # the clip oracle itself, against dense sampling
-                assert dense_sample_cells(geom, ray).tolist() == cells.tolist()
+                assert dense_sample_cells(geom, *ray).tolist() == cells.tolist()
 
     def test_batch_matches_scalar(self, geom, monkeypatch):
         rng = np.random.default_rng(11)
         rays = [random_ray(rng) for _ in range(40)]
         # several passes per table
         monkeypatch.setattr(traversal, "TABLE_CHUNK", 7)
-        table = trace_batch(geom,
-                            np.stack([r.origin for r in rays]),
-                            np.stack([r.direction for r in rays]))
+        table = trace_batch(geom, *map(np.stack, zip(*rays)))
         cells, d, valid = padded(table)
         flat_cells, flat_d = entries(table)
         assert 0 < np.count_nonzero(table.n) < len(rays)
         for i, ray in enumerate(rays):
-            tr = trace(geom, ray)
+            tr = trace_one(geom, *ray)
             row = table.row(i)
             assert row.cells.tobytes() == tr.cells.tobytes()
             assert row.t_enter.tobytes() == tr.t_enter.tobytes()
@@ -146,12 +144,12 @@ class TestBatchKernels:
     def test_subnormal_direction_component(self, origin, direction):
         # 1/d overflows for such components; the trace must stay exact and quiet
         geom = UNIFORM_GEOMS[1]
-        ray = Ray(origin, direction)
+        ray = (origin, direction)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            tr = trace(geom, ray)
+            tr = trace_one(geom, *ray)
         assert tr.n > 0
-        assert tr.cells.tolist() == dense_sample_cells(geom, ray).tolist()
+        assert tr.cells.tolist() == dense_sample_cells(geom, *ray).tolist()
         assert_matches_clip_oracle(geom, ray, tr)
 
     @pytest.mark.parametrize("origin, direction", [((-0.3, 0.05, 1.0), (0.6, 0.8, 2.2e-309)),
@@ -159,20 +157,19 @@ class TestBatchKernels:
     def test_frustum_subnormal_direction_component(self, origin, direction):
         # a depth-plane crossing (dz) or a lateral one (dx, across x = 0) overflows
         geom = FRUSTUM_GEOMS[1]
-        ray = Ray(origin, direction)
+        ray = (origin, direction)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            tr = trace(geom, ray)
+            tr = trace_one(geom, *ray)
         assert tr.n > 1
-        assert tr.cells.tolist() == dense_sample_cells(geom, ray).tolist()
+        assert tr.cells.tolist() == dense_sample_cells(geom, *ray).tolist()
         assert_matches_clip_oracle(geom, ray, tr)
 
     def test_chunks_do_not_change_rows(self, monkeypatch):
         for geom, spread in ((UNIFORM_GEOMS[1], 2.0), (FRUSTUM_GEOMS[1], 0.5)):
             rng = np.random.default_rng(4)
             rays = [random_ray(rng, spread) for _ in range(40)]
-            o = np.stack([r.origin for r in rays])
-            d = np.stack([r.direction for r in rays])
+            o, d = map(np.stack, zip(*rays))
             monkeypatch.undo()
             whole = trace_batch(geom, o, d)
             monkeypatch.setattr(traversal, "TABLE_CHUNK", 3)
@@ -267,13 +264,13 @@ class TestRaysLyingInPlanes:
         origins = p - rng.uniform(0.0, 1.5, (m, 1)) * d  # before the grid or inside it
         lying = 0
         for o, direction in zip(origins, d):
-            ray = Ray(o, direction)
-            tr = trace(geom, ray)
+            ray = (o, direction)
+            tr = trace_one(geom, *ray)
             assert_matches_clip_oracle(geom, ray, tr, faces)
             if geom.world_to_grid(o)[axis] == k and (geom.kind == "uniform" or axis == 2):
                 lying += 1
                 if lying == 1:  # dense sampling is slow: one ray per example
-                    assert tr.cells.tolist() == dense_sample_cells(geom, ray).tolist()
+                    assert tr.cells.tolist() == dense_sample_cells(geom, *ray).tolist()
                 if k == n:
                     assert tr.n == 0
                 else:
@@ -303,24 +300,24 @@ class TestEdgeCrossings:
 
     def test_uniform_edge(self):
         # x = y along the ray: every x plane is crossed with a y plane
-        ray = Ray((-0.5, -0.5, 0.3), unit((1.0, 1.0, 0.0)))
-        tr = trace(self.CUBE, ray)
-        assert tr.cells.tolist() == [self.CUBE.linear_index(k, k, 1) for k in range(4)]
+        ray = ((-0.5, -0.5, 0.3), unit((1.0, 1.0, 0.0)))
+        tr = trace_one(self.CUBE, *ray)
+        assert tr.cells.tolist() == [np.ravel_multi_index((1, k, k), self.CUBE.shape) for k in range(4)]
         self.check_steps(self.CUBE, tr, [(0, 1)] * 3)
         assert_matches_clip_oracle(self.CUBE, ray, tr)
 
     def test_uniform_corner(self):
-        ray = Ray((-0.5, -0.5, -0.5), unit((1.0, 1.0, 1.0)))
-        tr = trace(self.CUBE, ray)
-        assert tr.cells.tolist() == [self.CUBE.linear_index(k, k, k) for k in range(4)]
+        ray = ((-0.5, -0.5, -0.5), unit((1.0, 1.0, 1.0)))
+        tr = trace_one(self.CUBE, *ray)
+        assert tr.cells.tolist() == [np.ravel_multi_index((k, k, k), self.CUBE.shape) for k in range(4)]
         self.check_steps(self.CUBE, tr, [(0, 1, 2)] * 3)
         assert_matches_clip_oracle(self.CUBE, ray, tr)
 
     def test_frustum_edge(self):
         # nx = ny and x = y along the ray: the planes x = c z and y = c z are
         # crossed at one depth; the depth planes are crossed alone
-        ray = Ray((-0.5, -0.5, 1.0), unit((0.6, 0.6, 0.3)))
-        tr = trace(self.FRUSTUM, ray)
+        ray = ((-0.5, -0.5, 1.0), unit((0.6, 0.6, 0.3)))
+        tr = trace_one(self.FRUSTUM, *ray)
         ix, iy, _ = self.FRUSTUM.unravel(tr.cells)
         assert np.array_equal(ix, iy) and len(set(ix.tolist())) > 2
         crossed = [(0, 1) if a != b else (2,) for a, b in zip(ix[:-1], ix[1:])]
@@ -332,22 +329,22 @@ class TestEdgeCrossings:
         # first interior depth plane meet; z_1 - 0.5 is exact, so every
         # crossing depth there is 0.5 / d_x
         z1 = self.FRUSTUM.alpha1 * np.exp(self.FRUSTUM.alpha2 * np.arange(1, 4))[0]
-        ray = Ray((-0.5, -0.5, z1 - 0.5), unit((1.0, 1.0, 1.0)))
-        tr = trace(self.FRUSTUM, ray)
-        at = np.searchsorted(tr.t_exit, 0.5 / ray.direction[0])
-        assert tr.t_exit[at] == 0.5 / ray.direction[0]
-        assert tr.cells[at:at + 2].tolist() == [self.FRUSTUM.linear_index(1, 1, 0),
-                                                self.FRUSTUM.linear_index(2, 2, 1)]
+        origin, direction = (-0.5, -0.5, z1 - 0.5), unit((1.0, 1.0, 1.0))
+        tr = trace_one(self.FRUSTUM, origin, direction)
+        at = np.searchsorted(tr.t_exit, 0.5 / direction[0])
+        assert tr.t_exit[at] == 0.5 / direction[0]
+        assert tr.cells[at:at + 2].tolist() == [np.ravel_multi_index((0, 1, 1), self.FRUSTUM.shape),
+                                                np.ravel_multi_index((1, 2, 2), self.FRUSTUM.shape)]
         assert np.all(tr.t_exit > tr.t_enter)
-        assert_matches_clip_oracle(self.FRUSTUM, ray, tr)
+        assert_matches_clip_oracle(self.FRUSTUM, (origin, direction), tr)
 
     def test_entry_cell_agrees_with_crossing_depths(self):
         # z(t0) = -7e-46 rounds to the plane z = 0 in grid coordinates, but
         # the ray crosses that plane only at t = 2 > t0 = 1.5: a cell taken
         # from floor() at the entry would step past the grid's last z layer
         geom = unit_cube_geometry((2, 3, 2))
-        ray = Ray((0.1, -2.0, -2.8e-45), (0.0, 1.0, 1.4e-45))
-        tr = trace(geom, ray)
+        ray = ((0.1, -2.0, -2.8e-45), (0.0, 1.0, 1.4e-45))
+        tr = trace_one(geom, *ray)
         assert tr.cells.max() < geom.ncells
         assert_matches_clip_oracle(geom, ray, tr)
 
@@ -364,10 +361,10 @@ class TestEdgeCrossings:
             geom = self.FRUSTUM
             z1 = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, 4))[0]
             origin, direction, axis = (0.1, -1.0, z1), (zero, 1.0, zero), 2
-        tr = trace(geom, Ray(origin, direction))
+        tr = trace_one(geom, origin, direction)
         above = np.array(origin)
         above[axis] += 1e-9
-        cells, t_enter, t_exit = clip_cells(geom, Ray(above, direction))
+        cells, t_enter, t_exit = clip_cells(geom, above, direction)
         assert tr.n > 1 and tr.cells.tolist() == cells.tolist()
         assert np.allclose(tr.t_enter, t_enter, rtol=0, atol=1e-7)
         assert np.allclose(tr.t_exit, t_exit, rtol=0, atol=1e-7)
@@ -379,17 +376,17 @@ class TestFirstHit:
         return uniform_geometry((3, 1, 1), (0, 0, 0), (3, 1, 1))
 
     def ray(self):
-        return Ray((-1.0, 0.5, 0.5), (1.0, 0.0, 0.0))
+        return (-1.0, 0.5, 0.5), (1.0, 0.0, 0.0)
 
     def test_all_empty_escapes(self):
         geom = self.geom()
-        tr = trace(geom, self.ray())
+        tr = trace_one(geom, *self.ray())
         bg = BinaryGrid(geom, np.zeros(geom.shape, dtype=bool))
         assert first_hit(bg, tr) is None
 
     def test_first_cell_occupied(self):
         geom = self.geom()
-        tr = trace(geom, self.ray())
+        tr = trace_one(geom, *self.ray())
         occ = np.zeros(geom.shape, dtype=bool)
         occ[0, 0, 0] = True
         cell, depth = first_hit(BinaryGrid(geom, occ), tr)
@@ -398,7 +395,7 @@ class TestFirstHit:
 
     def test_first_occupied_wins(self):
         geom = self.geom()
-        tr = trace(geom, self.ray())
+        tr = trace_one(geom, *self.ray())
         occ = np.zeros(geom.shape, dtype=bool)
         occ[0, 0, 1] = True
         occ[0, 0, 2] = True
@@ -407,7 +404,7 @@ class TestFirstHit:
         assert depth == pytest.approx(2.5, abs=1e-12)
 
     def test_geometry_mismatch_rejected(self):
-        tr = trace(self.geom(), self.ray())
+        tr = trace_one(self.geom(), *self.ray())
         other = uniform_geometry((3, 1, 1), (0, 0, 0), (3, 1, 2))
         with pytest.raises(ValueError, match="geometr"):
             first_hit(BinaryGrid(other, np.zeros(other.shape, dtype=bool)), tr)
@@ -421,7 +418,7 @@ class TestFirstHit:
         bg = BinaryGrid(geom, occ)
         x_grid = bg.as_occupancy_grid()
         for _ in range(40):
-            tr = trace(geom, random_ray(rng))
+            tr = trace_one(geom, *random_ray(rng))
             if tr.n == 0:
                 continue
             p = event_probabilities(x_grid.flat[tr.cells])
@@ -437,11 +434,10 @@ class TestFirstHit:
         bg = BinaryGrid(geom, rng.uniform(size=geom.shape) < 0.25)
         rays = [random_ray(rng) for _ in range(50)]
         monkeypatch.setattr(traversal, "TABLE_CHUNK", 9)  # several passes
-        table = trace_batch(geom, np.stack([r.origin for r in rays]),
-                            np.stack([r.direction for r in rays]))
+        table = trace_batch(geom, *map(np.stack, zip(*rays)))
         hit, cell, depth = first_hit_batch(bg, table)
         for i, ray in enumerate(rays):
-            expect = first_hit(bg, trace(geom, ray))
+            expect = first_hit(bg, trace_one(geom, *ray))
             if expect is None:
                 assert not hit[i]
             else:
@@ -452,8 +448,8 @@ class TestFirstHit:
         # first hits read the flat arrays, which a take() does not reorder
         geom = self.geom()
         bg = BinaryGrid(geom, np.ones(geom.shape, dtype=bool))
-        ray = self.ray()
-        table = trace_batch(geom, np.stack([ray.origin] * 2), np.stack([ray.direction] * 2))
+        origin, direction = self.ray()
+        table = trace_batch(geom, np.array([origin] * 2), np.array([direction] * 2))
         with pytest.raises(ValueError, match="in order"):
             first_hit_batch(bg, table.take([1]))
         with pytest.raises(ValueError, match="in order"):  # a prefix keeps start in order
