@@ -165,6 +165,9 @@ def cmd_fit(args) -> int:
     kinds = {o.kind for o in observations}
     if len(kinds) != 1:
         raise FormatError(f"{args.obs}: observations have mixed kinds {sorted(kinds)}")
+    counts = {o.n_classes for o in observations}
+    if len(counts) != 1:
+        raise FormatError(f"{args.obs}: observations disagree on class count: {sorted(counts)}")
     kind = kinds.pop()
     if args.kind and args.kind != kind:
         raise FormatError(f"bundles are {kind!r} but --kind asked for {args.kind!r}")

@@ -89,18 +89,17 @@ AUX_KINDS = {"depth_semantics": "semantics", "color": "color"}  # ray kind -> it
 LOSS_CHUNK = 40 * 1024
 
 
-def _event_costs(kind: str, d_mid: np.ndarray, cells: np.ndarray, ray: np.ndarray,
-                 payload: np.ndarray | None = None, *, s=None, d=None, c=None,
-                 label_weight: float = 1.0):
+def _event_costs(rays: RayBatch, d_mid: np.ndarray, cells: np.ndarray, ray: np.ndarray,
+                 payload: np.ndarray | None = None, label_weight: float = 1.0):
     """(E,) cell-event costs and (R,) escape costs, then for payload kinds
     the flat index into the payload table (P, D) of each non-zero
     derivative d psi / d p and that derivative, else None and None: (E,) at
     the observed class c for depth_semantics, (E, 3) for color.
 
     Entry e is cell ``cells[e]``, a row of the payload table, at event
-    depth ``d_mid[e]`` on ray ``ray[e]``; ``s``, ``d``, ``c`` are the R rays'
-    observations, as in RayBatch.
+    depth ``d_mid[e]`` on ray ``ray[e]`` of the R ``rays``.
     """
+    kind, s, d, c = rays.kind, rays.s, rays.d, rays.c
     if kind == "mask":
         s = s.astype(np.float64)
         return s[ray], 1.0 - s, None, None
@@ -176,7 +175,8 @@ class RayBatch:
     Per kind: ``s`` (0 foreground / 1 background) for mask; ``d``, a
     positive finite depth, for depth and depth_semantics; ``c`` is a
     non-negative int class id per ray (depth_semantics) or an (R, 3) finite
-    RGB array (color).  Weights are positive and finite.
+    RGB array (color).  Weights are positive and finite.  ``take`` selects
+    rays, as ``TraceTable.take`` selects their traces.
     """
 
     kind: str
@@ -221,14 +221,13 @@ class RayBatch:
         kinds = {b.kind for b in batches}
         if len(kinds) != 1:
             raise ValueError(f"batches must share one ray kind, got {sorted(kinds)}")
-        fields = {k: None if getattr(batches[0], k) is None
-                  else np.concatenate([getattr(b, k) for b in batches]) for k in ("s", "d", "c")}
-        return cls(kinds.pop(), np.concatenate([b.weights for b in batches]), **fields)
+        fields = zip(*((b.weights, b.s, b.d, b.c) for b in batches))
+        return cls(kinds.pop(), *(None if v[0] is None else np.concatenate(v) for v in fields))
 
-    def observed(self, which) -> dict:
-        """The observation fields (s, d, c) of rays ``which``."""
-        return {k: None if v is None else v[which]
-                for k, v in (("s", self.s), ("d", self.d), ("c", self.c))}
+    def take(self, index) -> "RayBatch":
+        """The rays ``index``, in that order."""
+        fields = (self.weights, self.s, self.d, self.c)
+        return RayBatch(self.kind, *(None if v is None else v[index] for v in fields))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +241,8 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
-def _hit_loss(x: np.ndarray, payload, kind: str, traces: TraceTable, weights: np.ndarray, observed: dict,
-              label_weight: float):
-    """The kernel on rays that all enter the grid, the rows of ``traces``.
+def _hit_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, label_weight: float):
+    """The kernel on ``rays``, which all enter the grid, the rows of ``traces``.
     Returns the per-ray losses and, per entry of the slot-major layout, the
     cell and the weighted d(loss)/dx, then for payload kinds the flat
     payload index and the weighted payload gradient there ((E,) at the
@@ -272,9 +270,8 @@ def _hit_loss(x: np.ndarray, payload, kind: str, traces: TraceTable, weights: np
     d_mid += t_exit
     d_mid *= 0.5
     del t_exit
-    observed = {f: None if v is None else v[order] for f, v in observed.items()}
-    psi, psi_esc, at_p, dpsi_dp = _event_costs(kind, d_mid, cells, ray, payload, **observed,
-                                               label_weight=label_weight)
+    rays = rays.take(order)
+    psi, psi_esc, at_p, dpsi_dp = _event_costs(rays, d_mid, cells, ray, payload, label_weight)
     del d_mid
     dpsi = np.empty_like(psi)  # psi_{k+1} - psi_k, escape after the last cell
     dpsi[prev] = psi[m[0]:]
@@ -284,14 +281,14 @@ def _hit_loss(x: np.ndarray, payload, kind: str, traces: TraceTable, weights: np
     per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi[:m[0]], m.tolist(),
                                          events=dpsi_dp is not None)
     del psi, dpsi
-    w = np.take(weights[order], ray)
+    w = np.take(rays.weights, ray)
     del ray
     grad *= w
     losses = np.empty_like(per_ray)
     losses[order] = per_ray
     if dpsi_dp is None:
         return losses, cells, grad, None, None
-    if kind == "color":
+    if rays.kind == "color":
         p_events, w = p_events[:, None], w[:, None]
     dpsi_dp *= p_events
     dpsi_dp *= w
@@ -337,8 +334,7 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     per_ray = np.empty(rays.n_rays)
     miss = np.flatnonzero(n == 0)
     none = np.zeros(0, dtype=np.int64)
-    per_ray[miss] = _event_costs(rays.kind, np.zeros(0), none, none, payload,
-                                 **rays.observed(miss), label_weight=label_weight)[1]
+    per_ray[miss] = _event_costs(rays.take(miss), np.zeros(0), none, none, payload, label_weight)[1]
 
     hit = np.flatnonzero(n)
     grad_x = np.zeros(geom.ncells)
@@ -351,8 +347,8 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
         if i == j:  # two stops meet past a ray of more than LOSS_CHUNK cells
             continue
         rows = hit[i:j]
-        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, rays.kind, traces.take(rows),
-                                                       rays.weights[rows], rays.observed(rows), label_weight)
+        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, traces.take(rows), rays.take(rows),
+                                                       label_weight)
         grad_x += np.bincount(cells, weights=gx, minlength=grad_x.size)
         if gp is not None:
             grad_p += np.bincount(at_p.ravel(), weights=gp.ravel(), minlength=grad_p.size)

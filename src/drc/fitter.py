@@ -12,11 +12,12 @@ first iteration every view's pixel rays are traced once, into one table
 pixel's loss weight (foreground pixels weighted up) and observation is
 looked up once.  Every iteration samples a subset of views and a budget
 of pixels per view (uniform with replacement, the pixels ``sample_rays``
-draws), gathers their weights, observations and rows (one ``take`` of the
-table for every chosen view, sharing its storage), computes the loss of
-all of them and its analytic gradients in one ``view_loss`` call,
-chain-rules through the squashing map and applies the update; a loss or
-gradient that is not finite stops the fit with ``ValueError``.
+draws), gathers their weights and observations (one ``RayBatch.take``)
+and their rows (one ``TraceTable.take``, sharing the table's storage),
+computes the loss of all of them and its analytic gradients in one
+``view_loss`` call, chain-rules through the squashing map and applies the
+update; a loss or gradient that is not finite stops the fit with
+``ValueError``.
 
 Color fits run carve-then-paint, because joint optimization under
 RGB-only supervision has a bad basin: cells can turn white and become
@@ -41,7 +42,7 @@ import numpy as np
 
 from .consistency import AUX_KINDS, RayBatch, view_loss
 from .grid import AuxGrid, GridGeometry, OccupancyGrid
-from .renderer import Observation, full_image_rays, rays_from_pixels, view_traces
+from .renderer import Observation, full_image_rays, view_traces
 
 DEFAULT_RAYS_PER_ITERATION = 3000
 DEFAULT_FOREGROUND_WEIGHT = 5.0
@@ -107,6 +108,8 @@ class FitConfig:
             raise ValueError(f"foreground_weight must be positive and finite, got {self.foreground_weight}")
         if not math.isfinite(self.label_weight):
             raise ValueError(f"label_weight must be finite, got {self.label_weight}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.threads != 1:
             raise ValueError(f"threads must be 1 (a fit runs on one thread), got {self.threads}")
 
@@ -169,7 +172,8 @@ def sample_rays(obs: Observation, n: int, foreground_weight: float, seed: int,
     """
     if n < 1:
         raise ValueError(f"need at least one ray, got n={n}")
-    return rays_from_pixels(obs, *_sample_pixels(obs, n, seed, iteration, stream), foreground_weight)
+    us, vs = _sample_pixels(obs, n, seed, iteration, stream)
+    return full_image_rays(obs, foreground_weight).take(vs * obs.camera.width + us)
 
 
 def _check_observations(observations, kind: str) -> None:
@@ -265,7 +269,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
             us, vs = _sample_pixels(observations[view_idx], per_view, config.seed, it, view_idx)
             rows.append(pixel_base[view_idx] + vs * observations[view_idx].camera.width + us)
         rows = np.concatenate(rows)
-        rays = RayBatch(kind, every.weights[rows], **every.observed(rows))
+        rays = every.take(rows)
         res = view_loss(occ, rays, aux, label_weight=config.label_weight, traces=table.take(rows))
         loss, grad_x, grad_p, count = res.loss, res.grad_x, res.grad_p, rays.n_rays
         if not (math.isfinite(loss) and np.isfinite(grad_x).all()

@@ -159,6 +159,8 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
     want = AUX_KINDS.get(kind)
     if want is not None and (aux is None or aux.kind != want):
         raise ValueError(f"{kind} render needs an aux grid of kind {want!r}")
+    if kind == "depth_semantics" and aux.nchannels > 256:  # labels.pgm holds 8-bit class ids
+        raise ValueError(f"labels are 8-bit: a render takes at most 256 classes, got {aux.nchannels}")
     hw = (camera.height, camera.width)
     hit, cell, depth = first_hit_batch(bgrid, view_traces([camera], bgrid.geometry, traces))
     hit = hit.reshape(hw)
@@ -409,32 +411,17 @@ def list_observation_bundles(directory) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def rays_from_pixels(obs: Observation, us, vs, foreground_weight: float = 1.0) -> RayBatch:
-    """RayBatch for integer pixel indices (us, vs); its rays pass the pixel
-    centers, and their traces are the rows vs * width + us of the camera's
-    ``image_traces`` table.
-
-    Foreground pixels get ``foreground_weight``, background pixels 1.
-    """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    fg = obs.foreground()[vs, us]
-    weights = np.where(fg, float(foreground_weight), 1.0)
-    s = d = c = None
-    if obs.kind == "mask":
-        s = 1.0 - obs.mask[vs, us].astype(np.float64)
-    elif obs.kind == "depth":
-        d = obs.depth[vs, us]
-    elif obs.kind == "depth_semantics":
-        d = obs.depth[vs, us]
-        c = obs.classid[vs, us].astype(np.int64)
-    else:
-        c = obs.rgb[vs, us]
-    return RayBatch(obs.kind, weights, s=s, d=d, c=c)
-
-
 def full_image_rays(obs: Observation, foreground_weight: float = 1.0) -> RayBatch:
-    """One ray per pixel of the observation, row-major order."""
-    h, w = obs.camera.height, obs.camera.width
-    vs, us = np.divmod(np.arange(h * w), w)
-    return rays_from_pixels(obs, us, vs, foreground_weight)
+    """One ray per pixel of the observation, row-major order: ray
+    vs * width + us passes the center of pixel (us, vs), and its trace is
+    that row of the camera's ``image_traces`` table.  Foreground pixels get
+    ``foreground_weight``, background pixels 1; ``d`` and ``c`` may be views
+    of the observation's images.
+    """
+    weights = np.where(obs.foreground().reshape(-1), float(foreground_weight), 1.0)
+    if obs.kind == "mask":
+        return RayBatch(obs.kind, weights, s=1.0 - obs.mask.reshape(-1).astype(np.float64))
+    if obs.kind == "color":
+        return RayBatch(obs.kind, weights, c=obs.rgb.reshape(-1, 3))
+    c = obs.classid.reshape(-1).astype(np.int64) if obs.kind == "depth_semantics" else None
+    return RayBatch(obs.kind, weights, d=obs.depth.reshape(-1), c=c)

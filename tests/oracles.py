@@ -19,7 +19,9 @@ kernel documents (``scatter_in_kernel_order``), not in ray order.
 hand-built rays, whose losses tests read through ``per_ray``.  ``project``,
 the inverse of ``pixel_rays``, checks the pixel rays by a round trip;
 ``trace_one`` traces one ray, given as an origin and a direction as the
-oracles take it, through ``trace_batch``.
+oracles take it, through ``trace_batch``.  ``rays_at_pixels`` reads a
+sample's observations pixel by pixel with 2-D indexing, as the fitter
+did before it took its sampled rays from ``full_image_rays``.
 """
 
 from dataclasses import dataclass
@@ -499,11 +501,12 @@ def padded(table):
     return np.where(valid, table.cells[at], 0), np.where(valid, d, 0.0), valid
 
 
-def padded_event_costs(kind, d_mid, valid, cells, payload=None, *, s=None, d=None, c=None,
-                       label_weight=1.0):
+def padded_event_costs(rays, d_mid, valid, cells, payload=None, label_weight=1.0):
     """(R, L) cell-event costs, (R,) escape costs, then the payload
     derivative or None: (R, L) d psi / d p(c) at the observed class c for
-    depth_semantics, the (R, L, 3) d psi / d p for color."""
+    depth_semantics, the (R, L, 3) d psi / d p for color.  Row r is ray r
+    of the ``RayBatch`` ``rays``."""
+    kind, s, d, c = rays.kind, rays.s, rays.d, rays.c
     if kind == "mask":
         psi = np.broadcast_to(s[:, None].astype(np.float64), d_mid.shape).copy()
         return psi, 1.0 - s.astype(np.float64), None
@@ -553,20 +556,19 @@ def padded_view_loss(occ, rays, aux=None, *, label_weight=1.0, traces):
     per_ray = np.empty(rays.n_rays)
     hit, miss = np.flatnonzero(traces.n), np.flatnonzero(traces.n == 0)
     no_slots = np.zeros((miss.size, 0))
-    per_ray[miss] = padded_event_costs(rays.kind, no_slots, no_slots.astype(bool), no_slots.astype(np.int64),
-                                       payload, **rays.observed(miss), label_weight=label_weight)[1]
+    per_ray[miss] = padded_event_costs(rays.take(miss), no_slots, no_slots.astype(bool), no_slots.astype(np.int64),
+                                       payload, label_weight)[1]
     cells, d_mid, valid = padded(traces.take(hit))
     x = np.where(valid, occ.flat[cells], 1.0)
-    observed = rays.observed(hit)
-    psi, psi_esc, dpsi = padded_event_costs(rays.kind, d_mid, valid, cells, payload, **observed,
-                                            label_weight=label_weight)
+    hit_rays = rays.take(hit)
+    psi, psi_esc, dpsi = padded_event_costs(hit_rays, d_mid, valid, cells, payload, label_weight)
     per_ray[hit], grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
     loss = float(rays.weights @ per_ray)
     weights = rays.weights[hit]
     contrib = None
     if rays.kind == "depth_semantics":  # dense over the K classes, zero off the observed one
         dense = np.zeros((*dpsi.shape, aux.nchannels))
-        dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), observed["c"][:, None]] = dpsi
+        dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), hit_rays.c[:, None]] = dpsi
         contrib = p_events[:, :, None] * dense * weights[:, None, None]
     elif rays.kind == "color":
         contrib = p_events[:, :, None] * dpsi * weights[:, None, None]
@@ -626,3 +628,16 @@ def slab_hull(geom, o, d):
     t0 = np.maximum(tmin_ax.max(axis=1), 0.0)
     t1 = tmax_ax.min(axis=1)
     return t0, t1, t0 < t1
+
+
+def rays_at_pixels(obs, us, vs, foreground_weight):
+    """The ``RayBatch`` of integer pixels (us, vs): each channel and the
+    foreground indexed at [vs, us]."""
+    weights = np.where(obs.foreground()[vs, us], float(foreground_weight), 1.0)
+    if obs.kind == "mask":
+        return RayBatch("mask", weights, s=1.0 - obs.mask[vs, us].astype(np.float64))
+    if obs.kind == "depth":
+        return RayBatch("depth", weights, d=obs.depth[vs, us])
+    if obs.kind == "depth_semantics":
+        return RayBatch("depth_semantics", weights, d=obs.depth[vs, us], c=obs.classid[vs, us].astype(np.int64))
+    return RayBatch("color", weights, c=obs.rgb[vs, us])

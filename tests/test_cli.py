@@ -101,6 +101,35 @@ class TestExitCodes:
                    "--out", str(tmp_path / "fit")) == 2
         assert not (tmp_path / "fit").exists()
 
+    def test_mixed_class_counts_are_data_error(self, tmp_path, capsys):
+        import shutil
+        for k in (3, 4):
+            assert run("shape", "--name", "sphere", "--dims", "8", "--aux", "semantics", "--classes", str(k),
+                       "--out", str(tmp_path / f"gt{k}")) == 0
+            assert run("render", "--grid", str(tmp_path / f"gt{k}" / "shape.grid"), "--views", "1",
+                       "--kind", "depth_semantics", "--size", "8", "--out", str(tmp_path / f"r{k}")) == 0
+            shutil.copytree(tmp_path / f"r{k}" / "view_000", tmp_path / "obs" / f"k{k}")
+        assert run("fit", "--obs", str(tmp_path / "obs"), "--dims", "8", "--iters", "1",
+                   "--out", str(tmp_path / "fit")) == 2
+        assert "disagree on class count: [3, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_negative_seed_is_usage_error(self, pipeline, tmp_path, capsys):
+        assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "0",
+                   "--seed", "-1", "--out", str(tmp_path / "fit")) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert not (tmp_path / "fit").exists()
+
+    def test_render_of_more_than_256_classes_is_error(self, tmp_path, capsys):
+        assert run("shape", "--name", "sphere", "--dims", "8", "--aux", "semantics", "--classes", "300",
+                   "--out", str(tmp_path / "gt")) == 0
+        capsys.readouterr()
+        assert run("render", "--grid", str(tmp_path / "gt" / "shape.grid"), "--views", "1",
+                   "--kind", "depth_semantics", "--size", "8", "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "256 classes" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "view_000").exists()
+
     @pytest.mark.parametrize("line", ["width 24 9", "intrinsics 20.0 20.0 nan 12.0"])
     def test_malformed_camera_file_is_data_error(self, pipeline, tmp_path, line):
         import shutil

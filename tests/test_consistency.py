@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -397,13 +399,12 @@ def test_payload_scatter_is_bitwise_the_dense_scatter(kind, label_weight):
     cells, d_mid, valid = padded(traces.take(hit))
     assert hit.size < n and np.bincount(cells[valid]).max() > 3
     x = np.where(valid, occ.flat[cells], 1.0)
-    observed = rays.observed(hit)
-    psi, psi_esc, dpsi = padded_event_costs(kind, d_mid, valid, cells, aux.flat, **observed,
-                                            label_weight=label_weight)
+    hit_rays = rays.take(hit)
+    psi, psi_esc, dpsi = padded_event_costs(hit_rays, d_mid, valid, cells, aux.flat, label_weight)
     _, _, p_events = padded_telescope(x, valid, psi, psi_esc, backward=False, events=True)
     if kind == "depth_semantics":  # the dense derivative: zero off the observed class
         dense = np.zeros((*dpsi.shape, k))
-        dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), observed["c"][:, None]] = dpsi
+        dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), hit_rays.c[:, None]] = dpsi
     else:
         dense = dpsi
     want = dense_payload_scatter(cells, valid, p_events, dense, rays.weights[hit], geom.ncells)
@@ -580,8 +581,7 @@ def test_one_call_over_tables_is_the_per_table_calls_summed(kind, chunk, monkeyp
 
     loss = 0.0
     for v, table in enumerate(tables):
-        part = RayBatch(kind, rays.weights[48 * v:48 * (v + 1)],
-                        **rays.observed(np.arange(48 * v, 48 * (v + 1))))
+        part = rays.take(np.arange(48 * v, 48 * (v + 1)))
         alone = view_loss(occ, part, aux, label_weight=0.7, traces=table)
         _same_bits(alone, padded_view_loss(occ, part, aux, label_weight=0.7, traces=table))
         loss += alone.loss
@@ -611,8 +611,8 @@ def test_gradients_are_added_in_slot_major_order(kind, chunk, monkeypatch):
     assert np.unique(table.n[hit]).size > 4 and np.bincount(table.cells).max() > 10
     cells, d_mid, valid = padded(table.take(hit))
     x = np.where(valid, occ.flat[cells], 1.0)
-    psi, psi_esc, _ = padded_event_costs(kind, d_mid, valid, cells, None if aux is None else aux.flat,
-                                         **rays.observed(hit), label_weight=0.7)
+    psi, psi_esc, _ = padded_event_costs(rays.take(hit), d_mid, valid, cells, None if aux is None else aux.flat,
+                                         label_weight=0.7)
     grad = padded_telescope(x, valid, psi, psi_esc)[1] * rays.weights[hit][:, None]
     by_ray = np.zeros(geom.ncells)
     np.add.at(by_ray, cells[valid], grad[valid])
@@ -647,16 +647,14 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
     table = trace_batch(geom, np.concatenate([origins, diagonal[0]]),
                         np.concatenate([directions, diagonal[1]]))
     assert table.n[-1] > 128 and table.n.min() > 0 and table.n[:-1].max() < table.n[-1]
-    d = rng.uniform(0.5, 3.0, n + 1)
+    rays = RayBatch("depth", np.ones(n + 1), d=rng.uniform(0.5, 3.0, n + 1))
 
     def kernel(rows):
-        rows = np.asarray(rows)
-        return _hit_loss(occ.flat, None, "depth", table.take(rows), np.ones(rows.size),
-                         {"s": None, "d": d[rows], "c": None}, label_weight=1.0)
+        return _hit_loss(occ.flat, None, table.take(rows), rays.take(rows), label_weight=1.0)
 
     def padded_losses(rows):
         cells, d_mid, valid = padded(table.take(rows))
-        psi, psi_esc, _ = padded_event_costs("depth", d_mid, valid, cells, d=d[rows])
+        psi, psi_esc, _ = padded_event_costs(rays.take(rows), d_mid, valid, cells)
         return padded_telescope(np.where(valid, occ.flat[cells], 1.0), valid, psi, psi_esc,
                                 backward=False)[0]
 
@@ -684,7 +682,7 @@ def test_ray_loss_is_a_one_ray_view_loss(kind):
     assert 0 < np.count_nonzero(table.n) < 16
     assert every.loss == float(rays.weights @ every.per_ray)
     for r in range(16):
-        alone = view_loss(occ, RayBatch(kind, np.ones(1), **rays.observed([r])), aux, traces=table.take([r]))
+        alone = view_loss(occ, replace(rays.take([r]), weights=np.ones(1)), aux, traces=table.take([r]))
         assert alone.loss == alone.per_ray[0] == every.per_ray[r]
 
 

@@ -1,6 +1,9 @@
 """The quick demos run to the end.  The others (02, 03, 04, 06) fit grids
-and take seconds each, so they are left to be run by hand."""
+and take seconds each, so they are left to be run by hand; every demo's
+``drc`` imports are checked to resolve."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -19,3 +22,16 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "loss" in done.stdout
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_resolve(demo):
+    """Each ``from drc[.x] import name`` of the demo names something that exists."""
+    tree = ast.parse((ROOT / "demos" / demo).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "drc"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{demo}: {node.module} has no {alias.name}"

@@ -9,7 +9,7 @@ from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, 
 from drc.metrics import strip_table
 from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
-from oracles import ReferenceAdam, random_strip_rays, two_branch_sigmoid, two_reduction_softmax
+from oracles import ReferenceAdam, random_strip_rays, rays_at_pixels, two_branch_sigmoid, two_reduction_softmax
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,22 @@ class TestSampleRays:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.d, b.d)
         assert not np.array_equal(a.d, c.d)
+
+    @pytest.mark.parametrize("kind", RAY_KINDS)
+    def test_is_the_per_pixel_lookup(self, kind):
+        """sample_rays is, to the bit, each drawn pixel's weight and
+        observations read with 2-D indexing at the same (us, vs) draw."""
+        gt, aux = make_test_shape("chair_like", (12, 12, 12), aux_kind=AUX_KINDS.get(kind, "color"))
+        obs = render(gt, sample_view_ring(1, seed=5, width=20, height=14)[0], kind, aux)
+        got = sample_rays(obs, 300, 4.0, seed=2, iteration=3, stream=1)
+        want = rays_at_pixels(obs, *fitter._sample_pixels(obs, 300, 2, 3, 1), 4.0)
+        assert len(set(got.weights.tolist())) == 2
+        for field in ("weights", "s", "d", "c"):
+            have, expected = getattr(got, field), getattr(want, field)
+            assert (have is None) == (expected is None)
+            if expected is not None:
+                assert have.dtype == expected.dtype and have.shape == expected.shape
+                assert have.tobytes() == expected.tobytes()
 
     def test_needs_at_least_one_ray(self, depth_views):
         _, obs = depth_views
@@ -166,6 +182,11 @@ class TestFit:
         for threads in (0, 2, 3):
             with pytest.raises(ValueError, match="threads"):
                 FitConfig(threads=threads)
+
+    def test_negative_seed_rejected(self):
+        assert FitConfig(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be"):
+            FitConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["step_size", "foreground_weight", "label_weight"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drc import renderer
 from drc.consistency import OBJECT_ESCAPE_DEPTH
 from drc.errors import FormatError
 from drc.grid import AuxGrid, BinaryGrid, unit_cube_geometry
@@ -80,6 +81,18 @@ class TestRender:
         depth[4, 4] = bad
         with pytest.raises(ValueError, match="finite"):
             Observation("depth", obs.camera, depth=depth)
+
+    def test_256_classes_render(self):
+        gt, aux = make_test_shape("sphere", (8, 8, 8), aux_kind="semantics", n_classes=256)
+        obs = render(gt, front_camera(9, 9), "depth_semantics", aux)
+        assert obs.n_classes == 256 and obs.classid[0, 0] == 255
+
+    def test_257_classes_rejected_before_tracing(self, monkeypatch):
+        """Labels are 8-bit: a uint8 classid, saved as a PGM of maxval 255."""
+        gt, aux = make_test_shape("sphere", (8, 8, 8), aux_kind="semantics", n_classes=257)
+        monkeypatch.setattr(renderer, "first_hit_batch", None)
+        with pytest.raises(ValueError, match="at most 256 classes, got 257"):
+            render(gt, front_camera(9, 9), "depth_semantics", aux)
 
     def test_color_needs_aux(self):
         with pytest.raises(ValueError, match="aux"):
