@@ -26,25 +26,26 @@ recurrence works on a length-sorted, slot-major layout with no padding:
 the rays are sorted by decreasing trace length, so slot k holds the k-th
 cell of a prefix of m_k rays, and slot k's run follows slot k-1's.  The
 prefix products and the backward recurrence are one loop over slots, on
-contiguous runs.  Each ray's sum over its cells goes into eight partial
-sums, slot k into sum k mod 8, combined ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7)).
-That is the order numpy's row sum uses for 8 to 128 values, so the loss
-is bitwise what a (rays, slots) layout padded to a multiple of 8 gave, and
-past 128 cells a ray's loss still does not depend on the rays beside it.
+contiguous runs.  A ray that misses the grid is the ray of no cells: it
+sorts last, takes no slot, and its one event is escape, so it goes
+through the same kernel.  Every sum adds in the layout's order: a ray's
+terms with one ``np.bincount`` in slot order, from zero, then added to
+psi(1) (the escape cost for a miss), and the gradients below, so a ray's
+loss never depends on the rays beside it.
 
-``view_loss`` runs the kernel on the rays that enter the grid (a ray that
-misses has the escape event alone), about LOSS_CHUNK cells per pass, over
-one table whose rows are the rays (``fit``'s is one take of every sampled
-row of its views).  A pass reads the slot-major layout with one gather
-per array (cells, exit depths) from the table's storage, at each ray's
-start plus the slot; a cell's entry depth is the exit depth one slot
-back, or t0 in slot 0.  It adds its gradients with one ``np.bincount`` in
-that layout's order, slot by slot and the longest rays first, into zeros
-that are then added to the totals, pass after pass.  The loss is one dot
-of the weights with the per-ray losses, which the result also returns
-(``per_ray``).  ``view_loss`` is the one way to evaluate the loss: ``fit``,
-``drc gradcheck`` (``metrics.run_gradcheck``) and the tests' oracles all
-call it, so they check the fitter's kernel, sum order included.
+``view_loss`` runs the kernel on every ray, about LOSS_CHUNK cells per
+pass, over one table whose rows are the rays (``fit``'s is one take of
+every sampled row of its views).  A pass reads the slot-major layout
+with one gather per array (cells, exit depths) from the table's storage,
+at each ray's start plus the slot; a cell's entry depth is the exit
+depth one slot back, or t0 in slot 0.  It adds its gradients with one
+``np.bincount`` in that layout's order, slot by slot and the longest
+rays first, into zeros that are then added to the totals, pass after
+pass.  The loss is one dot of the weights with the per-ray losses, which
+the result also returns (``per_ray``).  ``view_loss`` is the one way to
+evaluate the loss: ``fit``, ``drc gradcheck`` (``metrics.run_gradcheck``)
+and the tests' oracles all call it, so they check the fitter's kernel,
+sum order included.
 
 A payload gradient is p(z = i) * dpsi_i/dp_i per cell.  A semantic cost
 depends on the observed class c alone, so the kernel keeps one derivative
@@ -120,7 +121,8 @@ def _event_costs(rays: RayBatch, d_mid: np.ndarray, cells: np.ndarray, ray: np.n
     return psi, psi_esc, cells[:, None] * k + np.arange(k), diff
 
 
-def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, *, events: bool = False):
+def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, ray: np.ndarray, *,
+               events: bool = False):
     """(R,) per-ray losses psi_1 + sum_k dpsi_k prod_{j<=k} x_j, then (E,)
     d(loss)/dx and (E,) cell-event probabilities if ``events`` (else
     None).  The gradient is computed in ``dpsi``.
@@ -128,26 +130,22 @@ def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, 
     The R rays are sorted by decreasing length and their E cells laid out
     slot-major: slot k holds the k-th cell of rays 0..m[k]-1, so ``m`` is
     non-increasing and sums to E, and slot k's run of entries follows slot
-    k-1's.  ``x`` and ``dpsi`` are per cell, dpsi_k = psi_{k+1} - psi_k with
-    the escape cost after a ray's last cell; ``psi_first`` is per ray, psi_1
-    or, for a ray of no cells, the escape cost.
+    k-1's; ``ray`` is each entry's ray.  ``x`` and ``dpsi`` are per cell,
+    dpsi_k = psi_{k+1} - psi_k with the escape cost after a ray's last
+    cell; ``psi_first`` is per ray, psi_1 or, for a ray of no cells, the
+    escape cost.  Each ray's terms are added from zero in slot order, and
+    the sum is then added to psi_first.
     """
     off = [0, *np.cumsum(m, dtype=np.int64).tolist()]
     pre = np.empty_like(x)  # prod_{j<k} x_j
-    pre[:off[1] if m else 0] = 1.0
+    pre[:m[0]] = 1.0
     for k in range(len(m) - 1):
         a, b, more = off[k], off[k + 1], m[k + 1]
         np.multiply(pre[a:a + more], x[a:a + more], out=pre[b:b + more])
-    # each ray's sum in eight partial sums, slot k into sum k mod 8, combined
-    # pairwise: numpy's order for a row of 8 to 128 values, here at any length
     terms = pre * x  # prod_{j<=k} x_j, as cumprod rounds it
     terms *= dpsi
-    acc = np.zeros((8, psi_first.shape[0]))
-    for k in range(len(m)):
-        acc[k % 8, :m[k]] += terms[off[k]:off[k + 1]]
+    per_ray = psi_first + np.bincount(ray, weights=terms, minlength=psi_first.shape[0])
     del terms
-    per_ray = psi_first + (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                           + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
 
     p_events = None
     if events:
@@ -241,17 +239,19 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
-def _hit_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, label_weight: float):
-    """The kernel on ``rays``, which all enter the grid, the rows of ``traces``.
-    Returns the per-ray losses and, per entry of the slot-major layout, the
-    cell and the weighted d(loss)/dx, then for payload kinds the flat
-    payload index and the weighted payload gradient there ((E,) at the
-    observed class, or (E, 3)), else None and None.  A pass's per-cell
-    arrays set a fit's peak memory, so each is dropped as soon as it has
-    been used."""
-    n = traces.n
-    order = np.argsort(-n, kind="stable")  # the rays by decreasing length
-    m = n.size - np.cumsum(np.bincount(n))[:-1]  # per slot k, the rays longer than k
+def _pass_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, label_weight: float):
+    """The kernel on ``rays``, the rows of ``traces``; a ray of no cells has
+    the escape event alone.  Returns the per-ray losses and, per entry of
+    the slot-major layout, the cell and the weighted d(loss)/dx, then for
+    payload kinds the flat payload index and the weighted payload gradient
+    there ((E,) at the observed class, or (E, 3)), else None and None.  A
+    pass's per-cell arrays set a fit's peak memory, so each is dropped as
+    soon as it has been used."""
+    order = np.argsort(-traces.n, kind="stable")  # the rays by decreasing length, misses last
+    n = traces.n[order]
+    # per slot k, the rays longer than k; slot 0 is kept when every ray misses
+    m = n.size - np.cumsum(np.bincount(n, minlength=2))[:-1]
+    hit = m[0]  # the rays order[:hit] enter the grid
     off = np.concatenate([[0], np.cumsum(m)])  # slot k's run starts at off[k]
     size = int(off[-1])
     ray = np.arange(size) - np.repeat(off[:-1], m)  # each entry's ray, as a place in ``order``
@@ -262,11 +262,11 @@ def _hit_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, label_
     cells, t_exit = np.take(traces.cells, src), np.take(traces.t_exit, src)
     del src
     # past slot 0, an entry's ray left the cell before it m[k-1] places back
-    prev = np.arange(m[0], size) - np.repeat(m[:-1], m[1:])
+    prev = np.arange(hit, size) - np.repeat(m[:-1], m[1:])
     # event depths 0.5 * (t_enter + t_exit), entering at t0 in slot 0
     d_mid = np.empty_like(t_exit)
-    d_mid[:m[0]] = traces.t0[order]
-    d_mid[m[0]:] = np.take(t_exit, prev)
+    d_mid[:hit] = np.take(traces.t0, order[:hit])
+    d_mid[hit:] = np.take(t_exit, prev)
     d_mid += t_exit
     d_mid *= 0.5
     del t_exit
@@ -274,11 +274,12 @@ def _hit_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, label_
     psi, psi_esc, at_p, dpsi_dp = _event_costs(rays, d_mid, cells, ray, payload, label_weight)
     del d_mid
     dpsi = np.empty_like(psi)  # psi_{k+1} - psi_k, escape after the last cell
-    dpsi[prev] = psi[m[0]:]
+    dpsi[prev] = psi[hit:]
     del prev
-    dpsi[np.take(off, n[order] - 1) + np.arange(n.size)] = psi_esc
+    dpsi[np.take(off, n[:hit] - 1) + np.arange(hit)] = psi_esc[:hit]
     dpsi -= psi
-    per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi[:m[0]], m.tolist(),
+    psi_first = np.concatenate([psi[:hit], psi_esc[hit:]])
+    per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi_first, m.tolist(), ray,
                                          events=dpsi_dp is not None)
     del psi, dpsi
     w = np.take(rays.weights, ray)
@@ -303,13 +304,14 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     ``traces`` is a ``TraceTable`` whose rows, in order, are the rays: an
     ``image_traces`` table, its rows or a take of them, or ``trace_batch``
     over the rays.  The loss is one dot of the weights with the per-ray
-    losses.  Each cell's gradient adds its terms pass by pass, and within a
-    pass slot by slot, the longest rays first (ties in ray order), so the
-    result is reproducible.  Cells no ray touches get zero gradient.
+    losses.  Every sum adds in layout order: each ray's terms in slot
+    order, and each cell's gradient pass by pass, and within a pass slot
+    by slot, the longest rays first (ties in ray order), so the result is
+    reproducible.  Cells no ray touches get zero gradient.
 
-    Only rays that enter the grid run through the telescoped kernel, in
-    passes of about LOSS_CHUNK cells.  A miss has one event, escape: its
-    loss is the escape cost and its gradient zero.
+    Every ray runs through the telescoped kernel, in passes of whole rays
+    of about LOSS_CHUNK cells.  A miss is the ray of no cells: its one
+    event is escape, so its loss is the escape cost and its gradient zero.
     """
     if rays.n_rays == 0:
         raise ValueError("ray set is empty")
@@ -332,23 +334,16 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     payload = None if aux is None else aux.flat
 
     per_ray = np.empty(rays.n_rays)
-    miss = np.flatnonzero(n == 0)
-    none = np.zeros(0, dtype=np.int64)
-    per_ray[miss] = _event_costs(rays.take(miss), np.zeros(0), none, none, payload, label_weight)[1]
-
-    hit = np.flatnonzero(n)
     grad_x = np.zeros(geom.ncells)
     grad_p = None if payload is None else np.zeros(payload.size)
     # passes of whole rays, a new one after every LOSS_CHUNK cells, each
     # scattered in its slot-major order
-    ends = np.cumsum(n[hit])
-    stops = np.searchsorted(ends, np.arange(LOSS_CHUNK, ends[-1] if hit.size else 0, LOSS_CHUNK))
-    for i, j in zip([0, *stops.tolist()], [*stops.tolist(), hit.size]):
-        if i == j:  # two stops meet past a ray of more than LOSS_CHUNK cells
-            continue
-        rows = hit[i:j]
-        per_ray[rows], cells, gx, at_p, gp = _hit_loss(occ.flat, payload, traces.take(rows), rays.take(rows),
-                                                       label_weight)
+    ends = np.cumsum(n)
+    stops = np.searchsorted(ends, np.arange(LOSS_CHUNK, ends[-1], LOSS_CHUNK)).tolist()
+    for i, j in zip([0, *stops], [*stops, n.size]):  # empty where a ray of many cells spans stops
+        rows = slice(i, j)
+        per_ray[rows], cells, gx, at_p, gp = _pass_loss(occ.flat, payload, traces.take(rows), rays.take(rows),
+                                                        label_weight)
         grad_x += np.bincount(cells, weights=gx, minlength=grad_x.size)
         if gp is not None:
             grad_p += np.bincount(at_p.ravel(), weights=gp.ravel(), minlength=grad_p.size)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consistency import AUX_KINDS, RayBatch, view_loss
-from .grid import AuxGrid, GridGeometry, OccupancyGrid
+from .grid import AuxGrid, GridGeometry, OccupancyGrid, last_axis_sum
 from .renderer import Observation, full_image_rays, view_traces
 
 DEFAULT_RAYS_PER_ITERATION = 3000
@@ -58,28 +58,14 @@ def sigmoid(z):
 
 
 def softmax(z):
-    """Softmax over the last axis.  The max and the sum run over the K
-    last-axis slices in turn, because numpy reduces a short last axis far
-    slower than it combines whole slices; for K < 8 numpy's sum adds in the
-    same order, so the result is the same to the bit."""
+    """Softmax over the last axis.  The max and the sum (``last_axis_sum``)
+    run over the K last-axis slices in turn, because numpy reduces a short
+    last axis far slower than it combines whole slices."""
     m = z[..., 0]
     for k in range(1, z.shape[-1]):
         m = np.maximum(m, z[..., k])
     e = np.exp(z - m[..., None])
-    total = e[..., 0].copy()
-    for k in range(1, z.shape[-1]):
-        total += e[..., k]
-    return e / total[..., None]
-
-
-def _last_axis_dot(a, b):
-    """sum_k a[..., k] * b[..., k], one last-axis slice at a time, as
-    ``softmax`` sums; for K < 8 numpy's ``np.sum(a * b, axis=-1)`` adds in
-    the same order, so the result is the same to the bit."""
-    total = np.zeros(a.shape[:-1])
-    for k in range(a.shape[-1]):
-        total += a[..., k] * b[..., k]
-    return total
+    return e / last_axis_sum(e)[..., None]
 
 
 @dataclass
@@ -212,7 +198,7 @@ def _logit_grads(occ: OccupancyGrid, aux, grad_x, grad_p):
             grad_p *= p
             grad_p *= 1.0 - p
         else:  # softmax
-            grad_p -= _last_axis_dot(grad_p, p)[..., None]
+            grad_p -= last_axis_sum(grad_p * p)[..., None]
             grad_p *= p
     return grad_x, grad_p
 

@@ -196,6 +196,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def last_axis_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, one slice at a time from zero: numpy
+    reduces a short last axis far slower than it adds whole slices, and
+    for K < 8 adds in this order too, so the bits are ``np.sum``'s."""
+    total = np.zeros(a.shape[:-1])
+    for k in range(a.shape[-1]):
+        total += a[..., k]
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class OccupancyGrid:
     """Per-cell emptiness probabilities x on a geometry.
@@ -253,13 +263,7 @@ class AuxGrid:
                 raise ValueError("semantic payload needs at least 2 classes")
             if not np.all(p >= 0.0):
                 raise ValueError("semantic payload must be nonnegative (and not NaN)")
-            # the classes summed slice by slice, as fitter.softmax sums: numpy
-            # reduces a short last axis far slower, and for K < 8 adds in
-            # this order too
-            total = p[..., 0].copy()
-            for k in range(1, p.shape[3]):
-                total += p[..., k]
-            if np.any(np.abs(total - 1.0) > SIMPLEX_ATOL):
+            if np.any(np.abs(last_axis_sum(p) - 1.0) > SIMPLEX_ATOL):
                 raise ValueError(f"semantic payload rows must sum to 1 within {SIMPLEX_ATOL}")
         object.__setattr__(self, "payload", _freeze(p))
 

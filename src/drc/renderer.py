@@ -76,8 +76,8 @@ class Observation:
         if self.depth is not None and not np.all(np.isfinite(self.depth) & (self.depth > 0.0)):
             raise ValueError("depth must be positive and finite everywhere")
         if self.classid is not None:
-            if self.n_classes < 2:
-                raise ValueError("depth_semantics observation needs n_classes >= 2")
+            if not 2 <= self.n_classes <= 256:  # class ids are 8-bit
+                raise ValueError(f"depth_semantics observation needs 2 to 256 classes, got {self.n_classes}")
             if np.any(self.classid >= self.n_classes):
                 raise ValueError("class ids must be < n_classes")
 

@@ -13,17 +13,20 @@ t_exit).
 
 The digests are SHA-256 of raw bytes, which may differ across numpy builds
 and CPUs (``exp``, ``log`` and the BLAS dot products take other SIMD paths),
-so the file records the numpy version and platform, and pytest does not
-run this script: Tier-1 checks run-to-run determinism and the golden
-``table.tsv`` instead.  A change that breaks the bytes on purpose runs
-``--write`` and lists the changed files.  Takes a few seconds.
+so the file records the numpy version and platform, and Tier-1 runs
+``--check`` (``tests/test_golden.py``) only where that line is this
+machine's ``environment()``; elsewhere it checks run-to-run determinism
+and the golden ``table.tsv``.  A change that breaks the bytes on purpose
+runs ``--write`` and lists the changed files.  Takes a few seconds.
 """
 
 import os
 
-# one BLAS thread before numpy loads, as the benchmark runs
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+# one BLAS thread before numpy loads, as the benchmark runs (not when a test
+# imports this module for its environment line)
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse
 import contextlib

@@ -10,8 +10,10 @@ two-reduction softmax, the two-branch sigmoid, ``ReferenceAdam`` and the
 padded loss kernel (``padded``, ``padded_view_loss``) are the formulas the
 fitter used before its flat payload scatter, slice-wise softmax, one-exp
 sigmoid, in-place Adam update and length-sorted loss kernel, kept to
-check those bit for bit; their gradients are added in the order the
-kernel documents (``scatter_in_kernel_order``), not in ray order.
+check those bit for bit; the padded kernel adds each padded row left to
+right, not in numpy's row-sum order, and its gradients are added in the
+order the kernel documents (``scatter_in_kernel_order``), not in ray
+order.
 ``entries`` gathers a table's rows ray by ray, as the loss once did.
 ``event_probabilities``, ``mask_loss_closed_form`` and
 ``central_difference`` are direct formulas the loss is checked against;
@@ -203,7 +205,7 @@ def dense_payload_scatter(cells, valid, p_events, dpsi_dp, weights, ncells):
 def scatter_in_kernel_order(cells, values, n, size):
     """``np.add.at`` of padded per-cell ``values`` ((R, L) or (R, L, D))
     into zeros of ``size`` rows, in the order ``view_loss`` documents for R
-    rays of n > 0 cells each, left-aligned in the L slots.
+    rays of n >= 0 cells each, left-aligned in the L slots.
 
     The rays go in passes: a pass ends before the first ray whose cells,
     counted from the first ray's, reach the next multiple of LOSS_CHUNK.
@@ -484,13 +486,9 @@ def padded(table):
     """(cells, d, valid), each (n_rays, W): every ray's trace left-aligned
     in W slots, W = max_len rounded up to a multiple of 8, at least 8.  d is
     the event depth per cell, 0.5 * (t_enter + t_exit).  Padding is cell 0
-    at depth 0, and ``valid`` is False there.
-
-    numpy sums a row of 8 to 128 values in eight interleaved partial sums,
-    so padding a row with zeros to any multiple of 8 up to 128 leaves the
-    rounding of its sum unchanged.  Past 128 values numpy splits the row at
-    a point that depends on its width, so a ray's loss then depends on the
-    longest trace batched with it.
+    at depth 0, and ``valid`` is False there; a ray of no cells is all
+    padding.  ``padded_telescope`` adds a row left to right, so its zero
+    terms on padding leave a ray's sum as the kernel rounds it.
     """
     width = max(8, -(-table.max_len // 8) * 8)
     valid = np.arange(width) < table.n[:, None]
@@ -528,12 +526,17 @@ def padded_event_costs(rays, d_mid, valid, cells, payload=None, label_weight=1.0
 def padded_telescope(x, valid, psi, psi_esc, *, backward=True, events=False):
     """(R,) per-ray losses, then (R, L) d(loss)/dx if ``backward`` and (R, L)
     cell-event probabilities if ``events`` (else None); both zero on padding.
-    ``x`` is emptiness, 1 on padding slots."""
+    ``x`` is emptiness, 1 on padding slots.  A ray's loss is psi_1 plus its
+    terms added left to right from zero."""
     cum = np.cumprod(x, axis=1)
     pre = np.concatenate([np.ones((x.shape[0], 1)), cum[:, :-1]], axis=1)
     psi = np.where(valid, psi, psi_esc[:, None])
     dpsi = np.concatenate([psi[:, 1:], psi_esc[:, None]], axis=1) - psi
-    per_ray = psi[:, 0] + (dpsi * cum).sum(axis=1)
+    terms = dpsi * cum
+    total = np.zeros(x.shape[0])
+    for k in range(terms.shape[1]):
+        total += terms[:, k]
+    per_ray = psi[:, 0] + total
     grad = p_events = None
     if backward:
         s = np.zeros_like(dpsi)
@@ -550,39 +553,28 @@ def padded_view_loss(occ, rays, aux=None, *, label_weight=1.0, traces):
     """``view_loss`` through the padded kernel, on one table whose rows are
     the rays: the loss is one dot of the weights with the per-ray losses,
     and the gradients are added in the kernel's order
-    (``scatter_in_kernel_order``) over the rays that enter the grid."""
+    (``scatter_in_kernel_order``)."""
     geom = occ.geometry
     payload = None if aux is None else aux.flat
-    per_ray = np.empty(rays.n_rays)
-    hit, miss = np.flatnonzero(traces.n), np.flatnonzero(traces.n == 0)
-    no_slots = np.zeros((miss.size, 0))
-    per_ray[miss] = padded_event_costs(rays.take(miss), no_slots, no_slots.astype(bool), no_slots.astype(np.int64),
-                                       payload, label_weight)[1]
-    cells, d_mid, valid = padded(traces.take(hit))
+    cells, d_mid, valid = padded(traces)
     x = np.where(valid, occ.flat[cells], 1.0)
-    hit_rays = rays.take(hit)
-    psi, psi_esc, dpsi = padded_event_costs(hit_rays, d_mid, valid, cells, payload, label_weight)
-    per_ray[hit], grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
+    psi, psi_esc, dpsi = padded_event_costs(rays, d_mid, valid, cells, payload, label_weight)
+    per_ray, grad, p_events = padded_telescope(x, valid, psi, psi_esc, events=dpsi is not None)
     loss = float(rays.weights @ per_ray)
-    weights = rays.weights[hit]
+    weights = rays.weights
     contrib = None
     if rays.kind == "depth_semantics":  # dense over the K classes, zero off the observed one
         dense = np.zeros((*dpsi.shape, aux.nchannels))
-        dense[np.arange(hit.size)[:, None], np.arange(dpsi.shape[1]), hit_rays.c[:, None]] = dpsi
+        dense[np.arange(rays.n_rays)[:, None], np.arange(dpsi.shape[1]), rays.c[:, None]] = dpsi
         contrib = p_events[:, :, None] * dense * weights[:, None, None]
     elif rays.kind == "color":
         contrib = p_events[:, :, None] * dpsi * weights[:, None, None]
 
     n = valid.sum(axis=1)
-    grad_x = np.zeros(geom.ncells)
+    grad_x = scatter_in_kernel_order(cells, grad * weights[:, None], n, geom.ncells)
     grad_p = None
-    if n.size:
-        grad_x = scatter_in_kernel_order(cells, grad * weights[:, None], n, geom.ncells)
     if payload is not None:
-        grad_p = np.zeros((geom.ncells, aux.nchannels))
-        if n.size:
-            grad_p = scatter_in_kernel_order(cells, contrib, n, geom.ncells)
-        grad_p = grad_p.reshape(*geom.shape, aux.nchannels)
+        grad_p = scatter_in_kernel_order(cells, contrib, n, geom.ncells).reshape(*geom.shape, aux.nchannels)
     return ViewLossResult(loss, per_ray, grad_x.reshape(geom.shape), grad_p)
 
 

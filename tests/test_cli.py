@@ -101,6 +101,22 @@ class TestExitCodes:
                    "--out", str(tmp_path / "fit")) == 2
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("count", ["257", "1000000000"])
+    def test_class_count_past_8_bits_is_data_error(self, tmp_path, capsys, count):
+        """Labels are 8-bit, so a bundle cannot name more than 256 classes;
+        10^9 once made the fit allocate a payload of terabytes."""
+        assert run("shape", "--name", "sphere", "--dims", "8", "--aux", "semantics",
+                   "--out", str(tmp_path / "semgt")) == 0
+        assert run("render", "--grid", str(tmp_path / "semgt" / "shape.grid"), "--views", "1",
+                   "--kind", "depth_semantics", "--size", "8", "--out", str(tmp_path / "obs")) == 0
+        (tmp_path / "obs" / "view_000" / "kind.txt").write_text(f"depth_semantics {count}\n")
+        capsys.readouterr()
+        assert run("fit", "--obs", str(tmp_path / "obs"), "--dims", "8", "--iters", "1",
+                   "--out", str(tmp_path / "fit")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"2 to 256 classes, got {count}" in err
+        assert not (tmp_path / "fit").exists()
+
     def test_mixed_class_counts_are_data_error(self, tmp_path, capsys):
         import shutil
         for k in (3, 4):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from drc import traversal
 from drc.cameras import perspective_camera, pixel_rays
 from drc import consistency
-from drc.consistency import RAY_KINDS, RayBatch, _hit_loss, view_loss
+from drc.consistency import RAY_KINDS, RayBatch, _pass_loss, view_loss
 from drc.grid import AuxGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
 from drc.traversal import trace_batch
 
@@ -164,6 +164,17 @@ class TestRayLoss:
             res, _, x, psi = batch_of(rng, kind, 200, 8)
             direct = [float(event_probabilities(x[r]) @ psi[r]) for r in range(200)]
             assert res.per_ray == pytest.approx(direct, abs=1e-12)
+
+    def test_terms_are_added_in_slot_order(self):
+        """A ray's loss is psi_1 plus its terms dpsi_k prod_{j<=k} x_j added
+        from zero in slot order, to the bit, past the eight slots where a
+        pairwise sum would round otherwise."""
+        res, _, x, psi = batch_of(np.random.default_rng(9), "depth", 200, 40, min_cells=9)
+        for r in range(200):
+            total = 0.0
+            for term in np.diff(psi[r]) * np.cumprod(x[r]):
+                total += term
+            assert res.per_ray[r] == psi[r][0] + total
 
     def test_length_mismatch_rejected(self):
         # two depths for one ray
@@ -635,9 +646,10 @@ def test_table_list_is_checked():
 
 def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
     """On a 64^3 grid a diagonal trace crosses 190 cells.  A ray's loss and
-    gradient are the same bits alone and beside it, although numpy's own
-    row sum, which the padded oracle kernel uses, splits a row of more than
-    128 values at a point that depends on the row's width."""
+    gradient are the same bits alone and beside it, and its loss is the
+    padded oracle's, although numpy's own row sum of the padded terms
+    splits a row of more than 128 values at a point that depends on the
+    row's width."""
     rng = np.random.default_rng(64)
     geom = unit_cube_geometry((64, 64, 64))
     occ = OccupancyGrid(geom, rng.uniform(0.95, 1.0, geom.shape))  # late cells still count
@@ -650,13 +662,17 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
     rays = RayBatch("depth", np.ones(n + 1), d=rng.uniform(0.5, 3.0, n + 1))
 
     def kernel(rows):
-        return _hit_loss(occ.flat, None, table.take(rows), rays.take(rows), label_weight=1.0)
+        return _pass_loss(occ.flat, None, table.take(rows), rays.take(rows), label_weight=1.0)
 
     def padded_losses(rows):
+        """The padded oracle's losses, and numpy's row sums of its terms."""
         cells, d_mid, valid = padded(table.take(rows))
+        x = np.where(valid, occ.flat[cells], 1.0)
         psi, psi_esc, _ = padded_event_costs(rays.take(rows), d_mid, valid, cells)
-        return padded_telescope(np.where(valid, occ.flat[cells], 1.0), valid, psi, psi_esc,
-                                backward=False)[0]
+        psi = np.where(valid, psi, psi_esc[:, None])
+        dpsi = np.concatenate([psi[:, 1:], psi_esc[:, None]], axis=1) - psi
+        return (padded_telescope(x, valid, psi, psi_esc, backward=False)[0],
+                (dpsi * np.cumprod(x, axis=1)).sum(axis=1))
 
     changed = 0
     for r in range(n):
@@ -664,8 +680,10 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
         assert alone[0][0] == beside[0][0]
         # slot-major: beside the longer diagonal, ray r holds every second entry
         assert alone[2].tobytes() == beside[2][1:2 * table.n[r]:2].tobytes()
-        changed += padded_losses([r])[0] != padded_losses([r, n])[0]
-    assert changed > 0, "the padded oracle no longer shows the batch dependence"
+        (oracle_alone, numpy_alone), (oracle_beside, numpy_beside) = padded_losses([r]), padded_losses([r, n])
+        assert alone[0][0] == oracle_alone[0] == oracle_beside[0]
+        changed += numpy_alone[0] != numpy_beside[0]
+    assert changed > 0, "numpy's row sum no longer shows the batch dependence"
 
 
 @pytest.mark.parametrize("kind", RAY_KINDS)

@@ -3,9 +3,9 @@ import pytest
 
 from drc import fitter
 from drc.consistency import AUX_KINDS, RAY_KINDS, RayBatch, view_loss
-from drc.fitter import Adam, FitConfig, _last_axis_dot, fit, sample_rays, sigmoid, softmax, write_loss_log
+from drc.fitter import Adam, FitConfig, fit, sample_rays, sigmoid, softmax, write_loss_log
 from drc.cameras import perspective_camera, pixel_rays
-from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, make_frustum_geometry, unit_cube_geometry
+from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, last_axis_sum, make_frustum_geometry, unit_cube_geometry
 from drc.metrics import strip_table
 from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
@@ -100,7 +100,7 @@ class TestSquashing:
         a[0] = 0.0  # zero rows, of both signs
         a[1, 0] = -0.0
         b[2, 0, 0, 0] = 0.0
-        assert _last_axis_dot(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
+        assert last_axis_sum(a * b).tobytes() == np.sum(a * b, axis=-1).tobytes()
 
     def test_softmax_rows_are_simplices(self):
         rng = np.random.default_rng(0)
