@@ -10,14 +10,14 @@ Cameras, geometry and observations stay fixed during a fit, so before the
 first iteration every view's pixel rays are traced once, into one table
 (``image_traces``) unless the caller passes it as ``traces=``, and every
 pixel's loss weight (foreground pixels weighted up) and observation is
-looked up once.  Every iteration samples a subset of views and a budget
-of pixels per view (uniform with replacement, the pixels ``sample_rays``
-draws), gathers their weights and observations (one ``RayBatch.take``)
-and their rows (one ``TraceTable.take``, sharing the table's storage),
-computes the loss of all of them and its analytic gradients in one
-``view_loss`` call, chain-rules through the squashing map and applies the
-update; a loss or gradient that is not finite stops the fit with
-``ValueError``.
+looked up once.  Every iteration draws its rows of that table through
+one ``sample_rays`` call (a subset of views, a budget of pixels per view
+uniform with replacement), gathers their weights and observations (one
+``RayBatch.take``) and their traces (one ``TraceTable.take``, sharing the
+table's storage), computes the loss of all of them and its analytic
+gradients in one ``view_loss`` call, chain-rules through the squashing
+map and applies the update; a loss or gradient that is not finite stops
+the fit with ``ValueError``.
 
 Color fits run carve-then-paint, because joint optimization under
 RGB-only supervision has a bad basin: cells can turn white and become
@@ -42,7 +42,7 @@ import numpy as np
 
 from .consistency import AUX_KINDS, RayBatch, view_loss
 from .grid import AuxGrid, GridGeometry, OccupancyGrid, last_axis_sum
-from .renderer import Observation, full_image_rays, view_traces
+from .renderer import Observation, first_rows_of, full_image_rays, view_traces
 
 DEFAULT_RAYS_PER_ITERATION = 3000
 DEFAULT_FOREGROUND_WEIGHT = 5.0
@@ -138,28 +138,32 @@ class Adam:
         param -= delta
 
 
-def _sample_pixels(obs: Observation, n: int, seed: int, iteration: int, stream: int):
-    """n pixel indices (us, vs), uniform with replacement, drawn from the
-    generator of (seed, iteration, stream)."""
-    rng = np.random.default_rng([seed, iteration, stream])
-    us = rng.integers(0, obs.camera.width, n)
-    vs = rng.integers(0, obs.camera.height, n)
-    return us, vs
+def sample_rays(cameras, n: int, views: int, seed: int, iteration: int) -> np.ndarray:
+    """The rows of the cameras' ``image_traces`` table that iteration
+    ``iteration`` scores, view after view; they are also the rows of
+    ``fit``'s per-pixel ``RayBatch``.
 
-
-def sample_rays(obs: Observation, n: int, foreground_weight: float, seed: int,
-                iteration: int, stream: int = 0) -> RayBatch:
-    """n pixels uniform with replacement -> weighted rays.
-
-    Foreground pixels (mask 1 / non-escape depth / non-background label or
-    color) carry ``foreground_weight``; background pixels weight 1.
-    Deterministic under (seed, iteration); ``stream`` separates draws for
-    different views within one iteration.  ``fit`` draws the same pixels.
+    ``views`` of the cameras are used: all of them, or a draw without
+    replacement from the generator of (seed, iteration,
+    ``_VIEW_CHOICE_STREAM``), sorted.  Each chosen view draws
+    max(1, n // views) pixels uniform with replacement, ``us`` then ``vs``,
+    from the generator of (seed, iteration, view).
     """
     if n < 1:
         raise ValueError(f"need at least one ray, got n={n}")
-    us, vs = _sample_pixels(obs, n, seed, iteration, stream)
-    return full_image_rays(obs, foreground_weight).take(vs * obs.camera.width + us)
+    chosen = range(len(cameras))
+    if views != len(cameras):
+        rng = np.random.default_rng([seed, iteration, _VIEW_CHOICE_STREAM])
+        chosen = sorted(rng.choice(len(cameras), size=views, replace=False))
+    per_view = max(1, n // views)
+    first = first_rows_of(cameras)
+    rows = []  # in view order, a reproducible reduction order
+    for v in chosen:
+        rng = np.random.default_rng([seed, iteration, v])
+        us = rng.integers(0, cameras[v].width, per_view)
+        vs = rng.integers(0, cameras[v].height, per_view)
+        rows.append(first[v] + vs * cameras[v].width + us)
+    return np.concatenate(rows)
 
 
 def _check_observations(observations, kind: str) -> None:
@@ -229,32 +233,17 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
         opt_p = Adam(logits_p.shape, config.step_size)
 
     n_views = len(observations)
-    take = config.views_per_iteration
-    if take is None:
-        take = n_views if n_views <= 5 else 3
-    take = min(take, n_views)
+    views = min(config.views_per_iteration or (n_views if n_views <= 5 else 3), n_views)
 
     paint_from = config.iterations // 2 if kind == "color" else 0  # carve, then paint
 
     # every pixel's loss weight and observation, view after view, once per fit
     every = RayBatch.concatenate([full_image_rays(obs, config.foreground_weight) for obs in observations])
-    pixel_base = table.first_rows
     losses = np.zeros(config.iterations)
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
     for it in range(config.iterations):
-        if take == n_views:
-            chosen = list(range(n_views))
-        else:
-            rng = np.random.default_rng([config.seed, it, _VIEW_CHOICE_STREAM])
-            chosen = sorted(rng.choice(n_views, size=take, replace=False))
         occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
-
-        per_view = max(1, config.rays_per_iteration // take)
-        rows = []  # per chosen view, in a fixed order (a reproducible reduction), its rows of the table
-        for view_idx in chosen:
-            us, vs = _sample_pixels(observations[view_idx], per_view, config.seed, it, view_idx)
-            rows.append(pixel_base[view_idx] + vs * observations[view_idx].camera.width + us)
-        rows = np.concatenate(rows)
+        rows = sample_rays(table.cameras, config.rays_per_iteration, views, config.seed, it)
         rays = every.take(rows)
         res = view_loss(occ, rays, aux, label_weight=config.label_weight, traces=table.take(rows))
         loss, grad_x, grad_p, count = res.loss, res.grad_x, res.grad_p, rays.n_rays
@@ -282,4 +271,4 @@ def write_loss_log(path, report: FitReport, kind: str) -> None:
         fh.write(f"# kind={kind} columns: iteration loss_sum loss_per_ray\n")
         for it, (loss, n) in enumerate(zip(report.losses, report.rays_per_loss)):
             mean = loss / n if n else 0.0
-            fh.write(f"{it}\t{loss!r}\t{mean!r}\n")
+            fh.write(f"{it}\t{float(loss)!r}\t{float(mean)!r}\n")

@@ -23,7 +23,7 @@ the C-order flat index, i.e. ``(iz*ny + iy)*nx + ix`` (x fastest).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 import numpy as np
@@ -52,6 +52,29 @@ class GridGeometry:
     alpha1: float = 0.0
     alpha2: float = 0.0
     f: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("uniform", "frustum"):
+            raise ValueError(f"geometry kind must be 'uniform' or 'frustum', got {self.kind!r}")
+        if len(self.dims) != 3:
+            raise ValueError(f"dims must have 3 entries, got {self.dims!r}")
+        dims = tuple(int(d) for d in self.dims)
+        if min(dims) < 1:
+            raise ValueError(f"dims must be >= 1 in every axis, got {dims}")
+        object.__setattr__(self, "dims", dims)
+        if self.kind == "frustum":
+            if not all(0.0 < v < np.inf for v in (self.alpha1, self.alpha2, self.f)):  # NaN fails
+                raise ValueError(f"frustum parameters must be positive and finite, got "
+                                 f"{[self.alpha1, self.alpha2, self.f]}")
+            return
+        lo = np.array(self.aabb_min, dtype=np.float64)  # copies, frozen below
+        hi = np.array(self.aabb_max, dtype=np.float64)
+        if lo.shape != (3,) or hi.shape != (3,):
+            raise ValueError("aabb corners must be 3-vectors")
+        if not np.all(np.isfinite(hi - lo) & (hi > lo)):  # inf or NaN corners fail
+            raise ValueError(f"aabb must be finite with strictly positive extent per axis, got min {lo}, max {hi}")
+        object.__setattr__(self, "aabb_min", _freeze(lo))
+        object.__setattr__(self, "aabb_max", _freeze(hi))
 
     @property
     def ncells(self) -> int:
@@ -135,27 +158,9 @@ def same_geometry(a: GridGeometry, b: GridGeometry) -> bool:
     return (a.alpha1, a.alpha2, a.f) == (b.alpha1, b.alpha2, b.f)
 
 
-def _check_dims(dims) -> tuple[int, int, int]:
-    if len(dims) != 3:
-        raise ValueError(f"dims must have 3 entries, got {dims!r}")
-    nx, ny, nz = (int(d) for d in dims)
-    if nx < 1 or ny < 1 or nz < 1:
-        raise ValueError(f"dims must be >= 1 in every axis, got {(nx, ny, nz)}")
-    return nx, ny, nz
-
-
 def uniform_geometry(dims, aabb_min, aabb_max) -> GridGeometry:
     """Axis-aligned box geometry.  ``aabb_*`` are world corners in meters."""
-    dims = _check_dims(dims)
-    lo = np.asarray(aabb_min, dtype=np.float64).copy()
-    hi = np.asarray(aabb_max, dtype=np.float64).copy()
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValueError("aabb corners must be 3-vectors")
-    if not np.all(np.isfinite(hi - lo) & (hi > lo)):  # inf or NaN corners fail
-        raise ValueError(f"aabb must be finite with strictly positive extent per axis, got min {lo}, max {hi}")
-    lo.flags.writeable = False
-    hi.flags.writeable = False
-    return GridGeometry(kind="uniform", dims=dims, aabb_min=lo, aabb_max=hi)
+    return GridGeometry(kind="uniform", dims=dims, aabb_min=aabb_min, aabb_max=aabb_max)
 
 
 def unit_cube_geometry(dims) -> GridGeometry:
@@ -173,16 +178,14 @@ def make_frustum_geometry(dims, z_min: float, z_max: float, hfov_deg: float) -> 
         alpha2 = ln(z_max / z_min) / nz
         f      = tan(hfov/2) / (nx/2)
     """
-    dims = _check_dims(dims)
     if not (0.0 < z_min < z_max < np.inf):
         raise ValueError(f"need 0 < z_min < z_max < inf, got z_min={z_min}, z_max={z_max}")
     if not (0.0 < hfov_deg < 180.0):
         raise ValueError(f"hfov must be in (0, 180) degrees, got {hfov_deg}")
-    nx, _, nz = dims
-    alpha1 = float(z_min)
-    alpha2 = float(np.log(z_max / z_min) / nz)
+    geom = GridGeometry(kind="frustum", dims=dims, alpha1=float(z_min), alpha2=1.0, f=1.0)  # checks dims
+    nx, _, nz = geom.dims
     f = float(np.tan(np.radians(hfov_deg) / 2.0) / (nx / 2.0))
-    return GridGeometry(kind="frustum", dims=dims, alpha1=alpha1, alpha2=alpha2, f=f)
+    return replace(geom, alpha2=float(np.log(z_max / z_min) / nz), f=f)
 
 
 def _in_unit_interval(values: np.ndarray) -> bool:
@@ -333,10 +336,7 @@ def _geom_from_params(dims, params: list[str]) -> GridGeometry:
     if len(vals) == 6:
         return uniform_geometry(dims, vals[:3], vals[3:])
     if len(vals) == 3:
-        nx, ny, nz = _check_dims(dims)
-        if not all(0.0 < v < np.inf for v in vals):
-            raise FormatError(f"frustum parameters must be positive and finite, got {vals}")
-        return GridGeometry(kind="frustum", dims=(nx, ny, nz), alpha1=vals[0], alpha2=vals[1], f=vals[2])
+        return GridGeometry(kind="frustum", dims=dims, alpha1=vals[0], alpha2=vals[1], f=vals[2])
     raise FormatError(f"expected 6 (uniform) or 3 (frustum) geometry parameters, got {len(vals)}")
 
 
@@ -351,7 +351,7 @@ def save_grid(path, grid, aux: AuxGrid | None = None, annotations: dict | None =
     else:
         raise TypeError(f"cannot save {type(grid).__name__} as a grid file")
     if aux is not None:
-        if aux.geometry.dims != grid.geometry.dims or aux.geometry.kind != grid.geometry.kind:
+        if not same_geometry(aux.geometry, grid.geometry):
             raise ValueError("aux geometry does not match the grid being saved")
         aux_tag = "color" if aux.kind == "color" else f"sem:{aux.nchannels}"
     else:

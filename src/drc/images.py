@@ -80,8 +80,8 @@ def write_ppm(path, image: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("PPM image must be (H, W, 3)")
     if img.dtype != np.uint8:
-        if img.min() < 0.0 or img.max() > 1.0:
-            raise ValueError("float PPM input must lie in [0, 1]")
+        if not np.all((img >= 0.0) & (img <= 1.0)):  # NaN fails
+            raise ValueError("float PPM input must be finite and lie in [0, 1]")
         img = np.round(img * 255.0).astype(np.uint8)
     h, w, _ = img.shape
     with open(path, "wb") as fh:

@@ -75,6 +75,8 @@ class Observation:
             raise ValueError("mask pixels must be 0 or 1")
         if self.depth is not None and not np.all(np.isfinite(self.depth) & (self.depth > 0.0)):
             raise ValueError("depth must be positive and finite everywhere")
+        if self.rgb is not None and not np.all((self.rgb >= 0.0) & (self.rgb <= 1.0)):  # NaN fails
+            raise ValueError("rgb must be finite and lie in [0, 1]")
         if self.classid is not None:
             if not 2 <= self.n_classes <= 256:  # class ids are 8-bit
                 raise ValueError(f"depth_semantics observation needs 2 to 256 classes, got {self.n_classes}")
@@ -107,7 +109,7 @@ class ImageTraces(TraceTable):
     @property
     def first_rows(self) -> np.ndarray:
         """Each camera's first row, then the table's row count."""
-        return np.cumsum([0] + [c.width * c.height for c in self.cameras])
+        return first_rows_of(self.cameras)
 
     def camera_rows(self, first: int, stop: int | None = None) -> "ImageTraces":
         """Cameras ``first`` to ``stop - 1`` (``first`` alone by default) as a
@@ -119,12 +121,18 @@ class ImageTraces(TraceTable):
                            self.cells[cells], self.t_exit[cells], self.cameras[first:stop])
 
 
+def first_rows_of(cameras) -> np.ndarray:
+    """Each camera's first row of the cameras' ``image_traces`` table, then
+    the table's row count."""
+    return np.cumsum([0] + [c.width * c.height for c in cameras])
+
+
 def image_traces(geometry: GridGeometry, cameras) -> ImageTraces:
     """The traces of every pixel ray of the cameras' images in one table,
     camera after camera and row-major within a camera, for the ``traces=``
     of ``render``, ``fit``, ``fuse_depth`` and ``carve_masks``."""
     cameras = tuple(cameras)
-    rows = np.cumsum([0] + [c.width * c.height for c in cameras])
+    rows = first_rows_of(cameras)
     rays = np.empty((2, rows[-1], 3))  # origins, directions
     for camera, a, b in zip(cameras, rows[:-1], rows[1:]):
         rays[:, a:b] = [r.reshape(-1, 3) for r in image_grid_rays(camera)]

@@ -23,7 +23,9 @@ the inverse of ``pixel_rays``, checks the pixel rays by a round trip;
 ``trace_one`` traces one ray, given as an origin and a direction as the
 oracles take it, through ``trace_batch``.  ``rays_at_pixels`` reads a
 sample's observations pixel by pixel with 2-D indexing, as the fitter
-did before it took its sampled rays from ``full_image_rays``.
+did before it took its sampled rays from ``full_image_rays``;
+``sampled_pixels`` and ``sampled_rows`` are the draw ``fit`` made with its
+own view choice and per-view loop before it drew through ``sample_rays``.
 """
 
 from dataclasses import dataclass
@@ -633,3 +635,29 @@ def rays_at_pixels(obs, us, vs, foreground_weight):
     if obs.kind == "depth_semantics":
         return RayBatch("depth_semantics", weights, d=obs.depth[vs, us], c=obs.classid[vs, us].astype(np.int64))
     return RayBatch("color", weights, c=obs.rgb[vs, us])
+
+
+def sampled_pixels(cameras, n, views, seed, iteration):
+    """[(view, us, vs)] of one fit iteration: the views (all, or a sorted
+    draw without replacement from the generator of (seed, iteration,
+    1 << 20)), each with max(1, n // views) pixels, ``us`` then ``vs``
+    from the generator of (seed, iteration, view)."""
+    chosen = list(range(len(cameras)))
+    if views != len(cameras):
+        rng = np.random.default_rng([seed, iteration, 1 << 20])
+        chosen = sorted(rng.choice(len(cameras), size=views, replace=False))
+    per_view = max(1, n // views)
+    out = []
+    for v in chosen:
+        rng = np.random.default_rng([seed, iteration, v])
+        us = rng.integers(0, cameras[v].width, per_view)
+        vs = rng.integers(0, cameras[v].height, per_view)
+        out.append((v, us, vs))
+    return out
+
+
+def sampled_rows(cameras, n, views, seed, iteration):
+    """The ``image_traces`` rows of ``sampled_pixels``, view after view."""
+    base = np.cumsum([0] + [c.width * c.height for c in cameras])
+    return np.concatenate([base[v] + vs * cameras[v].width + us
+                           for v, us, vs in sampled_pixels(cameras, n, views, seed, iteration)])

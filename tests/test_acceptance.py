@@ -8,8 +8,15 @@ Fixture conventions: view ring seed 10, fit seed 7, 128 px images for the
 reconstruction criteria, 256 px for the noise-robustness criterion (the
 extra pixels per cell average the per-pixel noise), noise amplitude
 0.2 x the shape's bounding extent.
+
+Each criterion's detail line, its wall times masked, must also equal its
+line in ``tests/golden/acceptance.txt`` (criterion, slug and detail,
+tab-separated) where that file's first line is this machine's
+``golden.environment()``, as for the byte digests.  After a deliberate
+change, rewrite it from the ``ACCEPTANCE`` lines of a ``-s`` run.
 """
 
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden
 from drc.cli import main as cli_main
 from drc import consistency
 from drc.consistency import view_loss
@@ -45,9 +53,21 @@ RES_NOISE = 256
 COST_KINDS = ("mask", "depth", "depth_semantics", "color")
 
 
+GOLDEN_REPORT = Path(__file__).with_name("golden") / "acceptance.txt"
+
+
+def masked(detail):
+    """The detail line with every wall time ("<number> s") masked."""
+    return re.sub(r"\d+(\.\d+)? s\b", "<t> s", detail)
+
+
 def report(num, slug, ok, detail):
     print(f"\nACCEPTANCE {num:2d} {slug}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} {slug}: {detail}"
+    environment, *lines = GOLDEN_REPORT.read_text(encoding="utf-8").splitlines()
+    if environment.removeprefix("# ") == golden.environment():
+        recorded = {line.split("\t")[0]: line for line in lines}
+        assert f"{num}\t{slug}\t{masked(detail)}" == recorded.get(str(num)), f"{GOLDEN_REPORT.name} differs"
 
 
 def random_ray(rng, spread=2.0):

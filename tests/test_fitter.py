@@ -9,7 +9,8 @@ from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, last_axis_sum, make_fru
 from drc.metrics import strip_table
 from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
-from oracles import ReferenceAdam, random_strip_rays, rays_at_pixels, two_branch_sigmoid, two_reduction_softmax
+from oracles import (ReferenceAdam, random_strip_rays, rays_at_pixels, sampled_pixels, sampled_rows,
+                     two_branch_sigmoid, two_reduction_softmax)
 
 
 @pytest.fixture(scope="module")
@@ -26,43 +27,52 @@ def _full_image_loss(occ, observations):
     return view_loss(occ, rays, traces=table).loss
 
 
+def _sampled_rays(observations, n, foreground_weight, seed, iteration, views=None):
+    """The RayBatch fit scores at (seed, iteration): its full-image rays at
+    the rows sample_rays draws."""
+    cameras = [o.camera for o in observations]
+    rows = sample_rays(cameras, n, views or len(cameras), seed, iteration)
+    return RayBatch.concatenate([full_image_rays(o, foreground_weight) for o in observations]).take(rows)
+
+
 class TestSampleRays:
     def test_all_background_image_unit_weights(self):
         gt, _ = make_test_shape("sphere", (16, 16, 16))
         geom = gt.geometry
         empty = type(gt)(geom, np.zeros(geom.shape, dtype=bool))
         obs = render(empty, sample_view_ring(1, seed=0, width=16, height=16)[0], "mask")
-        rays = sample_rays(obs, 64, 5.0, seed=1, iteration=0)
+        rays = _sampled_rays([obs], 64, 5.0, seed=1, iteration=0)
         assert np.all(rays.weights == 1.0)
 
     def test_neutral_foreground_weight(self, depth_views):
         _, obs = depth_views
-        rays = sample_rays(obs[0], 100, 1.0, seed=1, iteration=0)
+        rays = _sampled_rays(obs[:1], 100, 1.0, seed=1, iteration=0)
         assert np.all(rays.weights == 1.0)
 
     def test_foreground_weight_applied(self, depth_views):
         _, obs = depth_views
-        rays = sample_rays(obs[0], 500, 5.0, seed=1, iteration=0)
+        rays = _sampled_rays(obs[:1], 500, 5.0, seed=1, iteration=0)
         assert set(np.unique(rays.weights)) <= {1.0, 5.0}
         assert (rays.weights == 5.0).any()
 
     def test_deterministic_under_seed_and_iteration(self, depth_views):
         _, obs = depth_views
-        a = sample_rays(obs[0], 50, 5.0, seed=3, iteration=7)
-        b = sample_rays(obs[0], 50, 5.0, seed=3, iteration=7)
-        c = sample_rays(obs[0], 50, 5.0, seed=3, iteration=8)
+        a = _sampled_rays(obs[:1], 50, 5.0, seed=3, iteration=7)
+        b = _sampled_rays(obs[:1], 50, 5.0, seed=3, iteration=7)
+        c = _sampled_rays(obs[:1], 50, 5.0, seed=3, iteration=8)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.d, b.d)
         assert not np.array_equal(a.d, c.d)
 
     @pytest.mark.parametrize("kind", RAY_KINDS)
     def test_is_the_per_pixel_lookup(self, kind):
-        """sample_rays is, to the bit, each drawn pixel's weight and
-        observations read with 2-D indexing at the same (us, vs) draw."""
+        """The sampled rows' rays are, to the bit, each drawn pixel's weight
+        and observations read with 2-D indexing at the reference draw."""
         gt, aux = make_test_shape("chair_like", (12, 12, 12), aux_kind=AUX_KINDS.get(kind, "color"))
-        obs = render(gt, sample_view_ring(1, seed=5, width=20, height=14)[0], kind, aux)
-        got = sample_rays(obs, 300, 4.0, seed=2, iteration=3, stream=1)
-        want = rays_at_pixels(obs, *fitter._sample_pixels(obs, 300, 2, 3, 1), 4.0)
+        obs = [render(gt, c, kind, aux) for c in sample_view_ring(3, seed=5, width=20, height=14)]
+        got = _sampled_rays(obs, 600, 4.0, seed=2, iteration=3, views=2)
+        want = RayBatch.concatenate([rays_at_pixels(obs[v], us, vs, 4.0) for v, us, vs
+                                     in sampled_pixels([o.camera for o in obs], 600, 2, 2, 3)])
         assert len(set(got.weights.tolist())) == 2
         for field in ("weights", "s", "d", "c"):
             have, expected = getattr(got, field), getattr(want, field)
@@ -71,10 +81,19 @@ class TestSampleRays:
                 assert have.dtype == expected.dtype and have.shape == expected.shape
                 assert have.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    def test_rows_are_the_reference_draw(self, views):
+        cams = [perspective_camera((0.0, 0.0, -2.0), (0.0, 0.0, 0.0), 50.0, w, h) for w, h in
+                ((20, 14), (9, 31), (16, 16))]
+        for it in range(4):
+            rows = sample_rays(cams, 301, views, 5, it)
+            want = sampled_rows(cams, 301, views, 5, it)
+            assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
     def test_needs_at_least_one_ray(self, depth_views):
         _, obs = depth_views
         with pytest.raises(ValueError, match="one ray"):
-            sample_rays(obs[0], 0, 1.0, seed=0, iteration=0)
+            sample_rays([obs[0].camera], 0, 1, seed=0, iteration=0)
 
 
 class TestSquashing:
@@ -352,12 +371,11 @@ def test_tabled_fit_loss_matches_untabled_view_loss(kind, depth_views):
     aux = None
     if kind == "depth_semantics":
         aux = AuxGrid(geom, "semantics", softmax(np.zeros((*geom.shape, 3))))
-    per_view = config.rays_per_iteration // len(observations)
     rays, origins, directions = [], [], []
-    for v, obs in enumerate(observations):
-        rays.append(sample_rays(obs, per_view, config.foreground_weight, config.seed, 0, stream=v))
-        us, vs = fitter._sample_pixels(obs, per_view, config.seed, 0, v)
-        o, d = pixel_rays(obs.camera, us + 0.5, vs + 0.5)
+    cameras = [o.camera for o in observations]
+    for v, us, vs in sampled_pixels(cameras, config.rays_per_iteration, len(cameras), config.seed, 0):
+        rays.append(rays_at_pixels(observations[v], us, vs, config.foreground_weight))
+        o, d = pixel_rays(cameras[v], us + 0.5, vs + 0.5)
         origins.append(o)
         directions.append(d)
     traces = trace_batch(geom, np.concatenate(origins), np.concatenate(directions))
@@ -389,36 +407,41 @@ def test_fit_calls_view_loss_once_per_iteration(views_per_iteration, depth_views
 @pytest.mark.parametrize("views_per_iteration", [None, 2])
 @pytest.mark.parametrize("kind", ["mask", "depth", "depth_semantics", "color"])
 def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypatch):
-    """Iteration i's rays carry, view by view in the chosen order, exactly
-    the weights and observations of sample_rays(obs, per_view, fg, seed, i,
-    stream=v), and their traces are one take of those pixels' rows of the
-    table, sharing its storage."""
+    """Each iteration calls sample_rays once; its rows are, bit for bit,
+    the reference draw's, iteration i's rays carry, view by view in the
+    chosen order, exactly the weights and observations of the drawn
+    pixels, and their traces are one take of those rows of the table,
+    sharing its storage."""
     gt, aux = make_test_shape("sphere", (12, 12, 12), aux_kind=AUX_KINDS.get(kind, "color"))
     cams = sample_view_ring(3, seed=3, width=20, height=16)
     obs = [render(gt, c, kind, aux) for c in cams]
-    calls = []
+    calls, drawn = [], []
 
     def recording(occ, rays, aux=None, **kwargs):
         calls.append((rays, kwargs["traces"]))
         return view_loss(occ, rays, aux, **kwargs)
 
+    def drawing(*args):
+        drawn.append(sample_rays(*args))
+        return drawn[-1]
+
     monkeypatch.setattr(fitter, "view_loss", recording)
+    monkeypatch.setattr(fitter, "sample_rays", drawing)
     config = FitConfig(iterations=3, rays_per_iteration=240, views_per_iteration=views_per_iteration,
                        foreground_weight=3.0, seed=6)
-    table = image_traces(gt.geometry, [o.camera for o in obs])
+    table = image_traces(gt.geometry, cams)
     fit(obs, gt.geometry, kind, config, traces=table)
     take = views_per_iteration or len(obs)
     per_view = config.rays_per_iteration // take
-    assert len(calls) == config.iterations
-    for it, (rays, traces) in enumerate(calls):
-        chosen = list(range(len(obs)))
-        if take < len(obs):
-            rng = np.random.default_rng([config.seed, it, fitter._VIEW_CHOICE_STREAM])
-            chosen = sorted(rng.choice(len(obs), size=take, replace=False))
+    assert len(calls) == len(drawn) == config.iterations
+    for it, ((rays, traces), rows) in enumerate(zip(calls, drawn)):
+        want_rows = sampled_rows(cams, config.rays_per_iteration, take, config.seed, it)
+        assert rows.tobytes() == want_rows.tobytes()
         assert traces.n_rays == rays.n_rays == take * per_view
         assert traces.cells is table.cells and traces.t_exit is table.t_exit
-        for j, v in enumerate(chosen):
-            want = sample_rays(obs[v], per_view, config.foreground_weight, config.seed, it, stream=v)
+        pixels = sampled_pixels(cams, config.rays_per_iteration, take, config.seed, it)
+        for j, (v, us, vs) in enumerate(pixels):
+            want = rays_at_pixels(obs[v], us, vs, config.foreground_weight)
             got = slice(j * per_view, (j + 1) * per_view)
             assert rays.weights[got].tobytes() == want.weights.tobytes()
             for field in ("s", "d", "c"):
@@ -426,10 +449,9 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
                 assert (have is None) == (expected is None)
                 if expected is not None:
                     assert have[got].tobytes() == expected.tobytes()
-            us, vs = fitter._sample_pixels(obs[v], per_view, config.seed, it, v)
-            rows = table.take(table.first_rows[v] + vs * obs[v].camera.width + us)
-            for field in ("start", "n", "t0"):
-                assert getattr(traces, field)[got].tobytes() == getattr(rows, field).tobytes()
+        expected_rows = table.take(want_rows)
+        for field in ("start", "n", "t0"):
+            assert getattr(traces, field).tobytes() == getattr(expected_rows, field).tobytes()
 
 
 class TestLossLog:
@@ -444,3 +466,8 @@ class TestLossLog:
         assert lines[0].startswith("# kind=depth")
         assert len(lines) == 4
         assert lines[1].split("\t")[0] == "0"
+        for it, line in enumerate(lines[1:]):
+            fields = line.split("\t")
+            assert fields[0] == str(it)
+            assert float(fields[1]) == report.losses[it]
+            assert float(fields[2]) == report.losses[it] / report.rays_per_loss[it]

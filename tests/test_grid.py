@@ -6,6 +6,7 @@ from drc.grid import (
     SIMPLEX_ATOL,
     AuxGrid,
     BinaryGrid,
+    GridGeometry,
     OccupancyGrid,
     load_grid,
     make_frustum_geometry,
@@ -47,6 +48,26 @@ class TestConstruction:
     def test_non_finite_aabb_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             uniform_geometry((2, 2, 2), lo, hi)
+
+    @pytest.mark.parametrize("args, kwargs, match", [
+        (("banana", (2, 2, 2)), {}, "kind"),
+        (("frustum", (0, 4, 4)), {"alpha1": -1.0}, "dims"),
+        (("frustum", (2, 2)), {"alpha1": 1.0, "alpha2": 1.0, "f": 1.0}, "dims"),
+        (("frustum", (4, 4, 4)), {"alpha1": -1.0, "alpha2": 1.0, "f": 1.0}, "frustum parameters"),
+        (("frustum", (4, 4, 4)), {"alpha1": 1.0, "alpha2": np.nan, "f": 1.0}, "frustum parameters"),
+        (("uniform", (2, 2, 2)), {}, "aabb"),
+        (("uniform", (2, 2, 2)), {"aabb_min": (0, 0, 0), "aabb_max": (1, 1, np.inf)}, "finite"),
+    ])
+    def test_direct_construction_is_checked(self, args, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            GridGeometry(*args, **kwargs)
+
+    def test_direct_construction_freezes_its_corners(self):
+        lo = np.zeros(3)
+        geom = GridGeometry("uniform", [2, 3, 4], aabb_min=lo, aabb_max=(1, 1, 1))
+        lo[0] = -1.0
+        assert geom.dims == (2, 3, 4) and geom.aabb_min[0] == 0.0
+        assert not geom.aabb_min.flags.writeable and not geom.aabb_max.flags.writeable
 
     def test_x_out_of_range_rejected(self):
         geom = unit_cube_geometry((2, 2, 2))
@@ -203,6 +224,17 @@ class TestGridFiles:
         assert same_geometry(loaded.geometry, geom)
         assert loaded_aux.nchannels == 5
         assert np.array_equal(loaded_aux.payload, p)
+
+    @pytest.mark.parametrize("grid_geom, aux_geom", [
+        (unit_cube_geometry((2, 2, 2)), uniform_geometry((2, 2, 2), (-1, -1, -1), (1, 1, 1))),
+        (make_frustum_geometry((2, 2, 2), 0.5, 10.0, 45.0), make_frustum_geometry((2, 2, 2), 0.5, 20.0, 45.0)),
+    ])
+    def test_aux_on_another_geometry_rejected(self, tmp_path, grid_geom, aux_geom):
+        g = OccupancyGrid(grid_geom, np.full(grid_geom.shape, 0.5))
+        aux = AuxGrid(aux_geom, "color", np.full((*aux_geom.shape, 3), 0.5))
+        with pytest.raises(ValueError, match="aux geometry"):
+            save_grid(tmp_path / "g.grid", g, aux)
+        assert not (tmp_path / "g.grid").exists()
 
     def test_binary_roundtrip_with_annotation(self, tmp_path):
         rng = np.random.default_rng(4)

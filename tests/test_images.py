@@ -64,6 +64,14 @@ class TestPPM:
         write_ppm(tmp_path / "b.ppm", img)
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5])
+    def test_float_out_of_range_rejected(self, tmp_path, bad):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 0, 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            write_ppm(tmp_path / "c.ppm", img)
+        assert not (tmp_path / "c.ppm").exists()
+
     def test_truncated_rejected(self, tmp_path):
         write_ppm(tmp_path / "c.ppm", np.zeros((2, 2, 3)))
         data = (tmp_path / "c.ppm").read_bytes()

@@ -82,6 +82,15 @@ class TestRender:
         with pytest.raises(ValueError, match="finite"):
             Observation("depth", obs.camera, depth=depth)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25])
+    def test_rgb_must_be_finite_in_unit_interval(self, bad):
+        gt, aux = make_test_shape("sphere", (8, 8, 8), aux_kind="color")
+        obs = render(gt, front_camera(9, 9), "color", aux)
+        rgb = obs.rgb.copy()
+        rgb[4, 4, 1] = bad
+        with pytest.raises(ValueError, match=r"rgb must be finite and lie in \[0, 1\]"):
+            Observation("color", obs.camera, rgb=rgb)
+
     def test_256_classes_render(self):
         gt, aux = make_test_shape("sphere", (8, 8, 8), aux_kind="semantics", n_classes=256)
         obs = render(gt, front_camera(9, 9), "depth_semantics", aux)
