@@ -1,10 +1,10 @@
 """Command-line pipeline: shape / render / fit / fuse / eval / gradcheck / repro.
 
 Every command writes a manifest.txt next to its outputs recording the
-resolved parameters and seeds; re-running with the same manifest contents
-reproduces the outputs bitwise (all randomness is seeded and reductions
-are ordered).  Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 check failure.
+resolved parameters, seeds, Python and numpy versions and (fit, repro) wall
+time; re-running with the same manifest reproduces the other outputs bitwise
+(all randomness is seeded, reductions ordered).  Exit codes: 0 success,
+1 usage error, 2 data/format error, 3 check failure.
 
 Numeric defaults (the full table also lives in the README):
 
@@ -23,7 +23,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
+import time
+
+import numpy as np
 
 from . import __version__
 from .consistency import AUX_KINDS, RAY_KINDS
@@ -81,22 +85,28 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     raise UsageError(f"--dims wants N or NX,NY,NZ, got {text!r}")
 
 
+def _parse_floats(text: str, flag: str, form: str) -> list[float]:
+    parts = text.split(",")
+    if len(parts) != form.count(",") + 1:
+        raise UsageError(f"{flag} wants {form}, got {text!r}")
+    return [float(p) for p in parts]
+
+
 def _geometry_from_args(args):
     if getattr(args, "frustum", None):
-        z_min, z_max, hfov = (float(v) for v in args.frustum.split(","))
+        z_min, z_max, hfov = _parse_floats(args.frustum, "--frustum", "z_min,z_max,hfov")
         return make_frustum_geometry(_parse_dims(args.dims), z_min, z_max, hfov)
     dims = _parse_dims(args.dims)
     if getattr(args, "aabb", None):
-        vals = [float(v) for v in args.aabb.split(",")]
-        if len(vals) != 6:
-            raise UsageError("--aabb wants six numbers x0,y0,z0,x1,y1,z1")
+        vals = _parse_floats(args.aabb, "--aabb", "x0,y0,z0,x1,y1,z1")
         return uniform_geometry(dims, vals[:3], vals[3:])
     return unit_cube_geometry(dims)
 
 
 def write_manifest(out_dir, command: str, args, extra: dict | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    entries = {"command": command, "version": __version__}
+    entries = {"command": command, "version": __version__,
+               "python": platform.python_version(), "numpy": np.__version__}
     for key, val in sorted(vars(args).items()):
         if key in ("func",) or val is None:
             continue
@@ -139,7 +149,7 @@ def cmd_render(args) -> int:
         raise FormatError(f"{args.grid}: kind {args.kind} needs a {want!r} aux field in the grid file")
     if args.noise != 0.0 and args.kind != "depth":
         raise UsageError("--noise only applies to depth renders")
-    lo, hi = (float(v) for v in args.elevation.split(","))
+    lo, hi = _parse_floats(args.elevation, "--elevation", "LO,HI")
     cams = sample_view_ring(args.views, (lo, hi), args.radius, args.seed,
                             width=args.size, height=args.size, hfov_deg=args.hfov)
     os.makedirs(args.out, exist_ok=True)
@@ -243,6 +253,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_repro(args) -> int:
     """Full desk-scale pipeline: shape -> render -> fit/fuse -> eval, for
     mask, depth and noisy-depth supervision on each test shape."""
+    start = time.perf_counter()
     config = FitConfig(iterations=args.iters, rays_per_iteration=args.rays,
                        seed=args.seed, threads=args.threads)
     shapes = args.shapes.split(",")
@@ -291,7 +302,7 @@ def cmd_repro(args) -> int:
     report_text = "\n".join(lines) + "\n"
     with open(os.path.join(args.out, "table.tsv"), "w", encoding="utf-8") as fh:
         fh.write(report_text)
-    write_manifest(args.out, "repro", args)
+    write_manifest(args.out, "repro", args, {"wall-time-s": f"{time.perf_counter() - start:.3f}"})
     sys.stdout.write(report_text)
     return EXIT_OK
 
@@ -396,7 +407,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size too large for memory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CheckFailure as exc:

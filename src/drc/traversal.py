@@ -3,24 +3,22 @@
 Both grid kinds share one kernel.  One clip, ``_hull``, gives the depths
 (t0, t1) inside the grid's convex hull from a list of its six faces
 (``_hull_faces``: the box's axis planes; the frustum's near and far planes
-and its four side planes through the apex); a crossing function gives the
-ray's depth at every interior cell boundary plane (axis planes; depth
-planes and planes through the apex) and the change of the linear cell
-index there, the plane's stride signed by the ray's rate across it.  The
-kernel sorts the crossings inside (t0, t1) once per ray, counts the first
-cell from the planes the ray has passed at t0, and steps from there.  The
-hull is convex, so the in-grid segments are contiguous.
+and its four side planes through the apex).  One window rule, ``_windows``,
+gives per ray and axis the interior cell boundary planes it can cross: those
+between its grid coordinates at t0 and t1, and one more on each side.  A
+crossing function gives the ray's depth at each plane of its windows (axis
+planes; planes through the apex and depth planes), and the kernel signs the
+plane's stride in the linear cell index by the ray's rate across it, sorts
+the crossings inside (t0, t1) once per ray, counts the first cell from the
+planes the ray has passed at t0, and steps from there.  The hull is convex,
+so the in-grid segments are contiguous.
 
-A uniform grid evaluates every axis plane.  A frustum grid evaluates every
-depth plane but, of each family of planes through the apex, only a window
-per ray: the planes between the ray's grid coordinate at t0 and at t1 and
-one more on each side (a ray near the apex crosses about 5 of the 62
-apex planes of a 32^3 grid).  Inside the hull z >= alpha1 > 0, so x/z and
-y/z move monotonically along the ray, and a plane outside the window is
-neither crossed in (t0, t1) nor on an uncertain side at t0: the crossing
-depths would put it below the ray there exactly when it lies below the
-window.  So the planes below a window go straight into the first cell's
-count, and the traces are those of the full plane set, to the bit.
+Inside the hull every grid coordinate of both kinds moves monotonically
+along a ray (the frustum's x/z and y/z too, as z >= alpha1 > 0), so a plane
+outside a window is neither crossed in (t0, t1) nor on an uncertain side at
+t0: the crossing depths would put it below the ray there exactly when it
+lies below the window.  So the planes below a window go straight into the
+first cell's count: the traces are those of the full plane set, to the bit.
 
 Per-cell event depths d_i are the segment midpoints (t_enter + t_exit)/2:
 rendered depth and the depth event cost share this convention, so a hard
@@ -38,10 +36,11 @@ face (the axis's cell count, the far plane among them) is outside.
 ``trace_batch`` returns the traces of many rays as one unpadded
 ``TraceTable``: per ray a start, a length and an entry depth, per traversed
 cell its index and exit depth, which each pass writes after the last one's
-into storage reserved from a bound on every ray's cell count (from 4 MiB
-on an anonymous mapping, whose unwritten pages never become resident).
-Consecutive cells share their boundary, so a cell's entry depth is the exit
-depth before it.  ``TraceTable.row`` gives one ray's ``RayTrace``.
+into storage reserved from a bound on every ray's cell count, one more than
+its windows' planes (from 4 MiB on an anonymous mapping, whose unwritten
+pages never become resident).  Consecutive cells share their boundary, so a
+cell's entry depth is the exit depth before it.  ``TraceTable.row`` gives
+one ray's ``RayTrace``.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import BinaryGrid, GridGeometry, same_geometry
 
@@ -58,9 +58,9 @@ from .grid import BinaryGrid, GridGeometry, same_geometry
 # slower and raised the peak memory of a 32^3 depth fit by 9-12 MB.
 TABLE_CHUNK = 1024
 
-# planes of each apex family a frustum ray's window holds beyond those
-# between its grid coordinates at t0 and t1, on each side; see _apex_window
-APEX_MARGIN = 1
+# planes of each axis a ray's window holds beyond those between its grid
+# coordinates at t0 and t1, on each side; see _windows
+WINDOW_MARGIN = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,18 +146,19 @@ def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndar
     for a ray that starts inside the grid; a miss has n = 0."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    crossings = _axis_crossings if geometry.kind == "uniform" else _frustum_crossings
+    crossings = _box_crossings if geometry.kind == "uniform" else _frustum_crossings
     t0, t1, alive = _hull(geometry, o, d)
     rows = np.flatnonzero(alive)
     n, t0 = np.zeros(len(o), dtype=np.int64), np.where(alive, t0, 0.0)
     del origins, directions  # only the rays that meet the grid from here on: the caller's can go
     o, d, enter, t1 = o[rows], d[rows], t0[rows, None], t1[rows, None]
-    passes = [slice(i, i + TABLE_CHUNK) for i in range(0, rows.size, TABLE_CHUNK)]
-    size = sum(_cell_bound(geometry, o[s], d[s], enter[s, 0], t1[s, 0]) for s in passes)
+    lo, width = _windows(geometry, o, d, enter, t1)
+    # a ray crosses one cell more than the planes it crosses, all in its windows
+    size = rows.size + int(width.sum())
     cells, t_exit = _reserve(size, np.int32), _reserve(size, np.float64)
     end = 0
-    for s in passes:
-        n[rows[s]], c, t = _trace_rays(geometry, o[s], d[s], enter[s], t1[s], crossings)
+    for s in [slice(i, i + TABLE_CHUNK) for i in range(0, rows.size, TABLE_CHUNK)]:
+        n[rows[s]], c, t = _trace_rays(geometry, o[s], d[s], enter[s], t1[s], lo[s], width[s], crossings)
         cells[end:end + c.size] = c  # raises if the bound were ever short
         t_exit[end:end + c.size] = t
         end += c.size
@@ -171,63 +172,85 @@ def _reserve(count: int, dtype) -> np.ndarray:
     return np.empty(count, dtype) if nbytes < 1 << 22 else np.frombuffer(mmap.mmap(-1, nbytes), dtype, count)
 
 
-def _cell_bound(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> int:
-    """At least the cells the rays cross over (t0, t1): per ray one, and per axis the planes
-    between its grid coordinates at t0 and t1, one more each side, at most (or if NaN) all."""
-    if geom.kind == "uniform":  # |d| (t1 - t0) / h, a third of world_to_grid's cost
-        span = np.abs(d) * ((t1 - t0)[:, None] / geom.cell_size)
-    else:
-        with np.errstate(invalid="ignore"):
-            span = np.abs(geom.world_to_grid(o + t1[:, None] * d) - geom.world_to_grid(o + t0[:, None] * d))
-    return len(o) + int(np.fmin(np.floor(span, out=span) + 2.0, np.array(geom.dims) - 1.0).sum())
+def _windows(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t1: np.ndarray):
+    """(lo, width): per ray and axis, the first interior plane (1..n-1) of
+    the ray's window and the window's plane count, (R, 3) each, in the
+    smallest integer type that holds the dims; t0 and t1 are (R, 1).  The
+    window holds the planes between the ray's grid coordinates at t0 and t1
+    and WINDOW_MARGIN more on each side; a NaN coordinate opens it to every
+    plane, an axis one cell wide has none, and lo = n above every plane."""
+    n = np.array(geom.dims, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where t1 = inf: NaN
+        g0, g1 = geom.world_to_grid(o + np.stack([t0, t1]) * d)
+    lo = np.fmin(np.fmax(np.ceil(np.minimum(g0, g1)) - WINDOW_MARGIN, 1.0), n)  # NaN: 1
+    hi = np.fmin(np.floor(np.maximum(g0, g1)) + WINDOW_MARGIN, n - 1.0)  # NaN: n - 1
+    small = np.min_scalar_type(max(geom.dims))
+    return lo.astype(small), np.fmax(hi - lo + 1.0, 0.0).astype(small)
 
 
 def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t1: np.ndarray,
-                crossings):
+                lo: np.ndarray, width: np.ndarray, crossings):
     """(n, cells, t_exit) of rays (o, d) that lie inside the grid's convex
-    hull over (t0, t1), t0 < t1, both (R, 1); ``crossings`` is the grid
-    kind's crossing function, whose ``base`` counts the planes it leaves
-    out below each ray, times their strides."""
-    ts, step, stride, base = crossings(geom, o, d, t0, t1)
+    hull over (t0, t1), t0 < t1, both (R, 1), whose planes crossed there
+    lie in their windows (lo, width) from ``_windows``; ``crossings`` is the
+    grid kind's crossing function, called per axis."""
+    nx, ny, _ = geom.dims
+    stride = np.array([1.0, nx, nx * ny])  # of a step across each axis's planes
+    # per axis the pass's widest window, W planes: a narrower one takes in the
+    # planes above it (below, at the top of the axis), so no column is padding
+    widths = width.max(axis=0)
+    first = np.minimum(lo, np.array(geom.dims) - widths)
+    # per plane, the ray's gap (into ts) and rate (into step), whose ratio is its depth
+    d = d + 0.0  # no rate is -0.0: a parallel plane's depth is -inf or NaN iff the ray is on or above it
+    ts, step = np.empty((len(o), widths.sum())), np.empty((len(o), widths.sum()))
+    for a, end in enumerate(np.cumsum(widths)):
+        cols = slice(end - widths[a], end)
+        crossings(geom, a, o, d, first[:, a], ts[:, cols], step[:, cols])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(ts, step, out=ts)
+    stride_of = np.repeat(stride, widths)
+    # the stride signed by the rate; a parallel plane (rate +0.0, step +stride) is never crossed
+    np.copysign(stride_of, step, out=step)
     after = ts > t0
-    inside = after & (ts < t1)  # NaN and +-inf from parallel planes fail
+    inside = ts < t1
+    inside &= after  # NaN and +-inf from parallel planes fail
     crossed = np.count_nonzero(inside, axis=1)
-    width = crossed.max() + 1  # segments of the longest trace
+    segments = crossed.max() + 1  # of the longest trace
     # at t0 the ray is above plane k if it crossed it upward by then or
-    # crosses it downward later (parallel: NaN or -inf, on or above it).
-    # Counted from the crossing depths, no cell leaves the grid however they round.
-    entry = base + (after == (step < 0.0)).astype(np.float64) @ stride
+    # crosses it downward later (parallel: NaN or -inf, on or above it), and
+    # above every plane below its window.  Counted from the crossing depths,
+    # no cell leaves the grid however they round.
+    entry = (first - 1.0) @ stride + (after == (step < 0.0)).astype(np.float64) @ stride_of
     np.copyto(ts, np.inf, where=~inside)
-    flat = np.argsort(ts, axis=1)[:, :width - 1] + (np.arange(len(o)) * ts.shape[1])[:, None]
+    del after, inside  # each (R, P) array goes as soon as it is used, before the (R, segments) ones come
+    flat = np.argsort(ts, axis=1)[:, :segments - 1] + (np.arange(len(o)) * ts.shape[1])[:, None]
     cross = ts.ravel()[flat]
+    del ts
     step = step.ravel()[flat]
-    del ts, after, inside  # the (R, P) arrays go before the (R, width) ones come
+    del flat
 
     # segment j runs from crossing j-1 (t0 for j = 0) to crossing j (t1
     # after the last); past the last, both depths are padding, inf and t1
-    t_enter = np.concatenate([t0, cross], axis=1)
-    t_exit = np.minimum(np.concatenate([cross, t1], axis=1), t1)
+    t_enter, t_exit = np.concatenate([t0, cross], axis=1), np.concatenate([cross, t1], axis=1)
+    del cross
+    np.minimum(t_exit, t1, out=t_exit)
     cells = np.empty(t_exit.shape)  # integers, exact in float64
     cells[:, 0] = entry
     np.cumsum(step, axis=1, out=cells[:, 1:])
+    del step
     cells[:, 1:] += cells[:, :1]
     keep = t_exit > t_enter  # drops the zero-length segments of edge and corner crossings
     return np.count_nonzero(keep, axis=1), cells[keep].astype(np.int32), t_exit[keep]
 
 
-def _axis_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0, t1):
-    """(depths, steps, strides, base) of the rays' crossings with every
-    interior plane lo + k h of each axis: (R, P), (R, P), (P,) and 0, no
-    plane being left out below."""
-    nx, ny, _ = geom.dims
-    lo, h = geom.aabb_min, geom.cell_size
-    counts = np.array(geom.dims) - 1
-    d = d + 0.0  # -0.0 -> +0.0: a parallel plane's depth is -inf or NaN iff the ray is on or above it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ts = np.concatenate([(lo[a] + np.arange(1, n) * h[a] - o[:, a:a + 1]) / d[:, a:a + 1]
-                             for a, n in enumerate(geom.dims)], axis=1)
-    stride = np.array([1.0, nx, nx * ny])
-    return ts, np.repeat(np.sign(d) * stride, counts, axis=1), np.repeat(stride, counts), 0.0
+def _box_crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: np.ndarray,
+                   gap: np.ndarray, rate: np.ndarray) -> None:
+    """Writes each ray's gap along axis a to the W planes aabb_min + k h of
+    its window, k from ``first`` on (a row of the sliding window view of the
+    axis's planes), and its rate across them, (R, W) each."""
+    planes = geom.aabb_min[a] + np.arange(1, geom.dims[a]) * geom.cell_size[a]
+    np.subtract(np.take(sliding_window_view(planes, gap.shape[1]), first - 1, axis=0), o[:, a:a + 1], out=gap)
+    rate[:] = d[:, a:a + 1]
 
 
 def _hull_faces(geom: GridGeometry) -> list[tuple[np.ndarray, float, bool]]:
@@ -278,56 +301,22 @@ def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
     return t0, t1, t0 < t1
 
 
-def _frustum_crossings(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray,
-                       t1: np.ndarray):
-    """(depths, steps, strides, base) of the rays' crossings with the
-    interior depth planes z = z_k and with a window of the planes
-    x = c_k z, y = c_k z through the origin: (R, P), (R, P) and (P,).  A
-    step's sign is that of the ray's rate across the plane, dz or
-    d_x - c_k dz; ``base`` counts the apex planes below the windows, times
-    their strides, (R,)."""
-    nx, ny, nz = geom.dims
-    ox, oy, oz = o[:, :1], o[:, 1:2], o[:, 2:]
-    dx, dy, dz = d[:, :1], d[:, 1:2], d[:, 2:]
-    zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, nz))
-    ks_x, base_x = _apex_window(geom, ox, oz, dx, dz, t0, t1, nx)
-    ks_y, base_y = _apex_window(geom, oy, oz, dy, dz, t0, t1, ny)
-    cxs = geom.f * (ks_x - nx / 2.0)
-    cys = geom.f * (ks_y - ny / 2.0)
-    rate = np.concatenate([np.broadcast_to(dz, (len(o), nz - 1)), dx - cxs * dz, dy - cys * dz], axis=1)
-    rate += 0.0  # -0.0 -> +0.0, as in _axis_crossings
-    ts = np.concatenate([zs - oz, cxs * oz - ox, cys * oz - oy], axis=1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ts /= rate
-    stride = np.repeat(np.array([nx * ny, 1.0, nx]), [nz - 1, ks_x.shape[1], ks_y.shape[1]])
-    step = np.sign(rate, out=rate)
-    step *= stride
-    return ts, step, stride, base_x + nx * base_y
-
-
-def _apex_window(geom: GridGeometry, oa, oz, da, dz, t0, t1, n: int):
-    """(ks, base): the planes k of one apex family (x or y) that a ray's
-    window holds, (R, W) with W the widest window of the pass, and the
-    number of the family's planes below each window, (R,).
-
-    A ray's grid coordinate moves monotonically over (t0, t1), where z >=
-    alpha1 > 0, so it crosses only the planes between its coordinates at t0
-    and t1.  The window holds those and APEX_MARGIN more on each side, so
-    every plane outside it is crossed neither in (t0, t1) nor near t0, and
-    lies below the ray there iff it lies below the window.  A window
-    narrower than W takes in the next planes above it (below it, at the top
-    of the family), so every column is a real plane and none is padding; a
-    NaN coordinate opens the window to every plane."""
-    if n == 1:
-        return np.empty((len(oa), 0)), 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g0 = (oa + t0 * da) / (geom.f * (oz + t0 * dz))
-        g1 = (oa + t1 * da) / (geom.f * (oz + t1 * dz))
-    lo = np.fmin(np.fmax(np.ceil(np.minimum(g0, g1) + n / 2.0) - APEX_MARGIN, 1.0), n - 1.0)
-    hi = np.fmax(np.fmin(np.floor(np.maximum(g0, g1) + n / 2.0) + APEX_MARGIN, n - 1.0), 1.0)
-    width = int((hi - lo).max()) + 1
-    first = np.minimum(lo, n - width)
-    return first + np.arange(width), first[:, 0] - 1.0
+def _frustum_crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: np.ndarray,
+                       gap: np.ndarray, rate: np.ndarray) -> None:
+    """As ``_box_crossings``, for the planes x = c_k z (a = 0) and y = c_k z
+    (a = 1) through the origin, whose gap is c oz - ox and rate dx - c dz,
+    and the depth planes z = z_k (a = 2)."""
+    oz, dz = o[:, 2:], d[:, 2:]
+    if a == 2:
+        zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, geom.dims[2]))
+        np.subtract(np.take(sliding_window_view(zs, gap.shape[1]), first - 1, axis=0), oz, out=gap)
+        rate[:] = dz
+    else:
+        n = geom.dims[a]
+        c = np.take(sliding_window_view(geom.f * (np.arange(1, n) - n / 2.0), gap.shape[1]), first - 1, axis=0)
+        np.subtract(d[:, a:a + 1], np.multiply(c, dz, out=rate), out=rate)
+        np.multiply(c, oz, out=gap)
+        gap -= o[:, a:a + 1]
 
 
 def first_hit_batch(bgrid: BinaryGrid, table: TraceTable):

@@ -21,7 +21,10 @@ order.
 hand-built rays, whose losses tests read through ``per_ray``.  ``project``,
 the inverse of ``pixel_rays``, checks the pixel rays by a round trip;
 ``trace_one`` traces one ray, given as an origin and a direction as the
-oracles take it, through ``trace_batch``.  ``rays_at_pixels`` reads a
+oracles take it, through ``trace_batch``.  ``full_windows``,
+``full_axis_crossings`` and ``full_frustum_crossings`` give the traversal
+kernel every plane of every axis, as it took them before its per-ray
+windows.  ``rays_at_pixels`` reads a
 sample's observations pixel by pixel with 2-D indexing, as the fitter
 did before it took its sampled rays from ``full_image_rays``;
 ``sampled_pixels`` and ``sampled_rows`` are the draw ``fit`` made with its
@@ -585,26 +588,38 @@ def padded_view_loss(occ, rays, aux=None, *, label_weight=1.0, traces):
 # ---------------------------------------------------------------------------
 
 
-def full_frustum_crossings(geom, o, d, t0=None, t1=None):
-    """``traversal._frustum_crossings`` before its apex-plane windows: the
-    crossings with every interior depth plane and every plane through the
-    apex, none counted below.  Its (depths, steps, strides, 0) fit the
-    kernel's crossing-function slot."""
+def full_windows(geom, o, d, t0, t1):
+    """``traversal._windows`` before there were windows: every ray's window
+    holds every interior plane 1..n-1 of each axis."""
     nx, ny, nz = geom.dims
-    ox, oy, oz = o[:, :1], o[:, 1:2], o[:, 2:]
-    dx, dy, dz = d[:, :1], d[:, 1:2], d[:, 2:]
-    zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, nz))
-    cxs = geom.f * (np.arange(1, nx) - nx / 2.0)
-    cys = geom.f * (np.arange(1, ny) - ny / 2.0)
-    rate = np.concatenate([np.broadcast_to(dz, (len(o), nz - 1)), dx - cxs * dz, dy - cys * dz], axis=1)
-    rate += 0.0  # -0.0 -> +0.0
-    ts = np.concatenate([zs - oz, cxs * oz - ox, cys * oz - oy], axis=1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ts /= rate
-    stride = np.repeat(np.array([nx * ny, 1.0, nx]), [nz - 1, nx - 1, ny - 1])
-    step = np.sign(rate, out=rate)
-    step *= stride
-    return ts, step, stride, 0.0
+    return np.ones((len(o), 3), dtype=np.int64), np.tile([nx - 1, ny - 1, nz - 1], (len(o), 1))
+
+
+def full_axis_crossings(geom, a, o, d, first, gap, rate):
+    """``traversal._box_crossings`` as it was before windows
+    (``_axis_crossings``): the gaps to every interior plane lo + k h of axis
+    a and the rates across them, for ``full_windows``' planes."""
+    n = geom.dims[a]
+    assert np.all(first == 1) and gap.shape[1] == n - 1
+    gap[:] = geom.aabb_min[a] + np.arange(1, n) * geom.cell_size[a] - o[:, a:a + 1]
+    rate[:] = d[:, a:a + 1]
+
+
+def full_frustum_crossings(geom, a, o, d, first, gap, rate):
+    """``traversal._frustum_crossings`` before its windows: the gaps to every
+    plane x = c_k z (a = 0) or y = c_k z (a = 1) through the apex, or every
+    interior depth plane (a = 2), and the rates across them, for
+    ``full_windows``' planes."""
+    n = geom.dims[a]
+    assert np.all(first == 1) and gap.shape[1] == n - 1
+    oz, dz = o[:, 2:], d[:, 2:]
+    if a == 2:
+        gap[:] = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, n)) - oz
+        rate[:] = dz
+        return
+    cs = geom.f * (np.arange(1, n) - n / 2.0)
+    gap[:] = cs * oz - o[:, a:a + 1]
+    rate[:] = d[:, a:a + 1] - cs * dz
 
 
 def slab_hull(geom, o, d):

@@ -1,12 +1,20 @@
+import platform
+
 import numpy as np
 import pytest
 
+from drc import cli
 from drc.cli import main
 from drc.grid import load_grid
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def manifest(out_dir):
+    """A manifest.txt's entries, key -> value."""
+    return dict(line.split(" ", 1) for line in (out_dir / "manifest.txt").read_text().splitlines())
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +39,18 @@ class TestPipeline:
             assert (pipeline / sub / "manifest.txt").exists()
         assert (pipeline / "fit" / "loss_log.tsv").exists()
         assert (pipeline / "obs" / "view_000" / "depth.pfm").exists()
+
+    def test_fit_manifest_records_versions(self, pipeline):
+        entries = manifest(pipeline / "fit")
+        assert entries["python"] == platform.python_version() and entries["numpy"] == np.__version__
+        assert float(entries["wall-time-s"]) > 0.0
+
+    def test_repro_manifest_records_wall_time_and_versions(self, tmp_path):
+        assert run("repro", "--shapes", "sphere", "--dims", "8", "--views", "2", "--size", "8",
+                   "--iters", "1", "--out", str(tmp_path / "r")) == 0
+        entries = manifest(tmp_path / "r")
+        assert entries["python"] == platform.python_version() and entries["numpy"] == np.__version__
+        assert float(entries["wall-time-s"]) > 0.0
 
     def test_eval_reports_iou(self, pipeline, capsys):
         assert run("eval", "--pred", str(pipeline / "fit" / "fitted.grid"),
@@ -220,6 +240,28 @@ class TestExitCodes:
         assert run("repro", "--shapes", "sphere", "--dims", "8", "--views", "2", "--size", "8",
                    "--iters", "1", "--noise", "inf", "--out", str(tmp_path / "r")) == 1
         assert capsys.readouterr().err.startswith("error: max_noise")
+
+    @pytest.mark.parametrize("command", ["fit", "render"])
+    def test_size_too_large_for_memory_is_usage_error(self, monkeypatch, tmp_path, capsys, command):
+        # as numpy raises it for an array of --rays, --dims or --size cells
+        def too_large(args):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+        monkeypatch.setattr(cli, f"cmd_{command}", too_large)
+        argv = {"fit": ["--obs", str(tmp_path), "--rays", "100000000000"],
+                "render": ["--grid", str(tmp_path / "g.grid"), "--size", "1000000"]}[command]
+        assert run(command, *argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "745. GiB" in err[0]
+
+    @pytest.mark.parametrize("flag, value, form", [("--elevation", "10", "LO,HI"),
+                                                   ("--frustum", "1,2", "z_min,z_max,hfov"),
+                                                   ("--aabb", "0,0,0,1,1", "x0,y0,z0,x1,y1,z1")])
+    def test_wrong_number_count_is_usage_error(self, pipeline, tmp_path, capsys, flag, value, form):
+        command = ["render", "--grid", str(pipeline / "gt" / "shape.grid"), "--size", "8"] \
+            if flag == "--elevation" else ["fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "1"]
+        assert run(*command, f"{flag}={value}", "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.strip() == f"usage error: {flag} wants {form}, got {value!r}"
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_zero_trials_is_usage_error(self):
         assert run("gradcheck", "--kind", "depth", "--trials", "0") == 1

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from drc.cameras import image_grid_rays, perspective_camera
 from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry, unit_cube_geometry
+from drc.renderer import sample_view_ring
 from drc import traversal
 from drc.traversal import first_hit_batch, trace_batch
 
 
 from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, event_probabilities, first_hit,
-                     full_frustum_crossings, padded, slab_hull, trace_one)
+                     full_axis_crossings, full_frustum_crossings, full_windows, padded, slab_hull, trace_one)
 
 
 def unit(v):
@@ -183,9 +184,11 @@ class TestBatchKernels:
                 assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
 
     def test_storage_bound_covers_every_trace(self, monkeypatch):
-        """Each ray's bound holds its cells, the reservation stays within
-        twice the cells written, and a short bound raises rather than
-        writing past the reservation."""
+        """Each ray's bound, one cell more than the planes of its windows,
+        holds its cells, the reservation stays within twice the cells
+        written, and a short reservation raises rather than writing past
+        its end."""
+        reserve = traversal._reserve
         for geom, spread in ((UNIFORM_GEOMS[1], 2.0), (UNIFORM_GEOMS[2], 0.6), (FRUSTUM_GEOMS[1], 0.5)):
             rng = np.random.default_rng(7)
             o, d = rng.uniform(-spread, spread, (600, 3)), unit(rng.normal(size=(600, 3)))
@@ -193,10 +196,11 @@ class TestBatchKernels:
             table = trace_batch(geom, o, d)
             rows = np.flatnonzero(alive)
             assert rows.size > 20 and table.n[rows].min() > 0
-            for r in rows:
-                assert traversal._cell_bound(geom, o[r:r + 1], d[r:r + 1], t0[r:r + 1], t1[r:r + 1]) >= table.n[r]
-            assert traversal._cell_bound(geom, o[rows], d[rows], t0[rows], t1[rows]) <= 2 * table.n.sum()
-            monkeypatch.setattr(traversal, "_cell_bound", lambda *args: 0)
+            _, width = traversal._windows(geom, o[rows], d[rows], t0[rows, None], t1[rows, None])
+            bound = 1 + width.sum(axis=1, dtype=np.int64)
+            assert np.all(bound >= table.n[rows])
+            assert bound.sum() <= 2 * table.n.sum()
+            monkeypatch.setattr(traversal, "_reserve", lambda count, dtype: reserve(table.n.sum() - 1, dtype))
             with pytest.raises(ValueError):
                 trace_batch(geom, o, d)
             monkeypatch.undo()
@@ -460,10 +464,28 @@ TABLE_FIELDS = ("start", "n", "t0", "cells", "t_exit")
 
 
 def full_plane_table(geom, origins, directions):
-    """``trace_batch`` with every apex plane evaluated, as the kernel did
-    before its windows."""
-    with mock.patch.object(traversal, "_frustum_crossings", full_frustum_crossings):
+    """``trace_batch`` with every plane of every axis evaluated, as the
+    kernel did before its windows."""
+    with mock.patch.object(traversal, "_windows", full_windows), \
+            mock.patch.object(traversal, "_box_crossings", full_axis_crossings), \
+            mock.patch.object(traversal, "_frustum_crossings", full_frustum_crossings):
         return trace_batch(geom, origins, directions)
+
+
+def pass_columns(geom, origins, directions):
+    """The number of planes each pass of ``trace_batch`` evaluates."""
+    name = "_box_crossings" if geom.kind == "uniform" else "_frustum_crossings"
+    crossings, columns = getattr(traversal, name), []
+
+    def counted(geom, a, o, d, first, gap, rate):  # called per axis, x first
+        if a == 0:
+            columns.append(0)
+        columns[-1] += gap.shape[1]
+        crossings(geom, a, o, d, first, gap, rate)
+
+    with mock.patch.object(traversal, name, counted):
+        trace_batch(geom, origins, directions)
+    return columns
 
 
 def assert_same_as_full_planes(geom, origins, directions):
@@ -605,10 +627,120 @@ class TestApexWindows:
         origins, directions = image_grid_rays(perspective_camera((0.0, 0.0, 0.1), (0.0, 0.75, 20.0),
                                                                  48.0, 64, 48))
         o, d = origins.reshape(-1, 3)[:1024], directions.reshape(-1, 3)[:1024]
-        t0, t1, alive = traversal._hull(geom, o, d)
-        assert alive.all()
-        ts = traversal._frustum_crossings(geom, o, d, t0[:, None], t1[:, None])[0]
-        assert ts.shape[1] < 60 and full_frustum_crossings(geom, o, d)[0].shape[1] == 93
+        assert traversal._hull(geom, o, d)[2].all()
+        [columns] = pass_columns(geom, o, d)
+        assert columns < 60 and sum(full_windows(geom, o, d, None, None)[1][0]) == 93
+
+
+def ring_views(size=128):
+    """Five cameras on the view ring around the unit cube, evenly spaced in
+    azimuth at spread elevations."""
+    return sample_view_ring(5, azimuths=20.0 + 72.0 * np.arange(5), elevations=(-12.0, 22.0, 2.0, 26.0, -4.0),
+                            width=size, height=size)
+
+
+class TestBoxWindows:
+    """Uniform traces evaluate only a window of each axis's planes per ray;
+    every table must equal the full-plane kernel's to the bit."""
+
+    CUBE = unit_cube_geometry((32, 32, 32))
+    ODD_ZEROS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-309, -1e-310]  # signed zeros and subnormals
+
+    def test_ring_camera_pixel_rays(self):
+        for camera in ring_views():
+            origins, directions = image_grid_rays(camera)
+            table = assert_same_as_full_planes(self.CUBE, origins.reshape(-1, 3), directions.reshape(-1, 3))
+            assert 0 < np.count_nonzero(table.n) < table.n_rays
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+           lo=st.tuples(*[st.floats(-2.0, 1.0)] * 3), extent=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_rays_match_full_planes(self, dims, lo, extent, seed):
+        geom = uniform_geometry(dims, lo, np.add(lo, extent))
+        rng = np.random.default_rng(seed)
+        n = 96
+        inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (n, 3)) * dims)
+        # from inside, from near the box and from far outside, aimed at a
+        # point inside for two rays in three, the rest in random directions;
+        # some direction components are signed zeros or subnormal
+        scale = rng.choice([0.0, 0.01, 1.0, 10.0], (n, 1)) * max(extent)
+        origins = inside[::-1] + rng.normal(size=(n, 3)) * scale
+        directions = np.where(np.arange(n)[:, None] % 3 == 0, rng.normal(size=(n, 3)), inside - origins)
+        odd = rng.uniform(size=(n, 3)) < 0.2
+        directions[odd] = rng.choice(self.ODD_ZEROS, np.count_nonzero(odd))
+        directions[np.all(np.abs(directions) < 1e-300, axis=1)] = (0.0, 0.0, 1.0)
+        assert_same_as_full_planes(geom, origins, unit(directions))
+
+    @pytest.mark.parametrize("geom", UNIFORM_GEOMS[1:] + [CUBE])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rays_in_an_axis_plane(self, geom, axis, zero):
+        # between two points of one axis plane, the faces among them, from
+        # outside the grid and inside it; the rate across it is zero of
+        # either sign
+        n = geom.dims[axis]
+        rng = np.random.default_rng(axis)
+        a = rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims
+        b = rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims
+        a[:, axis] = b[:, axis] = rng.integers(0, n + 1, 3000)
+        a[:1000, (axis + 1) % 3] = -2.0
+        origins, targets = geom.grid_to_world(a), geom.grid_to_world(b)
+        directions = unit(targets - origins)
+        directions[:, axis] = zero
+        table = assert_same_as_full_planes(geom, origins, directions)
+        assert np.count_nonzero(table.n) > 1000
+
+    @pytest.mark.parametrize("geom", UNIFORM_GEOMS[1:] + [CUBE])
+    def test_origins_inside_the_grid(self, geom):
+        # anywhere inside, on interior planes and on edges between them,
+        # in random directions and along the axes
+        rng = np.random.default_rng(9)
+        g = rng.uniform(0.0, 1.0, (4000, 3)) * geom.dims
+        g[1000:3000, 0] = rng.integers(0, geom.dims[0], 2000)
+        g[2000:, 1] = rng.integers(0, geom.dims[1], 2000)
+        directions = unit(rng.normal(size=(4000, 3)))
+        directions[3000:] = np.eye(3)[rng.integers(0, 3, 1000)] * rng.choice([1.0, -1.0], (1000, 1))
+        table = assert_same_as_full_planes(geom, geom.grid_to_world(g), directions)
+        on_low_face = np.any(g[:, :2] == 0.0, axis=1)  # heading out through it, a ray misses
+        assert np.all(table.n[~on_low_face] > 0) and np.all(table.t0 == 0.0)
+
+    @pytest.mark.parametrize("geom", UNIFORM_GEOMS[1:] + [CUBE])
+    def test_coordinates_on_window_edge_planes(self, geom):
+        # rays whose coordinate at t0 or t1 is on an interior plane: they
+        # enter or leave through a face at a point of a plane, or start on
+        # one inside the grid
+        rng = np.random.default_rng(6)
+        g = rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims
+        face = rng.integers(0, 3, 3000)
+        edge = (face + rng.integers(1, 3, 3000)) % 3
+        at = np.arange(3000)
+        g[at, face] = rng.choice([0.0, 1.0], 3000) * np.take(geom.dims, face)
+        g[at, edge] = rng.integers(0, np.take(geom.dims, edge) + 1)
+        on_plane = geom.grid_to_world(g)
+        inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (3000, 3)) * geom.dims)
+        towards = unit(inside - on_plane)
+        origins = np.concatenate([on_plane - 0.7 * towards, inside, on_plane])
+        directions = np.concatenate([towards, -towards, towards])
+        table = assert_same_as_full_planes(geom, origins, directions)
+        assert np.count_nonzero(table.n) > 7000
+
+    @pytest.mark.parametrize("dims", [(1, 6, 5), (6, 1, 5), (5, 6, 1), (1, 1, 4), (1, 1, 1)])
+    def test_grids_one_cell_wide(self, dims):
+        geom = uniform_geometry(dims, (-0.5, -0.4, -0.3), (0.5, 0.6, 0.2))
+        rng = np.random.default_rng(2)
+        inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (300, 3)) * dims)
+        origins = inside[::-1] + rng.normal(size=(300, 3))
+        table = assert_same_as_full_planes(geom, origins, unit(inside - origins))
+        assert np.all(table.n > 0)
+
+    def test_windows_hold_fewer_planes(self):
+        # a ring camera's ray crosses about 30 of the 93 planes of a 32^3
+        # cube, so a pass holds far fewer columns than all of them
+        origins, directions = image_grid_rays(ring_views()[0])
+        columns = pass_columns(self.CUBE, origins.reshape(-1, 3), directions.reshape(-1, 3))
+        assert len(columns) > 3 and max(columns) <= 70 and np.median(columns) < 60
+        assert sum(full_windows(self.CUBE, origins[:1], directions[:1], None, None)[1][0]) == 93
 
 
 class TestBoxHull:
