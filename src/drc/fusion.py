@@ -109,5 +109,5 @@ def carve_masks(observations: list[Observation], geometry: GridGeometry, *,
         background = obs.mask.reshape(-1) == 0
         if background.any():
             rows = table.camera_rows(i)
-            carved[rows.cells[background[rows.cell_rays()]]] = True
+            carved[rows.cells[np.repeat(background, rows.n)]] = True
     return BinaryGrid(geometry, ~carved.reshape(geometry.shape))

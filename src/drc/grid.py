@@ -133,11 +133,13 @@ class GridGeometry:
                 self.dims, dtype=np.float64
             )
         z = p[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gz = np.where(z > 0.0, np.log(np.maximum(z, 1e-300) / self.alpha1) / self.alpha2, np.nan)
-            gx = np.where(z > 0.0, p[..., 0] / (self.f * z) + nx / 2.0, np.nan)
-            gy = np.where(z > 0.0, p[..., 1] / (self.f * z) + ny / 2.0, np.nan)
-        return np.stack([gx, gy, gz], axis=-1)
+        g = np.empty(p.shape)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for a, n in ((0, nx), (1, ny)):
+                np.add(p[..., a] / (self.f * z), n / 2.0, out=g[..., a])
+            np.divide(np.log(np.maximum(z, 1e-300) / self.alpha1), self.alpha2, out=g[..., 2])
+        g[~(z > 0.0)] = np.nan
+        return g
 
     def cell_center_world(self, index) -> np.ndarray:
         ix, iy, iz = self.unravel(index)

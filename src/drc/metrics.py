@@ -36,20 +36,17 @@ class IoUResult:
     curve: tuple  # ((threshold, iou), ...)
 
 
-def _iou(pred_occ: np.ndarray, gt_occ: np.ndarray) -> float:
-    union = np.count_nonzero(pred_occ | gt_occ)
-    if union == 0:
-        return 1.0
-    return np.count_nonzero(pred_occ & gt_occ) / union
-
-
 def best_threshold(pred: OccupancyGrid, gt: BinaryGrid) -> IoUResult:
-    """Sweep the binarization threshold and keep the best IoU."""
+    """Sweep the binarization threshold and keep the best IoU.  The cells at
+    or above each threshold are counted in the sorted occupancies of the
+    ground truth's cells and of the others; an empty union scores 1."""
     if not same_geometry(pred.geometry, gt.geometry):
         raise ValueError("prediction and ground truth live on different geometries")
     occ = 1.0 - pred.flat
-    gt_occ = gt.flat
-    ious = np.array([_iou(occ >= t, gt_occ) for t in THRESHOLDS])
+    inside, outside = np.sort(occ[gt.flat]), np.sort(occ[~gt.flat])
+    both = inside.size - np.searchsorted(inside, THRESHOLDS, side="left")
+    union = inside.size + outside.size - np.searchsorted(outside, THRESHOLDS, side="left")
+    ious = np.divide(both, union, out=np.ones(THRESHOLDS.size), where=union > 0)
     best = int(np.argmax(ious))  # ties break toward the lower threshold
     curve = tuple((float(t), float(i)) for t, i in zip(THRESHOLDS, ious))
     return IoUResult(float(ious[best]), float(THRESHOLDS[best]), curve)

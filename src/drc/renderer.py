@@ -155,12 +155,21 @@ def view_traces(cameras: list[Camera], geometry: GridGeometry, traces=None) -> I
     return traces
 
 
+def occupied_box(bgrid: BinaryGrid) -> list[tuple[int, int]]:
+    """Per axis (x, y, z) the index range [lo, hi) of the grid's occupied
+    cells, for ``trace_batch``'s box; (0, 0) on every axis of an empty grid."""
+    spans = [np.flatnonzero(bgrid.occ.any(axis=other)) for other in ((0, 1), (0, 2), (1, 2))]
+    return [(int(k[0]), int(k[-1]) + 1) if k.size else (0, 0) for k in spans]
+
+
 def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = None, *,
            traces: ImageTraces | None = None) -> Observation:
     """Render one observation of a hard shape by first-hit ray casting.
 
     ``traces`` is the camera's ``image_traces`` table (or its ``camera_rows``
     of one of several cameras) on the grid's geometry, if the caller has it.
+    Without it a uniform grid traces only its ``occupied_box``, which holds
+    every first hit at the whole grid's depths to the bit.
     """
     if kind not in RAY_KINDS:
         raise ValueError(f"render kind must be one of {RAY_KINDS}, got {kind!r}")
@@ -170,7 +179,12 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
     if kind == "depth_semantics" and aux.nchannels > 256:  # labels.pgm holds 8-bit class ids
         raise ValueError(f"labels are 8-bit: a render takes at most 256 classes, got {aux.nchannels}")
     hw = (camera.height, camera.width)
-    hit, cell, depth = first_hit_batch(bgrid, view_traces([camera], bgrid.geometry, traces))
+    if traces is None and bgrid.geometry.kind == "uniform":
+        rays = (r.reshape(-1, 3) for r in image_grid_rays(camera))
+        table = trace_batch(bgrid.geometry, *rays, occupied_box(bgrid))
+    else:
+        table = view_traces([camera], bgrid.geometry, traces)
+    hit, cell, depth = first_hit_batch(bgrid, table)
     hit = hit.reshape(hw)
     cell = cell.reshape(hw)
     depth = depth.reshape(hw)

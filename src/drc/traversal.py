@@ -1,9 +1,10 @@
 """Exact ordered ray-grid intersection.
 
 Both grid kinds share one kernel.  One clip, ``_hull``, gives the depths
-(t0, t1) inside the grid's convex hull from a list of its six faces
-(``_hull_faces``: the box's axis planes; the frustum's near and far planes
-and its four side planes through the apex).  One window rule, ``_windows``,
+(t0, t1) inside the convex hull of a box of whole cells, by default the
+whole grid, from a list of its six faces (``_hull_faces``: axis planes of
+a uniform grid; the frustum's depth planes and its four side planes
+through the apex).  One window rule, ``_windows``,
 gives per ray and axis the interior cell boundary planes it can cross: those
 between its grid coordinates at t0 and t1, and one more on each side.  A
 crossing function gives the ray's depth at each plane of its windows (axis
@@ -20,6 +21,12 @@ t0: the crossing depths would put it below the ray there exactly when it
 lies below the window.  So the planes below a window go straight into the
 first cell's count: the traces are those of the full plane set, to the bit.
 
+A uniform grid's box faces are axis planes at the values the crossings
+take (``_axis_planes``), and a dot with a one-hot normal adds only exact
+zeros, so a clipped trace is the whole grid's trace's cells inside the box
+at its depths, to the bit.  A frustum's side faces round otherwise than its
+crossings (d . (1, 0, -c) against dx - c dz): only its whole box is exact.
+
 Per-cell event depths d_i are the segment midpoints (t_enter + t_exit)/2:
 rendered depth and the depth event cost share this convention, so a hard
 shape is an exact minimizer of its own depth loss.
@@ -29,9 +36,9 @@ depth.  The zero-length segments between them are dropped and the cell
 after the last of them kept, so consecutive cells differ in exactly the
 axes crossed there.  A ray lying on a plane belongs to the cell above it,
 as floor() of its grid coordinate would say.  The hull's faces follow the
-same rule: a ray lying in a low face (grid coordinate 0 on its axis, the
-frustum's near plane among them) is inside the grid, one lying in a high
-face (the axis's cell count, the far plane among them) is outside.
+same rule: a ray lying in a low face (the box's lo on its axis, the
+frustum's near plane among them) is inside the box, one lying in a high
+face (its hi, the far plane among them) is outside.
 
 ``trace_batch`` returns the traces of many rays as one unpadded
 ``TraceTable``: per ray a start, a length and an entry depth, per traversed
@@ -140,14 +147,18 @@ class TraceTable:
         return np.repeat(np.arange(self.n_rays, dtype=np.int32), self.n)
 
 
-def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray) -> TraceTable:
+def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndarray, box=None) -> TraceTable:
     """The traces of many rays in one table, TABLE_CHUNK rays a pass: the
-    cells each ray's half-line t >= 0 crosses, in increasing t, from t = 0
-    for a ray that starts inside the grid; a miss has n = 0."""
+    cells each ray's half-line t >= 0 crosses in ``box`` (per axis a cell
+    index range [lo, hi); the whole grid by default), in increasing t, from
+    t = 0 for a ray that starts inside it; a miss has n = 0."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
+    box = [(0, n) for n in geometry.dims] if box is None else [(int(lo), int(hi)) for lo, hi in box]
+    if len(box) != 3 or not all(0 <= lo <= hi <= n for (lo, hi), n in zip(box, geometry.dims)):
+        raise ValueError(f"box must hold a range 0 <= lo <= hi <= n per axis of {geometry.dims}, got {box}")
     crossings = _box_crossings if geometry.kind == "uniform" else _frustum_crossings
-    t0, t1, alive = _hull(geometry, o, d)
+    t0, t1, alive = _hull(geometry, o, d, box)
     rows = np.flatnonzero(alive)
     n, t0 = np.zeros(len(o), dtype=np.int64), np.where(alive, t0, 0.0)
     del origins, directions  # only the rays that meet the grid from here on: the caller's can go
@@ -248,40 +259,45 @@ def _box_crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, fir
     """Writes each ray's gap along axis a to the W planes aabb_min + k h of
     its window, k from ``first`` on (a row of the sliding window view of the
     axis's planes), and its rate across them, (R, W) each."""
-    planes = geom.aabb_min[a] + np.arange(1, geom.dims[a]) * geom.cell_size[a]
-    np.subtract(np.take(sliding_window_view(planes, gap.shape[1]), first - 1, axis=0), o[:, a:a + 1], out=gap)
+    np.subtract(np.take(sliding_window_view(_axis_planes(geom, a)[1:-1], gap.shape[1]), first - 1, axis=0),
+                o[:, a:a + 1], out=gap)
     rate[:] = d[:, a:a + 1]
 
 
-def _hull_faces(geom: GridGeometry) -> list[tuple[np.ndarray, float, bool]]:
-    """The six faces (normal, c, low) of the grid's hull: the plane normal . p
-    = c where one grid coordinate is 0 (a low face) or the axis's cell count
-    (a high face), the normal pointing up that axis, so the grid lies on the
-    + side of a low face and the - side of a high one.  The box's faces are
-    its axis planes, in axis order; the frustum's are its near and far
-    planes and the planes x = c z, y = c z through the apex at its sides,
-    normal (1, 0, -c) or (0, 1, -c) as in ``_frustum_crossings``."""
+def _axis_planes(geom: GridGeometry, a: int) -> np.ndarray:
+    """A uniform grid's n + 1 planes across axis a: aabb_min + k h, its corners at the ends."""
+    inner = geom.aabb_min[a] + np.arange(1, geom.dims[a]) * geom.cell_size[a]
+    return np.concatenate([geom.aabb_min[a:a + 1], inner, geom.aabb_max[a:a + 1]])
+
+
+def _hull_faces(geom: GridGeometry, box) -> list[tuple[np.ndarray, float, bool]]:
+    """The six faces (normal, c, low) of the box's hull: the plane normal . p
+    = c where one grid coordinate is the box's lo (a low face) or hi (a high
+    face), the normal pointing up that axis, so the box lies on the + side
+    of a low face and the - side of a high one.  A uniform grid's are axis
+    planes, in axis order; the frustum's are depth planes and the planes
+    x = c z, y = c z through the apex at its sides, normal (1, 0, -c) or
+    (0, 1, -c) as in ``_frustum_crossings``."""
+    ends = [((lo, True), (hi, False)) for lo, hi in box]
     if geom.kind == "uniform":
-        return [(np.eye(3)[a], bound[a], low) for a in range(3)
-                for bound, low in ((geom.aabb_min, True), (geom.aabb_max, False))]
-    nx, ny, nz = geom.dims
-    faces = [(np.array([0.0, 0.0, 1.0]), geom.alpha1 * np.exp(geom.alpha2 * k), k == 0) for k in (0, nz)]
-    for a, n in ((0, nx), (1, ny)):
-        for k in (0, n):
+        return [(np.eye(3)[a], _axis_planes(geom, a)[k], low) for a in range(3) for k, low in ends[a]]
+    faces = [(np.array([0.0, 0.0, 1.0]), geom.alpha1 * np.exp(geom.alpha2 * k), low) for k, low in ends[2]]
+    for a in (0, 1):
+        for k, low in ends[a]:
             normal = np.zeros(3)
-            normal[a], normal[2] = 1.0, -geom.f * (k - n / 2.0)
-            faces.append((normal, 0.0, k == 0))
+            normal[a], normal[2] = 1.0, -geom.f * (k - geom.dims[a] / 2.0)
+            faces.append((normal, 0.0, low))
     return faces
 
 
-def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray):
-    """(t0, t1, alive): each ray's depths inside the grid's hull, clipped
+def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray, box):
+    """(t0, t1, alive): each ray's depths inside the box's hull, clipped
     face by face.  A ray lying in a face is inside a low face and outside a
     high one, as floor() of its grid coordinate says; a depth t0 <= 0 is +0."""
     t0 = np.full(len(o), -np.inf)
     t1 = np.full(len(o), np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for normal, c, low in _hull_faces(geom):
+        for normal, c, low in _hull_faces(geom, box):
             # a matrix-vector product rounds each ray's dot as a 1-D dot does;
             # an elementwise (d * normal).sum(1) can differ in the last bit
             rate = d @ normal

@@ -6,7 +6,8 @@
 Covers every output of ``drc repro --iters 40 --seed 10`` except
 ``manifest.txt`` (it holds wall times), the trace tables that run builds,
 and for each fit workload of ``perfbench/workloads.py`` at seeds 0 and 1 the
-fitted grid, payload and loss trace and the ``image_traces`` rows of every
+fitted grid, payload and loss trace, each rendered observation (its depth
+and, for the scene, its class ids) and the ``image_traces`` rows of every
 view.  Each camera's rows of a table are hashed as a table of their own
 (``camera_rows``): its five arrays (start, rebased to 0, n, t0, cells,
 t_exit).
@@ -97,7 +98,7 @@ def repro_digests() -> dict:
 
 
 def fit_digests() -> dict:
-    """Each fit workload's fit and view tables at each seed."""
+    """Each fit workload's fit, rendered observations and view tables at each seed."""
     digests = {}
     for name in FIT_WORKLOADS:
         workload = make_workload(name, ROOT, "")
@@ -109,6 +110,8 @@ def fit_digests() -> dict:
             if aux is not None:
                 digests[f"{key}/payload"] = sha256(aux.payload)
             digests[f"{key}/losses"] = sha256(report.losses)
+            for v, obs in enumerate(inputs.observations):
+                digests[f"{key}/render/{v}"] = sha256(*(a for a in (obs.depth, obs.classid) if a is not None))
             table = renderer.image_traces(inputs.gt.geometry, [obs.camera for obs in inputs.observations])
             for v, digest in enumerate(camera_digests(table)):
                 digests[f"{key}/traces/{v}"] = digest

@@ -29,6 +29,11 @@ sample's observations pixel by pixel with 2-D indexing, as the fitter
 did before it took its sampled rays from ``full_image_rays``;
 ``sampled_pixels`` and ``sampled_rows`` are the draw ``fit`` made with its
 own view choice and per-view loop before it drew through ``sample_rays``.
+``threshold_sweep`` is the IoU sweep as one pass per threshold, the way
+``best_threshold`` computed it before it counted in sorted occupancies;
+``frustum_world_to_grid`` is the frustum chart with one guarded
+``np.where`` per coordinate.  ``row_inside_box`` is what a trace clipped to
+a box of cells should hold: the full trace's cells inside the box.
 """
 
 from dataclasses import dataclass
@@ -40,7 +45,7 @@ from drc import consistency
 from drc.consistency import (AUX_KINDS, ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
                              RayBatch, ViewLossResult, view_loss)
 from drc.grid import AuxGrid, OccupancyGrid, same_geometry
-from drc.metrics import strip_table
+from drc.metrics import THRESHOLDS, IoUResult, strip_table
 from drc.traversal import trace_batch
 
 
@@ -171,6 +176,15 @@ def iou_at(pred, gt, threshold: float) -> float:
     if union == 0:
         return 1.0
     return np.count_nonzero(pred_occ & gt.flat) / union
+
+
+def threshold_sweep(pred, gt) -> IoUResult:
+    """``metrics.best_threshold`` as first written: one ``iou_at`` pass over
+    every cell per threshold, the best the first of the highest."""
+    ious = np.array([iou_at(pred, gt, t) for t in THRESHOLDS])
+    best = int(np.argmax(ious))
+    return IoUResult(float(ious[best]), float(THRESHOLDS[best]),
+                     tuple((float(t), float(i)) for t, i in zip(THRESHOLDS, ious)))
 
 
 def pixel_to_ray(camera, u: float, v: float):
@@ -676,3 +690,26 @@ def sampled_rows(cameras, n, views, seed, iteration):
     base = np.cumsum([0] + [c.width * c.height for c in cameras])
     return np.concatenate([base[v] + vs * cameras[v].width + us
                            for v, us, vs in sampled_pixels(cameras, n, views, seed, iteration)])
+
+
+def row_inside_box(geom, row, box):
+    """(cells, t_enter, t_exit) of a ``RayTrace``'s cells that lie in
+    ``box`` (per axis an index range [lo, hi)), at the row's depths: what
+    ``trace_batch`` with that box should give the ray."""
+    ijk = np.stack(geom.unravel(row.cells), axis=-1)
+    lo, hi = np.array(box).T
+    inside = np.all((ijk >= lo) & (ijk < hi), axis=-1)
+    return row.cells[inside], row.t_enter[inside], row.t_exit[inside]
+
+
+def frustum_world_to_grid(geom, points):
+    """``GridGeometry.world_to_grid`` of a frustum grid as it was first
+    written: each coordinate by its own guarded ``np.where``, then stacked."""
+    p = np.asarray(points, dtype=np.float64)
+    nx, ny, _ = geom.dims
+    z = p[..., 2]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gz = np.where(z > 0.0, np.log(np.maximum(z, 1e-300) / geom.alpha1) / geom.alpha2, np.nan)
+        gx = np.where(z > 0.0, p[..., 0] / (geom.f * z) + nx / 2.0, np.nan)
+        gy = np.where(z > 0.0, p[..., 1] / (geom.f * z) + ny / 2.0, np.nan)
+    return np.stack([gx, gy, gz], axis=-1)

@@ -17,7 +17,7 @@ from drc.grid import (
     unit_cube_geometry,
 )
 
-from oracles import cell_bounds_world
+from oracles import cell_bounds_world, frustum_world_to_grid
 
 
 class TestConstruction:
@@ -148,6 +148,26 @@ class TestFrustumGeometry:
         # one cell of layer iz has volume f^2 * (z1^3 - z0^3) / 3
         vols = geom.f**2 * np.diff(zs**3) / 3.0
         assert np.all(np.diff(vols) > 0)
+
+
+    @pytest.mark.parametrize("shape", [(3,), (500, 3), (2, 250, 3)])
+    def test_world_to_grid_is_the_guarded_formula(self, shape):
+        # bitwise, at z = 0, -0.0, negative, NaN, inf and subnormal too
+        geom = make_frustum_geometry((6, 5, 7), 0.4, 20.0, 50.0)
+        rng = np.random.default_rng(9)
+        specials = [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e-310, 5e-324, 1e-300, 2.0]
+        p = rng.uniform(-3.0, 3.0, shape)
+        p[..., 2] = rng.choice(specials + list(rng.uniform(-1.0, 30.0, 10)), shape[:-1])
+        lateral = np.array([[1.0, 0.0], [np.inf, 1.0], [np.nan, 0.0], [-1e300, 1e300], [0.0, -0.0]])
+        flat = p.reshape(-1, 3)
+        flat[:5, :2] = lateral[:len(flat)]
+        got = geom.world_to_grid(p)
+        assert got.shape == shape and got.tobytes() == frustum_world_to_grid(geom, p).tobytes()
+
+    def test_world_to_grid_overflows_quietly(self):
+        # a lateral coordinate over a subnormal depth is +-inf, not an error
+        geom = make_frustum_geometry((4, 4, 4), 0.5, 8.0, 60.0)
+        assert geom.world_to_grid([1.0, 0.0, 1e-310])[0] == np.inf
 
 
 class TestCellBounds:

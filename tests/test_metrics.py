@@ -4,7 +4,8 @@ import pytest
 from drc.grid import BinaryGrid, OccupancyGrid, unit_cube_geometry
 from drc import consistency
 from drc.metrics import best_threshold, run_gradcheck
-from oracles import brute_force_ray_loss, central_difference, iou_at
+from drc.metrics import THRESHOLDS
+from oracles import brute_force_ray_loss, central_difference, iou_at, threshold_sweep
 
 
 def make_pair(occ_pred, occ_gt):
@@ -50,6 +51,26 @@ class TestIoU:
 
 
 class TestBestThreshold:
+    @staticmethod
+    def assert_same_as_sweep(pred, gt):
+        got, expect = best_threshold(pred, gt), threshold_sweep(pred, gt)
+        assert (got.best_iou, got.best_threshold) == (expect.best_iou, expect.best_threshold)
+        assert np.array(got.curve).tobytes() == np.array(expect.curve).tobytes()
+
+    def test_is_the_per_threshold_sweep(self):
+        # empty unions, occupancies 1 - (1 - t) on every threshold, all
+        # occupied, soft, and ties at the lowest threshold, bit for bit
+        rng = np.random.default_rng(6)
+        shape = (6, 5, 7)
+        gts = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), rng.uniform(size=shape) < 0.3]
+        on_thresholds = 1.0 - rng.choice(1.0 - THRESHOLDS, shape)
+        preds = [np.zeros(shape), np.ones(shape), np.full(shape, 0.5), on_thresholds,
+                 rng.uniform(size=shape), np.round(rng.uniform(size=shape), 1)]
+        for occ in gts:
+            for soft in preds:
+                self.assert_same_as_sweep(*make_pair(soft, occ))
+            self.assert_same_as_sweep(*make_pair(occ.astype(float), occ))
+
     def test_binary_prediction_flat_curve_low_tie(self):
         rng = np.random.default_rng(3)
         occ = rng.uniform(size=(4, 4, 4)) < 0.5

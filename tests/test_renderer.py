@@ -4,16 +4,19 @@ import pytest
 from drc import renderer
 from drc.consistency import OBJECT_ESCAPE_DEPTH
 from drc.errors import FormatError
-from drc.grid import AuxGrid, BinaryGrid, unit_cube_geometry
+from drc.cameras import Camera, perspective_camera
+from drc.grid import AuxGrid, BinaryGrid, make_frustum_geometry, uniform_geometry, unit_cube_geometry
 from drc.images import write_pfm
 from drc.renderer import (
     Observation,
     add_depth_noise,
     chair_cavity_mask,
     full_image_rays,
+    image_traces,
     list_observation_bundles,
     load_observation_bundle,
     make_test_shape,
+    occupied_box,
     render,
     sample_view_ring,
     save_observation_bundle,
@@ -106,6 +109,104 @@ class TestRender:
     def test_color_needs_aux(self):
         with pytest.raises(ValueError, match="aux"):
             render(solid_cube(), front_camera(), "color")
+
+
+def axis_orthographic_cameras(size=32, scale=0.0625):
+    """Six orthographic cameras looking along +-x, +-y and +-z from 2 m out,
+    whose pixel rays lie on the multiples of scale / 2 (in the box planes of
+    the unit cube's 8- and 16-cell grids) across the view axis."""
+    views = []
+    for a in range(3):
+        for sign in (1.0, -1.0):
+            rot = np.roll(np.eye(3), 2 - a, axis=1)  # rows: the two other axes, then axis a
+            rot[1:] *= sign  # det stays +1
+            views.append(Camera("orthographic", size, size, (scale, scale, size / 2, size / 2), rot,
+                                (-scale / 2, -scale / 2, 2.0)))
+    return views
+
+
+def random_sparse_grid(rng, geom, fraction):
+    """Random occupied cells, among them cells on the grid's boundary."""
+    occ = rng.random(geom.shape) < fraction
+    occ[rng.integers(0, geom.shape[0]), rng.integers(0, geom.shape[1]), -1] = True
+    occ[0, rng.integers(0, geom.shape[1]), rng.integers(0, geom.shape[2])] = True
+    return BinaryGrid(geom, occ)
+
+
+def payloads(rng, geom):
+    """A random color and a random 4-class semantic aux grid on ``geom``."""
+    labels = rng.dirichlet(np.ones(4), geom.ncells).reshape(*geom.shape, 4)
+    return {"color": AuxGrid(geom, "color", rng.random((*geom.shape, 3))),
+            "depth_semantics": AuxGrid(geom, "semantics", labels)}
+
+
+class TestOccupiedBox:
+    """An untabled render of a uniform grid traces only its occupied cells'
+    box, and renders the bytes of a render from the whole grid's table."""
+
+    @staticmethod
+    def assert_same_as_full_table(bgrid, camera, aux):
+        for kind in ("mask", "depth", "color", "depth_semantics"):
+            kind_aux = aux.get(kind)
+            boxed = render(bgrid, camera, kind, kind_aux)
+            full = render(bgrid, camera, kind, kind_aux, traces=image_traces(bgrid.geometry, [camera]))
+            for name in ("mask", "depth", "classid", "rgb"):
+                a, b = getattr(boxed, name), getattr(full, name)
+                assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes()), (kind, name)
+
+    def test_box_of_the_occupied_cells(self):
+        geom = uniform_geometry((5, 6, 7), (0, 0, 0), (1, 1, 1))
+        occ = np.zeros(geom.shape, dtype=bool)
+        occ[3, 1, 4] = occ[6, 2, 2] = True  # (z, y, x)
+        assert occupied_box(BinaryGrid(geom, occ)) == [(2, 5), (1, 3), (3, 7)]
+        assert occupied_box(BinaryGrid(geom, ~occ)) == [(0, 5), (0, 6), (0, 7)]
+        assert occupied_box(BinaryGrid(geom, np.zeros(geom.shape, dtype=bool))) == [(0, 0)] * 3
+
+    @pytest.mark.parametrize("name", ["sphere", "cuboid", "chair_like"])
+    def test_shapes_render_as_from_the_full_table(self, name):
+        gt, color = make_test_shape(name, (16, 16, 16))
+        _, labels = make_test_shape(name, (16, 16, 16), aux_kind="semantics")
+        aux = {"color": color, "depth_semantics": labels}
+        for camera in sample_view_ring(3, seed=4, width=40, height=40) + axis_orthographic_cameras():
+            self.assert_same_as_full_table(gt, camera, aux)
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (16, 16, 16), (9, 5, 13)])
+    def test_sparse_grids_render_as_from_the_full_table(self, dims):
+        # non-cubic dims, boundary cells, one cell and no cell; cameras
+        # outside the grid, inside it and inside the box, and orthographic
+        # cameras whose rays lie in the box's face planes
+        rng = np.random.default_rng(sum(dims))
+        geom = uniform_geometry(dims, (-0.5, -0.5, -0.5), (0.5, 0.5, 0.5))
+        aux = payloads(rng, geom)
+        one = np.zeros(geom.shape, dtype=bool)
+        one[tuple(rng.integers(0, geom.shape))] = True
+        grids = [random_sparse_grid(rng, geom, f) for f in (0.003, 0.02, 0.1)]
+        grids += [BinaryGrid(geom, one), BinaryGrid(geom, np.zeros(geom.shape, dtype=bool))]
+        for bgrid in grids:
+            lo, hi = np.array(occupied_box(bgrid)).T
+            inside_box = geom.grid_to_world(lo + rng.uniform(0.0, 1.0, 3) * (hi - lo))
+            cameras = sample_view_ring(2, seed=int(rng.integers(100)), width=24, height=24)
+            cameras += [perspective_camera(p, rng.normal(size=3), 70.0, 24, 24)
+                        for p in (rng.uniform(-0.45, 0.45, 3), inside_box)]
+            for camera in cameras + axis_orthographic_cameras(16):
+                self.assert_same_as_full_table(bgrid, camera, aux)
+
+    def test_only_untabled_uniform_renders_pass_a_box(self, monkeypatch):
+        boxes = []
+
+        def recording_trace_batch(geometry, origins, directions, box=None, trace=renderer.trace_batch):
+            boxes.append(box)
+            return trace(geometry, origins, directions, box)
+
+        monkeypatch.setattr(renderer, "trace_batch", recording_trace_batch)
+        gt, _ = make_test_shape("cuboid", (10, 10, 10))
+        camera = front_camera(9, 9)
+        render(gt, camera, "mask")
+        render(gt, camera, "mask", traces=image_traces(gt.geometry, [camera]))
+        geom = make_frustum_geometry((4, 4, 4), 0.5, 8.0, 60.0)
+        render(BinaryGrid(geom, np.ones(geom.shape, dtype=bool)),
+               perspective_camera((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 40.0, 9, 9), "mask")
+        assert boxes == [[(2, 8), (3, 7), (3, 7)], None, None]
 
 
 class TestDepthNoise:

@@ -15,12 +15,17 @@ from drc.traversal import first_hit_batch, trace_batch
 
 
 from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, event_probabilities, first_hit,
-                     full_axis_crossings, full_frustum_crossings, full_windows, padded, slab_hull, trace_one)
+                     full_axis_crossings, full_frustum_crossings, full_windows, padded, row_inside_box, slab_hull,
+                     trace_one)
 
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def whole_box(geom):
+    return [(0, n) for n in geom.dims]
 
 
 def random_ray(rng, spread=2.0):
@@ -192,7 +197,7 @@ class TestBatchKernels:
         for geom, spread in ((UNIFORM_GEOMS[1], 2.0), (UNIFORM_GEOMS[2], 0.6), (FRUSTUM_GEOMS[1], 0.5)):
             rng = np.random.default_rng(7)
             o, d = rng.uniform(-spread, spread, (600, 3)), unit(rng.normal(size=(600, 3)))
-            t0, t1, alive = traversal._hull(geom, o, d)
+            t0, t1, alive = traversal._hull(geom, o, d, whole_box(geom))
             table = trace_batch(geom, o, d)
             rows = np.flatnonzero(alive)
             assert rows.size > 20 and table.n[rows].min() > 0
@@ -627,7 +632,7 @@ class TestApexWindows:
         origins, directions = image_grid_rays(perspective_camera((0.0, 0.0, 0.1), (0.0, 0.75, 20.0),
                                                                  48.0, 64, 48))
         o, d = origins.reshape(-1, 3)[:1024], directions.reshape(-1, 3)[:1024]
-        assert traversal._hull(geom, o, d)[2].all()
+        assert traversal._hull(geom, o, d, whole_box(geom))[2].all()
         [columns] = pass_columns(geom, o, d)
         assert columns < 60 and sum(full_windows(geom, o, d, None, None)[1][0]) == 93
 
@@ -755,6 +760,67 @@ class TestBoxHull:
         origins = rng.choice(faces, (n, 3))
         origins[::4] = rng.uniform(-1.0, 1.0, (n // 4, 3))
         directions = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-309, -2.2e-309, 0.6, -0.8, 1.0], (n, 3))
-        for got, expect in zip(traversal._hull(geom, origins, directions),
+        for got, expect in zip(traversal._hull(geom, origins, directions, whole_box(geom)),
                                slab_hull(geom, origins, directions)):
             assert got.tobytes() == expect.tobytes()
+
+
+class TestCellBox:
+    """``trace_batch`` clipped to a box of whole cells."""
+
+    @staticmethod
+    def random_box(rng, dims):
+        """A box of at least one cell per axis."""
+        lo = rng.integers(0, dims)
+        return list(zip(lo, rng.integers(lo + 1, np.array(dims) + 1)))
+
+    @pytest.mark.parametrize("geom", UNIFORM_GEOMS + [uniform_geometry((9, 6, 11), (-0.7, -0.3, -0.5),
+                                                                         (0.4, 0.5, 0.6))])
+    def test_rows_are_the_full_rows_inside_the_box(self, geom):
+        # each clipped row holds the full row's cells inside the box, at
+        # the full trace's depths to the bit, entered where the full trace
+        # entered the first of them; rays start in and out of the box and
+        # half of them lie in planes of the box's faces
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            box = self.random_box(rng, geom.dims)
+            lo, hi = np.array(box).T
+            target = geom.grid_to_world(lo + rng.uniform(0.0, 1.0, (200, 3)) * (hi - lo))
+            origins = np.where(rng.random((200, 1)) < 0.3, target, target + rng.normal(size=(200, 3)))
+            directions = unit(target - origins + rng.normal(scale=0.1, size=(200, 3)))
+            for i in range(0, 200, 2):  # in the box's face planes, parallel to them
+                a = rng.integers(0, 3)
+                origins[i, a] = plane_value(geom, a, box[a][rng.integers(0, 2)])
+                directions[i, a] = 0.0
+            full, clipped = trace_batch(geom, origins, directions), trace_batch(geom, origins, directions, box)
+            assert np.count_nonzero(clipped.n[::2]) > 10 and np.count_nonzero(clipped.n[1::2]) > 25
+            for i in range(200):
+                row = clipped.row(i)
+                cells, t_enter, t_exit = row_inside_box(geom, full.row(i), box)
+                assert row.cells.tolist() == cells.tolist()
+                assert row.t_enter.tobytes() == t_enter.tobytes()
+                assert row.t_exit.tobytes() == t_exit.tobytes()
+
+    @pytest.mark.parametrize("geom", UNIFORM_GEOMS + FRUSTUM_GEOMS)
+    def test_whole_grid_box_is_the_default_table(self, geom):
+        rng = np.random.default_rng(32)
+        origins, directions = rng.uniform(-1.5, 1.5, (500, 3)), unit(rng.normal(size=(500, 3)))
+        default, whole = trace_batch(geom, origins, directions), trace_batch(geom, origins, directions,
+                                                                            whole_box(geom))
+        assert np.count_nonzero(default.n) > 50
+        for name in TABLE_FIELDS:
+            assert getattr(whole, name).tobytes() == getattr(default, name).tobytes(), name
+
+    def test_empty_box_traces_nothing(self):
+        geom = UNIFORM_GEOMS[2]
+        rng = np.random.default_rng(33)
+        origins, directions = rng.uniform(-0.4, 0.4, (300, 3)), unit(rng.normal(size=(300, 3)))
+        for box in ([(0, 0)] * 3, [(3, 3), (0, 8), (0, 8)], [(0, 8), (0, 8), (8, 8)]):
+            table = trace_batch(geom, origins, directions, box)
+            assert table.n_rays == 300 and not table.n.any() and table.cells.size == 0
+
+    @pytest.mark.parametrize("box", [[(0, 8)] * 2, [(2, 1), (0, 8), (0, 8)], [(0, 9), (0, 8), (0, 8)],
+                                     [(-1, 4), (0, 8), (0, 8)]])
+    def test_box_outside_the_grid_rejected(self, box):
+        with pytest.raises(ValueError, match="box"):
+            trace_batch(UNIFORM_GEOMS[2], np.zeros((1, 3)), np.ones((1, 3)), box)
