@@ -4,8 +4,9 @@ Outdoor scenes need near cells small and far cells huge.  The frustum
 geometry maps grid coordinates through
 p = alpha1 * exp(alpha2 * gz) * (f*(gx - nx/2), f*(gy - ny/2), 1), so
 cell boundaries stay exact planes and the same traversal/loss machinery
-works unchanged.  Also shows the disparity + semantics event cost used
-for scene supervision.
+works unchanged.  Each ray is traced into a table of its own, whose flat
+arrays are that ray's row.  Also shows the disparity + semantics event
+cost used for scene supervision.
 """
 
 import numpy as np
@@ -19,30 +20,36 @@ zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(33))
 print("depth-layer boundaries (m):", np.array2string(zs[:6], precision=2),
       "...", np.array2string(zs[-3:], precision=0))
 
-apex = np.zeros((1, 3))
+
+def apex_ray(direction):
+    """The table of one ray from the camera apex, and its cells' entry
+    depths: t0, then each exit depth but the last."""
+    table = trace_batch(geom, np.zeros((1, 3)), np.asarray(direction)[None])
+    return table, np.concatenate([table.t0, table.t_exit[:-1]])
+
+
 # a ray from the camera apex straight down the optical axis crosses every layer
-tr = trace_batch(geom, apex, np.array([[0.0, 0.0, 1.0]])).row(0)
-print(f"apex ray: {tr.n} cells, first extent {tr.t_exit[0] - tr.t_enter[0]:.3f} m, "
-      f"last extent {tr.t_exit[-1] - tr.t_enter[-1]:.1f} m")
+table, t_enter = apex_ray([0.0, 0.0, 1.0])
+print(f"apex ray: {table.n[0]} cells, first extent {table.t_exit[0] - t_enter[0]:.3f} m, "
+      f"last extent {table.t_exit[-1] - t_enter[-1]:.1f} m")
 
 # an oblique ray still has exact, contiguous cell intersections
 d = np.array([0.25, 0.1, 1.0])
-table = trace_batch(geom, apex, (d / np.linalg.norm(d))[None])
-tr = table.row(0)
-print(f"oblique ray: {tr.n} cells, chord {tr.t_exit[-1] - tr.t_enter[0]:.1f} m, "
-      f"gaps: {np.abs(tr.t_enter[1:] - tr.t_exit[:-1]).max():.2e}")
+table, t_enter = apex_ray(d / np.linalg.norm(d))
+print(f"oblique ray: {table.n[0]} cells, chord {table.t_exit[-1] - t_enter[0]:.1f} m, "
+      f"gaps: {np.abs(t_enter[1:] - table.t_exit[:-1]).max():.2e}")
 
 # scene supervision: observed disparity + class label per ray
 rng = np.random.default_rng(0)
 k = 4
 payload = np.full((geom.ncells, k), 1.0 / k)
-payload[tr.cells] = rng.dirichlet(np.ones(k), size=tr.n)  # class distributions along the ray
+payload[table.cells] = rng.dirichlet(np.ones(k), size=table.n[0])  # class distributions along the ray
 aux = AuxGrid(geom, "semantics", payload.reshape(*geom.shape, k))
 rays = RayBatch("depth_semantics", np.ones(1), d=np.array([12.0]), c=np.array([2]))
 res = view_loss(OccupancyGrid(geom, np.full(geom.shape, 0.8)), rays, aux, traces=table)
 print(f"\nsemantic ray loss: {res.loss:.4f}")
 print("payload gradient row sums (one per traversed cell, escape has none):",
-      np.array2string(res.grad_p.reshape(-1, k)[tr.cells].sum(axis=1)[:5], precision=4), "...")
+      np.array2string(res.grad_p.reshape(-1, k)[table.cells].sum(axis=1)[:5], precision=4), "...")
 # through an empty grid the ray escapes for certain: its loss is the escape cost
 escape = view_loss(OccupancyGrid(geom, np.ones(geom.shape)), rays, aux, traces=table)
 print("escape event cost uses disparity 1/1000 and the uniform distribution:",

@@ -23,12 +23,11 @@ from .grid import (
     OccupancyGrid,
     load_grid,
     make_frustum_geometry,
-    make_uniform_grid,
     same_geometry,
     save_grid,
     uniform_geometry,
     unit_cube_geometry,
 )
 from .cameras import Camera, load_camera, perspective_camera, save_camera
-from .traversal import RayTrace, TraceTable, trace_batch
+from .traversal import TraceTable, trace_batch
 from .consistency import RayBatch, ViewLossResult, view_loss

@@ -38,7 +38,6 @@ from .grid import (
     BinaryGrid,
     load_grid,
     make_frustum_geometry,
-    same_geometry,
     save_grid,
     uniform_geometry,
     unit_cube_geometry,
@@ -265,14 +264,15 @@ def cmd_repro(args) -> int:
     traces = None
     table = []
     for name in shapes:
-        gt, aux = make_test_shape(name, _parse_dims(args.dims))
+        gt, aux = make_test_shape(name, _parse_dims(args.dims))  # checks dims before any tracing
         shape_dir = os.path.join(args.out, name)
         os.makedirs(shape_dir, exist_ok=True)
         save_grid(os.path.join(shape_dir, "gt.grid"), gt, aux)
         geometry = gt.geometry
-        # every render, fit, fusion and carve below reads this one table of
-        # every camera's pixels, shared by all shapes on the same geometry
-        if traces is None or not same_geometry(traces.geometry, geometry):
+        # every shape lies on unit_cube_geometry(dims), so every render, fit,
+        # fusion and carve reads one table of every camera's pixels; built
+        # with the first shape, not before, so only one shape's grids are held
+        if traces is None:
             traces = image_traces(geometry, cams)
         depth_obs = [render(gt, c, "depth", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]
         mask_obs = [render(gt, c, "mask", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]

@@ -35,17 +35,19 @@ loss never depends on the rays beside it.
 
 ``view_loss`` runs the kernel on every ray, about LOSS_CHUNK cells per
 pass, over one table whose rows are the rays (``fit``'s is one take of
-every sampled row of its views).  A pass reads the slot-major layout
-with one gather per array (cells, exit depths) from the table's storage,
-at each ray's start plus the slot; a cell's entry depth is the exit
-depth one slot back, or t0 in slot 0.  It adds its gradients with one
-``np.bincount`` in that layout's order, slot by slot and the longest
-rays first, into zeros that are then added to the totals, pass after
-pass.  The loss is one dot of the weights with the per-ray losses, which
-the result also returns (``per_ray``).  ``view_loss`` is the one way to
-evaluate the loss: ``fit``, ``drc gradcheck`` (``metrics.run_gradcheck``)
-and the tests' oracles all call it, so they check the fitter's kernel,
-sum order included.
+every sampled row of its views).  It orders each pass's rows by
+decreasing length, one index into the table, and the pass reads through
+that index alone: the slot-major layout is one gather per array (cells,
+exit depths) from the table's storage, at each ray's start plus the
+slot; a cell's entry depth is the exit depth one slot back, or t0 in
+slot 0.  It adds its gradients with one ``np.bincount`` in that layout's
+order, slot by slot and the longest rays first, into zeros that are then
+added to the totals, pass after pass.  The loss is one dot of the
+weights with the per-ray losses, which the result also returns
+(``per_ray``).  ``view_loss`` is the one way to evaluate the loss:
+``fit``, ``drc gradcheck`` (``metrics.run_gradcheck``) and the tests'
+oracles all call it, so they check the fitter's kernel, sum order
+included.
 
 A payload gradient is p(z = i) * dpsi_i/dp_i per cell.  A semantic cost
 depends on the observed class c alone, so the kernel keeps one derivative
@@ -239,15 +241,16 @@ class ViewLossResult:
     grad_p: np.ndarray | None
 
 
-def _pass_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, label_weight: float):
-    """The kernel on ``rays``, the rows of ``traces``; a ray of no cells has
-    the escape event alone.  Returns the per-ray losses and, per entry of
-    the slot-major layout, the cell and the weighted d(loss)/dx, then for
-    payload kinds the flat payload index and the weighted payload gradient
-    there ((E,) at the observed class, or (E, 3)), else None and None.  A
-    pass's per-cell arrays set a fit's peak memory, so each is dropped as
-    soon as it has been used."""
-    order = np.argsort(-traces.n, kind="stable")  # the rays by decreasing length, misses last
+def _pass_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, order: np.ndarray,
+               label_weight: float):
+    """The kernel on the rays ``order`` of ``rays``, the rows of ``traces``,
+    given by decreasing length (misses last); a ray of no cells has the
+    escape event alone.  Returns the per-ray losses in that order and, per
+    entry of the slot-major layout, the cell and the weighted d(loss)/dx,
+    then for payload kinds the flat payload index and the weighted payload
+    gradient there ((E,) at the observed class, or (E, 3)), else None and
+    None.  A pass's per-cell arrays set a fit's peak memory, so each is
+    dropped as soon as it has been used."""
     n = traces.n[order]
     # per slot k, the rays longer than k; slot 0 is kept when every ray misses
     m = n.size - np.cumsum(np.bincount(n, minlength=2))[:-1]
@@ -285,15 +288,13 @@ def _pass_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, label
     w = np.take(rays.weights, ray)
     del ray
     grad *= w
-    losses = np.empty_like(per_ray)
-    losses[order] = per_ray
     if dpsi_dp is None:
-        return losses, cells, grad, None, None
+        return per_ray, cells, grad, None, None
     if rays.kind == "color":
         p_events, w = p_events[:, None], w[:, None]
     dpsi_dp *= p_events
     dpsi_dp *= w
-    return losses, cells, grad, at_p, dpsi_dp
+    return per_ray, cells, grad, at_p, dpsi_dp
 
 
 def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
@@ -310,8 +311,10 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     reproducible.  Cells no ray touches get zero gradient.
 
     Every ray runs through the telescoped kernel, in passes of whole rays
-    of about LOSS_CHUNK cells.  A miss is the ray of no cells: its one
-    event is escape, so its loss is the escape cost and its gradient zero.
+    of about LOSS_CHUNK cells, each given to ``_pass_loss`` as one index
+    of its rows by decreasing length.  A miss is the ray of no cells: its
+    one event is escape, so its loss is the escape cost and its gradient
+    zero.
     """
     if rays.n_rays == 0:
         raise ValueError("ray set is empty")
@@ -341,9 +344,8 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     ends = np.cumsum(n)
     stops = np.searchsorted(ends, np.arange(LOSS_CHUNK, ends[-1], LOSS_CHUNK)).tolist()
     for i, j in zip([0, *stops], [*stops, n.size]):  # empty where a ray of many cells spans stops
-        rows = slice(i, j)
-        per_ray[rows], cells, gx, at_p, gp = _pass_loss(occ.flat, payload, traces.take(rows), rays.take(rows),
-                                                        label_weight)
+        order = i + np.argsort(-n[i:j], kind="stable")  # the pass by decreasing length, misses last
+        per_ray[order], cells, gx, at_p, gp = _pass_loss(occ.flat, payload, traces, rays, order, label_weight)
         grad_x += np.bincount(cells, weights=gx, minlength=grad_x.size)
         if gp is not None:
             grad_p += np.bincount(at_p.ravel(), weights=gp.ravel(), minlength=grad_p.size)

@@ -303,17 +303,6 @@ class BinaryGrid:
         return OccupancyGrid(self.geometry, np.where(self.occ, 0.0, 1.0))
 
 
-def make_uniform_grid(dims, aabb, fill_x: float) -> OccupancyGrid:
-    """Uniform grid with every cell's emptiness probability set to fill_x.
-
-    ``aabb`` is (min_corner, max_corner) in meters.
-    """
-    if not (0.0 <= fill_x <= 1.0):
-        raise ValueError(f"fill_x must lie in [0, 1], got {fill_x}")
-    geom = uniform_geometry(dims, aabb[0], aabb[1])
-    return OccupancyGrid(geom, np.full(geom.shape, float(fill_x)))
-
-
 # ---------------------------------------------------------------------------
 # DRC-GRID v1 file format
 #

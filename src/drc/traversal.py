@@ -46,8 +46,7 @@ cell its index and exit depth, which each pass writes after the last one's
 into storage reserved from a bound on every ray's cell count, one more than
 its windows' planes (from 4 MiB on an anonymous mapping, whose unwritten
 pages never become resident).  Consecutive cells share their boundary, so a
-cell's entry depth is the exit depth before it.  ``TraceTable.row`` gives
-one ray's ``RayTrace``.
+cell's entry depth is the exit depth before it.
 """
 
 from __future__ import annotations
@@ -68,29 +67,6 @@ TABLE_CHUNK = 1024
 # planes of each axis a ray's window holds beyond those between its grid
 # coordinates at t0 and t1, on each side; see _windows
 WINDOW_MARGIN = 1
-
-
-@dataclass(frozen=True, eq=False)
-class RayTrace:
-    """Ordered cells intersected by one ray.
-
-    cells are linear indices; t_enter/t_exit are distances along the ray
-    (meters, unit direction).  Empty arrays mean the ray missed the grid.
-    """
-
-    geometry: GridGeometry
-    cells: np.ndarray
-    t_enter: np.ndarray
-    t_exit: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    @property
-    def d(self) -> np.ndarray:
-        """Event-induced depth per cell: segment midpoint."""
-        return 0.5 * (self.t_enter + self.t_exit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +101,6 @@ class TraceTable:
         """The traces of rays ``index``, in that order; storage is shared."""
         return TraceTable(self.geometry, self.start[index], self.n[index], self.t0[index],
                           self.cells, self.t_exit)
-
-    def _t_enter(self, at: np.ndarray, rays) -> np.ndarray:
-        """Entry depths of the cells at flat positions ``at`` of rays
-        ``rays`` (broadcast against ``at``): the ray's t0 at its first cell,
-        else the exit depth of the cell before."""
-        before = np.take(self.t_exit, at - 1, mode="clip")  # -1 only at a first cell
-        return np.where(at == self.start[rays], self.t0[rays], before)
-
-    def row(self, i: int) -> RayTrace:
-        at = np.arange(self.start[i], self.start[i] + self.n[i])
-        return RayTrace(self.geometry, self.cells[at], self._t_enter(at, i), self.t_exit[at])
 
     def cell_rays(self) -> np.ndarray:
         """The ray of every entry of ``cells``, for a table that holds its
@@ -352,5 +317,7 @@ def first_hit_batch(bgrid: BinaryGrid, table: TraceTable):
     depth = np.zeros(table.n_rays)
     hit[rays] = True
     cell[rays] = table.cells[first]
-    depth[rays] = 0.5 * (table._t_enter(first, rays) + table.t_exit[first])
+    # the hit cell's entry depth: t0 at the ray's first cell, else the exit before it
+    enter = np.where(first == table.start[rays], table.t0[rays], table.t_exit[first - 1])
+    depth[rays] = 0.5 * (enter + table.t_exit[first])
     return hit, cell, depth

@@ -20,8 +20,9 @@ order.
 ``strip_view_loss`` is the one entrance to the loss, ``view_loss``, on
 hand-built rays, whose losses tests read through ``per_ray``.  ``project``,
 the inverse of ``pixel_rays``, checks the pixel rays by a round trip;
+``RayTrace`` is one ray's row of a trace table (``trace_row``), and
 ``trace_one`` traces one ray, given as an origin and a direction as the
-oracles take it, through ``trace_batch``.  ``full_windows``,
+oracles take it, through ``trace_batch`` into one.  ``full_windows``,
 ``full_axis_crossings`` and ``full_frustum_crossings`` give the traversal
 kernel every plane of every axis, as it took them before its per-ray
 windows.  ``rays_at_pixels`` reads a
@@ -44,7 +45,7 @@ from drc.cameras import pixel_rays
 from drc import consistency
 from drc.consistency import (AUX_KINDS, ESCAPE_COLOR, LOG_PROB_FLOOR, OBJECT_ESCAPE_DEPTH, SCENE_ESCAPE_DEPTH,
                              RayBatch, ViewLossResult, view_loss)
-from drc.grid import AuxGrid, OccupancyGrid, same_geometry
+from drc.grid import AuxGrid, GridGeometry, OccupancyGrid, same_geometry
 from drc.metrics import THRESHOLDS, IoUResult, strip_table
 from drc.traversal import trace_batch
 
@@ -207,10 +208,41 @@ def project(camera, points) -> np.ndarray:
     return np.stack([p_cam[..., 0] / a + u0, p_cam[..., 1] / b + v0], axis=-1)
 
 
+@dataclass(frozen=True, eq=False)
+class RayTrace:
+    """Ordered cells intersected by one ray.
+
+    cells are linear indices; t_enter/t_exit are distances along the ray
+    (meters, unit direction).  Empty arrays mean the ray missed the grid.
+    """
+
+    geometry: GridGeometry
+    cells: np.ndarray
+    t_enter: np.ndarray
+    t_exit: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
+
+    @property
+    def d(self) -> np.ndarray:
+        """Event-induced depth per cell: segment midpoint."""
+        return 0.5 * (self.t_enter + self.t_exit)
+
+
+def trace_row(table, i):
+    """Ray i of a ``TraceTable`` as a ``RayTrace``: it enters its first cell
+    at t0 and every later cell where it left the one before."""
+    at = np.arange(table.start[i], table.start[i] + table.n[i])
+    t_exit = table.t_exit[at]
+    return RayTrace(table.geometry, table.cells[at], np.concatenate([table.t0[i:i + 1], t_exit])[:-1], t_exit)
+
+
 def trace_one(geom, origin, direction):
     """The ``RayTrace`` of one ray: ``trace_batch`` on a table of that ray."""
-    return trace_batch(geom, np.asarray(origin, dtype=np.float64)[None],
-                       np.asarray(direction, dtype=np.float64)[None]).row(0)
+    return trace_row(trace_batch(geom, np.asarray(origin, dtype=np.float64)[None],
+                                 np.asarray(direction, dtype=np.float64)[None]), 0)
 
 
 def dense_payload_scatter(cells, valid, p_events, dpsi_dp, weights, ncells):
@@ -514,7 +546,9 @@ def padded(table):
     at = np.where(valid, table.start[:, None] + np.arange(width), 0)
     if not table.cells.size:  # every ray missed
         return at, np.zeros(at.shape), valid
-    d = 0.5 * (table._t_enter(at, np.arange(table.n_rays)[:, None]) + table.t_exit[at])
+    t_enter = table.t_exit[at - 1]  # -1 only at a first cell or padding; slot 0 set next
+    t_enter[:, 0] = table.t0
+    d = 0.5 * (t_enter + table.t_exit[at])
     return np.where(valid, table.cells[at], 0), np.where(valid, d, 0.0), valid
 
 

@@ -353,3 +353,14 @@ def test_repro_traces_each_camera_once(monkeypatch, tmp_path):
     assert run("repro", "--shapes", "sphere,chair_like", "--views", "2", "--size", "16",
                "--iters", "1", "--out", str(tmp_path / "repro2")) == 0
     assert calls == [512]
+
+
+def test_repro_checks_shape_dims_before_tracing(monkeypatch, tmp_path, capsys):
+    from drc import renderer
+
+    def tracing(*args, **kwargs):
+        raise AssertionError("repro traced before it checked the shape dims")
+
+    monkeypatch.setattr(renderer, "trace_batch", tracing)
+    assert run("repro", "--dims", "4", "--out", str(tmp_path / "repro")) == 1
+    assert "shape dims must be >= 8" in capsys.readouterr().err

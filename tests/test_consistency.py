@@ -16,7 +16,7 @@ from drc.traversal import trace_batch
 from oracles import (brute_force_ray_loss, central_difference, dense_payload_scatter, entries,
                      event_probabilities, mask_loss_closed_form, naive_grad_x, padded, padded_event_costs,
                      padded_telescope, padded_view_loss, random_strip_rays, reference_psi, strip_psi,
-                     strip_view_loss, trace_one)
+                     strip_view_loss, trace_one, trace_row)
 
 
 def one_ray(kind, x, bounds, payload=None, **obs):
@@ -508,7 +508,7 @@ class TestTraceTable:
         assert 0 < np.count_nonzero(alone.n) < pixels.size
         assert np.array_equal(rows.n, alone.n)
         assert cells.tobytes() == alone.cells.tobytes()
-        want_d = [alone.row(i).d for i in range(alone.n_rays)]
+        want_d = [trace_row(alone, i).d for i in range(alone.n_rays)]
         assert d.tobytes() == np.concatenate(want_d).tobytes()
         assert [a.tobytes() for a in entries(alone)] == [cells.tobytes(), d.tobytes()]
 
@@ -632,6 +632,27 @@ def test_gradients_are_added_in_slot_major_order(kind, chunk, monkeypatch):
         assert by_ray.tobytes() != res.grad_x.tobytes()
 
 
+@pytest.mark.parametrize("kind", RAY_KINDS)
+@pytest.mark.parametrize("chunk", [5, 37])
+def test_passes_inside_a_shuffled_take_are_the_padded_kernel(kind, chunk, monkeypatch):
+    """Small passes over a take whose rows are out of storage order, some
+    repeated, start at rows past the first: each pass reads its rays through
+    their own starts, and the losses, per-ray losses and gradients are the
+    padded kernel's to the bit."""
+    rng = np.random.default_rng(60 + RAY_KINDS.index(kind))
+    geom = unit_cube_geometry((5, 6, 4))
+    occ = OccupancyGrid(geom, rng.uniform(0.05, 0.95, geom.shape))
+    table = _view_tables(rng, geom, 1, 64)[0]
+    shuffled = table.take(np.concatenate([rng.permutation(64), rng.integers(0, 64, 16)]))
+    aux, rays = _kind_case(rng, geom, kind, shuffled.n_rays)
+    monkeypatch.setattr(consistency, "LOSS_CHUNK", chunk)
+    assert np.any(np.diff(shuffled.start) < 0) and shuffled.n[1:].sum() > 2 * chunk
+    res = view_loss(occ, rays, aux, label_weight=0.7, traces=shuffled)
+    oracle = padded_view_loss(occ, rays, aux, label_weight=0.7, traces=shuffled)
+    _same_bits(res, oracle)
+    assert res.per_ray.tobytes() == oracle.per_ray.tobytes()
+
+
 def test_table_list_is_checked():
     geom = unit_cube_geometry((3, 3, 3))
     occ = OccupancyGrid(geom, np.full(geom.shape, 0.5))
@@ -662,7 +683,12 @@ def test_ray_loss_does_not_depend_on_the_batch_past_128_cells():
     rays = RayBatch("depth", np.ones(n + 1), d=rng.uniform(0.5, 3.0, n + 1))
 
     def kernel(rows):
-        return _pass_loss(occ.flat, None, table.take(rows), rays.take(rows), label_weight=1.0)
+        """One pass over ``rows``, given by decreasing length; its losses in rows' order."""
+        by_length = np.argsort(-table.n[rows], kind="stable")
+        out = _pass_loss(occ.flat, None, table, rays, np.asarray(rows)[by_length], label_weight=1.0)
+        losses = np.empty_like(out[0])
+        losses[by_length] = out[0]
+        return (losses, *out[1:])
 
     def padded_losses(rows):
         """The padded oracle's losses, and numpy's row sums of its terms."""

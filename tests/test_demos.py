@@ -1,6 +1,13 @@
 """The quick demos run to the end.  The others (02, 03, 04, 06) fit grids
 and take seconds each, so they are left to be run by hand; every demo's
-``drc`` imports are checked to resolve."""
+``drc`` imports are checked to resolve.
+
+A quick demo's stdout is ``tests/golden/demos/<demo>.txt`` byte for byte
+where that file's first line, the numpy build and platform it was
+recorded under, is this machine's ``golden.environment()``: its figures
+are printed to the last digit shown.  Elsewhere the demo need only
+report a loss.
+"""
 
 import ast
 import importlib
@@ -10,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import golden
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +31,10 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "loss" in done.stdout
+    environment, recorded = (ROOT / "tests" / "golden" / "demos" / demo.replace(".py", ".txt")).read_text(
+        encoding="utf-8").split("\n", 1)
+    if environment.removeprefix("# ") == golden.environment():
+        assert done.stdout == recorded
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -10,7 +10,6 @@ from drc.grid import (
     OccupancyGrid,
     load_grid,
     make_frustum_geometry,
-    make_uniform_grid,
     same_geometry,
     save_grid,
     uniform_geometry,
@@ -22,22 +21,22 @@ from oracles import cell_bounds_world, frustum_world_to_grid
 
 class TestConstruction:
     def test_fill_all_empty(self):
-        g = make_uniform_grid((2, 2, 2), ((0, 0, 0), (1, 1, 1)), 1.0)
+        g = OccupancyGrid(uniform_geometry((2, 2, 2), (0, 0, 0), (1, 1, 1)), np.full((2, 2, 2), 1.0))
         assert g.geometry.ncells == 8
         assert np.all(g.x == 1.0)
 
     def test_fill_half(self):
-        g = make_uniform_grid((32, 32, 32), ((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)), 0.5)
+        g = OccupancyGrid(unit_cube_geometry((32, 32, 32)), np.full((32, 32, 32), 0.5))
         assert g.geometry.ncells == 32768
         assert np.all(g.x == 0.5)
 
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError, match="dims"):
-            make_uniform_grid((0, 2, 2), ((0, 0, 0), (1, 1, 1)), 0.5)
+            OccupancyGrid(uniform_geometry((0, 2, 2), (0, 0, 0), (1, 1, 1)), np.full((0, 2, 2), 0.5))
 
     def test_bad_fill_rejected(self):
-        with pytest.raises(ValueError, match="fill_x"):
-            make_uniform_grid((2, 2, 2), ((0, 0, 0), (1, 1, 1)), 1.5)
+        with pytest.raises(ValueError, match=r"must be finite and lie in \[0, 1\]"):
+            OccupancyGrid(uniform_geometry((2, 2, 2), (0, 0, 0), (1, 1, 1)), np.full((2, 2, 2), 1.5))
 
     def test_inverted_aabb_rejected(self):
         with pytest.raises(ValueError, match="aabb"):
@@ -116,7 +115,7 @@ class TestConstruction:
         assert g.flat[(2 * 4 + 3) * 3 + 1] == 0.25
 
     def test_grids_are_immutable(self):
-        g = make_uniform_grid((2, 2, 2), ((0, 0, 0), (1, 1, 1)), 0.5)
+        g = OccupancyGrid(uniform_geometry((2, 2, 2), (0, 0, 0), (1, 1, 1)), np.full((2, 2, 2), 0.5))
         with pytest.raises(ValueError):
             g.x[0, 0, 0] = 0.1
 

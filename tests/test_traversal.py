@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from drc.cameras import image_grid_rays, perspective_camera
 from drc.grid import BinaryGrid, make_frustum_geometry, uniform_geometry, unit_cube_geometry
-from drc.renderer import sample_view_ring
+from drc.renderer import image_traces, sample_view_ring
 from drc import traversal
 from drc.traversal import first_hit_batch, trace_batch
 
 
 from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, event_probabilities, first_hit,
                      full_axis_crossings, full_frustum_crossings, full_windows, padded, row_inside_box, slab_hull,
-                     trace_one)
+                     trace_one, trace_row)
 
 
 def unit(v):
@@ -133,7 +133,7 @@ class TestInvariants:
         assert 0 < np.count_nonzero(table.n) < len(rays)
         for i, ray in enumerate(rays):
             tr = trace_one(geom, *ray)
-            row = table.row(i)
+            row = trace_row(table, i)
             assert row.cells.tobytes() == tr.cells.tobytes()
             assert row.t_enter.tobytes() == tr.t_enter.tobytes()
             assert row.t_exit.tobytes() == tr.t_exit.tobytes()
@@ -186,7 +186,7 @@ class TestBatchKernels:
             for a, b in zip((*padded(whole), *entries(whole)), (*padded(chunked), *entries(chunked))):
                 assert a.tobytes() == b.tobytes()
             for i in range(len(rays)):
-                assert whole.row(i).t_enter.tobytes() == chunked.row(i).t_enter.tobytes()
+                assert trace_row(whole, i).t_enter.tobytes() == trace_row(chunked, i).t_enter.tobytes()
 
     def test_storage_bound_covers_every_trace(self, monkeypatch):
         """Each ray's bound, one cell more than the planes of its windows,
@@ -453,6 +453,39 @@ class TestFirstHit:
                 assert hit[i] and cell[i] == expect[0]
                 assert depth[i] == pytest.approx(expect[1], abs=0)
 
+    @staticmethod
+    def first_hit_tables():
+        """A uniform table of random rays, some starting inside the grid; a
+        frustum table of pixel rays from a camera before the near plane; and
+        the last camera's rows of an ``image_traces`` table, start rebased."""
+        rng = np.random.default_rng(21)
+        geom = UNIFORM_GEOMS[1]
+        yield "uniform", trace_batch(geom, *map(np.stack, zip(*(random_ray(rng, 0.8) for _ in range(300)))))
+        geom = FRUSTUM_GEOMS[1]
+        camera = perspective_camera((0.05, -0.02, 0.1), (0.3, 0.2, 10.0), 75.0, 24, 20)
+        yield "frustum", trace_batch(geom, *(a.reshape(-1, 3) for a in image_grid_rays(camera)))
+        geom = UNIFORM_GEOMS[2]
+        yield "camera_rows", image_traces(geom, sample_view_ring(3, width=16, height=12)).camera_rows(2)
+
+    def test_depth_is_the_hit_entrys_event_depth(self):
+        """Each hit's depth is bitwise the event depth ``entries`` gives its
+        hit cell: entered at t0 in the ray's first cell, else where the ray
+        left the cell before."""
+        rng = np.random.default_rng(22)
+        for case, table in self.first_hit_tables():
+            bg = BinaryGrid(table.geometry, rng.uniform(size=table.geometry.shape) < 0.3)
+            hit, cell, depth = first_hit_batch(bg, table)
+            cells, d = entries(table)
+            slots = []
+            for i, at in enumerate(np.cumsum(table.n) - table.n):
+                occupied = np.flatnonzero(bg.flat[cells[at:at + table.n[i]]])
+                assert hit[i] == (occupied.size > 0), case
+                if occupied.size:
+                    k = at + occupied[0]
+                    assert cell[i] == cells[k] and depth[i].tobytes() == d[k].tobytes(), case
+                    slots.append(occupied[0])
+            assert np.count_nonzero(np.array(slots) == 0) > 10 and np.count_nonzero(slots) > 10, case
+
     def test_gathered_table_rejected(self):
         # first hits read the flat arrays, which a take() does not reorder
         geom = self.geom()
@@ -610,7 +643,7 @@ class TestApexWindows:
     ])
     def test_rays_leaving_just_past_an_apex_plane(self, origin, direction):
         table = assert_same_as_full_planes(SCENE_GEOM, [origin], [direction])
-        tr = table.row(0)
+        tr = trace_row(table, 0)
         assert tr.t_exit[-1] - tr.t_enter[-1] < 1e-14  # the last cell is that one ulp
 
     def test_scene_pixel_rays(self):
@@ -795,8 +828,8 @@ class TestCellBox:
             full, clipped = trace_batch(geom, origins, directions), trace_batch(geom, origins, directions, box)
             assert np.count_nonzero(clipped.n[::2]) > 10 and np.count_nonzero(clipped.n[1::2]) > 25
             for i in range(200):
-                row = clipped.row(i)
-                cells, t_enter, t_exit = row_inside_box(geom, full.row(i), box)
+                row = trace_row(clipped, i)
+                cells, t_enter, t_exit = row_inside_box(geom, trace_row(full, i), box)
                 assert row.cells.tolist() == cells.tolist()
                 assert row.t_enter.tobytes() == t_enter.tobytes()
                 assert row.t_exit.tobytes() == t_exit.tobytes()
