@@ -115,13 +115,16 @@ def look_at_extrinsics(position, target, up=(0.0, 1.0, 0.0)) -> tuple[np.ndarray
     Camera frame: x right, y down, z toward the target.  ``up`` is the world
     up direction used to fix roll.
     """
-    position = np.asarray(position, dtype=np.float64)
-    forward = np.asarray(target, dtype=np.float64) - position
+    position, target, up = (np.asarray(v, dtype=np.float64) for v in (position, target, up))
+    for name, v in (("position", position), ("target", target), ("up", up)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"camera {name} must be finite, got {v.tolist()}")
+    forward = target - position
     norm = np.linalg.norm(forward)
     if norm == 0.0:
         raise ValueError("camera position equals the look-at target")
     forward /= norm
-    right = np.cross(forward, np.asarray(up, dtype=np.float64))
+    right = np.cross(forward, up)
     norm = np.linalg.norm(right)
     if norm < 1e-12:
         raise ValueError("look direction is parallel to the up vector")

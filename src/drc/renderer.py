@@ -168,8 +168,8 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
 
     ``traces`` is the camera's ``image_traces`` table (or its ``camera_rows``
     of one of several cameras) on the grid's geometry, if the caller has it.
-    Without it a uniform grid traces only its ``occupied_box``, which holds
-    every first hit at the whole grid's depths to the bit.
+    Without it the grid, of either kind, traces only its ``occupied_box``,
+    which holds every first hit at the whole grid's depths to the bit.
     """
     if kind not in RAY_KINDS:
         raise ValueError(f"render kind must be one of {RAY_KINDS}, got {kind!r}")
@@ -179,7 +179,7 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
     if kind == "depth_semantics" and aux.nchannels > 256:  # labels.pgm holds 8-bit class ids
         raise ValueError(f"labels are 8-bit: a render takes at most 256 classes, got {aux.nchannels}")
     hw = (camera.height, camera.width)
-    if traces is None and bgrid.geometry.kind == "uniform":
+    if traces is None:
         rays = (r.reshape(-1, 3) for r in image_grid_rays(camera))
         table = trace_batch(bgrid.geometry, *rays, occupied_box(bgrid))
     else:
@@ -336,6 +336,8 @@ def sample_view_ring(n_views: int, elevation_range=DEFAULT_ELEVATION_RANGE,
     """
     if n_views < 1:
         raise ValueError(f"need at least one view, got {n_views}")
+    if not (0.0 < radius < np.inf):
+        raise ValueError(f"view ring radius must be positive and finite, got {radius}")
     lo, hi = elevation_range
     if not (-90.0 < lo <= hi < 90.0):
         raise ValueError(f"elevation range must satisfy -90 < lo <= hi < 90, got {elevation_range}")

@@ -21,11 +21,13 @@ t0: the crossing depths would put it below the ray there exactly when it
 lies below the window.  So the planes below a window go straight into the
 first cell's count: the traces are those of the full plane set, to the bit.
 
-A uniform grid's box faces are axis planes at the values the crossings
-take (``_axis_planes``), and a dot with a one-hot normal adds only exact
-zeros, so a clipped trace is the whole grid's trace's cells inside the box
-at its depths, to the bit.  A frustum's side faces round otherwise than its
-crossings (d . (1, 0, -c) against dx - c dz): only its whole box is exact.
+A box face inside the grid is a plane the kernel crosses, and the clip
+takes its depth there from the kind's crossing function for that one
+plane, so a clipped trace is the whole grid's trace's cells inside the box
+at its depths, to the bit, on both kinds.  The grid's own faces keep their
+dot with the face normal; on a uniform grid that dot adds only exact zeros
+to the crossing arithmetic, while a frustum's side faces round otherwise
+(d . (1, 0, -c) against dx - c dz), so whole-grid tables keep the dot.
 
 Per-cell event depths d_i are the segment midpoints (t_enter + t_exit)/2:
 rendered depth and the depth event cost share this convention, so a hard
@@ -116,13 +118,15 @@ def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndar
     """The traces of many rays in one table, TABLE_CHUNK rays a pass: the
     cells each ray's half-line t >= 0 crosses in ``box`` (per axis a cell
     index range [lo, hi); the whole grid by default), in increasing t, from
-    t = 0 for a ray that starts inside it; a miss has n = 0."""
+    t = 0 for a ray that starts inside it; a miss has n = 0.  On either
+    grid kind a ray's row is its whole-grid row's cells inside the box, at
+    the same depths to the bit."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
     box = [(0, n) for n in geometry.dims] if box is None else [(int(lo), int(hi)) for lo, hi in box]
     if len(box) != 3 or not all(0 <= lo <= hi <= n for (lo, hi), n in zip(box, geometry.dims)):
         raise ValueError(f"box must hold a range 0 <= lo <= hi <= n per axis of {geometry.dims}, got {box}")
-    crossings = _box_crossings if geometry.kind == "uniform" else _frustum_crossings
+    crossings = _crossings(geometry)
     t0, t1, alive = _hull(geometry, o, d, box)
     rows = np.flatnonzero(alive)
     n, t0 = np.zeros(len(o), dtype=np.int64), np.where(alive, t0, 0.0)
@@ -219,11 +223,17 @@ def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray
     return np.count_nonzero(keep, axis=1), cells[keep].astype(np.int32), t_exit[keep]
 
 
+def _crossings(geom: GridGeometry):
+    """The grid kind's crossing function, ``_box_crossings`` or ``_frustum_crossings``."""
+    return _box_crossings if geom.kind == "uniform" else _frustum_crossings
+
+
 def _box_crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: np.ndarray,
                    gap: np.ndarray, rate: np.ndarray) -> None:
     """Writes each ray's gap along axis a to the W planes aabb_min + k h of
     its window, k from ``first`` on (a row of the sliding window view of the
-    axis's planes), and its rate across them, (R, W) each."""
+    axis's planes; (R,), or (1,) for one window shared by every ray), and
+    its rate across them, (R, W) each."""
     np.subtract(np.take(sliding_window_view(_axis_planes(geom, a)[1:-1], gap.shape[1]), first - 1, axis=0),
                 o[:, a:a + 1], out=gap)
     rate[:] = d[:, a:a + 1]
@@ -235,38 +245,51 @@ def _axis_planes(geom: GridGeometry, a: int) -> np.ndarray:
     return np.concatenate([geom.aabb_min[a:a + 1], inner, geom.aabb_max[a:a + 1]])
 
 
-def _hull_faces(geom: GridGeometry, box) -> list[tuple[np.ndarray, float, bool]]:
-    """The six faces (normal, c, low) of the box's hull: the plane normal . p
-    = c where one grid coordinate is the box's lo (a low face) or hi (a high
-    face), the normal pointing up that axis, so the box lies on the + side
-    of a low face and the - side of a high one.  A uniform grid's are axis
-    planes, in axis order; the frustum's are depth planes and the planes
-    x = c z, y = c z through the apex at its sides, normal (1, 0, -c) or
-    (0, 1, -c) as in ``_frustum_crossings``."""
-    ends = [((lo, True), (hi, False)) for lo, hi in box]
-    if geom.kind == "uniform":
-        return [(np.eye(3)[a], _axis_planes(geom, a)[k], low) for a in range(3) for k, low in ends[a]]
-    faces = [(np.array([0.0, 0.0, 1.0]), geom.alpha1 * np.exp(geom.alpha2 * k), low) for k, low in ends[2]]
-    for a in (0, 1):
-        for k, low in ends[a]:
-            normal = np.zeros(3)
-            normal[a], normal[2] = 1.0, -geom.f * (k - geom.dims[a] / 2.0)
-            faces.append((normal, 0.0, low))
-    return faces
+def _hull_faces(geom: GridGeometry, box, o: np.ndarray, d: np.ndarray):
+    """The six faces of the box's hull, each as (gap, rate, low) per ray,
+    whose ratio is the ray's depth there: the plane where one grid
+    coordinate is the box's lo (a low face) or hi (a high face), the rate
+    positive up that axis, so the box lies on the + side of a low face and
+    the - side of a high one.
+
+    A face inside the grid (0 < k < n) is a plane the kernel crosses: its
+    gap and rate are the kind's crossing function's for that one plane, so
+    the clip's depths there are the crossing depths the kernel sorts, to the
+    bit.  The kernel takes its rates on d + 0.0, which changes only the sign
+    of a zero rate, and the clip reads a zero rate's gap, not its sign.  A
+    face on the grid's
+    boundary is c - o . normal and d . normal for the plane normal . p = c:
+    a uniform grid's axis planes; the frustum's depth planes and the planes
+    x = c z, y = c z through the apex, normal (1, 0, -c) or (0, 1, -c)."""
+    crossings = _crossings(geom)
+    for a, (lo, hi) in enumerate(box):
+        for k, low in ((lo, True), (hi, False)):
+            if 0 < k < geom.dims[a]:
+                gap, rate = np.empty((len(o), 1)), np.empty((len(o), 1))
+                crossings(geom, a, o, d, np.array([k]), gap, rate)
+                yield gap[:, 0], rate[:, 0], low
+            else:
+                normal, c = np.eye(3)[a], 0.0
+                if geom.kind == "uniform":
+                    c = _axis_planes(geom, a)[k]
+                elif a == 2:
+                    c = geom.alpha1 * np.exp(geom.alpha2 * k)
+                else:
+                    normal[2] = -geom.f * (k - geom.dims[a] / 2.0)
+                # a matrix-vector product rounds each ray's dot as a 1-D dot
+                # does; an elementwise (d * normal).sum(1) can differ in the last bit
+                yield c - o @ normal, d @ normal, low
 
 
 def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray, box):
     """(t0, t1, alive): each ray's depths inside the box's hull, clipped
-    face by face.  A ray lying in a face is inside a low face and outside a
-    high one, as floor() of its grid coordinate says; a depth t0 <= 0 is +0."""
+    face by face (``_hull_faces``).  A ray lying in a face is inside a low
+    face and outside a high one, as floor() of its grid coordinate says; a
+    depth t0 <= 0 is +0."""
     t0 = np.full(len(o), -np.inf)
     t1 = np.full(len(o), np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for normal, c, low in _hull_faces(geom, box):
-            # a matrix-vector product rounds each ray's dot as a 1-D dot does;
-            # an elementwise (d * normal).sum(1) can differ in the last bit
-            rate = d @ normal
-            gap = c - o @ normal  # > 0: the origin is below the plane
+        for gap, rate, low in _hull_faces(geom, box, o, d):  # gap > 0: the origin is below the plane
             t = gap / rate  # a rate below ~1e-308 overflows to +-inf, the right limit
             up, down = rate > 0.0, rate < 0.0
             enter, leave = (up, down) if low else (down, up)

@@ -122,6 +122,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             Camera("perspective", 8, 8, (1, 1, 4, 4), np.eye(3), np.array([0.0, bad, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["position", "target", "up"])
+    def test_non_finite_look_at_rejected(self, name, bad):
+        # before any arithmetic: an infinite norm would divide inf by inf
+        args = {"position": [0.0, 0.0, 2.0], "target": [0.0, 0.0, 0.0], "up": [0.0, 1.0, 0.0]}
+        args[name][1] = bad
+        with pytest.raises(ValueError, match=f"camera {name} must be finite"):
+            look_at_extrinsics(**args)
+
 
 class TestCameraFiles:
     def test_roundtrip_exact(self, tmp_path):

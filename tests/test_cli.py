@@ -1,4 +1,5 @@
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,18 @@ class TestExitCodes:
                    "--kind", "depth", "--noise", noise, "--size", "8",
                    "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err.startswith("error: max_noise")
+
+    @pytest.mark.parametrize("radius", ["inf", "nan", "0", "-1"])
+    def test_bad_view_ring_radius_is_error(self, pipeline, tmp_path, capsys, radius):
+        # one error line and no numpy warning before it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("render", "--grid", str(pipeline / "gt" / "shape.grid"), "--views", "1", "--size", "8",
+                       "--radius", radius, "--out", str(tmp_path / "o")) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: view ring radius must be positive and finite")
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_repro_noise_is_error(self, tmp_path, capsys):
         assert run("repro", "--shapes", "sphere", "--dims", "8", "--views", "2", "--size", "8",

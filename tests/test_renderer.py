@@ -141,8 +141,9 @@ def payloads(rng, geom):
 
 
 class TestOccupiedBox:
-    """An untabled render of a uniform grid traces only its occupied cells'
-    box, and renders the bytes of a render from the whole grid's table."""
+    """An untabled render of either grid kind traces only its occupied
+    cells' box, and renders the bytes of a render from the whole grid's
+    table."""
 
     @staticmethod
     def assert_same_as_full_table(bgrid, camera, aux):
@@ -191,7 +192,44 @@ class TestOccupiedBox:
             for camera in cameras + axis_orthographic_cameras(16):
                 self.assert_same_as_full_table(bgrid, camera, aux)
 
-    def test_only_untabled_uniform_renders_pass_a_box(self, monkeypatch):
+    @staticmethod
+    def scene_grid(geom):
+        """A floor one cell thick near the bottom of the image (y points
+        down) and two boxes standing on it, as a street scene's grid."""
+        iz, iy, ix = np.indices(geom.shape)
+        nx, ny, nz = geom.dims
+        occ = iy == ny - 2 - iz * 2 // nz
+        occ |= (ix >= nx // 4) & (ix < nx // 2) & (iy >= ny // 2) & (iy < ny - 2) & (iz >= 2) & (iz < nz // 2)
+        occ |= (ix >= 3 * nx // 4) & (iy >= ny // 3) & (iy < ny - 3) & (iz >= nz // 2) & (iz < nz - 1)
+        return BinaryGrid(geom, occ)
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (16, 12, 16), (9, 5, 13)])
+    def test_frustum_grids_render_as_from_the_full_table(self, dims):
+        # a scene-like floor and boxes, random sparse grids with boundary
+        # cells, one cell and no cell; cameras at the apex, behind it,
+        # inside the grid and inside the box
+        rng = np.random.default_rng(sum(dims) + 1)
+        geom = make_frustum_geometry(dims, 0.5, 12.0, 60.0)
+        aux = payloads(rng, geom)
+        one = np.zeros(geom.shape, dtype=bool)
+        one[tuple(rng.integers(0, geom.shape))] = True
+        grids = [self.scene_grid(geom)] + [random_sparse_grid(rng, geom, f) for f in (0.003, 0.02, 0.1)]
+        grids += [BinaryGrid(geom, one), BinaryGrid(geom, np.zeros(geom.shape, dtype=bool))]
+        assert occupied_box(grids[0]) != [(0, n) for n in dims]
+        for bgrid in grids:
+            lo, hi = np.array(occupied_box(bgrid)).T
+            inside_grid = geom.grid_to_world(rng.uniform(0.0, 1.0, 3) * dims)
+            inside_box = geom.grid_to_world(lo + rng.uniform(0.0, 1.0, 3) * (hi - lo))
+            tilted = rng.normal(size=3) * 0.2 + (0.0, 0.3, 1.0)
+            cameras = [perspective_camera((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 50.0, 24, 20),
+                       perspective_camera((0.0, 0.0, 0.0), tilted, 70.0, 20, 24),
+                       perspective_camera((0.2, -0.1, -1.0), (0.0, 0.5, 6.0), 40.0, 24, 24)]
+            cameras += [perspective_camera(p, p + rng.normal(size=3), 70.0, 24, 24)
+                        for p in (inside_grid, inside_box)]
+            for camera in cameras:
+                self.assert_same_as_full_table(bgrid, camera, aux)
+
+    def test_untabled_renders_pass_their_occupied_box(self, monkeypatch):
         boxes = []
 
         def recording_trace_batch(geometry, origins, directions, box=None, trace=renderer.trace_batch):
@@ -206,7 +244,7 @@ class TestOccupiedBox:
         geom = make_frustum_geometry((4, 4, 4), 0.5, 8.0, 60.0)
         render(BinaryGrid(geom, np.ones(geom.shape, dtype=bool)),
                perspective_camera((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 40.0, 9, 9), "mask")
-        assert boxes == [[(2, 8), (3, 7), (3, 7)], None, None]
+        assert boxes == [[(2, 8), (3, 7), (3, 7)], None, [(0, 4), (0, 4), (0, 4)]]
 
 
 class TestDepthNoise:
@@ -328,6 +366,11 @@ class TestViewRing:
     def test_needs_a_view(self):
         with pytest.raises(ValueError, match="one view"):
             sample_view_ring(0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_radius_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            sample_view_ring(2, radius=bad)
 
 
 class TestBundles:

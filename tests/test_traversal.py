@@ -807,8 +807,27 @@ class TestCellBox:
         lo = rng.integers(0, dims)
         return list(zip(lo, rng.integers(lo + 1, np.array(dims) + 1)))
 
+    @staticmethod
+    def lay_in_box_faces(rng, geom, box, origins, directions):
+        """Puts every other ray in a plane of one of the box's faces: on a
+        uniform grid parallel to an axis plane, on a frustum from the apex in
+        a side plane x = c z or y = c z (its rate there exactly 0), or
+        parallel to a depth plane at that plane's depth as the kernel takes
+        it; every other parallel one's direction component is -0.0."""
+        for i in range(0, len(origins), 2):
+            a = rng.integers(0, 3)
+            k = box[a][rng.integers(0, 2)]
+            if geom.kind == "uniform" or a == 2:
+                origins[i, a] = plane_value(geom, a, k)
+                directions[i, a] = -0.0 if i % 4 else 0.0
+                if a == 2 and 0 < k < geom.dims[2]:  # the interior depth planes' array, as the kernel reads it
+                    origins[i, a] = (geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, geom.dims[2])))[k - 1]
+            else:
+                origins[i] = 0.0
+                directions[i, a] = geom.f * (k - geom.dims[a] / 2.0) * directions[i, 2]
+
     @pytest.mark.parametrize("geom", UNIFORM_GEOMS + [uniform_geometry((9, 6, 11), (-0.7, -0.3, -0.5),
-                                                                         (0.4, 0.5, 0.6))])
+                                                                         (0.4, 0.5, 0.6))] + FRUSTUM_GEOMS)
     def test_rows_are_the_full_rows_inside_the_box(self, geom):
         # each clipped row holds the full row's cells inside the box, at
         # the full trace's depths to the bit, entered where the full trace
@@ -821,10 +840,9 @@ class TestCellBox:
             target = geom.grid_to_world(lo + rng.uniform(0.0, 1.0, (200, 3)) * (hi - lo))
             origins = np.where(rng.random((200, 1)) < 0.3, target, target + rng.normal(size=(200, 3)))
             directions = unit(target - origins + rng.normal(scale=0.1, size=(200, 3)))
-            for i in range(0, 200, 2):  # in the box's face planes, parallel to them
-                a = rng.integers(0, 3)
-                origins[i, a] = plane_value(geom, a, box[a][rng.integers(0, 2)])
-                directions[i, a] = 0.0
+            if geom.kind == "frustum":  # from the apex to the target, for the side planes
+                directions[::2] = target[::2]
+            self.lay_in_box_faces(rng, geom, box, origins, directions)
             full, clipped = trace_batch(geom, origins, directions), trace_batch(geom, origins, directions, box)
             assert np.count_nonzero(clipped.n[::2]) > 10 and np.count_nonzero(clipped.n[1::2]) > 25
             for i in range(200):
@@ -845,12 +863,17 @@ class TestCellBox:
             assert getattr(whole, name).tobytes() == getattr(default, name).tobytes(), name
 
     def test_empty_box_traces_nothing(self):
-        geom = UNIFORM_GEOMS[2]
         rng = np.random.default_rng(33)
-        origins, directions = rng.uniform(-0.4, 0.4, (300, 3)), unit(rng.normal(size=(300, 3)))
-        for box in ([(0, 0)] * 3, [(3, 3), (0, 8), (0, 8)], [(0, 8), (0, 8), (8, 8)]):
-            table = trace_batch(geom, origins, directions, box)
-            assert table.n_rays == 300 and not table.n.any() and table.cells.size == 0
+        for geom in [UNIFORM_GEOMS[2]] + FRUSTUM_GEOMS:
+            # origins inside the grid: every ray crosses cells of the whole grid
+            origins = geom.grid_to_world(rng.uniform(0.0, 1.0, (300, 3)) * geom.dims)
+            directions = unit(rng.normal(size=(300, 3)))
+            assert trace_batch(geom, origins, directions).n.all()
+            nx, ny, nz = geom.dims
+            for box in ([(0, 0)] * 3, [(3, 3), (0, ny), (0, nz)], [(0, nx), (0, ny), (nz, nz)],
+                        [(0, nx), (2, 2), (0, nz)]):
+                table = trace_batch(geom, origins, directions, box)
+                assert table.n_rays == 300 and not table.n.any() and table.cells.size == 0
 
     @pytest.mark.parametrize("box", [[(0, 8)] * 2, [(2, 1), (0, 8), (0, 8)], [(0, 9), (0, 8), (0, 8)],
                                      [(-1, 4), (0, 8), (0, 8)]])
