@@ -36,7 +36,9 @@ loss never depends on the rays beside it.
 ``view_loss`` runs the kernel on every ray, about LOSS_CHUNK cells per
 pass, over one table whose rows are the rays (``fit``'s is one take of
 every sampled row of its views).  It orders each pass's rows by
-decreasing length, one index into the table, and the pass reads through
+decreasing length, one index into the table (a stable sort on the
+narrowest signed integer that holds the longest row, which numpy
+radix-sorts), and the pass reads through
 that index alone: the slot-major layout is one gather per array (cells,
 exit depths) from the table's storage, at each ray's start plus the
 slot; a cell's entry depth is the exit depth one slot back, or t0 in
@@ -48,6 +50,17 @@ weights with the per-ray losses, which the result also returns
 ``fit``, ``drc gradcheck`` (``metrics.run_gradcheck``) and the tests'
 oracles all call it, so they check the fitter's kernel, sum order
 included.
+
+The kernel writes in place wherever numpy lets it.  The mask and depth
+costs, the event depths and the per-entry ray index are each one new
+array, and the payload costs allocate beyond their outputs only the
+gathers and the log they read.  The entry depths and the cost
+differences are copied slot by slot (slot k's run continues the first
+m[k] entries of slot k-1's), the backward recurrence writes its products
+into one scratch buffer, and the gathered cells are cast once to numpy's
+index type, which ``np.take`` and ``np.bincount`` would otherwise convert
+to on every use.  Each step runs the formula written here, operation for
+operation, so the bits are the formula's.
 
 A payload gradient is p(z = i) * dpsi_i/dp_i per cell.  A semantic cost
 depends on the observed class c alone, so the kernel keeps one derivative
@@ -104,23 +117,36 @@ def _event_costs(rays: RayBatch, d_mid: np.ndarray, cells: np.ndarray, ray: np.n
     """
     kind, s, d, c = rays.kind, rays.s, rays.d, rays.c
     if kind == "mask":
-        s = s.astype(np.float64)
-        return s[ray], 1.0 - s, None, None
+        s = s.astype(np.float64, copy=False)
+        return np.take(s, ray), 1.0 - s, None, None
     if kind == "depth":
-        return np.abs(d_mid - d[ray]), np.abs(OBJECT_ESCAPE_DEPTH - d), None, None
+        psi = np.take(d, ray)
+        np.subtract(d_mid, psi, out=psi)
+        return np.abs(psi, out=psi), np.abs(OBJECT_ESCAPE_DEPTH - d), None, None
     k = np.int64(payload.shape[1])
     if kind == "depth_semantics":
-        at = cells * k + c[ray]
-        pc = np.maximum(payload.ravel()[at], LOG_PROB_FLOOR)
-        disparity = np.abs(1.0 / d_mid - (1.0 / d)[ray])
-        psi = disparity - label_weight * np.log(pc)
+        at = np.multiply(cells, k)
+        at += np.take(c, ray)
+        pc = np.take(payload.ravel(), at)
+        np.maximum(pc, LOG_PROB_FLOOR, out=pc)
+        term = np.take(1.0 / d, ray)  # 1/d, then the label term w log p_i(c)
+        psi = np.divide(1.0, d_mid)  # the disparity term |1/d_i - 1/d|
+        psi -= term
+        np.abs(psi, out=psi)
+        np.log(pc, out=term)
+        np.multiply(label_weight, term, out=term)
+        psi -= term
         psi_esc = np.abs(1.0 / SCENE_ESCAPE_DEPTH - 1.0 / d) + label_weight * np.log(payload.shape[1])
-        return psi, psi_esc, at, -label_weight / pc
+        return psi, psi_esc, at, np.divide(-label_weight, pc, out=pc)
     # color
-    diff = payload[cells] - c[ray]
-    psi = 0.5 * np.sum(diff * diff, axis=1)
+    diff = np.take(payload, cells, axis=0)
+    diff -= np.take(c, ray, axis=0)
+    psi = np.sum(diff * diff, axis=1)
+    np.multiply(0.5, psi, out=psi)
     psi_esc = 0.5 * np.sum((ESCAPE_COLOR - c) ** 2, axis=1)
-    return psi, psi_esc, cells[:, None] * k + np.arange(k), diff
+    at = np.multiply(cells[:, None], k, out=np.empty(diff.shape, np.int64))
+    at += np.arange(k)
+    return psi, psi_esc, at, diff
 
 
 def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, ray: np.ndarray, *,
@@ -153,11 +179,14 @@ def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, 
     if events:
         p_events = 1.0 - x
         p_events *= pre
-    # backward recurrence S_k = dpsi_k + x_{k+1} S_{k+1}; grad = pre * S
+    # backward recurrence S_k = dpsi_k + x_{k+1} S_{k+1}; grad = pre * S,
+    # each slot's products x_{k+1} S_{k+1} written into one scratch buffer
     grad = dpsi
+    products = np.empty(m[1] if len(m) > 1 else 0)
     for k in range(len(m) - 2, -1, -1):
         a, b, more = off[k], off[k + 1], m[k + 1]
-        grad[a:a + more] += x[b:b + more] * grad[b:b + more]
+        np.multiply(x[b:b + more], grad[b:b + more], out=products[:more])
+        grad[a:a + more] += products[:more]
     grad *= pre
     return per_ray, grad, p_events
 
@@ -256,20 +285,25 @@ def _pass_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, order
     m = n.size - np.cumsum(np.bincount(n, minlength=2))[:-1]
     hit = m[0]  # the rays order[:hit] enter the grid
     off = np.concatenate([[0], np.cumsum(m)])  # slot k's run starts at off[k]
-    size = int(off[-1])
-    ray = np.arange(size) - np.repeat(off[:-1], m)  # each entry's ray, as a place in ``order``
+    ml, ol = m.tolist(), off.tolist()
     # slot k's run holds the k-th cells of rays order[:m[k]], read with one
-    # gather per array at start + k
+    # gather per array at start + k; ``ray`` is each entry's ray, as a place
+    # in ``order``
+    base = np.arange(hit)
+    ray = np.concatenate([base[:k] for k in ml])
     src = np.take(traces.start[order], ray)
     src += np.repeat(np.arange(m.size), m)
-    cells, t_exit = np.take(traces.cells, src), np.take(traces.t_exit, src)
+    # cells as intp: numpy's take and bincount convert narrower indices
+    # first, on every use, at several times the cost of this one cast
+    cells, t_exit = np.take(traces.cells, src).astype(np.intp), np.take(traces.t_exit, src)
     del src
-    # past slot 0, an entry's ray left the cell before it m[k-1] places back
-    prev = np.arange(hit, size) - np.repeat(m[:-1], m[1:])
-    # event depths 0.5 * (t_enter + t_exit), entering at t0 in slot 0
+    # past slot 0, an entry's ray left the cell before it: slot k's run
+    # continues the first m[k] entries of slot k-1's
+    runs = list(zip(ol[:-2], ol[1:-1], ml[1:]))
     d_mid = np.empty_like(t_exit)
     d_mid[:hit] = np.take(traces.t0, order[:hit])
-    d_mid[hit:] = np.take(t_exit, prev)
+    for a, b, more in runs:
+        d_mid[b:b + more] = t_exit[a:a + more]
     d_mid += t_exit
     d_mid *= 0.5
     del t_exit
@@ -277,14 +311,15 @@ def _pass_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, order
     psi, psi_esc, at_p, dpsi_dp = _event_costs(rays, d_mid, cells, ray, payload, label_weight)
     del d_mid
     dpsi = np.empty_like(psi)  # psi_{k+1} - psi_k, escape after the last cell
-    dpsi[prev] = psi[hit:]
-    del prev
+    for a, b, more in runs:
+        dpsi[a:a + more] = psi[b:b + more]
     dpsi[np.take(off, n[:hit] - 1) + np.arange(hit)] = psi_esc[:hit]
     dpsi -= psi
     psi_first = np.concatenate([psi[:hit], psi_esc[hit:]])
-    per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi_first, m.tolist(), ray,
+    del psi
+    per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi_first, ml, ray,
                                          events=dpsi_dp is not None)
-    del psi, dpsi
+    del dpsi
     w = np.take(rays.weights, ray)
     del ray
     grad *= w
@@ -339,12 +374,17 @@ def view_loss(occ: OccupancyGrid, rays: RayBatch, aux: AuxGrid | None = None, *,
     per_ray = np.empty(rays.n_rays)
     grad_x = np.zeros(geom.ncells)
     grad_p = None if payload is None else np.zeros(payload.size)
+    # lengths negated on the narrowest signed integer that holds the
+    # longest row, which numpy's stable sort radix-sorts
+    key = n.astype(np.min_scalar_type(-int(n.max()) - 1))
+    np.negative(key, out=key)
     # passes of whole rays, a new one after every LOSS_CHUNK cells, each
     # scattered in its slot-major order
     ends = np.cumsum(n)
     stops = np.searchsorted(ends, np.arange(LOSS_CHUNK, ends[-1], LOSS_CHUNK)).tolist()
     for i, j in zip([0, *stops], [*stops, n.size]):  # empty where a ray of many cells spans stops
-        order = i + np.argsort(-n[i:j], kind="stable")  # the pass by decreasing length, misses last
+        order = np.argsort(key[i:j], kind="stable")  # the pass by decreasing length, misses last
+        order += i
         per_ray[order], cells, gx, at_p, gp = _pass_loss(occ.flat, payload, traces, rays, order, label_weight)
         grad_x += np.bincount(cells, weights=gx, minlength=grad_x.size)
         if gp is not None:

@@ -19,6 +19,15 @@ gradients in one ``view_loss`` call, chain-rules through the squashing
 map and applies the update; a loss or gradient that is not finite stops
 the fit with ``ValueError``.
 
+Each step of an iteration writes in place: ``sigmoid`` and ``softmax``
+take ``exp`` in their output array, ``_logit_grads`` multiplies
+``view_loss``'s gradients where they lie (1 - x or 1 - p, and the
+semantic dot, are its only new arrays), and ``Adam.update`` updates its
+moments and builds its step through two temporaries.  Each runs the
+formula in its docstring operation for operation, each product's
+operands in the order written, so the results are that formula's bits;
+the tests check every kind of fit against the formulas written out.
+
 Color fits run carve-then-paint, because joint optimization under
 RGB-only supervision has a bad basin: cells can turn white and become
 indistinguishable from the white escape event, which kills the
@@ -52,20 +61,28 @@ COLOR_INIT_LOGIT = -2.0  # color payload init; semantics stay uniform
 
 def sigmoid(z):
     """1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below, so exp
-    never overflows; both branches from one exp(-|z|)."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    never overflows; both branches from one exp(-|z|), taken in place."""
+    e = np.abs(z, out=np.empty(np.shape(z)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = 1.0 + e
+    np.copyto(e, 1.0, where=z >= 0)
+    e /= den
+    return e
 
 
 def softmax(z):
-    """Softmax over the last axis.  The max and the sum (``last_axis_sum``)
-    run over the K last-axis slices in turn, because numpy reduces a short
-    last axis far slower than it combines whole slices."""
-    m = z[..., 0]
+    """Softmax over the last axis, exp and the division in place.  The max
+    and the sum (``last_axis_sum``) run over the K last-axis slices in turn,
+    because numpy reduces a short last axis far slower than it combines
+    whole slices."""
+    m = z[..., 0].copy()
     for k in range(1, z.shape[-1]):
-        m = np.maximum(m, z[..., k])
-    e = np.exp(z - m[..., None])
-    return e / last_axis_sum(e)[..., None]
+        np.maximum(m, z[..., k], out=m)
+    e = z - m[..., None]
+    np.exp(e, out=e)
+    e /= last_axis_sum(e)[..., None]
+    return e
 
 
 @dataclass
@@ -92,8 +109,8 @@ class FitConfig:
             raise ValueError("views_per_iteration must be >= 1")
         if not (math.isfinite(self.foreground_weight) and self.foreground_weight > 0.0):
             raise ValueError(f"foreground_weight must be positive and finite, got {self.foreground_weight}")
-        if not math.isfinite(self.label_weight):
-            raise ValueError(f"label_weight must be finite, got {self.label_weight}")
+        if not (math.isfinite(self.label_weight) and self.label_weight >= 0.0):
+            raise ValueError(f"label_weight must be non-negative and finite, got {self.label_weight}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.threads != 1:
@@ -123,17 +140,21 @@ class Adam:
     def update(self, param: np.ndarray, grad: np.ndarray) -> None:
         """In place, operation for operation as m = beta1 m + (1 - beta1) grad,
         v = beta2 v + (1 - beta2) grad grad and
-        param -= step m_hat / (sqrt(v_hat) + eps): bitwise that formula."""
+        param -= step m_hat / (sqrt(v_hat) + eps): bitwise that formula.
+        ``grad`` is only read; two temporaries hold the products."""
         self.t += 1
+        scratch = np.multiply(1.0 - self.beta1, grad)
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
+        self.m += scratch
+        np.multiply(1.0 - self.beta2, grad, out=scratch)
+        scratch *= grad
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        den = self.v / (1.0 - self.beta2**self.t)  # sqrt(v_hat) + eps
+        self.v += scratch
+        den = np.divide(self.v, 1.0 - self.beta2**self.t, out=scratch)  # sqrt(v_hat) + eps
         np.sqrt(den, out=den)
         den += self.eps
         delta = self.m / (1.0 - self.beta1**self.t)  # step * m_hat / den
-        delta *= self.step
+        np.multiply(self.step, delta, out=delta)
         delta /= den
         param -= delta
 
@@ -191,7 +212,9 @@ def _logit_grads(occ: OccupancyGrid, aux, grad_x, grad_p):
     """The chain rule through ``_squash``, in place: gradients ``grad_x``
     and ``grad_p`` with respect to the grids (occ, aux) it returned become
     gradients with respect to their logits, bitwise grad_x x (1 - x),
-    grad_p p (1 - p) and p (grad_p - <grad_p, p>).  None stays None."""
+    grad_p p (1 - p) and p (grad_p - <grad_p, p>).  None stays None.  The
+    dot <grad_p, p> adds the class slices' products in turn from zero, as
+    ``last_axis_sum`` does, through one grid-sized scratch."""
     if grad_x is not None:
         x = occ.x
         grad_x *= x
@@ -202,8 +225,12 @@ def _logit_grads(occ: OccupancyGrid, aux, grad_x, grad_p):
             grad_p *= p
             grad_p *= 1.0 - p
         else:  # softmax
-            grad_p -= last_axis_sum(grad_p * p)[..., None]
-            grad_p *= p
+            dot, term = np.zeros(p.shape[:-1]), np.empty(p.shape[:-1])
+            for k in range(p.shape[-1]):
+                np.multiply(grad_p[..., k], p[..., k], out=term)
+                dot += term
+            grad_p -= dot[..., None]
+            np.multiply(p, grad_p, out=grad_p)
     return grad_x, grad_p
 
 

@@ -412,6 +412,8 @@ def load_grid(path):
         n = geometry.ncells
         if kind == "bin":
             raw = np.frombuffer(_read_exact(fh, n), dtype=np.uint8)
+            if np.any(raw > 1):
+                raise FormatError("binary grid body bytes must be 0 or 1")
             grid = BinaryGrid(geometry, raw.reshape(geometry.shape).astype(bool))
         else:
             raw = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8")

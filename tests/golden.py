@@ -43,7 +43,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from drc import cli, renderer  # noqa: E402
+from drc import cli, fitter, renderer  # noqa: E402
 from workloads import make_workload  # noqa: E402
 
 DIGESTS = os.path.join(ROOT, "tests", "golden", "digests.txt")
@@ -118,6 +118,22 @@ def fit_digests() -> dict:
     return digests
 
 
+def color_fit_digests() -> dict:
+    """A 40-iteration colour fit of chair_like at 16^3 from four 32 px
+    views at each seed: its grid, payload and loss trace."""
+    digests = {}
+    gt, aux = renderer.make_test_shape("chair_like", (16, 16, 16))
+    for seed in FIT_SEEDS:
+        cams = renderer.sample_view_ring(4, seed=seed, width=32, height=32)
+        obs = [renderer.render(gt, c, "color", aux) for c in cams]
+        occ, fit_aux, report = fitter.fit(obs, gt.geometry, "color", fitter.FitConfig(iterations=40, seed=seed))
+        key = f"color_fit/seed{seed}"
+        digests[f"{key}/x"] = sha256(occ.x)
+        digests[f"{key}/payload"] = sha256(fit_aux.payload)
+        digests[f"{key}/losses"] = sha256(report.losses)
+    return digests
+
+
 def environment() -> str:
     return f"numpy {np.__version__}, Python {platform.python_version()}, {platform.platform()}"
 
@@ -136,7 +152,7 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true", help="compare with the recorded digests")
     args = p.parse_args(argv)
 
-    digests = {**repro_digests(), **fit_digests()}
+    digests = {**repro_digests(), **fit_digests(), **color_fit_digests()}
     if args.write:
         with open(DIGESTS, "w", encoding="utf-8") as fh:
             fh.write(f"# {environment()}\n")

@@ -6,14 +6,15 @@ that clip by dense point sampling), losses by enumerating every hard
 occupancy configuration, gradients by the quadratic-time transcription of
 the gradient sum, the batched first-hit search by a one-ray version, and
 cell geometry by explicit bounding planes.  The dense payload scatter, the
-two-reduction softmax, the two-branch sigmoid, ``ReferenceAdam`` and the
-padded loss kernel (``padded``, ``padded_view_loss``) are the formulas the
-fitter used before its flat payload scatter, slice-wise softmax, one-exp
-sigmoid, in-place Adam update and length-sorted loss kernel, kept to
-check those bit for bit; the padded kernel adds each padded row left to
-right, not in numpy's row-sum order, and its gradients are added in the
-order the kernel documents (``scatter_in_kernel_order``), not in ray
-order.
+two-reduction softmax, the two-branch sigmoid, ``ReferenceAdam``, the
+chain rule written out (``reference_logit_grads``) and the padded loss
+kernel (``padded``, ``padded_view_loss``) are the formulas the fitter used
+before its flat payload scatter, slice-wise softmax, one-exp sigmoid,
+in-place Adam update, in-place chain rule and length-sorted loss kernel,
+kept to check those bit for bit; the padded kernel adds each padded row
+left to right, not in numpy's row-sum order, and its gradients are added
+in the order the kernel documents (``scatter_in_kernel_order``), not in
+ray order.
 ``entries`` gathers a table's rows ray by ray, as the loss once did.
 ``event_probabilities``, ``mask_loss_closed_form`` and
 ``central_difference`` are direct formulas the loss is checked against;
@@ -325,6 +326,22 @@ class ReferenceAdam:
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
         param -= self.step * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_logit_grads(occ, aux, grad_x, grad_p):
+    """The chain rule through the fitter's squashing maps, each product as
+    written and into new arrays: g x (1 - x), g p (1 - p) for color and
+    p (g - <g, p>) for semantics.  None stays None."""
+    gx = gp = None
+    if grad_x is not None:
+        gx = grad_x * occ.x * (1.0 - occ.x)
+    if grad_p is not None:
+        p = aux.payload
+        if aux.kind == "color":
+            gp = grad_p * p * (1.0 - p)
+        else:
+            gp = p * (grad_p - np.sum(grad_p * p, axis=-1, keepdims=True))
+    return gx, gp
 
 
 def min_cell_extent(geom):

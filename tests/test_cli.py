@@ -84,6 +84,17 @@ class TestExitCodes:
                    "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err != ""
 
+    @pytest.mark.parametrize("command", ["eval", "render"])
+    @pytest.mark.parametrize("byte", [b"\x02", b"\xff"])
+    def test_binary_grid_byte_past_one_is_data_error(self, tmp_path, capsys, command, byte):
+        path = tmp_path / "b.grid"
+        path.write_bytes(b"DRC-GRID v1 bin 1 1 1 0 0 0 1 1 1 none\n" + byte)
+        args = {"eval": ["--pred", str(path), "--gt", str(path)],
+                "render": ["--grid", str(path), "--views", "1", "--kind", "mask", "--size", "8"]}[command]
+        assert run(command, *args, "--out", str(tmp_path / "out")) == 2
+        assert "0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_bundle_dir_is_data_error(self, tmp_path):
         assert run("fit", "--obs", str(tmp_path / "nope"), "--dims", "8",
                    "--out", str(tmp_path / "out")) == 2
@@ -203,6 +214,12 @@ class TestExitCodes:
     def test_non_finite_fit_weight_is_usage_error(self, pipeline, tmp_path):
         assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "2",
                    "--fg-weight", "nan", "--out", str(tmp_path / "fit")) == 1
+        assert not (tmp_path / "fit").exists()
+
+    def test_negative_label_weight_is_usage_error(self, pipeline, tmp_path, capsys):
+        assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "2",
+                   "--label-weight", "-1", "--out", str(tmp_path / "fit")) == 1
+        assert "label_weight must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("flag", ["--aabb=-inf,-0.5,-0.5,0.5,0.5,0.5", "--frustum=0.4,inf,50"])

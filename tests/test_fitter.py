@@ -9,8 +9,10 @@ from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, last_axis_sum, make_fru
 from drc.metrics import strip_table
 from drc.renderer import full_image_rays, image_traces, make_test_shape, render, sample_view_ring
 from drc.traversal import trace_batch
-from oracles import (ReferenceAdam, random_strip_rays, rays_at_pixels, sampled_pixels, sampled_rows,
-                     two_branch_sigmoid, two_reduction_softmax)
+from oracles import (ReferenceAdam, random_strip_rays, rays_at_pixels, reference_logit_grads, sampled_pixels,
+                     sampled_rows, two_branch_sigmoid, two_reduction_softmax)
+
+TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +104,26 @@ class TestSquashing:
         s = sigmoid(z)
         assert np.all((s >= 0) & (s <= 1))
         assert np.allclose(s + sigmoid(-z), 1.0, atol=1e-12)
+        # scalars and integer arrays squash as float arrays do
+        assert float(sigmoid(2.0)) == sigmoid(np.array([2.0]))[0]
+        assert sigmoid(np.arange(-3, 3)).tobytes() == sigmoid(np.arange(-3.0, 3.0)).tobytes()
 
     def test_sigmoid_is_bitwise_the_two_branch_formula(self):
         rng = np.random.default_rng(3)
         scales = np.array([1e-3, 0.1, 1.0, 30.0, 300.0, 800.0])[:, None]
         z = np.concatenate([rng.normal(size=(6, 1000)) * scales,
-                            [[0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf] * 125]])
+                            [[0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf] * 125],
+                            [[1000.0, -1000.0, 1e308, -1e308, TINY, -TINY, 1e-310, -1e-310] * 125]])
+        given = z.copy()
         assert sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+        assert z.tobytes() == given.tobytes()  # the input is not written
         assert sigmoid(np.array([-np.inf, -0.0, np.inf])).tolist() == [0.0, 0.5, 1.0]
+        # NaN stays NaN, at the bits of the one-exp formula as written (the
+        # two-branch formula's NaN may carry another sign)
+        z = np.concatenate([z.ravel(), [np.nan, -np.nan]])
+        e = np.exp(-np.abs(z))
+        assert sigmoid(z).tobytes() == (np.where(z >= 0, 1.0, e) / (1.0 + e)).tobytes()
+        assert np.isnan(sigmoid(z)[-2:]).all()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
     def test_last_axis_dot_is_bitwise_numpys_sum(self, k):
@@ -138,7 +152,45 @@ class TestSquashing:
         z[0, 3, :, -1] = -700.0
         z[1] = rng.integers(-2, 3, size=(5, 6, k))  # small integers: tied maxima
         z[2, :, :, :] = z[2, :, :, :1]  # every logit of a row tied
+        given = z.copy()
         assert softmax(z).tobytes() == two_reduction_softmax(z).tobytes()
+        assert z.tobytes() == given.tobytes()  # the input is not written
+
+    @pytest.mark.parametrize("aux_kind, channels", [("color", 3), ("semantics", 2), ("semantics", 4),
+                                                    ("semantics", 7)])
+    def test_logit_grads_are_bitwise_the_chain_rule_as_written(self, aux_kind, channels):
+        """``_logit_grads`` in place against ``reference_logit_grads``, with
+        x and p at exactly 0, exactly 1 and subnormal, and gradients of both
+        signs from subnormal to large, zeros of both signs included."""
+        rng = np.random.default_rng(channels)
+        geom = unit_cube_geometry((6, 5, 4))
+        edges = np.array([0.0, 1.0, TINY, 1e-310, 1.0 - 2.0**-53, 0.5])
+        x = rng.uniform(size=geom.shape)
+        x.flat[:edges.size] = edges
+        if aux_kind == "color":
+            p = rng.uniform(size=(*geom.shape, channels))
+            p.reshape(-1, channels)[:edges.size] = edges[:, None]
+            p.reshape(-1)[-edges.size:] = edges
+        else:
+            p = rng.dirichlet(np.ones(channels), size=geom.shape)
+            rows = p.reshape(-1, channels)
+            rows[:3] = 0.0
+            rows[0, 0] = 1.0  # one-hot
+            rows[1, :2] = [TINY, 1.0]  # a subnormal beside 1: the row still sums to 1
+            rows[2, :2] = [1e-310, 1.0]
+        occ, aux = OccupancyGrid(geom, x), AuxGrid(geom, aux_kind, p)
+
+        def grads(shape):
+            g = rng.choice([-1.0, 0.0, 1.0], size=shape) * 10.0 ** rng.uniform(-320, 3, size=shape)
+            g.flat[:2] = [0.0, -0.0]
+            return g
+
+        grad_x, grad_p = grads(geom.shape), grads(p.shape)
+        want = reference_logit_grads(occ, aux, grad_x, grad_p)
+        got = fitter._logit_grads(occ, aux, grad_x.copy(), grad_p.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert fitter._logit_grads(occ, aux, None, None) == (None, None)
 
 
 class TestAdam:
@@ -212,6 +264,13 @@ class TestFit:
     def test_non_finite_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             FitConfig(**{field: value})
+
+    def test_negative_label_weight_rejected(self):
+        # -w log p(c) would reward a low probability of the observed class
+        assert FitConfig(label_weight=0.0).label_weight == 0.0
+        for weight in (-1.0, -1e-300):
+            with pytest.raises(ValueError, match="label_weight must be"):
+                FitConfig(label_weight=weight)
 
     def test_non_finite_loss_stops_the_fit(self, depth_views):
         gt, obs = depth_views
@@ -452,6 +511,43 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
         expected_rows = table.take(want_rows)
         for field in ("start", "n", "t0"):
             assert getattr(traces, field).tobytes() == getattr(expected_rows, field).tobytes()
+
+
+@pytest.mark.parametrize("kind", RAY_KINDS)
+def test_fit_is_bitwise_the_reference_formulas(kind, monkeypatch):
+    """A short fit of each kind (color carves, then paints) equals, byte for
+    byte, the same fit with the formulas as written patched into
+    ``fitter``: the two-branch sigmoid, the two-reduction softmax,
+    ``ReferenceAdam`` and the chain rule with new arrays.  Unlike the golden
+    digests, this holds on any machine."""
+    aux_kind = AUX_KINDS.get(kind)
+    gt, aux = make_test_shape("chair_like", (12, 12, 12), aux_kind=aux_kind or "color")
+    cams = sample_view_ring(3, seed=5, width=20, height=20)
+    obs = [render(gt, c, kind, aux) for c in cams]
+    cfg = FitConfig(iterations=6, rays_per_iteration=400, seed=3, label_weight=0.7)
+    occ, fit_aux, report = fit(obs, gt.geometry, kind, cfg)
+
+    called = set()
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, ref in [("sigmoid", two_branch_sigmoid), ("softmax", two_reduction_softmax),
+                      ("Adam", ReferenceAdam), ("_logit_grads", reference_logit_grads)]:
+        monkeypatch.setattr(fitter, name, recorded(name, ref))
+    ref_occ, ref_aux, ref_report = fit(obs, gt.geometry, kind, cfg)
+    assert called == {"sigmoid", "Adam", "_logit_grads"} | ({"softmax"} if kind == "depth_semantics" else set())
+    assert len(set(report.losses)) > 1  # the fit moved
+    assert occ.x.tobytes() == ref_occ.x.tobytes()
+    assert report.losses.tobytes() == ref_report.losses.tobytes()
+    if aux_kind is None:
+        assert fit_aux is None and ref_aux is None
+    else:
+        assert fit_aux.payload.tobytes() == ref_aux.payload.tobytes()
+        assert not np.all(fit_aux.payload == fit_aux.payload.flat[0])  # the payload moved
 
 
 class TestLossLog:

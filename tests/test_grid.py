@@ -349,6 +349,12 @@ class TestGridFiles:
         with pytest.raises(FormatError):
             load_grid(tmp_path / "s.grid")
 
+    @pytest.mark.parametrize("byte", [b"\x02", b"\xff"])
+    def test_binary_body_byte_past_one_rejected(self, tmp_path, byte):
+        (tmp_path / "b.grid").write_bytes(b"DRC-GRID v1 bin 1 1 1 0 0 0 1 1 1 none\n" + byte)
+        with pytest.raises(FormatError, match="0 or 1"):
+            load_grid(tmp_path / "b.grid")
+
     def test_bytes_after_body_rejected(self, tmp_path):
         geom = unit_cube_geometry((2, 2, 2))
         save_grid(tmp_path / "g.grid", OccupancyGrid(geom, np.full(geom.shape, 0.5)))
