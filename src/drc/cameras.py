@@ -134,12 +134,11 @@ def look_at_extrinsics(position, target, up=(0.0, 1.0, 0.0)) -> tuple[np.ndarray
     return R, -R @ position
 
 
-def perspective_camera(position, target, hfov_deg: float, width: int, height: int,
-                       up=(0.0, 1.0, 0.0)) -> Camera:
+def perspective_camera(position, target, hfov_deg: float, width: int, height: int) -> Camera:
     """Convenience constructor: look-at perspective camera with square pixels."""
     if not (0.0 < hfov_deg < 180.0):
         raise ValueError(f"hfov must be in (0, 180) degrees, got {hfov_deg}")
-    R, t = look_at_extrinsics(position, target, up)
+    R, t = look_at_extrinsics(position, target)
     f = (width / 2.0) / np.tan(np.radians(hfov_deg) / 2.0)
     return Camera("perspective", width, height, (f, f, width / 2.0, height / 2.0), R, t)
 

@@ -323,11 +323,11 @@ def make_test_shape(name: str, dims, aux_kind: str = "color", n_classes: int = 4
 
 
 def sample_view_ring(n_views: int, elevation_range=DEFAULT_ELEVATION_RANGE,
-                     radius: float = DEFAULT_VIEW_RADIUS, seed: int = 0, *,
-                     target=(0.0, 0.0, 0.0), width: int = DEFAULT_IMAGE_SIZE,
+                     radius: float = DEFAULT_VIEW_RADIUS, seed: int = 0, *, width: int = DEFAULT_IMAGE_SIZE,
                      height: int = DEFAULT_IMAGE_SIZE, hfov_deg: float = DEFAULT_HFOV_DEG,
                      azimuths=None, elevations=None) -> list[Camera]:
-    """Perspective cameras at a fixed radius looking at the grid center.
+    """Perspective cameras at a fixed radius from the origin, the object
+    grid's center, looking at it.
 
     Azimuth is uniform over [0, 360) and elevation uniform over the given
     range (degrees above the horizon, +y up); both are fixed by
@@ -348,13 +348,12 @@ def sample_view_ring(n_views: int, elevation_range=DEFAULT_ELEVATION_RANGE,
         else rng.uniform(lo, hi, n_views)
     if len(az) != n_views or len(el) != n_views:
         raise ValueError("azimuths/elevations overrides must have n_views entries")
-    target = np.asarray(target, dtype=np.float64)
     cams = []
     for a_deg, e_deg in zip(az, el):
         a = np.radians(a_deg)
         e = np.radians(e_deg)
-        pos = target + radius * np.array([np.cos(e) * np.sin(a), np.sin(e), np.cos(e) * np.cos(a)])
-        cams.append(perspective_camera(pos, target, hfov_deg, width, height))
+        pos = radius * np.array([np.cos(e) * np.sin(a), np.sin(e), np.cos(e) * np.cos(a)])
+        cams.append(perspective_camera(pos, (0.0, 0.0, 0.0), hfov_deg, width, height))
     return cams
 
 

@@ -1,14 +1,16 @@
 """Exact ordered ray-grid intersection.
 
-Both grid kinds share one kernel.  One clip, ``_hull``, gives the depths
-(t0, t1) inside the convex hull of a box of whole cells, by default the
-whole grid, from a list of its six faces (``_hull_faces``: axis planes of
-a uniform grid; the frustum's depth planes and its four side planes
-through the apex).  One window rule, ``_windows``,
-gives per ray and axis the interior cell boundary planes it can cross: those
-between its grid coordinates at t0 and t1, and one more on each side.  A
-crossing function gives the ray's depth at each plane of its windows (axis
-planes; planes through the apex and depth planes), and the kernel signs the
+Both grid kinds share one kernel.  One plane table, ``_planes``, numbers
+each axis's n + 1 cell boundary planes 0..n: a uniform grid's axis planes,
+a frustum's planes x = c z and y = c z through the apex and its depth
+planes.  One crossing function, ``_crossings``, gives a ray's gap to and
+rate across a run of them, whose ratio is its depth there.  One clip,
+``_hull``, gives the depths (t0, t1) inside the convex hull of a box of
+whole cells, by default the whole grid, from its six faces
+(``_hull_faces``).  One window rule, ``_windows``, gives per ray and axis
+the interior planes it can cross: those between its grid coordinates at t0
+and t1, and one more on each side.  The kernel takes the ray's depth at
+each plane of its windows from ``_crossings``, signs the
 plane's stride in the linear cell index by the ray's rate across it, sorts
 the crossings inside (t0, t1) once per ray, counts the first cell from the
 planes the ray has passed at t0, and steps from there.  The hull is convex,
@@ -21,13 +23,15 @@ t0: the crossing depths would put it below the ray there exactly when it
 lies below the window.  So the planes below a window go straight into the
 first cell's count: the traces are those of the full plane set, to the bit.
 
-A box face inside the grid is a plane the kernel crosses, and the clip
-takes its depth there from the kind's crossing function for that one
-plane, so a clipped trace is the whole grid's trace's cells inside the box
-at its depths, to the bit, on both kinds.  The grid's own faces keep their
-dot with the face normal; on a uniform grid that dot adds only exact zeros
-to the crossing arithmetic, while a frustum's side faces round otherwise
-(d . (1, 0, -c) against dx - c dz), so whole-grid tables keep the dot.
+The clip takes each face's depth from ``_crossings`` for that one plane,
+so where a box face is a plane the kernel crosses, a clipped trace is the
+whole grid's trace's cells inside the box at its depths, to the bit, on
+both kinds.  Only the frustum's own side faces keep a dot with the face
+normal: it rounds otherwise than the crossing arithmetic (d . (1, 0, -c)
+against dx - c dz), and whole-grid tables keep that rounding.  On a
+uniform grid's faces and the frustum's near and far planes the dot added
+only exact zeros to the crossing arithmetic, for the finite rays
+``trace_batch`` accepts.
 
 Per-cell event depths d_i are the segment midpoints (t_enter + t_exit)/2:
 rendered depth and the depth event cost share this convention, so a hard
@@ -120,13 +124,21 @@ def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndar
     index range [lo, hi); the whole grid by default), in increasing t, from
     t = 0 for a ray that starts inside it; a miss has n = 0.  On either
     grid kind a ray's row is its whole-grid row's cells inside the box, at
-    the same depths to the bit."""
+    the same depths to the bit.  Origins and directions are (R, 3) and
+    finite, no direction is zero, and the box's bounds are integers."""
     o = np.asarray(origins, dtype=np.float64)
     d = np.asarray(directions, dtype=np.float64)
-    box = [(0, n) for n in geometry.dims] if box is None else [(int(lo), int(hi)) for lo, hi in box]
-    if len(box) != 3 or not all(0 <= lo <= hi <= n for (lo, hi), n in zip(box, geometry.dims)):
-        raise ValueError(f"box must hold a range 0 <= lo <= hi <= n per axis of {geometry.dims}, got {box}")
-    crossings = _crossings(geometry)
+    if o.ndim != 2 or o.shape[1] != 3 or o.shape != d.shape:
+        raise ValueError(f"origins and directions must be (R, 3) arrays of one R, got {o.shape} and {d.shape}")
+    if not (np.isfinite(o).all() and np.isfinite(d).all()):
+        raise ValueError("ray origins and directions must be finite")
+    if not ((d[:, 0] != 0.0) | (d[:, 1] != 0.0) | (d[:, 2] != 0.0)).all():  # d.any(axis=1) is ~4x slower
+        raise ValueError("a ray direction must not be zero")
+    box = [(0, n) for n in geometry.dims] if box is None else [(lo, hi) for lo, hi in box]
+    integer = (int, np.integer)
+    if len(box) != 3 or not all(isinstance(lo, integer) and isinstance(hi, integer) and 0 <= lo <= hi <= n
+                                for (lo, hi), n in zip(box, geometry.dims)):
+        raise ValueError(f"box must hold an integer range 0 <= lo <= hi <= n per axis of {geometry.dims}, got {box}")
     t0, t1, alive = _hull(geometry, o, d, box)
     rows = np.flatnonzero(alive)
     n, t0 = np.zeros(len(o), dtype=np.int64), np.where(alive, t0, 0.0)
@@ -138,7 +150,7 @@ def trace_batch(geometry: GridGeometry, origins: np.ndarray, directions: np.ndar
     cells, t_exit = _reserve(size, np.int32), _reserve(size, np.float64)
     end = 0
     for s in [slice(i, i + TABLE_CHUNK) for i in range(0, rows.size, TABLE_CHUNK)]:
-        n[rows[s]], c, t = _trace_rays(geometry, o[s], d[s], enter[s], t1[s], lo[s], width[s], crossings)
+        n[rows[s]], c, t = _trace_rays(geometry, o[s], d[s], enter[s], t1[s], lo[s], width[s])
         cells[end:end + c.size] = c  # raises if the bound were ever short
         t_exit[end:end + c.size] = t
         end += c.size
@@ -169,11 +181,11 @@ def _windows(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t
 
 
 def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray, t1: np.ndarray,
-                lo: np.ndarray, width: np.ndarray, crossings):
+                lo: np.ndarray, width: np.ndarray):
     """(n, cells, t_exit) of rays (o, d) that lie inside the grid's convex
     hull over (t0, t1), t0 < t1, both (R, 1), whose planes crossed there
-    lie in their windows (lo, width) from ``_windows``; ``crossings`` is the
-    grid kind's crossing function, called per axis."""
+    lie in their windows (lo, width) from ``_windows``; ``_crossings`` gives
+    the depths at those planes, called once per axis."""
     nx, ny, _ = geom.dims
     stride = np.array([1.0, nx, nx * ny])  # of a step across each axis's planes
     # per axis the pass's widest window, W planes: a narrower one takes in the
@@ -185,7 +197,7 @@ def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray
     ts, step = np.empty((len(o), widths.sum())), np.empty((len(o), widths.sum()))
     for a, end in enumerate(np.cumsum(widths)):
         cols = slice(end - widths[a], end)
-        crossings(geom, a, o, d, first[:, a], ts[:, cols], step[:, cols])
+        _crossings(geom, a, o, d, first[:, a], ts[:, cols], step[:, cols])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(ts, step, out=ts)
     stride_of = np.repeat(stride, widths)
@@ -223,26 +235,35 @@ def _trace_rays(geom: GridGeometry, o: np.ndarray, d: np.ndarray, t0: np.ndarray
     return np.count_nonzero(keep, axis=1), cells[keep].astype(np.int32), t_exit[keep]
 
 
-def _crossings(geom: GridGeometry):
-    """The grid kind's crossing function, ``_box_crossings`` or ``_frustum_crossings``."""
-    return _box_crossings if geom.kind == "uniform" else _frustum_crossings
+def _planes(geom: GridGeometry, a: int) -> np.ndarray:
+    """The n + 1 planes across axis a, numbered 0..n: a uniform grid's
+    aabb_min + k h, its corners at the ends; a frustum's slopes
+    c_k = f (k - n/2) of the planes x = c_k z (a = 0) and y = c_k z (a = 1)
+    through the apex, or its depths alpha1 exp(alpha2 k) (a = 2)."""
+    n = geom.dims[a]
+    if geom.kind == "uniform":
+        inner = geom.aabb_min[a] + np.arange(1, n) * geom.cell_size[a]
+        return np.concatenate([geom.aabb_min[a:a + 1], inner, geom.aabb_max[a:a + 1]])
+    if a == 2:
+        return geom.alpha1 * np.exp(geom.alpha2 * np.arange(n + 1))
+    return geom.f * (np.arange(n + 1) - n / 2.0)
 
 
-def _box_crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: np.ndarray,
-                   gap: np.ndarray, rate: np.ndarray) -> None:
-    """Writes each ray's gap along axis a to the W planes aabb_min + k h of
-    its window, k from ``first`` on (a row of the sliding window view of the
-    axis's planes; (R,), or (1,) for one window shared by every ray), and
-    its rate across them, (R, W) each."""
-    np.subtract(np.take(sliding_window_view(_axis_planes(geom, a)[1:-1], gap.shape[1]), first - 1, axis=0),
-                o[:, a:a + 1], out=gap)
-    rate[:] = d[:, a:a + 1]
-
-
-def _axis_planes(geom: GridGeometry, a: int) -> np.ndarray:
-    """A uniform grid's n + 1 planes across axis a: aabb_min + k h, its corners at the ends."""
-    inner = geom.aabb_min[a] + np.arange(1, geom.dims[a]) * geom.cell_size[a]
-    return np.concatenate([geom.aabb_min[a:a + 1], inner, geom.aabb_max[a:a + 1]])
+def _crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: np.ndarray,
+               gap: np.ndarray, rate: np.ndarray) -> None:
+    """Writes each ray's gap to the W planes of axis a from plane ``first``
+    on (a row of the sliding window view of ``_planes``; (R,), or (1,) for
+    one window shared by every ray) and its rate across them, (R, W) each,
+    whose ratio is the ray's depth there: c oz - ox and dx - c dz for a
+    plane x = c z through the apex (y likewise), else p - o_a and d_a."""
+    p = np.take(sliding_window_view(_planes(geom, a), gap.shape[1]), first, axis=0)
+    if geom.kind == "frustum" and a < 2:
+        np.subtract(d[:, a:a + 1], np.multiply(p, d[:, 2:], out=rate), out=rate)
+        np.multiply(p, o[:, 2:], out=gap)
+        gap -= o[:, a:a + 1]
+    else:
+        np.subtract(p, o[:, a:a + 1], out=gap)
+        rate[:] = d[:, a:a + 1]
 
 
 def _hull_faces(geom: GridGeometry, box, o: np.ndarray, d: np.ndarray):
@@ -252,33 +273,27 @@ def _hull_faces(geom: GridGeometry, box, o: np.ndarray, d: np.ndarray):
     positive up that axis, so the box lies on the + side of a low face and
     the - side of a high one.
 
-    A face inside the grid (0 < k < n) is a plane the kernel crosses: its
-    gap and rate are the kind's crossing function's for that one plane, so
-    the clip's depths there are the crossing depths the kernel sorts, to the
-    bit.  The kernel takes its rates on d + 0.0, which changes only the sign
-    of a zero rate, and the clip reads a zero rate's gap, not its sign.  A
-    face on the grid's
-    boundary is c - o . normal and d . normal for the plane normal . p = c:
-    a uniform grid's axis planes; the frustum's depth planes and the planes
-    x = c z, y = c z through the apex, normal (1, 0, -c) or (0, 1, -c)."""
-    crossings = _crossings(geom)
+    Each face's gap and rate are ``_crossings``' for that one plane, so
+    where the face is a plane the kernel crosses (0 < k < n) the clip's
+    depths are the crossing depths it sorts, to the bit.  The kernel takes
+    its rates on d + 0.0, which changes only the sign of a zero rate, and
+    the clip reads a zero rate's gap, not its sign.  The one exception is
+    the frustum's own side faces (k = 0 or n on x or y), which keep the dot
+    0 - o . normal, d . normal with normal (1, 0, -c) or (0, 1, -c): it
+    rounds otherwise than c oz - ox and dx - c dz, and whole-grid tables
+    keep that rounding."""
     for a, (lo, hi) in enumerate(box):
         for k, low in ((lo, True), (hi, False)):
-            if 0 < k < geom.dims[a]:
-                gap, rate = np.empty((len(o), 1)), np.empty((len(o), 1))
-                crossings(geom, a, o, d, np.array([k]), gap, rate)
-                yield gap[:, 0], rate[:, 0], low
-            else:
-                normal, c = np.eye(3)[a], 0.0
-                if geom.kind == "uniform":
-                    c = _axis_planes(geom, a)[k]
-                elif a == 2:
-                    c = geom.alpha1 * np.exp(geom.alpha2 * k)
-                else:
-                    normal[2] = -geom.f * (k - geom.dims[a] / 2.0)
+            if geom.kind == "frustum" and a < 2 and k in (0, geom.dims[a]):
+                normal = np.eye(3)[a]
+                normal[2] = -_planes(geom, a)[k]
                 # a matrix-vector product rounds each ray's dot as a 1-D dot
                 # does; an elementwise (d * normal).sum(1) can differ in the last bit
-                yield c - o @ normal, d @ normal, low
+                yield 0.0 - o @ normal, d @ normal, low
+            else:
+                gap, rate = np.empty((len(o), 1)), np.empty((len(o), 1))
+                _crossings(geom, a, o, d, np.array([k]), gap, rate)
+                yield gap[:, 0], rate[:, 0], low
 
 
 def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray, box):
@@ -303,24 +318,6 @@ def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray, box):
             t1[blocked] = -np.inf
     t0 = np.maximum(t0, 0.0)
     return t0, t1, t0 < t1
-
-
-def _frustum_crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: np.ndarray,
-                       gap: np.ndarray, rate: np.ndarray) -> None:
-    """As ``_box_crossings``, for the planes x = c_k z (a = 0) and y = c_k z
-    (a = 1) through the origin, whose gap is c oz - ox and rate dx - c dz,
-    and the depth planes z = z_k (a = 2)."""
-    oz, dz = o[:, 2:], d[:, 2:]
-    if a == 2:
-        zs = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, geom.dims[2]))
-        np.subtract(np.take(sliding_window_view(zs, gap.shape[1]), first - 1, axis=0), oz, out=gap)
-        rate[:] = dz
-    else:
-        n = geom.dims[a]
-        c = np.take(sliding_window_view(geom.f * (np.arange(1, n) - n / 2.0), gap.shape[1]), first - 1, axis=0)
-        np.subtract(d[:, a:a + 1], np.multiply(c, dz, out=rate), out=rate)
-        np.multiply(c, oz, out=gap)
-        gap -= o[:, a:a + 1]
 
 
 def first_hit_batch(bgrid: BinaryGrid, table: TraceTable):

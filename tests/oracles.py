@@ -23,10 +23,11 @@ hand-built rays, whose losses tests read through ``per_ray``.  ``project``,
 the inverse of ``pixel_rays``, checks the pixel rays by a round trip;
 ``RayTrace`` is one ray's row of a trace table (``trace_row``), and
 ``trace_one`` traces one ray, given as an origin and a direction as the
-oracles take it, through ``trace_batch`` into one.  ``full_windows``,
-``full_axis_crossings`` and ``full_frustum_crossings`` give the traversal
-kernel every plane of every axis, as it took them before its per-ray
-windows.  ``rays_at_pixels`` reads a
+oracles take it, through ``trace_batch`` into one.  ``full_windows`` and
+``full_crossings`` give the traversal kernel every plane of every axis,
+as it took them before its per-ray windows; ``dot_hull_faces`` is the
+hull's face rule from before its faces shared the crossing arithmetic.
+``rays_at_pixels`` reads a
 sample's observations pixel by pixel with 2-D indexing, as the fitter
 did before it took its sampled rays from ``full_image_rays``;
 ``sampled_pixels`` and ``sampled_rows`` are the draw ``fit`` made with its
@@ -660,31 +661,52 @@ def full_windows(geom, o, d, t0, t1):
     return np.ones((len(o), 3), dtype=np.int64), np.tile([nx - 1, ny - 1, nz - 1], (len(o), 1))
 
 
-def full_axis_crossings(geom, a, o, d, first, gap, rate):
-    """``traversal._box_crossings`` as it was before windows
-    (``_axis_crossings``): the gaps to every interior plane lo + k h of axis
-    a and the rates across them, for ``full_windows``' planes."""
+def full_crossings(geom, a, o, d, first, gap, rate):
+    """``traversal._crossings`` before windows: the gaps to every interior
+    plane of axis a, numbered 1..n-1 as the kernel numbers them, and the
+    rates across them, for ``full_windows``' planes: a box's planes
+    lo + k h; a frustum's planes x = c_k z (a = 0) or y = c_k z (a = 1)
+    through the apex, or its depth planes (a = 2)."""
     n = geom.dims[a]
     assert np.all(first == 1) and gap.shape[1] == n - 1
-    gap[:] = geom.aabb_min[a] + np.arange(1, n) * geom.cell_size[a] - o[:, a:a + 1]
-    rate[:] = d[:, a:a + 1]
-
-
-def full_frustum_crossings(geom, a, o, d, first, gap, rate):
-    """``traversal._frustum_crossings`` before its windows: the gaps to every
-    plane x = c_k z (a = 0) or y = c_k z (a = 1) through the apex, or every
-    interior depth plane (a = 2), and the rates across them, for
-    ``full_windows``' planes."""
-    n = geom.dims[a]
-    assert np.all(first == 1) and gap.shape[1] == n - 1
+    k = np.arange(1, n)
     oz, dz = o[:, 2:], d[:, 2:]
-    if a == 2:
-        gap[:] = geom.alpha1 * np.exp(geom.alpha2 * np.arange(1, n)) - oz
+    if geom.kind == "uniform":
+        gap[:] = geom.aabb_min[a] + k * geom.cell_size[a] - o[:, a:a + 1]
+        rate[:] = d[:, a:a + 1]
+    elif a == 2:
+        gap[:] = geom.alpha1 * np.exp(geom.alpha2 * k) - oz
         rate[:] = dz
-        return
-    cs = geom.f * (np.arange(1, n) - n / 2.0)
-    gap[:] = cs * oz - o[:, a:a + 1]
-    rate[:] = d[:, a:a + 1] - cs * dz
+    else:
+        cs = geom.f * (k - n / 2.0)
+        gap[:] = cs * oz - o[:, a:a + 1]
+        rate[:] = d[:, a:a + 1] - cs * dz
+
+
+def dot_hull_faces(geom, box, o, d):
+    """``traversal._hull_faces`` as it was before every face but the
+    frustum's side faces took the crossing arithmetic: a face on the grid's
+    boundary is c - o . normal and d . normal for the plane normal . p = c
+    (a box's axis planes; the frustum's depth planes and its planes
+    x = c z, y = c z through the apex, normal (1, 0, -c) or (0, 1, -c)); a
+    face inside the grid is the crossing arithmetic for that one plane."""
+    for a, (lo, hi) in enumerate(box):
+        n = geom.dims[a]
+        for k, low in ((lo, True), (hi, False)):
+            normal, c = np.eye(3)[a], 0.0
+            if geom.kind == "uniform":
+                c = geom.aabb_max[a] if k == n else geom.aabb_min[a] + k * geom.cell_size[a]
+            elif a == 2:
+                c = geom.alpha1 * np.exp(geom.alpha2 * k)
+            else:
+                normal[2] = -geom.f * (k - n / 2.0)
+            if not 0 < k < n:
+                yield c - o @ normal, d @ normal, low
+            elif geom.kind == "frustum" and a < 2:
+                c = geom.f * (k - n / 2.0)
+                yield c * o[:, 2] - o[:, a], d[:, a] - c * d[:, 2], low
+            else:
+                yield c - o[:, a], d[:, a], low
 
 
 def slab_hull(geom, o, d):

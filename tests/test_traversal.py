@@ -1,5 +1,6 @@
 import mmap
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,8 @@ from drc import traversal
 from drc.traversal import first_hit_batch, trace_batch
 
 
-from oracles import (cell_faces, clip_cells, dense_sample_cells, entries, event_probabilities, first_hit,
-                     full_axis_crossings, full_frustum_crossings, full_windows, padded, row_inside_box, slab_hull,
-                     trace_one, trace_row)
+from oracles import (cell_faces, clip_cells, dense_sample_cells, dot_hull_faces, entries, event_probabilities,
+                     first_hit, full_crossings, full_windows, padded, row_inside_box, slab_hull, trace_one, trace_row)
 
 
 def unit(v):
@@ -501,19 +501,30 @@ class TestFirstHit:
 TABLE_FIELDS = ("start", "n", "t0", "cells", "t_exit")
 
 
+@contextmanager
+def kernel_crossings(crossings):
+    """Inside, each pass of ``trace_batch``'s kernel calls ``crossings`` in
+    place of ``traversal._crossings``; the hull's faces keep the real one."""
+    trace_rays = traversal._trace_rays
+
+    def patched(*args):
+        with mock.patch.object(traversal, "_crossings", crossings):
+            return trace_rays(*args)
+
+    with mock.patch.object(traversal, "_trace_rays", patched):
+        yield
+
+
 def full_plane_table(geom, origins, directions):
     """``trace_batch`` with every plane of every axis evaluated, as the
     kernel did before its windows."""
-    with mock.patch.object(traversal, "_windows", full_windows), \
-            mock.patch.object(traversal, "_box_crossings", full_axis_crossings), \
-            mock.patch.object(traversal, "_frustum_crossings", full_frustum_crossings):
+    with mock.patch.object(traversal, "_windows", full_windows), kernel_crossings(full_crossings):
         return trace_batch(geom, origins, directions)
 
 
 def pass_columns(geom, origins, directions):
     """The number of planes each pass of ``trace_batch`` evaluates."""
-    name = "_box_crossings" if geom.kind == "uniform" else "_frustum_crossings"
-    crossings, columns = getattr(traversal, name), []
+    crossings, columns = traversal._crossings, []
 
     def counted(geom, a, o, d, first, gap, rate):  # called per axis, x first
         if a == 0:
@@ -521,7 +532,7 @@ def pass_columns(geom, origins, directions):
         columns[-1] += gap.shape[1]
         crossings(geom, a, o, d, first, gap, rate)
 
-    with mock.patch.object(traversal, name, counted):
+    with kernel_crossings(counted):
         trace_batch(geom, origins, directions)
     return columns
 
@@ -538,6 +549,32 @@ def assert_same_as_full_planes(geom, origins, directions):
     return table
 
 
+def apex_rays(geom, rng, n):
+    """n rays on a frustum: from near the apex, from inside and from far
+    outside, aimed at a point inside for two rays in three, the rest in
+    random directions; some direction components are signed zeros."""
+    inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (n, 3)) * geom.dims)
+    scale = rng.choice([0.0, 0.01, 1.0, 10.0], (n, 1)) * geom.alpha1
+    origins = rng.normal(size=(n, 3)) * scale
+    origins[n // 2:] = inside[n // 2:] + origins[n // 2:] * 0.01
+    directions = np.where(np.arange(n)[:, None] % 3 == 0, rng.normal(size=(n, 3)),
+                          inside[::-1] - origins)
+    zero = rng.uniform(size=(n, 3)) < 0.15
+    directions[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+    directions[~directions.any(axis=1)] = (0.0, 0.0, 1.0)
+    return origins, unit(directions)
+
+
+def odd_rays(rng, planes, n):
+    """n rays whose origin coordinates are the given plane values, 0, -0
+    or +-3, every fourth ray's random, and whose direction components are
+    zero, signed zero, subnormal or not (some directions are zero)."""
+    origins = rng.choice(np.concatenate([planes, [0.0, -0.0, 3.0, -3.0]]), (n, 3))
+    origins[::4] = rng.uniform(-1.0, 1.0, (n // 4, 3))
+    directions = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-309, -2.2e-309, 0.6, -0.8, 1.0], (n, 3))
+    return origins, directions
+
+
 SCENE_GEOM = make_frustum_geometry((32, 32, 32), 0.5, 60.0, 60.0)
 
 
@@ -551,20 +588,7 @@ class TestApexWindows:
            seed=st.integers(0, 2**32 - 1))
     def test_random_rays_match_full_planes(self, dims, z_min, depth_ratio, hfov, seed):
         geom = make_frustum_geometry(dims, z_min, z_min * depth_ratio, hfov)
-        rng = np.random.default_rng(seed)
-        n = 96
-        inside = geom.grid_to_world(rng.uniform(0.0, 1.0, (n, 3)) * dims)
-        # from near the apex, from inside and from far outside, aimed at a
-        # point inside for two rays in three, the rest in random directions
-        scale = rng.choice([0.0, 0.01, 1.0, 10.0], (n, 1)) * z_min
-        origins = rng.normal(size=(n, 3)) * scale
-        origins[n // 2:] = inside[n // 2:] + origins[n // 2:] * 0.01
-        directions = np.where(np.arange(n)[:, None] % 3 == 0, rng.normal(size=(n, 3)),
-                              inside[::-1] - origins)
-        zero = rng.uniform(size=(n, 3)) < 0.15
-        directions[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
-        directions[~directions.any(axis=1)] = (0.0, 0.0, 1.0)
-        assert_same_as_full_planes(geom, origins, unit(directions))
+        assert_same_as_full_planes(geom, *apex_rays(geom, np.random.default_rng(seed), 96))
 
     @pytest.mark.parametrize("geom", FRUSTUM_GEOMS + [SCENE_GEOM])
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -788,14 +812,31 @@ class TestBoxHull:
         # signed-zero and subnormal direction components, and origins on the
         # slab faces, where a depth is -0.0 or +-inf
         rng = np.random.default_rng(12)
-        n = 20000
-        faces = np.concatenate([geom.aabb_min, geom.aabb_max, [0.0, -0.0, 3.0, -3.0]])
-        origins = rng.choice(faces, (n, 3))
-        origins[::4] = rng.uniform(-1.0, 1.0, (n // 4, 3))
-        directions = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-309, -2.2e-309, 0.6, -0.8, 1.0], (n, 3))
+        origins, directions = odd_rays(rng, np.concatenate([geom.aabb_min, geom.aabb_max]), 20000)
         for got, expect in zip(traversal._hull(geom, origins, directions, whole_box(geom)),
                                slab_hull(geom, origins, directions)):
             assert got.tobytes() == expect.tobytes()
+
+
+class TestHullFaces:
+    """Every hull face but the frustum's own side faces takes the crossing
+    arithmetic; on a uniform grid's faces and the frustum's near and far
+    planes that is, to the bit, the dot each face took before."""
+
+    @pytest.mark.parametrize("geom", UNIFORM_GEOMS + FRUSTUM_GEOMS + [SCENE_GEOM])
+    def test_hull_is_bitwise_the_dot_rule(self, geom):
+        rng = np.random.default_rng(14)
+        if geom.kind == "uniform":
+            rays = [odd_rays(rng, np.concatenate([geom.aabb_min, geom.aabb_max]), 4000)]
+        else:
+            near_far = [plane_value(geom, 2, 0), plane_value(geom, 2, geom.dims[2])]
+            rays = [odd_rays(rng, near_far, 4000), apex_rays(geom, rng, 4000)]
+        for box in [whole_box(geom)] + [TestCellBox.random_box(rng, geom.dims) for _ in range(6)]:
+            for origins, directions in rays:
+                with mock.patch.object(traversal, "_hull_faces", dot_hull_faces):
+                    expect = traversal._hull(geom, origins, directions, box)
+                for got, want in zip(traversal._hull(geom, origins, directions, box), expect):
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestCellBox:
@@ -880,3 +921,44 @@ class TestCellBox:
     def test_box_outside_the_grid_rejected(self, box):
         with pytest.raises(ValueError, match="box"):
             trace_batch(UNIFORM_GEOMS[2], np.zeros((1, 3)), np.ones((1, 3)), box)
+
+    @pytest.mark.parametrize("box", [[(0, 2.9), (0, 8), (0, 8)], [(0, 8), (0.5, 3), (0, 8)]])
+    def test_fractional_box_bound_rejected(self, box):
+        with pytest.raises(ValueError, match="integer"):
+            trace_batch(UNIFORM_GEOMS[2], np.zeros((1, 3)), np.ones((1, 3)), box)
+
+
+class TestMalformedRays:
+    """``trace_batch`` traces only finite rays with a direction, given as
+    (R, 3) origins and directions of one R."""
+
+    CUBE = unit_cube_geometry((4, 4, 4))
+
+    @pytest.mark.parametrize("direction", [(np.nan, 0.0, 1.0), (0.3, -np.inf, 1.0)])
+    @pytest.mark.parametrize("geom", [CUBE, FRUSTUM_GEOMS[0]])
+    def test_non_finite_direction_rejected(self, geom, direction):
+        with pytest.raises(ValueError, match="finite"):
+            trace_batch(geom, [(0.1, 0.2, 1.0), (0.1, -0.2, 0.3)], [(0.0, 0.0, 1.0), direction])
+
+    @pytest.mark.parametrize("origin", [(np.nan, 0.0, 0.0), (0.0, 0.0, np.inf), (-np.inf, 0.1, 0.2)])
+    @pytest.mark.parametrize("geom", [CUBE, FRUSTUM_GEOMS[0]])
+    def test_non_finite_origin_rejected(self, geom, origin):
+        with pytest.raises(ValueError, match="finite"):
+            trace_batch(geom, [origin, (0.1, 0.2, 1.0)], [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+
+    @pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
+    @pytest.mark.parametrize("geom", [CUBE, FRUSTUM_GEOMS[0]])
+    def test_zero_direction_rejected(self, geom, direction):
+        with pytest.raises(ValueError, match="zero"):
+            trace_batch(geom, [(0.1, 0.2, 1.0), (0.1, 0.2, 0.3)], [(0.0, 0.0, 1.0), direction])
+
+    @pytest.mark.parametrize("origins, directions", [
+        (np.zeros((3, 3)), np.ones((2, 3))),
+        (np.zeros((2, 3)), np.ones((3, 3))),
+        (np.zeros(3), np.ones(3)),
+        (np.zeros((2, 2)), np.ones((2, 2))),
+        (np.zeros((2, 4)), np.ones((2, 4))),
+    ])
+    def test_ray_arrays_of_other_shapes_rejected(self, origins, directions):
+        with pytest.raises(ValueError, match=r"\(R, 3\)"):
+            trace_batch(self.CUBE, origins, directions)
