@@ -129,6 +129,8 @@ def _load_bundles(obs_dir):
 
 
 def cmd_shape(args) -> int:
+    if args.classes > 256:  # render and Observation take 8-bit class ids
+        raise UsageError(f"--classes must be at most 256 (class ids are 8-bit), got {args.classes}")
     bgrid, aux = make_test_shape(args.name, _parse_dims(args.dims), aux_kind=args.aux,
                                  n_classes=args.classes)
     os.makedirs(args.out, exist_ok=True)

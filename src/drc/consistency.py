@@ -33,6 +33,10 @@ terms with one ``np.bincount`` in slot order, from zero, then added to
 psi(1) (the escape cost for a miss), and the gradients below, so a ray's
 loss never depends on the rays beside it.
 
+A ``RayBatch`` checks its observations and weights when it is built;
+``take`` hands out rows of a checked batch without checking them again,
+so ``fit``'s per-iteration take and each pass's take run no checks.
+
 ``view_loss`` runs the kernel on every ray, about LOSS_CHUNK cells per
 pass, over one table whose rows are the rays (``fit``'s is one take of
 every sampled row of its views).  It orders each pass's rows by
@@ -87,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AuxGrid, OccupancyGrid, same_geometry
+from .grid import AuxGrid, OccupancyGrid, _unchecked, same_geometry
 from .traversal import TraceTable, trace_batch  # noqa: F401  (perfbench patches consistency.trace_batch)
 
 OBJECT_ESCAPE_DEPTH = 10.0
@@ -149,22 +153,22 @@ def _event_costs(rays: RayBatch, d_mid: np.ndarray, cells: np.ndarray, ray: np.n
     return psi, psi_esc, at, diff
 
 
-def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, ray: np.ndarray, *,
-               events: bool = False):
+def _telescope(x: np.ndarray, dpsi: np.ndarray, psi_first: np.ndarray, m: list, off: list,
+               ray: np.ndarray, *, events: bool = False):
     """(R,) per-ray losses psi_1 + sum_k dpsi_k prod_{j<=k} x_j, then (E,)
     d(loss)/dx and (E,) cell-event probabilities if ``events`` (else
     None).  The gradient is computed in ``dpsi``.
 
     The R rays are sorted by decreasing length and their E cells laid out
     slot-major: slot k holds the k-th cell of rays 0..m[k]-1, so ``m`` is
-    non-increasing and sums to E, and slot k's run of entries follows slot
-    k-1's; ``ray`` is each entry's ray.  ``x`` and ``dpsi`` are per cell,
-    dpsi_k = psi_{k+1} - psi_k with the escape cost after a ray's last
-    cell; ``psi_first`` is per ray, psi_1 or, for a ray of no cells, the
-    escape cost.  Each ray's terms are added from zero in slot order, and
-    the sum is then added to psi_first.
+    non-increasing and sums to E, and slot k's run of entries, from
+    ``off[k]`` (the sum of m[:k]), follows slot k-1's; ``ray`` is each
+    entry's ray.  ``x`` and ``dpsi`` are per cell, dpsi_k = psi_{k+1} -
+    psi_k with the escape cost after a ray's last cell; ``psi_first`` is
+    per ray, psi_1 or, for a ray of no cells, the escape cost.  Each ray's
+    terms are added from zero in slot order, and the sum is then added to
+    psi_first.
     """
-    off = [0, *np.cumsum(m, dtype=np.int64).tolist()]
     pre = np.empty_like(x)  # prod_{j<k} x_j
     pre[:m[0]] = 1.0
     for k in range(len(m) - 1):
@@ -254,9 +258,15 @@ class RayBatch:
         return cls(kinds.pop(), *(None if v[0] is None else np.concatenate(v) for v in fields))
 
     def take(self, index) -> "RayBatch":
-        """The rays ``index``, in that order."""
+        """The rays ``index`` (a 1-D integer or boolean index), in that
+        order.  Rows of a checked batch pass its checks, so the result is
+        built without re-running them: ``fit`` takes rows once per
+        iteration and ``view_loss`` once per pass."""
+        index = np.asarray(index)
+        if index.ndim != 1:
+            raise ValueError(f"a ray index must be 1-D, got {index.ndim}-D")
         fields = (self.weights, self.s, self.d, self.c)
-        return RayBatch(self.kind, *(None if v is None else v[index] for v in fields))
+        return _unchecked(RayBatch, self.kind, *(None if v is None else v[index] for v in fields))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +327,7 @@ def _pass_loss(x: np.ndarray, payload, traces: TraceTable, rays: RayBatch, order
     dpsi -= psi
     psi_first = np.concatenate([psi[:hit], psi_esc[hit:]])
     del psi
-    per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi_first, ml, ray,
+    per_ray, grad, p_events = _telescope(np.take(x, cells), dpsi, psi_first, ml, ol, ray,
                                          events=dpsi_dp is not None)
     del dpsi
     w = np.take(rays.weights, ray)

@@ -19,6 +19,14 @@ gradients in one ``view_loss`` call, chain-rules through the squashing
 map and applies the update; a loss or gradient that is not finite stops
 the fit with ``ValueError``.
 
+Inputs are checked once, where they enter: the observations, the
+per-pixel ``RayBatch`` (``full_image_rays``, checked as it is built) and,
+at the end, the grids ``fit`` returns.  What an iteration derives from
+them skips those checks: ``RayBatch.take`` returns rows of the checked
+batch, and ``_squash`` builds the iteration's grids, frozen, without the
+range and simplex scans, since the non-finite guard keeps the logits
+finite and so their sigmoid in [0, 1] and their softmax on the simplex.
+
 Each step of an iteration writes in place: ``sigmoid`` and ``softmax``
 take ``exp`` in their output array, ``_logit_grads`` multiplies
 ``view_loss``'s gradients where they lie (1 - x or 1 - p, and the
@@ -50,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consistency import AUX_KINDS, RayBatch, view_loss
-from .grid import AuxGrid, GridGeometry, OccupancyGrid, last_axis_sum
+from .grid import AuxGrid, GridGeometry, OccupancyGrid, _freeze, _unchecked, last_axis_sum
 from .renderer import Observation, first_rows_of, full_image_rays, view_traces
 
 DEFAULT_RAYS_PER_ITERATION = 3000
@@ -61,12 +69,14 @@ COLOR_INIT_LOGIT = -2.0  # color payload init; semantics stay uniform
 
 def sigmoid(z):
     """1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below, so exp
-    never overflows; both branches from one exp(-|z|), taken in place."""
+    never overflows; both branches from one exp(-|z|), taken in place.
+    The numerator is max(e, z >= 0) with e = exp(-|z|) in [0, 1]: 1 where
+    z >= 0 and e elsewhere, picked without a branch, NaN where z is."""
     e = np.abs(z, out=np.empty(np.shape(z)))
     np.negative(e, out=e)
     np.exp(e, out=e)
     den = 1.0 + e
-    np.copyto(e, 1.0, where=z >= 0)
+    np.maximum(e, z >= 0, out=e)
     e /= den
     return e
 
@@ -200,12 +210,15 @@ def _check_observations(observations, kind: str) -> None:
 
 
 def _squash(geometry: GridGeometry, logits_x, logits_p, aux_kind):
-    """The grids the logits stand for: (OccupancyGrid, AuxGrid or None)."""
-    occ = OccupancyGrid(geometry, sigmoid(logits_x))
+    """The grids the logits stand for: (OccupancyGrid, AuxGrid or None),
+    their arrays frozen, built without their range and simplex checks: the
+    sigmoid of finite logits lies in [0, 1] and their softmax on the
+    simplex, and ``fit`` stops before a logit can become non-finite."""
+    occ = _unchecked(OccupancyGrid, geometry, _freeze(sigmoid(logits_x)))
     if aux_kind is None:
         return occ, None
     squash = sigmoid if aux_kind == "color" else softmax
-    return occ, AuxGrid(geometry, aux_kind, squash(logits_p))
+    return occ, _unchecked(AuxGrid, geometry, aux_kind, _freeze(squash(logits_p)))
 
 
 def _logit_grads(occ: OccupancyGrid, aux, grad_x, grad_p):
@@ -288,6 +301,9 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
             opt_p.update(logits_p, grad_p)
 
     occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
+    occ = OccupancyGrid(geometry, occ.x)  # the returned grids are checked, once
+    if aux is not None:
+        aux = AuxGrid(geometry, aux_kind, aux.payload)
     report = FitReport(losses, ray_counts, time.perf_counter() - t_start)
     return occ, aux, report
 

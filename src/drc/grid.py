@@ -201,6 +201,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` whose fields, in order,
+    are ``values``, built without ``__post_init__``: for values derived
+    from checked ones in a way that keeps them valid, where the checks
+    would only repeat.  Arrays are stored as given, frozen or not."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 def last_axis_sum(a: np.ndarray) -> np.ndarray:
     """The sum over the last axis, one slice at a time from zero: numpy
     reduces a short last axis far slower than it adds whole slices, and

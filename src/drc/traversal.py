@@ -61,7 +61,6 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import BinaryGrid, GridGeometry, same_geometry
 
@@ -252,11 +251,16 @@ def _planes(geom: GridGeometry, a: int) -> np.ndarray:
 def _crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: np.ndarray,
                gap: np.ndarray, rate: np.ndarray) -> None:
     """Writes each ray's gap to the W planes of axis a from plane ``first``
-    on (a row of the sliding window view of ``_planes``; (R,), or (1,) for
-    one window shared by every ray) and its rate across them, (R, W) each,
-    whose ratio is the ray's depth there: c oz - ox and dx - c dz for a
-    plane x = c z through the apex (y likewise), else p - o_a and d_a."""
-    p = np.take(sliding_window_view(_planes(geom, a), gap.shape[1]), first, axis=0)
+    on (a row of the windows of W consecutive planes of ``_planes``; (R,),
+    or (1,) for one window shared by every ray) and its rate across them,
+    (R, W) each, whose ratio is the ray's depth there: c oz - ox and
+    dx - c dz for a plane x = c z through the apex (y likewise), else
+    p - o_a and d_a."""
+    planes, w = _planes(geom, a), gap.shape[1]
+    # the windows as a strided view of the table: row k starts at plane k
+    # (sliding_window_view builds the same view at several times the cost)
+    windows = np.ndarray((planes.size - w + 1, w), planes.dtype, planes, strides=planes.strides * 2)
+    p = np.take(windows, first, axis=0)
     if geom.kind == "frustum" and a < 2:
         np.subtract(d[:, a:a + 1], np.multiply(p, d[:, 2:], out=rate), out=rate)
         np.multiply(p, o[:, 2:], out=gap)

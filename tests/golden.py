@@ -14,10 +14,12 @@ t_exit).
 
 The digests are SHA-256 of raw bytes, which may differ across numpy builds
 and CPUs (``exp``, ``log`` and the BLAS dot products take other SIMD paths),
-so the file records the numpy version and platform, and Tier-1 runs
-``--check`` (``tests/test_golden.py``) only where that line is this
-machine's ``environment()``; elsewhere it checks run-to-run determinism
-and the golden ``table.tsv``.  A change that breaks the bytes on purpose
+so the file's first line records what picks those paths (``environment()``:
+the numpy and Python versions, the machine, the C library and numpy's
+dispatch targets on this CPU), and Tier-1 runs ``--check``
+(``tests/test_golden.py``) only where that line is this machine's
+``environment()``; elsewhere it checks run-to-run determinism and the
+golden ``table.tsv``.  A change that breaks the bytes on purpose
 runs ``--write`` and lists the changed files.  Takes a few seconds.
 """
 
@@ -135,7 +137,18 @@ def color_fit_digests() -> dict:
 
 
 def environment() -> str:
-    return f"numpy {np.__version__}, Python {platform.python_version()}, {platform.platform()}"
+    """What picks the digests' bits: the numpy and Python versions, the
+    machine and C library, and the SIMD targets numpy dispatches to here
+    (its ``__cpu_dispatch__`` entries that this CPU supports).  The kernel
+    and OS build are left out: they do no arithmetic."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    libc = " ".join(platform.libc_ver())
+    simd = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    return (f"numpy {np.__version__}, Python {platform.python_version()}, {platform.machine()}, "
+            f"{libc}, dispatch {simd or 'none'}")
 
 
 def read_digests() -> tuple[str, dict]:

@@ -6,7 +6,8 @@ import pytest
 
 from drc import cli
 from drc.cli import main
-from drc.grid import load_grid
+from drc.grid import load_grid, save_grid
+from drc.renderer import make_test_shape
 
 
 def run(*argv):
@@ -168,10 +169,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: seed must be")
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("aux", ["semantics", "color"])
+    def test_shape_of_more_than_256_classes_is_usage_error(self, tmp_path, capsys, aux):
+        assert run("shape", "--name", "sphere", "--dims", "8", "--aux", aux, "--classes", "257",
+                   "--out", str(tmp_path / "gt")) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: --classes must be at most 256 (class ids are 8-bit), got 257\n"
+        assert not (tmp_path / "gt").exists()
+
     def test_render_of_more_than_256_classes_is_error(self, tmp_path, capsys):
-        assert run("shape", "--name", "sphere", "--dims", "8", "--aux", "semantics", "--classes", "300",
-                   "--out", str(tmp_path / "gt")) == 0
-        capsys.readouterr()
+        """A grid file of 300 classes, which ``drc shape`` no longer writes."""
+        (tmp_path / "gt").mkdir()
+        save_grid(str(tmp_path / "gt" / "shape.grid"),
+                  *make_test_shape("sphere", (8, 8, 8), aux_kind="semantics", n_classes=300))
         assert run("render", "--grid", str(tmp_path / "gt" / "shape.grid"), "--views", "1",
                    "--kind", "depth_semantics", "--size", "8", "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err

@@ -784,6 +784,30 @@ class TestObservationChecks:
         with pytest.raises(ValueError, match="finite"):
             RayBatch("color", np.ones(1), c=np.array([[0.5, np.nan, 0.5]]))
 
+    @pytest.mark.parametrize("kind", RAY_KINDS)
+    def test_take_is_the_checked_batch_of_its_rows(self, kind):
+        """``take`` skips the checks its rows passed; what it returns is what
+        the checked constructor makes of the same rows, field for field."""
+        rng = np.random.default_rng(7)
+        _, rays = _kind_case(rng, unit_cube_geometry((2, 2, 2)), kind, 40)
+        for index in (rng.integers(0, 40, 60), np.arange(40)[::-1], rng.uniform(size=40) < 0.5, [3]):
+            taken = rays.take(index)
+            fields = {f: None if getattr(rays, f) is None else getattr(rays, f)[index] for f in "sdc"}
+            checked = RayBatch(kind, rays.weights[index], **fields)
+            assert type(taken) is RayBatch and taken.kind == checked.kind
+            for field in ("weights", "s", "d", "c"):
+                have, want = getattr(taken, field), getattr(checked, field)
+                assert (have is None) == (want is None)
+                if want is not None:
+                    assert have.dtype == want.dtype and have.shape == want.shape
+                    assert have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("index", [3, [[0, 1]]])
+    def test_take_of_other_than_a_1d_index_rejected(self, index):
+        _, rays = _kind_case(np.random.default_rng(7), unit_cube_geometry((2, 2, 2)), "depth", 4)
+        with pytest.raises(ValueError):
+            rays.take(index)
+
 
 # ---------------------------------------------------------------------------
 # view_loss, the kernel fit runs, against oracles that share none of its code

@@ -514,6 +514,32 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
 
 
 @pytest.mark.parametrize("kind", RAY_KINDS)
+def test_fit_checks_its_inputs_once(kind, monkeypatch):
+    """A fit of 6 iterations runs the RayBatch, OccupancyGrid and AuxGrid
+    checks as often as one of 2: on its observations' rays and on the
+    grids it returns, not on the rows and grids each iteration derives
+    from them."""
+    aux_kind = AUX_KINDS.get(kind)
+    gt, aux = make_test_shape("sphere", (12, 12, 12), aux_kind=aux_kind or "color")
+    cams = sample_view_ring(3, seed=5, width=16, height=16)
+    obs = [render(gt, c, kind, aux) for c in cams]
+    table = image_traces(gt.geometry, cams)
+    counts = {}
+    for cls in (RayBatch, OccupancyGrid, AuxGrid):
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    seen = []
+    for iterations in (2, 6):
+        counts.update(RayBatch=0, OccupancyGrid=0, AuxGrid=0)
+        fit(obs, gt.geometry, kind, FitConfig(iterations=iterations, rays_per_iteration=200), traces=table)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"RayBatch": len(obs) + 1, "OccupancyGrid": 1,
+                                  "AuxGrid": int(aux_kind is not None)}
+
+
+@pytest.mark.parametrize("kind", RAY_KINDS)
 def test_fit_is_bitwise_the_reference_formulas(kind, monkeypatch):
     """A short fit of each kind (color carves, then paints) equals, byte for
     byte, the same fit with the formulas as written patched into
