@@ -320,6 +320,11 @@ def build_parser() -> _Parser:
     def common_out(p):
         p.add_argument("--out", required=True, help="output directory")
 
+    def geometry_flags(p):
+        where = p.add_mutually_exclusive_group()  # a frustum has no box
+        where.add_argument("--aabb", default=None, help="x0,y0,z0,x1,y1,z1 grid box")
+        where.add_argument("--frustum", default=None, help="z_min,z_max,hfov frustum geometry")
+
     def add_threading_flags(p):
         # kept for existing scripts: fits always run on one thread
         p.add_argument("--threads", type=int, default=1, help="must be 1")
@@ -349,8 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--obs", required=True, help="directory of observation bundles")
     p.add_argument("--kind", default=None, choices=RAY_KINDS)
     p.add_argument("--dims", default="32")
-    p.add_argument("--aabb", default=None, help="x0,y0,z0,x1,y1,z1 grid box")
-    p.add_argument("--frustum", default=None, help="z_min,z_max,hfov frustum geometry")
+    geometry_flags(p)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--rays", type=int, default=3000)
@@ -365,8 +369,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fuse", help="depth-fusion baseline pseudo-ground-truth")
     p.add_argument("--obs", required=True)
     p.add_argument("--dims", default="32")
-    p.add_argument("--aabb", default=None)
-    p.add_argument("--frustum", default=None)
+    geometry_flags(p)
     common_out(p)
     p.set_defaults(func=cmd_fuse)
 

@@ -106,16 +106,11 @@ class ImageTraces(TraceTable):
 
     cameras: tuple
 
-    @property
-    def first_rows(self) -> np.ndarray:
-        """Each camera's first row, then the table's row count."""
-        return first_rows_of(self.cameras)
-
     def camera_rows(self, first: int, stop: int | None = None) -> "ImageTraces":
         """Cameras ``first`` to ``stop - 1`` (``first`` alone by default) as a
         table of their own: ``start`` rebased to 0, views of the other arrays."""
         stop = first + 1 if stop is None else stop
-        a, b = self.first_rows[[first, stop]]
+        a, b = first_rows_of(self.cameras)[[first, stop]]
         cells = slice(self.start[a], self.start[b - 1] + self.n[b - 1])
         return ImageTraces(self.geometry, self.start[a:b] - cells.start, self.n[a:b], self.t0[a:b],
                            self.cells[cells], self.t_exit[cells], self.cameras[first:stop])
@@ -150,8 +145,9 @@ def view_traces(cameras: list[Camera], geometry: GridGeometry, traces=None) -> I
         raise ValueError("trace table was not traced for these cameras, in this order (as image_traces)")
     if not same_geometry(traces.geometry, geometry):
         raise ValueError("trace table was built on a different geometry")
-    if traces.n_rays != traces.first_rows[-1]:
-        raise ValueError(f"trace table holds {traces.n_rays} rays, its images have {traces.first_rows[-1]}")
+    pixels = first_rows_of(cameras)[-1]
+    if traces.n_rays != pixels:
+        raise ValueError(f"trace table holds {traces.n_rays} rays, its images have {pixels}")
     return traces
 
 

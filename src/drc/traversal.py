@@ -6,15 +6,17 @@ a frustum's planes x = c z and y = c z through the apex and its depth
 planes.  One crossing function, ``_crossings``, gives a ray's gap to and
 rate across a run of them, whose ratio is its depth there.  One clip,
 ``_hull``, gives the depths (t0, t1) inside the convex hull of a box of
-whole cells, by default the whole grid, from its six faces
-(``_hull_faces``).  One window rule, ``_windows``, gives per ray and axis
-the interior planes it can cross: those between its grid coordinates at t0
-and t1, and one more on each side.  The kernel takes the ray's depth at
-each plane of its windows from ``_crossings``, signs the
-plane's stride in the linear cell index by the ray's rate across it, sorts
-the crossings inside (t0, t1) once per ray, counts the first cell from the
-planes the ray has passed at t0, and steps from there.  The hull is convex,
-so the in-grid segments are contiguous.
+whole cells, by default the whole grid, from its six faces, each taken from
+``_crossings`` for that one plane: where a face is a plane the kernel
+crosses, its depth is the one the kernel sorts, so a clipped trace is the
+whole grid's trace's cells inside the box at its depths, to the bit.  One
+window rule, ``_windows``, gives per ray and axis the interior planes it
+can cross: those between its grid coordinates at t0 and t1, and one more on
+each side.  The kernel takes the ray's depth at each plane of its windows
+from ``_crossings``, signs the plane's stride in the linear cell index by
+the ray's rate across it, sorts the crossings inside (t0, t1) once per ray,
+counts the first cell from the planes the ray has passed at t0, and steps
+from there.  The hull is convex, so the in-grid segments are contiguous.
 
 Inside the hull every grid coordinate of both kinds moves monotonically
 along a ray (the frustum's x/z and y/z too, as z >= alpha1 > 0), so a plane
@@ -22,16 +24,6 @@ outside a window is neither crossed in (t0, t1) nor on an uncertain side at
 t0: the crossing depths would put it below the ray there exactly when it
 lies below the window.  So the planes below a window go straight into the
 first cell's count: the traces are those of the full plane set, to the bit.
-
-The clip takes each face's depth from ``_crossings`` for that one plane,
-so where a box face is a plane the kernel crosses, a clipped trace is the
-whole grid's trace's cells inside the box at its depths, to the bit, on
-both kinds.  Only the frustum's own side faces keep a dot with the face
-normal: it rounds otherwise than the crossing arithmetic (d . (1, 0, -c)
-against dx - c dz), and whole-grid tables keep that rounding.  On a
-uniform grid's faces and the frustum's near and far planes the dot added
-only exact zeros to the crossing arithmetic, for the finite rays
-``trace_batch`` accepts.
 
 Per-cell event depths d_i are the segment midpoints (t_enter + t_exit)/2:
 rendered depth and the depth event cost share this convention, so a hard
@@ -270,56 +262,35 @@ def _crossings(geom: GridGeometry, a: int, o: np.ndarray, d: np.ndarray, first: 
         rate[:] = d[:, a:a + 1]
 
 
-def _hull_faces(geom: GridGeometry, box, o: np.ndarray, d: np.ndarray):
-    """The six faces of the box's hull, each as (gap, rate, low) per ray,
-    whose ratio is the ray's depth there: the plane where one grid
-    coordinate is the box's lo (a low face) or hi (a high face), the rate
-    positive up that axis, so the box lies on the + side of a low face and
-    the - side of a high one.
-
-    Each face's gap and rate are ``_crossings``' for that one plane, so
-    where the face is a plane the kernel crosses (0 < k < n) the clip's
-    depths are the crossing depths it sorts, to the bit.  The kernel takes
-    its rates on d + 0.0, which changes only the sign of a zero rate, and
-    the clip reads a zero rate's gap, not its sign.  The one exception is
-    the frustum's own side faces (k = 0 or n on x or y), which keep the dot
-    0 - o . normal, d . normal with normal (1, 0, -c) or (0, 1, -c): it
-    rounds otherwise than c oz - ox and dx - c dz, and whole-grid tables
-    keep that rounding."""
-    for a, (lo, hi) in enumerate(box):
-        for k, low in ((lo, True), (hi, False)):
-            if geom.kind == "frustum" and a < 2 and k in (0, geom.dims[a]):
-                normal = np.eye(3)[a]
-                normal[2] = -_planes(geom, a)[k]
-                # a matrix-vector product rounds each ray's dot as a 1-D dot
-                # does; an elementwise (d * normal).sum(1) can differ in the last bit
-                yield 0.0 - o @ normal, d @ normal, low
-            else:
-                gap, rate = np.empty((len(o), 1)), np.empty((len(o), 1))
-                _crossings(geom, a, o, d, np.array([k]), gap, rate)
-                yield gap[:, 0], rate[:, 0], low
-
-
 def _hull(geom: GridGeometry, o: np.ndarray, d: np.ndarray, box):
     """(t0, t1, alive): each ray's depths inside the box's hull, clipped
-    face by face (``_hull_faces``).  A ray lying in a face is inside a low
-    face and outside a high one, as floor() of its grid coordinate says; a
-    depth t0 <= 0 is +0."""
+    face by face.  A face is the plane where one grid coordinate is the
+    box's lo (a low face, the box on its + side) or hi (a high face, the box
+    on its - side); its gap and rate are ``_crossings``' for that one plane,
+    the rate positive up that axis.  The kernel takes its rates on d + 0.0,
+    which changes only the sign of a zero rate, and the clip reads a zero
+    rate's gap, not its sign.  A ray lying in a face is inside a low face and
+    outside a high one, as floor() of its grid coordinate says; a depth
+    t0 <= 0 is +0."""
     t0 = np.full(len(o), -np.inf)
     t1 = np.full(len(o), np.inf)
+    gap, rate = np.empty((len(o), 1)), np.empty((len(o), 1))  # _crossings' (R, W) with W = 1
+    g, r = gap[:, 0], rate[:, 0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for gap, rate, low in _hull_faces(geom, box, o, d):  # gap > 0: the origin is below the plane
-            t = gap / rate  # a rate below ~1e-308 overflows to +-inf, the right limit
-            up, down = rate > 0.0, rate < 0.0
-            enter, leave = (up, down) if low else (down, up)
-            # on ties (+0 and -0) np.maximum and np.minimum return their second
-            # argument, so t0 = max(..., 0.0) below is never -0
-            np.maximum(t0, t, out=t0, where=enter)
-            np.minimum(t1, t, out=t1, where=leave)
-            # a parallel ray outside the face's half-space
-            blocked = (rate == 0.0) & ((gap > 0.0) if low else (gap <= 0.0))
-            t0[blocked] = np.inf
-            t1[blocked] = -np.inf
+        for a, (lo, hi) in enumerate(box):
+            for k, low in ((lo, True), (hi, False)):
+                _crossings(geom, a, o, d, np.array([k]), gap, rate)  # g > 0: the origin is below the plane
+                t = g / r  # a rate below ~1e-308 overflows to +-inf, the right limit
+                up, down = r > 0.0, r < 0.0
+                enter, leave = (up, down) if low else (down, up)
+                # on ties (+0 and -0) np.maximum and np.minimum return their second
+                # argument, so t0 = max(..., 0.0) below is never -0
+                np.maximum(t0, t, out=t0, where=enter)
+                np.minimum(t1, t, out=t1, where=leave)
+                # a parallel ray outside the face's half-space
+                blocked = (r == 0.0) & ((g > 0.0) if low else (g <= 0.0))
+                t0[blocked] = np.inf
+                t1[blocked] = -np.inf
     t0 = np.maximum(t0, 0.0)
     return t0, t1, t0 < t1
 

@@ -21,6 +21,12 @@ dispatch targets on this CPU), and Tier-1 runs ``--check``
 ``environment()``; elsewhere it checks run-to-run determinism and the
 golden ``table.tsv``.  A change that breaks the bytes on purpose
 runs ``--write`` and lists the changed files.  Takes a few seconds.
+
+The acceptance detail lines (``golden/acceptance.txt``) and the quick
+demos' stdout (``golden/demos/``) start with the same environment line, and
+their tests compare them only where ``recorded_here`` finds it this
+machine's; after a change to ``environment()`` every such file's first
+line is rewritten with ``digests.txt``'s.
 """
 
 import os
@@ -151,11 +157,24 @@ def environment() -> str:
             f"{libc}, dispatch {simd or 'none'}")
 
 
+def read_golden(path) -> tuple[str, str]:
+    """A golden file's environment line, without its "# ", and the text after it."""
+    with open(path, encoding="utf-8") as fh:
+        environment_line, _, body = fh.read().partition("\n")
+    return environment_line.removeprefix("# "), body
+
+
+def recorded_here(path) -> str | None:
+    """The text of a golden file after its environment line where that line
+    is this machine's ``environment()``; None where it was recorded under
+    another, whose bytes may differ."""
+    recorded, body = read_golden(path)
+    return body if recorded == environment() else None
+
+
 def read_digests() -> tuple[str, dict]:
-    with open(DIGESTS, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].removeprefix("# ")
-    return header, dict(line.split("  ", 1)[::-1] for line in lines[1:])
+    header, body = read_golden(DIGESTS)
+    return header, dict(line.split("  ", 1)[::-1] for line in body.splitlines())
 
 
 def main(argv=None) -> int:

@@ -25,11 +25,14 @@ the inverse of ``pixel_rays``, checks the pixel rays by a round trip;
 ``trace_one`` traces one ray, given as an origin and a direction as the
 oracles take it, through ``trace_batch`` into one.  ``full_windows`` and
 ``full_crossings`` give the traversal kernel every plane of every axis,
-as it took them before its per-ray windows; ``dot_hull_faces`` is the
-hull's face rule from before its faces shared the crossing arithmetic.
-``rays_at_pixels`` reads a
-sample's observations pixel by pixel with 2-D indexing, as the fitter
-did before it took its sampled rays from ``full_image_rays``;
+as it took them before its per-ray windows.  ``crossing_hull`` is the hull
+clip as one reduction over its faces' crossing depths, and
+``crossing_clip_cells`` the cell clip with the frustum's planes through the
+apex taken by that arithmetic too, the one rule the kernel keeps on every
+plane; ``clip_cells`` takes those planes by a dot with their normals.
+``rays_at_pixels`` reads a sample's observations pixel by pixel with 2-D
+indexing, as the fitter did before it took its sampled rays from
+``full_image_rays``;
 ``sampled_pixels`` and ``sampled_rows`` are the draw ``fit`` made with its
 own view choice and per-view loop before it drew through ``sample_rays``.
 ``threshold_sweep`` is the IoU sweep as one pass per threshold, the way
@@ -407,8 +410,30 @@ def clip_cells(geom, origin, direction, faces=None):
     ray lying in a cell's low face is inside the cell, one lying in its high
     face outside it, so a ray in a plane between two cells is in the upper."""
     a, b = cell_faces(geom) if faces is None else faces
-    ad = a @ np.asarray(direction, dtype=np.float64)
-    slack = b - a @ np.asarray(origin, dtype=np.float64)
+    return _clip(a @ np.asarray(direction, dtype=np.float64), b - a @ np.asarray(origin, dtype=np.float64))
+
+
+def crossing_clip_cells(geom, origin, direction, faces=None):
+    """``clip_cells`` with a frustum's planes x = c z and y = c z through
+    the apex taken by the crossing arithmetic, gap c oz - ox and rate
+    dx - c dz (y likewise), signed to the cell's side, instead of a dot with
+    their normals; on every other plane the dot adds only exact zeros."""
+    o, d = np.asarray(origin, dtype=np.float64), np.asarray(direction, dtype=np.float64)
+    a, b = cell_faces(geom) if faces is None else faces
+    ad, slack = a @ d, b - a @ o
+    if geom.kind == "frustum":
+        ijk = geom.unravel(np.arange(geom.ncells))
+        for axis in (0, 1):
+            for side, sign in ((0, -1.0), (1, 1.0)):  # the cell's low plane, then its high one
+                c = geom.f * (ijk[axis] + side - geom.dims[axis] / 2.0)
+                slack[:, 2 * axis + side] = sign * (c * o[2] - o[axis])
+                ad[:, 2 * axis + side] = sign * (d[axis] - c * d[2])
+    return _clip(ad, slack)
+
+
+def _clip(ad, slack):
+    """The clip of ``clip_cells`` from each cell face's rate ``ad`` and slack,
+    (ncells, 6) each, low and high face of each axis in turn."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = slack / ad
     t_in = np.maximum(np.where(ad < 0.0, t, -np.inf).max(axis=1), 0.0)
@@ -683,30 +708,38 @@ def full_crossings(geom, a, o, d, first, gap, rate):
         rate[:] = d[:, a:a + 1] - cs * dz
 
 
-def dot_hull_faces(geom, box, o, d):
-    """``traversal._hull_faces`` as it was before every face but the
-    frustum's side faces took the crossing arithmetic: a face on the grid's
-    boundary is c - o . normal and d . normal for the plane normal . p = c
-    (a box's axis planes; the frustum's depth planes and its planes
-    x = c z, y = c z through the apex, normal (1, 0, -c) or (0, 1, -c)); a
-    face inside the grid is the crossing arithmetic for that one plane."""
+def crossing_hull(geom, box, o, d):
+    """``traversal._hull`` as one reduction over the box's six faces, (R, 6)
+    arrays, each face's gap and rate written out as the crossing arithmetic
+    of its plane: p - o_a and d_a for a box's planes aabb_min + k h (the
+    last at aabb_max) and a frustum's depth planes, c oz - ox and dx - c dz
+    for a frustum's planes x = c z through the apex (y likewise)."""
+    gaps, rates, low = [], [], []
     for a, (lo, hi) in enumerate(box):
         n = geom.dims[a]
-        for k, low in ((lo, True), (hi, False)):
-            normal, c = np.eye(3)[a], 0.0
-            if geom.kind == "uniform":
-                c = geom.aabb_max[a] if k == n else geom.aabb_min[a] + k * geom.cell_size[a]
-            elif a == 2:
-                c = geom.alpha1 * np.exp(geom.alpha2 * k)
+        k = np.arange(n + 1)
+        for j, is_low in ((lo, True), (hi, False)):
+            if geom.kind == "frustum" and a < 2:
+                c = (geom.f * (k - n / 2.0))[j]
+                gaps.append(c * o[:, 2] - o[:, a])
+                rates.append(d[:, a] - c * d[:, 2])
             else:
-                normal[2] = -geom.f * (k - n / 2.0)
-            if not 0 < k < n:
-                yield c - o @ normal, d @ normal, low
-            elif geom.kind == "frustum" and a < 2:
-                c = geom.f * (k - n / 2.0)
-                yield c * o[:, 2] - o[:, a], d[:, a] - c * d[:, 2], low
-            else:
-                yield c - o[:, a], d[:, a], low
+                p = (geom.alpha1 * np.exp(geom.alpha2 * k) if geom.kind == "frustum"
+                     else np.append(geom.aabb_min[a] + k[:-1] * geom.cell_size[a], geom.aabb_max[a]))[j]
+                gaps.append(p - o[:, a])
+                rates.append(d[:, a])
+            low.append(is_low)
+    gap, rate = np.stack(gaps, axis=1), np.stack(rates, axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = gap / rate
+    enter = np.where(low, rate > 0.0, rate < 0.0)
+    leave = np.where(low, rate < 0.0, rate > 0.0)
+    t0 = np.maximum(np.where(enter, t, -np.inf).max(axis=1), 0.0)
+    t1 = np.where(leave, t, np.inf).min(axis=1)
+    # a ray parallel to a face and outside its half-space: lying in a low face is inside it
+    outside = ((rate == 0.0) & np.where(low, gap > 0.0, gap <= 0.0)).any(axis=1)
+    t0[outside], t1[outside] = np.inf, -np.inf
+    return t0, t1, t0 < t1
 
 
 def slab_hull(geom, o, d):

@@ -64,9 +64,9 @@ def masked(detail):
 def report(num, slug, ok, detail):
     print(f"\nACCEPTANCE {num:2d} {slug}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} {slug}: {detail}"
-    environment, *lines = GOLDEN_REPORT.read_text(encoding="utf-8").splitlines()
-    if environment.removeprefix("# ") == golden.environment():
-        recorded = {line.split("\t")[0]: line for line in lines}
+    lines = golden.recorded_here(GOLDEN_REPORT)
+    if lines is not None:
+        recorded = {line.split("\t")[0]: line for line in lines.splitlines()}
         assert f"{num}\t{slug}\t{masked(detail)}" == recorded.get(str(num)), f"{GOLDEN_REPORT.name} differs"
 
 

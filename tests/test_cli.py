@@ -238,6 +238,14 @@ class TestExitCodes:
                    "--out", str(tmp_path / "fit")) == 1
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "fuse"])
+    def test_frustum_with_aabb_is_usage_error(self, pipeline, tmp_path, capsys, command):
+        assert run(command, "--obs", str(pipeline / "obs"), "--dims", "16", "--frustum", "0.4,20,50",
+                   "--aabb=-0.5,-0.5,-0.5,0.5,0.5,0.5", "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.splitlines() == \
+            ["usage error: argument --aabb: not allowed with argument --frustum"]
+        assert not (tmp_path / "out").exists()
+
     def test_mask_input_to_fuse_is_data_error(self, pipeline, tmp_path):
         assert run("render", "--grid", str(pipeline / "gt" / "shape.grid"), "--views", "1",
                    "--kind", "mask", "--size", "16", "--out", str(tmp_path / "masks")) == 0

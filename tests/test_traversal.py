@@ -15,8 +15,9 @@ from drc import traversal
 from drc.traversal import first_hit_batch, trace_batch
 
 
-from oracles import (cell_faces, clip_cells, dense_sample_cells, dot_hull_faces, entries, event_probabilities,
-                     first_hit, full_crossings, full_windows, padded, row_inside_box, slab_hull, trace_one, trace_row)
+from oracles import (cell_faces, clip_cells, crossing_clip_cells, crossing_hull, dense_sample_cells, entries,
+                     event_probabilities, first_hit, full_crossings, full_windows, padded, row_inside_box, slab_hull,
+                     trace_one, trace_row)
 
 
 def unit(v):
@@ -33,10 +34,10 @@ def random_ray(rng, spread=2.0):
     return origin, unit(rng.normal(size=3))
 
 
-def assert_matches_clip_oracle(geom, ray, tr, faces=None):
+def assert_matches_clip_oracle(geom, ray, tr, faces=None, clip=clip_cells):
     """The trace's cells exactly, and its depths within 1e-12; returns the
     oracle's cells."""
-    cells, t_enter, t_exit = clip_cells(geom, *ray, faces)
+    cells, t_enter, t_exit = clip(geom, *ray, faces)
     assert tr.cells.tolist() == cells.tolist()
     assert np.abs(tr.t_enter - t_enter).max(initial=0.0) <= 1e-12
     assert np.abs(tr.t_exit - t_exit).max(initial=0.0) <= 1e-12
@@ -245,7 +246,10 @@ class TestRaysLyingInPlanes:
     a box whose planes are exact: the kernel, the clip oracle and, wherever
     the plane coordinate is exact in floating point, dense sampling agree
     that a ray lying in a plane belongs to the cell above it, and so that a
-    ray lying in a high face (the far plane among them) misses."""
+    ray lying in a high face (the far plane among them) misses.  On a
+    frustum's side faces, planes through the apex, the clip oracle takes
+    them by the crossing arithmetic (``crossing_clip_cells``), as the
+    kernel does: a dot with the face normal rounds otherwise."""
 
     @settings(max_examples=40, deadline=None)
     @given(which=st.integers(0, len(FACE_RULE_GEOMS) - 1), axis=st.integers(0, 2), plane=st.integers(0, 4),
@@ -271,11 +275,12 @@ class TestRaysLyingInPlanes:
             d = q - p
         d = unit(d)
         origins = p - rng.uniform(0.0, 1.5, (m, 1)) * d  # before the grid or inside it
+        clip = crossing_clip_cells if geom.kind == "frustum" and axis < 2 else clip_cells
         lying = 0
         for o, direction in zip(origins, d):
             ray = (o, direction)
             tr = trace_one(geom, *ray)
-            assert_matches_clip_oracle(geom, ray, tr, faces)
+            assert_matches_clip_oracle(geom, ray, tr, faces, clip)
             if geom.world_to_grid(o)[axis] == k and (geom.kind == "uniform" or axis == 2):
                 lying += 1
                 if lying == 1:  # dense sampling is slow: one ray per example
@@ -819,23 +824,26 @@ class TestBoxHull:
 
 
 class TestHullFaces:
-    """Every hull face but the frustum's own side faces takes the crossing
-    arithmetic; on a uniform grid's faces and the frustum's near and far
-    planes that is, to the bit, the dot each face took before."""
+    """Every hull face takes the crossing arithmetic of its plane, the grid's
+    own faces (k = 0 and k = n) on both kinds among them."""
 
     @pytest.mark.parametrize("geom", UNIFORM_GEOMS + FRUSTUM_GEOMS + [SCENE_GEOM])
-    def test_hull_is_bitwise_the_dot_rule(self, geom):
+    def test_hull_is_bitwise_the_crossing_depths(self, geom):
         rng = np.random.default_rng(14)
         if geom.kind == "uniform":
             rays = [odd_rays(rng, np.concatenate([geom.aabb_min, geom.aabb_max]), 4000)]
         else:
             near_far = [plane_value(geom, 2, 0), plane_value(geom, 2, geom.dims[2])]
-            rays = [odd_rays(rng, near_far, 4000), apex_rays(geom, rng, 4000)]
+            # and rays from the apex lying in a side face, whose rate across it rounds to 0 or not
+            g = rng.uniform(0.0, 1.0, (4000, 3)) * geom.dims
+            side = rng.integers(0, 2, 4000)
+            g[np.arange(4000), side] = rng.integers(0, 2, 4000) * np.array(geom.dims)[side]
+            rays = [odd_rays(rng, near_far, 4000), apex_rays(geom, rng, 4000),
+                    (np.zeros((4000, 3)), unit(geom.grid_to_world(g)))]
         for box in [whole_box(geom)] + [TestCellBox.random_box(rng, geom.dims) for _ in range(6)]:
             for origins, directions in rays:
-                with mock.patch.object(traversal, "_hull_faces", dot_hull_faces):
-                    expect = traversal._hull(geom, origins, directions, box)
-                for got, want in zip(traversal._hull(geom, origins, directions, box), expect):
+                for got, want in zip(traversal._hull(geom, origins, directions, box),
+                                     crossing_hull(geom, box, origins, directions)):
                     assert got.tobytes() == want.tobytes()
 
 
