@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import platform
+import re
 import sys
 import time
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__
 from .consistency import AUX_KINDS, RAY_KINDS
 from .errors import FormatError
-from .fitter import FitConfig, fit, write_loss_log
+from .fitter import FitConfig, draw_schedule, fit, write_loss_log
 from .fusion import carve_masks, fuse_depth, fused_to_occupancy_grid
 from .grid import (
     BinaryGrid,
@@ -46,6 +47,7 @@ from .metrics import best_threshold, run_gradcheck
 from .renderer import (
     SHAPE_NAMES,
     add_depth_noise,
+    check_noise_amplitude,
     image_traces,
     list_observation_bundles,
     load_observation_bundle,
@@ -70,6 +72,13 @@ class CheckFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word that starts with a negative number is a value, not an option,
+        # so "--elevation -20,30" parses as "--elevation=-20,30" does; the
+        # default rule takes only a bare number ("-20") for a value
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         raise UsageError(message)
 
@@ -261,8 +270,10 @@ def cmd_repro(args) -> int:
     for name in shapes:
         if name not in SHAPE_NAMES:
             raise UsageError(f"unknown shape {name!r} in --shapes")
+    check_noise_amplitude(args.noise)
     os.makedirs(args.out, exist_ok=True)
     cams = sample_view_ring(args.views, seed=args.seed, width=args.size, height=args.size)
+    draws = draw_schedule(cams, config)  # every shape's fits draw the same rows
     traces = None
     table = []
     for name in shapes:
@@ -284,7 +295,7 @@ def cmd_repro(args) -> int:
         row = {"shape": name}
         for tag, obs in (("mask_drc", mask_obs), ("depth_drc", depth_obs), ("noisy_drc", noisy_obs)):
             kind = "mask" if tag == "mask_drc" else "depth"
-            occ, _, report = fit(obs, geometry, kind, config, traces=traces)
+            occ, _, report = fit(obs, geometry, kind, config, traces=traces, draws=draws)
             save_grid(os.path.join(shape_dir, f"{tag}.grid"), occ)
             write_loss_log(os.path.join(shape_dir, f"{tag}_loss.tsv"), report, kind)
             row[tag] = best_threshold(occ, gt).best_iou

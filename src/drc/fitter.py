@@ -10,9 +10,13 @@ Cameras, geometry and observations stay fixed during a fit, so before the
 first iteration every view's pixel rays are traced once, into one table
 (``image_traces``) unless the caller passes it as ``traces=``, and every
 pixel's loss weight (foreground pixels weighted up) and observation is
-looked up once.  Every iteration draws its rows of that table through
-one ``sample_rays`` call (a subset of views, a budget of pixels per view
-uniform with replacement), gathers their weights and observations (one
+looked up once.  The rows of that table every iteration scores are drawn
+before the first, into one ``draw_schedule`` (one ``sample_rays`` call
+per iteration: a subset of views, a budget of pixels per view uniform
+with replacement), unless the caller passes it as ``draws=``: the draw
+depends on the cameras' sizes and the config, not on the grid, so fits
+over the same cameras and config can share one.  Every iteration reads
+its rows from the schedule, gathers their weights and observations (one
 ``RayBatch.take``) and their traces (one ``TraceTable.take``, sharing the
 table's storage), computes the loss of all of them and its analytic
 gradients in one ``view_loss`` call, chain-rules through the squashing
@@ -53,7 +57,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,6 +201,64 @@ def sample_rays(cameras, n: int, views: int, seed: int, iteration: int) -> np.nd
     return np.concatenate(rows)
 
 
+@dataclass(frozen=True, eq=False)
+class DrawSchedule:
+    """The table rows of every iteration of a fit, ``rows[it]`` being
+    ``sample_rays``' rows for iteration ``it``, and what they were drawn
+    for: each camera's (width, height), the ray budget, the view count and
+    the seed.  One schedule serves every fit over cameras of those sizes
+    with that config, for as many iterations as it holds."""
+
+    sizes: tuple
+    rays_per_iteration: int
+    views: int
+    seed: int
+    rows: np.ndarray = field(repr=False)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.rows)
+
+
+def _drawn_for(cameras, config: FitConfig) -> dict:
+    """What ``sample_rays`` draws a fit's rows from, besides the iteration;
+    the view count is all views up to 5, else 3, unless the config sets it."""
+    n = len(cameras)
+    return {"sizes": tuple((c.width, c.height) for c in cameras),
+            "rays_per_iteration": config.rays_per_iteration,
+            "views": min(config.views_per_iteration or (n if n <= 5 else 3), n),
+            "seed": config.seed}
+
+
+def draw_schedule(cameras, config: FitConfig) -> DrawSchedule:
+    """The rows a fit with ``config`` over ``cameras`` scores, every
+    iteration's ``sample_rays`` call stacked, in the narrowest integer
+    type that holds the cameras' table row count (int32 for a few 128 px
+    views: 4 B per ray per iteration)."""
+    drawn_for = _drawn_for(cameras, config)
+    n_rows = first_rows_of(cameras)[-1]
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n_rows <= np.iinfo(t).max)
+    per_view = max(1, config.rays_per_iteration // drawn_for["views"])
+    rows = np.empty((config.iterations, per_view * drawn_for["views"]), dtype=dtype)
+    for it in range(config.iterations):
+        rows[it] = sample_rays(cameras, config.rays_per_iteration, drawn_for["views"], config.seed, it)
+    return DrawSchedule(rows=rows, **drawn_for)
+
+
+def _fit_draws(cameras, config: FitConfig, draws) -> DrawSchedule:
+    """The ``draw_schedule`` of ``cameras`` and ``config``: ``draws``,
+    checked to be drawn for them and to cover the config's iterations, or,
+    without ``draws``, drawn here."""
+    if draws is None:
+        return draw_schedule(cameras, config)
+    for name, want in _drawn_for(cameras, config).items():
+        if getattr(draws, name) != want:
+            raise ValueError(f"draw schedule was drawn for {name} {getattr(draws, name)}, the fit has {want}")
+    if draws.iterations < config.iterations:
+        raise ValueError(f"draw schedule holds {draws.iterations} iterations, the fit runs {config.iterations}")
+    return draws
+
+
 def _check_observations(observations, kind: str) -> None:
     if not observations:
         raise ValueError("need at least one observation to fit")
@@ -248,18 +310,22 @@ def _logit_grads(occ: OccupancyGrid, aux, grad_x, grad_p):
 
 
 def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
-        config: FitConfig = FitConfig(), *, traces=None):
+        config: FitConfig = FitConfig(), *, traces=None, draws=None):
     """Optimize a grid against the observations.
 
     Returns (OccupancyGrid, AuxGrid or None, FitReport).  With zero
     iterations the maximal-entropy initialization (x = 0.5, gray / uniform
     payloads) comes back unchanged.  ``traces``, if given, holds each
-    observation's ``image_traces`` table on ``geometry``.  Raises
-    ValueError at the first iteration whose loss or gradient is not finite.
+    observation's ``image_traces`` table on ``geometry``; ``draws``, if
+    given, is the ``draw_schedule`` of their cameras and ``config``.
+    Raises ValueError at the first iteration whose loss or gradient is not
+    finite.
     """
     _check_observations(observations, kind)
-    t_start = time.perf_counter()  # the table builds count toward the fit's time
-    table = view_traces([o.camera for o in observations], geometry, traces)  # every pixel of every view
+    cameras = [o.camera for o in observations]
+    t_start = time.perf_counter()  # the table and schedule builds count toward the fit's time
+    draws = _fit_draws(cameras, config, draws)
+    table = view_traces(cameras, geometry, traces)  # every pixel of every view
 
     logits_x = np.zeros(geometry.shape)
     aux_kind = AUX_KINDS.get(kind)
@@ -272,9 +338,6 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
     if logits_p is not None:
         opt_p = Adam(logits_p.shape, config.step_size)
 
-    n_views = len(observations)
-    views = min(config.views_per_iteration or (n_views if n_views <= 5 else 3), n_views)
-
     paint_from = config.iterations // 2 if kind == "color" else 0  # carve, then paint
 
     # every pixel's loss weight and observation, view after view, once per fit
@@ -283,7 +346,7 @@ def fit(observations: list[Observation], geometry: GridGeometry, kind: str,
     ray_counts = np.zeros(config.iterations, dtype=np.int64)
     for it in range(config.iterations):
         occ, aux = _squash(geometry, logits_x, logits_p, aux_kind)
-        rows = sample_rays(table.cameras, config.rays_per_iteration, views, config.seed, it)
+        rows = draws.rows[it]
         rays = every.take(rows)
         res = view_loss(occ, rays, aux, label_weight=config.label_weight, traces=table.take(rows))
         loss, grad_x, grad_p, count = res.loss, res.grad_x, res.grad_p, rays.n_rays

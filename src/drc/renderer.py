@@ -200,6 +200,13 @@ def render(bgrid: BinaryGrid, camera: Camera, kind: str, aux: AuxGrid | None = N
     return Observation(kind, camera, rgb=rgb)
 
 
+def check_noise_amplitude(max_noise: float) -> None:
+    """Raise ValueError unless ``add_depth_noise`` can draw noise of this
+    amplitude: >= 0, and finite with a finite width 2 max_noise."""
+    if not 0.0 <= max_noise <= np.finfo(np.float64).max / 2:
+        raise ValueError(f"max_noise must be >= 0 and finite, got {max_noise}")
+
+
 def add_depth_noise(obs: Observation, max_noise: float, seed: int) -> Observation:
     """Perturb foreground depths by iid uniform noise in [-max_noise, +max_noise].
 
@@ -209,8 +216,7 @@ def add_depth_noise(obs: Observation, max_noise: float, seed: int) -> Observatio
     """
     if obs.kind != "depth":
         raise ValueError(f"depth noise applies to 'depth' observations, got {obs.kind!r}")
-    if not 0.0 <= max_noise <= np.finfo(np.float64).max / 2:  # uniform() needs a finite width
-        raise ValueError(f"max_noise must be >= 0 and finite, got {max_noise}")
+    check_noise_amplitude(max_noise)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed % (1 << 64))))
     noise = rng.uniform(-max_noise, max_noise, size=obs.depth.shape)
     fg = obs.foreground()

@@ -28,7 +28,7 @@ import golden
 from drc.cli import main as cli_main
 from drc import consistency
 from drc.consistency import view_loss
-from drc.fitter import FitConfig, fit
+from drc.fitter import FitConfig, draw_schedule, fit
 from drc.fusion import fuse_depth, fused_to_occupancy_grid
 from drc.grid import make_frustum_geometry, uniform_geometry
 from drc.metrics import best_threshold, run_gradcheck
@@ -93,28 +93,35 @@ class ShapeFits:
     traces: object = None  # the image_traces table of the 128 px cameras
 
 
-def _build_shape(name):
+FIT_CONFIG = FitConfig(iterations=500, seed=FIT_SEED)
+
+
+def _cameras(res):
+    return sample_view_ring(5, seed=VIEW_SEED, width=res, height=res)
+
+
+def _build_shape(name, draws):
     """Each camera set is traced once, into one table; its renders, fits and
-    fusion share it."""
+    fusion share it.  ``draws`` holds each resolution's draw schedule,
+    which both shapes' fits at that resolution share."""
     gt, aux = make_test_shape(name, DIMS)
-    cfg = FitConfig(iterations=500, seed=FIT_SEED)
     geom = gt.geometry
 
-    cams = sample_view_ring(5, seed=VIEW_SEED, width=RES_FIT, height=RES_FIT)
+    cams = _cameras(RES_FIT)
     traces = image_traces(geom, cams)
     depth_obs = [render(gt, c, "depth", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]
     mask_obs = [render(gt, c, "mask", traces=traces.camera_rows(i)) for i, c in enumerate(cams)]
-    depth_fit, _, drep = fit(depth_obs, geom, "depth", cfg, traces=traces)
-    mask_fit, _, mrep = fit(mask_obs, geom, "mask", cfg, traces=traces)
+    depth_fit, _, drep = fit(depth_obs, geom, "depth", FIT_CONFIG, traces=traces, draws=draws[RES_FIT])
+    mask_fit, _, mrep = fit(mask_obs, geom, "mask", FIT_CONFIG, traces=traces, draws=draws[RES_FIT])
 
-    cams_hi = sample_view_ring(5, seed=VIEW_SEED, width=RES_NOISE, height=RES_NOISE)
+    cams_hi = _cameras(RES_NOISE)
     traces_hi = image_traces(geom, cams_hi)
     depth_hi = [render(gt, c, "depth", traces=traces_hi.camera_rows(i)) for i, c in enumerate(cams_hi)]
     amplitude = 0.2 * shape_scale(gt)
     noisy_obs = [add_depth_noise(o, amplitude, seed=VIEW_SEED * 100 + i)
                  for i, o in enumerate(depth_hi)]
-    clean_fit, _, crep = fit(depth_hi, geom, "depth", cfg, traces=traces_hi)
-    noisy_fit, _, nrep = fit(noisy_obs, geom, "depth", cfg, traces=traces_hi)
+    clean_fit, _, crep = fit(depth_hi, geom, "depth", FIT_CONFIG, traces=traces_hi, draws=draws[RES_NOISE])
+    noisy_fit, _, nrep = fit(noisy_obs, geom, "depth", FIT_CONFIG, traces=traces_hi, draws=draws[RES_NOISE])
     noisy_fused = fused_to_occupancy_grid(*fuse_depth(noisy_obs, geom, traces=traces_hi), geom)
 
     return ShapeFits(
@@ -133,7 +140,8 @@ def _build_shape(name):
 
 @pytest.fixture(scope="module")
 def fits():
-    return {name: _build_shape(name) for name in ("sphere", "chair_like")}
+    draws = {res: draw_schedule(_cameras(res), FIT_CONFIG) for res in (RES_FIT, RES_NOISE)}
+    return {name: _build_shape(name, draws) for name in ("sphere", "chair_like")}
 
 
 def test_01_probability_normalization():

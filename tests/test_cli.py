@@ -289,6 +289,47 @@ class TestExitCodes:
                    "--iters", "1", "--noise", "inf", "--out", str(tmp_path / "r")) == 1
         assert capsys.readouterr().err.startswith("error: max_noise")
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_bad_repro_noise_writes_nothing(self, tmp_path, capsys, noise):
+        assert run("repro", "--shapes", "sphere", "--dims", "8", "--views", "2", "--size", "8",
+                   "--iters", "1", "--noise", noise, "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err.splitlines() == \
+            [f"error: max_noise must be >= 0 and finite, got {float(noise)}"]
+        assert not (tmp_path / "r").exists()
+
+    def test_elevation_list_starting_negative_parses_as_a_separate_word(self, pipeline, tmp_path):
+        grid = str(pipeline / "gt" / "shape.grid")
+        for form, out in ((["--elevation", "-10,40"], "word"), (["--elevation=-10,40"], "equals")):
+            assert run("render", "--grid", grid, "--views", "2", "--size", "8", *form,
+                       "--out", str(tmp_path / out)) == 0
+            assert manifest(tmp_path / out)["elevation"] == "-10,40"
+        for view in ("view_000", "view_001"):
+            assert (tmp_path / "word" / view / "depth.pfm").read_bytes() == \
+                (tmp_path / "equals" / view / "depth.pfm").read_bytes()
+
+    def test_aabb_list_starting_negative_parses_as_a_separate_word(self, pipeline, tmp_path, capsys):
+        box = "-0.5,-0.5,-0.5,0.5,0.5,0.4"
+        common = ("--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "2", "--rays", "200")
+        assert run("fit", *common, "--aabb", box, "--out", str(tmp_path / "word")) == 0
+        assert run("fit", *common, f"--aabb={box}", "--out", str(tmp_path / "equals")) == 0
+        assert manifest(tmp_path / "word")["aabb"] == box
+        assert (tmp_path / "word" / "fitted.grid").read_bytes() == \
+            (tmp_path / "equals" / "fitted.grid").read_bytes()
+        capsys.readouterr()
+        assert run("fit", *common, "--aabb", box, "--frustum", "0.4,20,50", "--out", str(tmp_path / "both")) == 1
+        assert capsys.readouterr().err.splitlines() == \
+            ["usage error: argument --frustum: not allowed with argument --aabb"]
+        assert not (tmp_path / "both").exists()
+
+    def test_frustum_list_starting_negative_parses_as_a_separate_word(self, pipeline, tmp_path, capsys):
+        # a frustum's z_min must be positive: the list reaches the geometry's check
+        for form in (["--frustum", "-0.4,20,50"], ["--frustum=-0.4,20,50"]):
+            assert run("fit", "--obs", str(pipeline / "obs"), "--dims", "16", "--iters", "1", *form,
+                       "--out", str(tmp_path / "fit")) == 1
+            assert capsys.readouterr().err.splitlines() == \
+                ["error: need 0 < z_min < z_max < inf, got z_min=-0.4, z_max=20.0"]
+            assert not (tmp_path / "fit").exists()
+
     @pytest.mark.parametrize("command", ["fit", "render"])
     def test_size_too_large_for_memory_is_usage_error(self, monkeypatch, tmp_path, capsys, command):
         # as numpy raises it for an array of --rays, --dims or --size cells
@@ -401,6 +442,28 @@ def test_repro_traces_each_camera_once(monkeypatch, tmp_path):
     assert run("repro", "--shapes", "sphere,chair_like", "--views", "2", "--size", "16",
                "--iters", "1", "--out", str(tmp_path / "repro2")) == 0
     assert calls == [512]
+
+
+def test_repro_draws_once_for_every_fit(monkeypatch, tmp_path):
+    """The three fits of every shape read one draw schedule, drawn in one
+    call for the repro's cameras and config."""
+    drawn, given = [], []
+
+    def drawing(cameras, config, draw=cli.draw_schedule):
+        drawn.append(draw(cameras, config))
+        return drawn[-1]
+
+    def fitting(*args, fit=cli.fit, **kwargs):
+        given.append(kwargs["draws"])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "draw_schedule", drawing)
+    monkeypatch.setattr(cli, "fit", fitting)
+    assert run("repro", "--views", "2", "--size", "16", "--iters", "3", "--rays", "100",
+               "--out", str(tmp_path / "repro")) == 0
+    assert len(drawn) == 1 and len(given) == 6
+    assert all(draws is drawn[0] for draws in given)
+    assert drawn[0].iterations == 3 and drawn[0].sizes == ((16, 16), (16, 16))
 
 
 def test_repro_checks_shape_dims_before_tracing(monkeypatch, tmp_path, capsys):

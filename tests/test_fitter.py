@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from drc import fitter
 from drc.consistency import AUX_KINDS, RAY_KINDS, RayBatch, view_loss
-from drc.fitter import Adam, FitConfig, fit, sample_rays, sigmoid, softmax, write_loss_log
+from drc.fitter import Adam, FitConfig, draw_schedule, fit, sample_rays, sigmoid, softmax, write_loss_log
 from drc.cameras import perspective_camera, pixel_rays
 from drc.grid import AuxGrid, BinaryGrid, OccupancyGrid, last_axis_sum, make_frustum_geometry, unit_cube_geometry
 from drc.metrics import strip_table
@@ -466,11 +468,11 @@ def test_fit_calls_view_loss_once_per_iteration(views_per_iteration, depth_views
 @pytest.mark.parametrize("views_per_iteration", [None, 2])
 @pytest.mark.parametrize("kind", ["mask", "depth", "depth_semantics", "color"])
 def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypatch):
-    """Each iteration calls sample_rays once; its rows are, bit for bit,
-    the reference draw's, iteration i's rays carry, view by view in the
-    chosen order, exactly the weights and observations of the drawn
-    pixels, and their traces are one take of those rows of the table,
-    sharing its storage."""
+    """The fit's draw schedule calls sample_rays once per iteration; the
+    rows of iteration i are, bit for bit, the reference draw's, its rays
+    carry, view by view in the chosen order, exactly the weights and
+    observations of the drawn pixels, and their traces are one take of
+    those rows of the table, sharing its storage."""
     gt, aux = make_test_shape("sphere", (12, 12, 12), aux_kind=AUX_KINDS.get(kind, "color"))
     cams = sample_view_ring(3, seed=3, width=20, height=16)
     obs = [render(gt, c, kind, aux) for c in cams]
@@ -511,6 +513,83 @@ def test_fit_samples_the_rays_of_sample_rays(kind, views_per_iteration, monkeypa
         expected_rows = table.take(want_rows)
         for field in ("start", "n", "t0"):
             assert getattr(traces, field).tobytes() == getattr(expected_rows, field).tobytes()
+
+
+@pytest.fixture(scope="module")
+def kind_views():
+    """Per kind, a 12^3 sphere's geometry and its observations from one
+    ring of 3 views of 20x16 px."""
+    cams = sample_view_ring(3, seed=3, width=20, height=16)
+    out = {}
+    for kind in RAY_KINDS:
+        gt, aux = make_test_shape("sphere", (12, 12, 12), aux_kind=AUX_KINDS.get(kind, "color"))
+        out[kind] = gt.geometry, [render(gt, c, kind, aux) for c in cams]
+    return out
+
+
+class TestDrawSchedule:
+    @pytest.mark.parametrize("views_per_iteration", [None, 2])
+    @pytest.mark.parametrize("kind", RAY_KINDS)
+    def test_rows_are_sample_rays_rows(self, kind, views_per_iteration, kind_views):
+        cams = [o.camera for o in kind_views[kind][1]]
+        config = FitConfig(iterations=5, rays_per_iteration=241, views_per_iteration=views_per_iteration, seed=4)
+        draws = draw_schedule(cams, config)
+        views = views_per_iteration or len(cams)
+        assert draws.rows.dtype == np.int16  # 960 table rows
+        assert draws.rows.shape == (5, 241 // views * views) and draws.views == views
+        for it in range(config.iterations):
+            want = sample_rays(cams, 241, views, 4, it)
+            assert draws.rows[it].astype(want.dtype).tobytes() == want.tobytes()
+
+    def test_six_cameras_draw_three_views(self):
+        sizes = ((20, 14), (9, 31), (16, 16), (200, 180), (64, 48), (128, 128))  # 56,271 rows
+        cams = [perspective_camera((0.0, 0.0, -2.0), (0.0, 0.0, 0.0), 50.0, w, h) for w, h in sizes]
+        draws = draw_schedule(cams, FitConfig(iterations=4, rays_per_iteration=300, seed=2))
+        assert draws.rows.dtype == np.int32 and draws.views == 3 and draws.sizes == sizes
+        for it in range(4):
+            want = sample_rays(cams, 300, 3, 2, it)
+            assert draws.rows[it].astype(want.dtype).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("views_per_iteration", [None, 2])
+    @pytest.mark.parametrize("kind", RAY_KINDS)
+    def test_fit_given_a_schedule_is_the_fit_without(self, kind, views_per_iteration, kind_views,
+                                                     monkeypatch):
+        """Byte for byte, from a schedule drawn for more iterations than the
+        fit runs, and without a draw of its own."""
+        geom, obs = kind_views[kind]
+        config = FitConfig(iterations=4, rays_per_iteration=240, views_per_iteration=views_per_iteration,
+                           seed=6, label_weight=0.7)
+        occ, aux, report = fit(obs, geom, kind, config)
+        draws = draw_schedule([o.camera for o in obs], replace(config, iterations=6))
+
+        def drawing(*args):
+            raise AssertionError("a fit given a schedule drew rays")
+
+        monkeypatch.setattr(fitter, "sample_rays", drawing)
+        got_occ, got_aux, got_report = fit(obs, geom, kind, config, draws=draws)
+        assert len(set(report.losses)) > 1  # the fit moved
+        assert got_occ.x.tobytes() == occ.x.tobytes()
+        assert got_report.losses.tobytes() == report.losses.tobytes()
+        assert got_report.rays_per_loss.tobytes() == report.rays_per_loss.tobytes()
+        assert (got_aux is None) == (aux is None)
+        if aux is not None:
+            assert got_aux.payload.tobytes() == aux.payload.tobytes()
+
+    @pytest.mark.parametrize("drawn_for, message", [
+        ({"height": 17}, "drawn for sizes"),
+        ({"rays_per_iteration": 241}, "drawn for rays_per_iteration 241, the fit has 240"),
+        ({"views_per_iteration": 2}, "drawn for views 2, the fit has 3"),
+        ({"seed": 1}, "drawn for seed 1, the fit has 0"),
+        ({"iterations": 3}, "holds 3 iterations, the fit runs 4"),
+    ])
+    def test_schedule_drawn_for_another_fit_rejected(self, drawn_for, message, kind_views):
+        geom, obs = kind_views["depth"]
+        config = FitConfig(iterations=4, rays_per_iteration=240)
+        changed = {k: v for k, v in drawn_for.items() if k != "height"}
+        cams = sample_view_ring(3, seed=3, width=20, height=drawn_for.get("height", 16))
+        draws = draw_schedule(cams, replace(config, **changed))
+        with pytest.raises(ValueError, match=message):
+            fit(obs, geom, "depth", config, draws=draws)
 
 
 @pytest.mark.parametrize("kind", RAY_KINDS)
